@@ -2,18 +2,26 @@
 
 ``bfs_optimal`` is the brute-force oracle; ``idastar`` is the working exact
 solver (memory-linear, deterministic Up < Down < Left < Right expansion
-order).  ``instance_of_depth`` rejection-samples random walks until the
-verified optimal depth matches the target exactly.
+order).  ``exact_distance`` answers true-distance queries: from a table of
+every state's distance for width <= 3, with ``idastar`` for width 4.
+``instance_of_depth`` rejection-samples random walks until the verified
+optimal depth matches the target exactly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial
 from typing import Callable
 
+import numpy as np
+
 from .puzzle import (
+    _COL_DELTA,
     _INVERSE,
+    _ROW_DELTA,
     Op,
     ProblemInstance,
     SolutionPath,
@@ -27,6 +35,11 @@ from .puzzle import (
 from .seeds import subseed
 
 DEFAULT_NODE_BUDGET = 50_000_000
+# Widest board whose distances are tabulated: 9! entries at width 3, 16! at 4.
+_TABLE_MAX_WIDTH = 3
+_UNREACHED = 255
+# States expanded per numpy step while building a table; bounds temporaries.
+_BFS_CHUNK = 4096
 
 
 class BudgetExhausted(Exception):
@@ -183,6 +196,85 @@ def idastar(
         bound = int(t)
 
 
+def _lehmer_rank(tiles: tuple[int, ...]) -> int:
+    """Lexicographic rank of a permutation of 0..n-1 (its Lehmer code)."""
+    n = len(tiles)
+    rank = 0
+    seen = 0  # bit t set once tile t has been ranked
+    for i in range(n - 1):
+        t = tiles[i]
+        # Tiles after position i that are smaller than t: t minus those before it.
+        rank = rank * (n - i) + t - (seen & ((1 << t) - 1)).bit_count()
+        seen |= 1 << t
+    return rank
+
+
+def _lehmer_ranks(perms: np.ndarray) -> np.ndarray:
+    """``_lehmer_rank`` of each row of ``perms``."""
+    n = perms.shape[1]
+    ranks = np.zeros(len(perms), dtype=np.int64)
+    for i in range(n - 1):
+        ranks = ranks * (n - i) + (perms[:, i + 1 :] < perms[:, i : i + 1]).sum(axis=1)
+    return ranks
+
+
+@lru_cache(maxsize=4)
+def _distance_table(width: int, goal: tuple[int, ...]) -> memoryview:
+    """Distance to ``goal`` of every permutation, indexed by Lehmer rank.
+
+    Built by breadth-first search from the goal, ``_BFS_CHUNK`` states at a
+    time; unreachable permutations hold ``_UNREACHED``.  The read-only view
+    indexes to plain ints.
+    """
+    table = bytearray([_UNREACHED]) * factorial(width * width)
+    dist = np.frombuffer(table, dtype=np.uint8)
+    frontier = np.array([goal], dtype=np.uint8)
+    dist[_lehmer_ranks(frontier)] = 0
+    depth = 0
+    while len(frontier):
+        depth += 1
+        found = []
+        for lo in range(0, len(frontier), _BFS_CHUNK):
+            chunk = frontier[lo : lo + _BFS_CHUNK]
+            blank = (chunk == 0).argmax(axis=1)
+            row, col = np.divmod(blank, width)
+            for dr, dc in zip(_ROW_DELTA, _COL_DELTA):
+                legal = (0 <= row + dr) & (row + dr < width) & (0 <= col + dc) & (col + dc < width)
+                children = chunk[legal]
+                at = np.arange(len(children))
+                src = blank[legal]
+                dst = src + dr * width + dc
+                children[at, src] = children[at, dst]
+                children[at, dst] = 0
+                ranks = _lehmer_ranks(children)
+                new = dist[ranks] == _UNREACHED
+                ranks, first = np.unique(ranks[new], return_index=True)
+                dist[ranks] = depth
+                found.append(children[new][first])
+        frontier = np.concatenate(found)
+    return memoryview(table).toreadonly()
+
+
+def exact_distance(
+    state: State, goal: State, node_budget: int = DEFAULT_NODE_BUDGET
+) -> int:
+    """True distance from ``state`` to ``goal``.
+
+    Width <= 3 reads a table of every state's distance, built on the first
+    query for that goal; width 4 solves with ``idastar`` under
+    ``node_budget``.  Raises ValueError when the widths differ or ``state``
+    cannot reach ``goal``.
+    """
+    if state.width != goal.width:
+        raise ValueError("state and goal have different widths")
+    if state.width > _TABLE_MAX_WIDTH:
+        return idastar(ProblemInstance(state, goal), node_budget=node_budget).length
+    d = _distance_table(state.width, goal.tiles)[_lehmer_rank(state.tiles)]
+    if d == _UNREACHED:
+        raise ValueError("state is not reachable from the goal")
+    return d
+
+
 def instance_of_depth(
     d: int,
     width: int = 3,
@@ -194,7 +286,8 @@ def instance_of_depth(
 
     Rejection-samples seeded random walks of length ``d`` (walks backtrack, so
     the walked distance is only an upper bound) and verifies each candidate
-    with ``idastar`` until one matches.
+    with ``exact_distance`` until one matches: a table lookup for width <= 3,
+    an ``idastar`` solve under ``node_budget`` for width 4.
     """
     if d < 0:
         raise ValueError("depth must be >= 0")
@@ -207,10 +300,8 @@ def instance_of_depth(
             continue
         if manhattan(s, goal) > d:
             continue
-        candidate = ProblemInstance(s, goal)
-        result = idastar(candidate, node_budget=node_budget)
-        if result.length == d:
-            return candidate
+        if exact_distance(s, goal, node_budget) == d:
+            return ProblemInstance(s, goal)
     raise GenerationFailed(
         f"no depth-{d} instance found in {attempts} attempts (width {width}, seed {seed})"
     )

@@ -10,9 +10,11 @@ executed moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
-from .exact import idastar
+# ``idastar`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
+from .exact import exact_distance, idastar  # noqa: F401
 from .puzzle import (
     _INVERSE,
     Op,
@@ -77,6 +79,31 @@ def check_level(level: int, maximum: int = MAX_LOOKAHEAD) -> int:
     return level
 
 
+# Arrival index of the root in ``_kernel_tables``: no inverse move to leave out.
+_ROOT = 4
+
+
+@lru_cache(maxsize=16)
+def _kernel_tables(width: int, goal: tuple[int, ...]):
+    """Move and heuristic tables for the lookahead kernel on one (width, goal).
+
+    ``after[b][last]`` lists the (op, new blank, delta row) moves from blank
+    cell ``b`` when the blank arrived by op ``last`` (or ``_ROOT``), with the
+    inverse of ``last`` left out.  ``delta[t]`` is the change in Manhattan
+    distance when tile ``t`` slides from the new blank cell into ``b``.
+    """
+    dists = dist_table(width, goal)
+    cells = range(width * width)
+    after = []
+    for b, moves in enumerate(moves_table(width)):
+        delta = {j: tuple(dists[t][b] - dists[t][j] if t else 0 for t in cells) for _, j in moves}
+        after.append(tuple(
+            tuple((op, j, delta[j]) for op, j in moves if last == _ROOT or op != _INVERSE[last])
+            for last in range(_ROOT + 1)
+        ))
+    return tuple(after), dists
+
+
 def _ranked_decisions(
     tiles: tuple[int, ...],
     blank: int,
@@ -87,51 +114,76 @@ def _ranked_decisions(
     """All first moves ranked by backed-up f (ties by op order).
 
     Returns (ranked entries (value, op, child tiles, child blank),
-    nodes generated, peak lookahead stack depth).
+    nodes generated, peak lookahead stack depth).  The search swaps the blank
+    in and back on one board list.  The last two layers are scored without a
+    call or a swap: a frontier node's f is g + h whether or not it is the goal,
+    and within two moves the blank cannot return to a cell, so the tiles it
+    would slide are still where the board has them.
     """
-    table = moves_table(width)
-    dists = dist_table(width, goal)
+    after, dists = _kernel_tables(width, goal)
+    board = list(tiles)
     nodes = 0
-    peak = 1
+    deepest = 0  # depth of the deepest expanded node
 
-    def descend(
-        t: tuple[int, ...], b: int, hval: int, g: int, left: int, last_op: int
-    ) -> int:
-        nonlocal nodes, peak
+    def descend(b: int, hval: int, g: int, left: int, last: int) -> int:
+        # ``left`` >= 1 moves remain below this node, whose blank is at ``b``.
+        nonlocal nodes, deepest
         if hval == 0:
             return g  # goal inside the tree caps this branch
-        if left == 0:
-            return g + hval
+        moves = after[b][last]
+        nodes += len(moves)
+        if g > deepest:
+            deepest = g
         best = 1 << 30
-        for op, j in table[b]:
-            if op == _INVERSE[last_op]:
-                continue
-            nodes += 1
-            child = list(t)
-            child[b], child[j] = child[j], child[b]
-            moved = t[j]
-            child_h = hval + dists[moved][b] - dists[moved][j]
-            if g + 2 > peak:
-                peak = g + 2
-            value = descend(tuple(child), j, child_h, g + 1, left - 1, op)
+        if left == 1:
+            for _, j, delta in moves:
+                h = delta[board[j]]
+                if h < best:
+                    best = h
+            return g + 1 + hval + best
+        if left == 2:
+            for op, j, delta in moves:
+                h1 = hval + delta[board[j]]
+                if h1 == 0:
+                    if g + 1 < best:
+                        best = g + 1
+                    continue
+                grand = after[j][op]
+                nodes += len(grand)
+                deepest = g + 1
+                m = 1 << 30
+                for _, k, delta2 in grand:
+                    h = delta2[board[k]]
+                    if h < m:
+                        m = h
+                if g + 2 + h1 + m < best:
+                    best = g + 2 + h1 + m
+            return best
+        for op, j, delta in moves:
+            t = board[j]
+            board[b] = t
+            board[j] = 0
+            value = descend(j, hval + delta[t], g + 1, left - 1, op)
+            board[j] = t
+            board[b] = 0
             if value < best:
                 best = value
         return best
 
     h0 = sum(dists[t][i] for i, t in enumerate(tiles) if t)
     ranked: list[tuple[int, int, tuple[int, ...], int]] = []
-    for op, j in table[blank]:
+    for op, j, delta in after[blank][_ROOT]:
         nodes += 1
-        child = list(tiles)
-        child[blank], child[j] = child[j], child[blank]
-        moved = tiles[j]
-        child_h = h0 + dists[moved][blank] - dists[moved][j]
-        if peak < 2:
-            peak = 2
-        value = descend(tuple(child), j, child_h, 1, level - 1, op)
-        ranked.append((value, op, tuple(child), j))
+        t = board[j]
+        board[blank] = t
+        board[j] = 0
+        child_h = h0 + delta[t]
+        value = 1 + child_h if level == 1 else descend(j, child_h, 1, level - 1, op)
+        ranked.append((value, op, tuple(board), j))
+        board[j] = t
+        board[blank] = 0
     ranked.sort(key=lambda e: (e[0], e[1]))
-    return ranked, nodes, peak
+    return ranked, nodes, deepest + 2
 
 
 def minimin_decide(
@@ -163,6 +215,7 @@ def _run_loop(
     level: int,
     limits: ResourceLimits,
     record: list[State] | None = None,
+    tops: list[tuple[int, ...]] | None = None,
 ) -> Outcome:
     goal = p.goal.tiles
     width = p.width
@@ -184,6 +237,8 @@ def _run_loop(
             record.append(State(tiles, width))
         ranked, nodes, stack_peak = _ranked_decisions(tiles, blank, goal, width, level)
         total_nodes += nodes
+        if tops is not None:
+            tops.append(ranked[0][2])
         chosen = None
         for entry in ranked:
             if visits.get(entry[2], 0) < 2:
@@ -224,11 +279,17 @@ def minimin_trace(
     p: ProblemInstance,
     level: int,
     limits: ResourceLimits = ResourceLimits(),
+    tops: list[tuple[int, ...]] | None = None,
 ) -> tuple[Outcome, list[State]]:
-    """Like ``minimin_run`` but also returns the states where decisions were made."""
+    """Like ``minimin_run`` but also returns the states where decisions were made.
+
+    If ``tops`` is given, the tiles of each decision's top-ranked child are
+    appended to it, in step with the returned states.  That is the move
+    ``decision_accuracy`` scores; loop avoidance may execute another one.
+    """
     check_level(level)
     record: list[State] = []
-    outcome = _run_loop(p, level, limits, record)
+    outcome = _run_loop(p, level, limits, record, tops)
     return outcome, record
 
 
@@ -240,29 +301,46 @@ def decision_accuracy(
 ) -> float:
     """Fraction of sampled states whose chosen move strictly reduces true distance.
 
-    True distances come from ``idastar``; pass a shared ``dstar_cache`` to
-    amortize repeated solves across calls.
+    The chosen move is the top-ranked first move of a depth-``level``
+    lookahead.  True distances come from ``exact_distance``: a table lookup at
+    width <= 3, an IDA* solve at width 4, amortized across calls by a shared
+    ``dstar_cache``.  Scored by ``decision_hit_rate``.
     """
     if not sample:
         raise EmptySample("decision_accuracy needs at least one state")
     check_level(level)
+    decisions = []
+    for s in sample:
+        ranked, _, _ = _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
+        decisions.append((s, ranked[0][2]))
+    return decision_hit_rate(decisions, goal, dstar_cache)
+
+
+def decision_hit_rate(
+    decisions: Sequence[tuple[State, tuple[int, ...]]],
+    goal: State,
+    dstar_cache: dict[tuple[int, ...], int] | None = None,
+) -> float:
+    """Fraction of (state, chosen child tiles) pairs whose child is one step closer.
+
+    True distances come from ``exact_distance``; pass a shared ``dstar_cache``
+    to amortize repeated solves across calls.
+    """
+    if not decisions:
+        raise EmptySample("decision_hit_rate needs at least one decision")
     cache = dstar_cache if dstar_cache is not None else {}
 
-    def dstar(s: State) -> int:
-        hit = cache.get(s.tiles)
+    def dstar(tiles: tuple[int, ...]) -> int:
+        hit = cache.get(tiles)
         if hit is None:
-            hit = idastar(ProblemInstance(s, goal)).length
-            cache[s.tiles] = hit
+            hit = exact_distance(State(tiles, goal.width), goal)
+            cache[tiles] = hit
         return hit
 
     hits = 0
-    for s in sample:
+    for s, child in decisions:
         if s.tiles == goal.tiles:
             raise ValueError("sample contains the goal state; no decision exists")
-        before = dstar(s)
-        ranked, _, _ = _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
-        _, _, succ_tiles, _ = ranked[0]
-        after = dstar(State(succ_tiles, s.width))
-        if after == before - 1:
+        if dstar(child) == dstar(s.tiles) - 1:
             hits += 1
-    return hits / len(sample)
+    return hits / len(decisions)

@@ -16,12 +16,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .minimin import (
+# ``decision_accuracy`` is looked up here by the benchmark's tracer
+# (perfbench/tracing.py).
+from .minimin import (  # noqa: F401
     EmptySample,
     Outcome,
     ResourceLimits,
     check_level,
     decision_accuracy,
+    decision_hit_rate,
     minimin_run,
     minimin_trace,
 )
@@ -197,8 +200,10 @@ def fit_markov(
 
     For each level, Minimin runs over the training instances supply both the
     mean nodes-per-decision (inverted to an effective branching factor) and a
-    state sample along the executed trajectories, which is scored by
-    ``decision_accuracy``.  Accuracies are made nondecreasing in the level by
+    sample of the decisions made along the executed trajectories: each state
+    with its lookahead's top-ranked child, scored by ``decision_hit_rate``.
+    That equals ``decision_accuracy`` on the sampled states without repeating
+    their lookahead.  Accuracies are made nondecreasing in the level by
     isotonic adjustment, then clamped into (0.5, 1].
     """
     if not training:
@@ -216,22 +221,21 @@ def fit_markov(
     branching: dict[int, float] = {}
     for level in levels:
         pool: list[State] = []
+        tops: list[tuple[int, ...]] = []
         total_nodes = 0.0
-        total_decisions = 0
         for inst in training:
-            outcome, states = minimin_trace(inst, level, limits)
+            outcome, states = minimin_trace(inst, level, limits, tops)
             pool.extend(states)
             total_nodes += outcome.time_units
-            total_decisions += len(states)
         if not pool:
             raise EmptySample(f"no decisions observed at level {level}")
-        if len(pool) > max_states_per_level:
-            idx = rng.choice(len(pool), size=max_states_per_level, replace=False)
-            pool = [pool[i] for i in sorted(idx.tolist())]
-        acc = decision_accuracy(level, pool, goal, dstar_cache=dstar_cache)
-        raw_acc.append(acc)
-        sizes[level] = len(pool)
-        branching[level] = _solve_branching(total_nodes / total_decisions, level)
+        decisions = list(zip(pool, tops))
+        if len(decisions) > max_states_per_level:
+            idx = rng.choice(len(decisions), size=max_states_per_level, replace=False)
+            decisions = [decisions[i] for i in sorted(idx.tolist())]
+        raw_acc.append(decision_hit_rate(decisions, goal, dstar_cache))
+        sizes[level] = len(decisions)
+        branching[level] = _solve_branching(total_nodes / len(pool), level)
 
     adjusted = _isotonic(raw_acc, [sizes[l] for l in levels])
     accuracy = {

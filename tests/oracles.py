@@ -39,17 +39,25 @@ def bfs_distances(goal: State) -> dict[tuple[int, ...], int]:
 
 def exhaustive_lookahead(
     s: State, goal: State, level: int
-) -> tuple[Op, int, dict[Op, int]]:
+) -> tuple[Op, int, dict[Op, int], int, int]:
     """Enumerate every root-to-leaf operator sequence of the lookahead tree.
 
     Sequences never immediately backtrack and stop early at the goal (scored
     f = depth); full-length leaves score f = depth + manhattan.  Returns the
     operator of the best first step (ties by Up < Down < Left < Right), its
-    backed-up value, and the per-first-step value table.
+    backed-up value, the per-first-step value table, the number of nodes the
+    tree generates (every node but the root, goal and frontier nodes
+    included), and its peak stack: the root plus the deepest node's depth.
     """
     from eusearch.puzzle import manhattan
 
+    generated = 0
+    deepest = 0
+
     def paths_min(state: State, depth: int, last: Op | None) -> int:
+        nonlocal generated, deepest
+        generated += 1
+        deepest = max(deepest, depth)
         if state.tiles == goal.tiles:
             return depth
         if depth == level:
@@ -67,7 +75,7 @@ def exhaustive_lookahead(
     for op in legal_ops(s):
         table[op] = paths_min(apply_op(s, op), 1, op)
     best_op = min(table, key=lambda o: (table[o], int(o)))
-    return best_op, table[best_op], table
+    return best_op, table[best_op], table, generated, 1 + deepest
 
 
 def depth_keyed_ceiling(rows) -> tuple[float, float]:

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
-experiment's summary table.  The experiment criterion takes about 70 s.
+experiment's summary table.  The experiment criterion takes about 25 s and
+the two-worker fingerprint check about 17 s on a 2-core x86 machine.
 """
 
+import hashlib
 import math
 import random
 import statistics
@@ -146,7 +148,7 @@ def test_criterion_4_minimin_oracle_equivalence():
             s = apply_op(GOAL3, legal_ops(GOAL3)[0])
         level = 1 + i % 4
         op, value, _ = minimin_decide(s, GOAL3, level)
-        oracle_op, oracle_value, _ = exhaustive_lookahead(s, GOAL3, level)
+        oracle_op, oracle_value, *_ = exhaustive_lookahead(s, GOAL3, level)
         assert (op, value) == (oracle_op, oracle_value), (s, level)
         tested += 1
     elapsed = time.monotonic() - start
@@ -367,6 +369,24 @@ def test_criterion_6_protocol_reproduction(default_experiment):
     assert within_ok, f"fraction of depths within one level {near_best:.2f} < 0.7"
     assert mean_ok, "a selected level's mean utility fell >5% below the best fixed level"
     assert time_ok
+
+
+# SHA-256 of the seed-0 desk runs CSV (``ExperimentConfig()`` defaults), as
+# ``report_csv_text`` renders it and ``eusearch experiment --out`` writes it.
+DESK_FINGERPRINT = "1217b40860a2f9d3e4a6ddde911c29b22b63281a2aede94281d753d349695369"
+
+
+def csv_sha256(report) -> str:
+    return hashlib.sha256(report_csv_text(report).encode()).hexdigest()
+
+
+def test_desk_runs_csv_fingerprint(default_experiment):
+    report, _ = default_experiment
+    assert csv_sha256(report) == DESK_FINGERPRINT
+
+
+def test_desk_runs_csv_fingerprint_with_two_workers():
+    assert csv_sha256(run_experiment(ExperimentConfig(workers=2))) == DESK_FINGERPRINT
 
 
 def test_criterion_7_invariant_suites():

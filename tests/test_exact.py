@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,12 +7,15 @@ from eusearch.exact import (
     BudgetExhausted,
     GenerationFailed,
     bfs_optimal,
+    exact_distance,
     idastar,
     instance_of_depth,
 )
 from eusearch.puzzle import (
+    Op,
     ProblemInstance,
     State,
+    apply_op,
     goal_state,
     manhattan,
     random_walk,
@@ -20,6 +24,7 @@ from eusearch.puzzle import (
 from oracles import bfs_distances
 
 GOAL3 = goal_state(3)
+GOAL4 = goal_state(4)
 
 
 def seeded_instances(count, max_steps, seed=0):
@@ -118,6 +123,64 @@ class TestIdastar:
 
 # Frozen once from bfs_optimal on random_walk(goal3, 30, seed=30).
 WALK30_DSTAR = 24
+
+
+@pytest.fixture(scope="module")
+def distances3():
+    return bfs_distances(GOAL3)
+
+
+def swapped(goal, a, b):
+    """``goal`` with two tiles exchanged: the other parity class."""
+    tiles = list(goal.tiles)
+    tiles[a], tiles[b] = tiles[b], tiles[a]
+    return State(tuple(tiles), goal.width)
+
+
+class TestExactDistance:
+    def test_every_3x3_state(self, distances3):
+        assert len(distances3) == 181_440
+        for tiles, d in distances3.items():
+            assert exact_distance(State(tiles, 3), GOAL3) == d
+
+    def test_3x3_histogram_ends_at_31(self, distances3):
+        hist = Counter(exact_distance(State(tiles, 3), GOAL3) for tiles in distances3)
+        assert sum(hist.values()) == 181_440
+        assert max(hist) == 31 and hist[31] == 2
+        assert sorted(hist) == list(range(32))
+
+    def test_every_2x2_state(self):
+        goal = goal_state(2)
+        truth = bfs_distances(goal)
+        assert len(truth) == 12
+        for tiles, d in truth.items():
+            assert exact_distance(State(tiles, 2), goal) == d
+
+    def test_other_goal_matches_idastar(self):
+        # Tables are per goal: a blank-first goal gets its own.
+        goal = State((0, 1, 2, 3, 4, 5, 6, 7, 8), 3)
+        rng = random.Random(17)
+        for _ in range(30):
+            s = random_walk(goal, rng.randrange(25), seed=rng.randrange(1 << 30))
+            assert exact_distance(s, goal) == idastar(ProblemInstance(s, goal)).length
+
+    def test_width4_matches_idastar(self):
+        rng = random.Random(4)
+        for _ in range(15):
+            s = random_walk(GOAL4, rng.randrange(1, 25), seed=rng.randrange(1 << 30))
+            assert exact_distance(s, GOAL4) == idastar(ProblemInstance(s, GOAL4)).length
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_unreachable_state_raises(self, width):
+        goal = goal_state(width)
+        with pytest.raises(ValueError):
+            exact_distance(swapped(goal, 0, 1), goal)
+
+    def test_width_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            exact_distance(apply_op(GOAL3, Op.UP), GOAL4)
+        with pytest.raises(ValueError):
+            exact_distance(goal_state(2), GOAL3)
 
 
 class TestInstanceOfDepth:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eusearch.exact import idastar, instance_of_depth
 from eusearch.minimin import (
@@ -11,6 +13,7 @@ from eusearch.minimin import (
     minimin_decide,
     minimin_run,
     minimin_trace,
+    _ranked_decisions,
 )
 from eusearch.puzzle import (
     Op,
@@ -27,6 +30,7 @@ from oracles import bfs_distances, exhaustive_lookahead
 
 GOAL3 = goal_state(3)
 GOAL2 = goal_state(2)
+GOAL4 = goal_state(4)
 
 
 def sample_states(count, max_steps, seed=0, width=3):
@@ -77,7 +81,7 @@ class TestDecide:
         for i, s in enumerate(sample_states(40, 24, seed=2)):
             level = 1 + i % 4
             op, value, _ = minimin_decide(s, GOAL3, level)
-            oracle_op, oracle_value, _ = exhaustive_lookahead(s, GOAL3, level)
+            oracle_op, oracle_value, *_ = exhaustive_lookahead(s, GOAL3, level)
             assert (op, value) == (oracle_op, oracle_value)
 
     def test_rejects_goal_state(self):
@@ -105,6 +109,66 @@ class TestDecide:
                 _, _, nodes = minimin_decide(s, GOAL3, level)
                 assert nodes >= prev
                 prev = nodes
+
+
+def assert_kernel_matches_oracle(s, goal, level):
+    """Ranking, values, children, node count and peak all equal the oracle's."""
+    oracle_op, oracle_value, table, oracle_nodes, oracle_peak = exhaustive_lookahead(
+        s, goal, level
+    )
+    ranked, nodes, peak = _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
+    assert [(value, op) for value, op, _, _ in ranked] == sorted(
+        (value, int(op)) for op, value in table.items()
+    )
+    for _, op, child, child_blank in ranked:
+        assert State(child, s.width) == apply_op(s, Op(op))
+        assert child[child_blank] == 0
+    assert (nodes, peak) == (oracle_nodes, oracle_peak)
+    assert minimin_decide(s, goal, level) == (oracle_op, oracle_value, oracle_nodes)
+
+
+def walked_state(goal, steps, seed):
+    s = random_walk(goal, steps, seed)
+    return s if s != goal else apply_op(goal, legal_ops(goal)[0])
+
+
+class TestKernelOracle:
+    """The lookahead kernel against the tree enumeration in ``oracles``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        steps=st.integers(1, 30),
+        seed=st.integers(0, 2**30),
+        level=st.integers(1, 12),
+    )
+    def test_width3_every_level(self, steps, seed, level):
+        assert_kernel_matches_oracle(walked_state(GOAL3, steps, seed), GOAL3, level)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        steps=st.integers(1, 6),
+        seed=st.integers(0, 2**30),
+        level=st.integers(1, 12),
+    )
+    def test_width3_goal_cutoffs(self, steps, seed, level):
+        # The goal lies inside most of these trees, which cuts their branches.
+        assert_kernel_matches_oracle(walked_state(GOAL3, steps, seed), GOAL3, level)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.integers(1, 40),
+        seed=st.integers(0, 2**30),
+        level=st.integers(1, 6),
+    )
+    def test_width4(self, steps, seed, level):
+        assert_kernel_matches_oracle(walked_state(GOAL4, steps, seed), GOAL4, level)
+
+    def test_every_2x2_state(self):
+        for tiles, d in bfs_distances(GOAL2).items():
+            if d == 0:
+                continue
+            for level in range(1, 13):
+                assert_kernel_matches_oracle(State(tiles, 2), GOAL2, level)
 
 
 class TestRun:
@@ -217,7 +281,7 @@ class TestDecisionAccuracy:
 
         hits = 0
         for s in states:
-            op, _, _ = exhaustive_lookahead(s, GOAL3, 2)
+            op, *_ = exhaustive_lookahead(s, GOAL3, 2)
             hits += dstar(apply_op(s, op)) == dstar(s) - 1
         assert p == hits / len(states)
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from eusearch.exact import instance_of_depth
-from eusearch.minimin import EmptySample, Outcome
+from eusearch.minimin import EmptySample, Outcome, decision_accuracy, minimin_trace
 from eusearch.perfmodel import (
+    _ACCURACY_FLOOR,
+    _isotonic,
     EmpiricalTable,
     MarkovParams,
     MissingAccuracy,
@@ -19,6 +21,7 @@ from eusearch.perfmodel import (
     save_model,
 )
 from eusearch.puzzle import ProblemInstance, apply_op, goal_state, legal_ops
+from eusearch.seeds import subseed
 
 
 def simple_params(p=0.75, levels=(1, 2, 3, 4), max_len=1000):
@@ -146,6 +149,30 @@ class TestFitMarkov:
         assert params.branching[4] == pytest.approx(2.0404, abs=1e-3)
         for level in (1, 2, 3, 4):
             assert params.branching[level] > 1.0
+
+    def test_equals_decision_accuracy_on_its_sample(self):
+        # The fit scores the decisions its runs recorded; rerunning the
+        # lookahead with decision_accuracy on the same subsample agrees.
+        goal = goal_state(3)
+        training = [instance_of_depth(depth, 3, seed=40 + depth) for depth in (6, 10, 14)]
+        levels, cap, seed = (1, 2, 3, 5, 7), 25, 11
+        params = fit_markov(training, levels, max_states_per_level=cap, seed=seed)
+
+        rng = np.random.default_rng(subseed(seed, "fit-markov"))
+        raw, sizes = [], []
+        for level in levels:
+            pool = [s for inst in training for s in minimin_trace(inst, level)[1]]
+            assert len(pool) > cap
+            idx = rng.choice(len(pool), size=cap, replace=False)
+            pool = [pool[i] for i in sorted(idx.tolist())]
+            raw.append(decision_accuracy(level, pool, goal))
+            sizes.append(len(pool))
+        adjusted = _isotonic(raw, sizes)
+        assert params.accuracy == {
+            l: min(1.0, max(_ACCURACY_FLOOR, a)) for l, a in zip(levels, adjusted)
+        }
+        assert params.sample_sizes == dict(zip(levels, sizes))
+        assert len(set(raw)) > 1  # not a trivial sample: the levels score differently
 
     def test_mixed_goals_rejected(self):
         goal = goal_state(3)
