@@ -14,6 +14,7 @@ from .exact import bfs_optimal, idastar, instance_of_depth
 from .experiment import (
     ExperimentConfig,
     config_from_dict,
+    config_to_dict,
     load_experiment_config,
     read_report_csv,
     run_experiment,
@@ -23,7 +24,7 @@ from .experiment import (
     to_user_units,
 )
 from .minimin import ResourceLimits, decision_accuracy, minimin_run
-from .perfmodel import fit_empirical, fit_markov, load_model, save_model
+from .perfmodel import MarkovParams, fit_empirical, fit_markov, load_model, save_model
 from .puzzle import ProblemInstance, goal_state, parse_state
 from .seeds import subseed
 from .selector import select_lookahead
@@ -152,9 +153,10 @@ def cmd_select(args) -> int:
             o, args.gens_per_minute, args.nodes_per_megabyte
         ),
     )
+    kind = "markov" if isinstance(model, MarkovParams) else "empirical"
     print(f"chosen_level {report.chosen_level}")
-    print(f"model {report.model_id}")
-    print(f"utility {report.utility_id}")
+    print(f"model {kind}[levels {model.levels[0]}..{model.levels[-1]}]")
+    print(f"utility {utility.tag or utility.form}")
     print("level,expected_utility")
     for level in sorted(report.eu_by_level):
         print(f"{level},{report.eu_by_level[level]!r}")
@@ -210,7 +212,7 @@ def cmd_experiment(args) -> int:
             else base.node_budget,
         }
     if overrides:
-        cfg = config_from_dict({**_cfg_dict(cfg), **overrides})
+        cfg = config_from_dict({**config_to_dict(cfg), **overrides})
     progress = (lambda msg: print(msg, file=sys.stderr)) if not args.quiet else None
     report = run_experiment(cfg, csv_path=args.out, progress=progress)
     summary = summarize(report)
@@ -219,12 +221,6 @@ def cmd_experiment(args) -> int:
         with open(args.summary_csv, "w", encoding="utf-8") as fh:
             fh.write(summary_csv_text(summary))
     return 0
-
-
-def _cfg_dict(cfg: ExperimentConfig) -> dict:
-    from .experiment import config_to_dict
-
-    return config_to_dict(cfg)
 
 
 def cmd_summarize(args) -> int:

@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Callable
 
 import numpy as np
 
@@ -116,30 +115,18 @@ def _reconstruct(
     return SolutionPath(tuple(ops))
 
 
-def idastar(
-    p: ProblemInstance,
-    h: Callable[[State, State], int] = manhattan,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> ExactResult:
-    """Iterative-deepening A* with an admissible heuristic; returns a shortest path.
+def idastar(p: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
+    """Iterative-deepening A* on Manhattan distance; returns a shortest path.
 
-    Uses incremental Manhattan updates when ``h`` is the default heuristic;
-    any other admissible ``h`` is evaluated per generated node.
+    The heuristic is updated incrementally from the one tile each move slides.
     """
     start = p.initial.tiles
     goal = p.goal.tiles
     if start == goal:
         return ExactResult(SolutionPath(()), 0, 1)
 
-    width = p.width
-    table = moves_table(width)
-    fast = h is manhattan
-    dists = dist_table(width, goal) if fast else None
-
-    def h_of(tiles: tuple[int, ...]) -> int:
-        if fast:
-            return sum(dists[t][i] for i, t in enumerate(tiles) if t)
-        return h(State(tiles, width), p.goal)
+    table = moves_table(p.width)
+    dists = dist_table(p.width, goal)
 
     generated = 0
     peak_depth = 0
@@ -165,11 +152,8 @@ def idastar(
             child = list(tiles)
             child[blank], child[j] = child[j], child[blank]
             child_t = tuple(child)
-            if fast:
-                moved = tiles[j]
-                child_h = hval + dists[moved][blank] - dists[moved][j]
-            else:
-                child_h = h_of(child_t)
+            moved = tiles[j]
+            child_h = hval + dists[moved][blank] - dists[moved][j]
             if g + 1 > peak_depth:
                 peak_depth = g + 1
             path_ops.append(op)
@@ -181,10 +165,11 @@ def idastar(
                 next_bound = t
         return next_bound
 
-    bound = h_of(start)
+    h0 = sum(dists[t][i] for i, t in enumerate(start) if t)
+    bound = h0
     blank0 = start.index(0)
     while True:
-        t = dfs(start, blank0, 0, h_of(start), bound, -1)
+        t = dfs(start, blank0, 0, h0, bound, -1)
         if found:
             return ExactResult(
                 SolutionPath(tuple(Op(o) for o in path_ops)),

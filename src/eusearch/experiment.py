@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
 
 from .exact import instance_of_depth
@@ -19,7 +19,7 @@ from .minimin import Outcome, ResourceLimits, minimin_run
 from .perfmodel import EmpiricalTable, MarkovParams, fit_empirical, fit_markov
 from .puzzle import ProblemInstance
 from .seeds import subseed
-from .selector import select_lookahead
+from .selector import SelectionReport, select_lookahead
 from .utility import UtilityModel, default_utility_model, joint_utility, load_utility_config
 
 # Published reference results for side-by-side comparison in summaries.
@@ -97,27 +97,8 @@ class ExperimentConfig:
         return default_utility_model()
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "width": cfg.width,
-        "depths": list(cfg.depths),
-        "instances_per_depth": cfg.instances_per_depth,
-        "levels": list(cfg.levels),
-        "seed": cfg.seed,
-        "limits": {
-            "max_moves": cfg.limits.max_moves,
-            "node_budget": cfg.limits.node_budget,
-        },
-        "model_kind": cfg.model_kind,
-        "gens_per_minute": cfg.gens_per_minute,
-        "nodes_per_megabyte": cfg.nodes_per_megabyte,
-        "train_instances_per_depth": cfg.train_instances_per_depth,
-        "accuracy_states_per_level": cfg.accuracy_states_per_level,
-        "predict_samples": cfg.predict_samples,
-        "gen_attempts": cfg.gen_attempts,
-        "workers": cfg.workers,
-        "utility_config": cfg.utility_config,
-    }
+# Plain data with ``limits`` as a mapping; ``config_from_dict`` inverts it.
+config_to_dict = asdict
 
 
 def config_from_dict(data: Mapping) -> ExperimentConfig:
@@ -152,14 +133,7 @@ class ReportRow:
 class ExperimentReport:
     config: ExperimentConfig
     rows: list[ReportRow] = field(default_factory=list)
-    selections: dict[int, "SelectionInfo"] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SelectionInfo:
-    depth: int
-    chosen_level: int
-    eu_by_level: Mapping[int, float]
+    selections: dict[int, SelectionReport] = field(default_factory=dict)
 
 
 def _run_instance(
@@ -209,8 +183,7 @@ def run_experiment(
     sink = open(csv_path, "w", newline="", encoding="utf-8") if csv_path else None
     writer = None
     if sink is not None:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
+        writer = _report_writer(sink)
         sink.flush()
     try:
         for depth in cfg.depths:
@@ -238,9 +211,7 @@ def run_experiment(
                 ),
             )
             chosen = selection.chosen_level
-            report.selections[depth] = SelectionInfo(
-                depth=depth, chosen_level=chosen, eu_by_level=selection.eu_by_level
-            )
+            report.selections[depth] = selection
             say(f"depth {depth}: selected level {chosen}; running instances")
             seeds = [
                 subseed(cfg.seed, "inst", depth, i)
@@ -304,18 +275,16 @@ def _num(x: float):
     return int(x) if float(x).is_integer() else repr(float(x))
 
 
-def write_report_csv(report: ExperimentReport, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for row in report.rows:
-            writer.writerow(_row_to_csv(row))
+def _report_writer(fh):
+    """A runs-CSV writer on ``fh`` that has already written the header row."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
+    return writer
 
 
 def report_csv_text(report: ExperimentReport) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
+    writer = _report_writer(buf)
     for row in report.rows:
         writer.writerow(_row_to_csv(row))
     return buf.getvalue()
@@ -438,7 +407,7 @@ def summarize(report: ExperimentReport) -> Summary:
         means = {
             l: sum(level_utils[(depth, l)]) / dn for l in levels
         }
-        best_fixed = max(means, key=lambda l: (means[l], -l))
+        best_fixed = max(means, key=means.get)
         per_depth.append(
             DepthSummary(
                 depth=depth,
@@ -497,52 +466,15 @@ def summary_table(summary: Summary) -> str:
 
 
 def summary_csv_text(summary: Summary) -> str:
+    """One ``overall`` row, then one row per depth, in ``DepthSummary``'s field order.
+
+    The overall row leaves blank the columns ``Summary`` has no value for.
+    """
+    names = [f.name for f in fields(DepthSummary)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "scope",
-            "depth",
-            "n_instances",
-            "chosen_level",
-            "fraction_highest",
-            "within_one",
-            "max_level_error",
-            "mean_utility_gap",
-            "mean_chosen_utility",
-            "best_fixed_level",
-            "best_fixed_mean_utility",
-        ]
-    )
-    writer.writerow(
-        [
-            "overall",
-            "",
-            summary.n_instances,
-            "",
-            repr(summary.fraction_highest),
-            repr(summary.within_one),
-            summary.max_level_error,
-            repr(summary.mean_utility_gap),
-            "",
-            "",
-            "",
-        ]
-    )
+    writer.writerow(["scope", *names])
+    writer.writerow(["overall", *(getattr(summary, name, "") for name in names)])
     for d in summary.per_depth:
-        writer.writerow(
-            [
-                "depth",
-                d.depth,
-                d.n_instances,
-                d.chosen_level,
-                repr(d.fraction_highest),
-                repr(d.within_one),
-                d.max_level_error,
-                repr(d.mean_utility_gap),
-                repr(d.mean_chosen_utility),
-                d.best_fixed_level,
-                repr(d.best_fixed_mean_utility),
-            ]
-        )
+        writer.writerow(["depth", *(getattr(d, name) for name in names)])
     return buf.getvalue()

@@ -19,7 +19,6 @@ from .puzzle import (
     _INVERSE,
     Op,
     ProblemInstance,
-    SearchContext,
     State,
     dist_table,
     moves_table,
@@ -73,9 +72,9 @@ class Outcome:
         return None
 
 
-def check_level(level: int, maximum: int = MAX_LOOKAHEAD) -> int:
-    if not 1 <= level <= maximum:
-        raise ValueError(f"lookahead level must be in 1..{maximum}, got {level}")
+def check_level(level: int) -> int:
+    if not 1 <= level <= MAX_LOOKAHEAD:
+        raise ValueError(f"lookahead level must be in 1..{MAX_LOOKAHEAD}, got {level}")
     return level
 
 
@@ -186,12 +185,7 @@ def _ranked_decisions(
     return ranked, nodes, deepest + 2
 
 
-def minimin_decide(
-    s: State,
-    goal: State,
-    level: int,
-    ctx: SearchContext | None = None,
-) -> tuple[Op, int, int]:
+def minimin_decide(s: State, goal: State, level: int) -> tuple[Op, int, int]:
     """One Minimin decision: depth-``level`` lookahead from ``s``.
 
     Returns (chosen operator, backed-up f value, nodes generated by this
@@ -202,10 +196,7 @@ def minimin_decide(
         raise ValueError("state and goal have different widths")
     if s.tiles == goal.tiles:
         raise ValueError("state is already the goal; no decision to make")
-    ranked, nodes, peak = _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
-    if ctx is not None:
-        ctx.generated += nodes
-        ctx.note_stored(peak)
+    ranked, nodes, _ = _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
     value, op, _, _ = ranked[0]
     return Op(op), value, nodes
 

@@ -82,11 +82,14 @@ class MarkovParams:
         return tuple(sorted(self.accuracy))
 
 
+def _geometric(b: float, level: int) -> float:
+    """The geometric sum b + b^2 + ... + b^level."""
+    return b * (b**level - 1.0) / (b - 1.0)
+
+
 def nodes_per_decision(params: MarkovParams, level: int) -> float:
     """Predicted node generations for one level-``level`` decision."""
-    b = params.branching[level]
-    # Geometric sum b + b^2 + ... + b^level.
-    return b * (b**level - 1.0) / (b - 1.0)
+    return _geometric(params.branching[level], level)
 
 
 def markov_predict(
@@ -157,16 +160,12 @@ def _solve_branching(mean_nodes: float, level: int) -> float:
     """Invert sum(b^i, i=1..level) = mean_nodes for b; clamp to > 1."""
     if mean_nodes <= level:
         return 1.0 + 1e-9
-
-    def total(b: float) -> float:
-        return b * (b**level - 1.0) / (b - 1.0)
-
     lo, hi = 1.0 + 1e-9, 4.0
-    while total(hi) < mean_nodes:
+    while _geometric(hi, level) < mean_nodes:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if total(mid) < mean_nodes:
+        if _geometric(mid, level) < mean_nodes:
             lo = mid
         else:
             hi = mid

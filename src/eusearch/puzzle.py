@@ -125,27 +125,13 @@ def legal_ops(s: State) -> tuple[Op, ...]:
     return tuple(Op(op) for op, _ in moves_table(s.width)[s.blank])
 
 
-@dataclass
-class SearchContext:
-    """Per-search mutable counters; confine one context to one search."""
-
-    generated: int = 0
-    peak_stored: int = 0
-
-    def note_stored(self, count: int) -> None:
-        if count > self.peak_stored:
-            self.peak_stored = count
-
-
-def apply_op(s: State, op: Op, ctx: SearchContext | None = None) -> State:
+def apply_op(s: State, op: Op) -> State:
     """Apply a blank move; raises IllegalMove if the blank cannot go there."""
     blank = s.blank
     for o, j in moves_table(s.width)[blank]:
         if o == op:
             tiles = list(s.tiles)
             tiles[blank], tiles[j] = tiles[j], tiles[blank]
-            if ctx is not None:
-                ctx.generated += 1
             return State(tuple(tiles), s.width)
     raise IllegalMove(f"operator {Op(op).name} not legal in state {s}")
 

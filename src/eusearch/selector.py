@@ -16,21 +16,11 @@ class SelectionReport:
 
     chosen_level: int
     eu_by_level: Mapping[int, float]
-    model_id: str = ""
-    utility_id: str = ""
 
     def __post_init__(self) -> None:
         best = max(self.eu_by_level.values())
         if self.eu_by_level[self.chosen_level] != best:
             raise ValueError("chosen level does not attain the maximum EU")
-
-
-def _model_tag(model: MarkovParams | EmpiricalTable) -> str:
-    if isinstance(model, MarkovParams):
-        levels = model.levels
-        return f"markov[levels {levels[0]}..{levels[-1]}]"
-    levels = model.levels
-    return f"empirical[levels {levels[0]}..{levels[-1]}]"
 
 
 def select_lookahead(
@@ -60,16 +50,8 @@ def select_lookahead(
         if convert is not None:
             lottery = Lottery.of((convert(o), p) for o, p in lottery.entries)
         eu_by_level[level] = expected_utility(lottery, u)
-    chosen = None
-    for level, eu in eu_by_level.items():
-        if chosen is None or eu > eu_by_level[chosen]:
-            chosen = level
-    return SelectionReport(
-        chosen_level=chosen,
-        eu_by_level=eu_by_level,
-        model_id=_model_tag(model),
-        utility_id=u.tag or u.form,
-    )
+    chosen = max(eu_by_level, key=eu_by_level.get)
+    return SelectionReport(chosen_level=chosen, eu_by_level=eu_by_level)
 
 
 def compare_algorithms(
@@ -84,8 +66,5 @@ def compare_algorithms(
     if not candidates:
         raise ValueError("compare_algorithms needs at least one candidate")
     table = [(label, expected_utility(lottery, u)) for label, lottery in candidates]
-    best_label, best_eu = table[0]
-    for label, eu in table[1:]:
-        if eu > best_eu:
-            best_label, best_eu = label, eu
+    best_label, _ = max(table, key=lambda entry: entry[1])
     return best_label, table

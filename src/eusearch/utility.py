@@ -68,10 +68,6 @@ class Lottery:
         p = 1.0 / len(values)
         return cls(tuple((v, p) for v in values))
 
-    @property
-    def values(self) -> tuple[object, ...]:
-        return tuple(v for v, _ in self.entries)
-
 
 def expected_value(lot: Lottery) -> float:
     """Probability-weighted mean of a scalar lottery."""
@@ -119,10 +115,6 @@ class AttributeUtility:
     def free(cls, attribute: str, bound: float, best: float = 0.0) -> "AttributeUtility":
         """A free but bounded resource: utility 1 below ``bound``, 0 at or above."""
         return cls(attribute, ((float(best), 1.0),), float(bound))
-
-    @property
-    def best_value(self) -> float:
-        return self.points[0][0]
 
     def evaluate(self, value: float) -> float:
         if value >= self.bound:
@@ -268,11 +260,7 @@ def choose_max_eu(
     if not choices:
         raise ValueError("choose_max_eu needs at least one lottery")
     eus = [expected_utility(lot, u) for lot in choices]
-    best = 0
-    for i, eu in enumerate(eus):
-        if eu > eus[best]:
-            best = i
-    return best, eus
+    return max(range(len(eus)), key=eus.__getitem__), eus
 
 
 # --- multiplicative calibration -------------------------------------------

@@ -19,6 +19,7 @@ from eusearch.experiment import (
     report_csv_text,
     run_experiment,
     summarize,
+    summary_csv_text,
     summary_table,
 )
 from eusearch.minimin import Outcome, minimin_decide, minimin_trace, ResourceLimits
@@ -387,6 +388,17 @@ def test_desk_runs_csv_fingerprint(default_experiment):
 
 def test_desk_runs_csv_fingerprint_with_two_workers():
     assert csv_sha256(run_experiment(ExperimentConfig(workers=2))) == DESK_FINGERPRINT
+
+
+# SHA-256 of the same run's summary CSV, as ``summary_csv_text`` renders it
+# and ``eusearch experiment --summary-csv`` writes it.
+DESK_SUMMARY_FINGERPRINT = "0dab042e0d18059acfb0a434320f12a6e2ca74d7feec1f2bdba6b8e6f4b1d71c"
+
+
+def test_desk_summary_csv_fingerprint(default_experiment):
+    report, _ = default_experiment
+    text = summary_csv_text(summarize(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == DESK_SUMMARY_FINGERPRINT
 
 
 def test_criterion_7_invariant_suites():

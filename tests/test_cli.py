@@ -135,6 +135,10 @@ class TestFitSelect:
         )
         assert code == 0
         assert "chosen_level" in out
+        assert out.splitlines()[1:3] == [
+            "model markov[levels 1..3]",
+            "utility multiplicative-calibrated",
+        ]
 
     def test_empirical_fit_then_select_csv(self, capsys, tmp_path):
         model_path = str(tmp_path / "emp.yaml")
@@ -167,6 +171,10 @@ class TestFitSelect:
             csv_path,
         )
         assert code == 0
+        assert out.splitlines()[1:3] == [
+            "model empirical[levels 1..2]",
+            "utility multiplicative-calibrated",
+        ]
         header = open(csv_path).read().splitlines()[0]
         assert header == "level,expected_utility,chosen"
 

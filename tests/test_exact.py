@@ -96,12 +96,6 @@ class TestIdastar:
         with pytest.raises(BudgetExhausted):
             idastar(inst, node_budget=5)
 
-    def test_custom_heuristic_zero(self):
-        # zero heuristic is admissible; must still return an optimal path
-        inst = ProblemInstance(random_walk(GOAL3, 8, seed=2), GOAL3)
-        zero = lambda s, goal: 0
-        assert idastar(inst, h=zero).length == bfs_optimal(inst).length
-
     def test_deterministic_node_counts(self):
         inst = seeded_instances(1, 16, seed=13)[0]
         a = idastar(inst)

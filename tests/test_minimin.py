@@ -18,7 +18,6 @@ from eusearch.minimin import (
 from eusearch.puzzle import (
     Op,
     ProblemInstance,
-    SearchContext,
     State,
     apply_op,
     goal_state,
@@ -94,13 +93,6 @@ class TestDecide:
             minimin_decide(s, GOAL3, 0)
         with pytest.raises(ValueError):
             minimin_decide(s, GOAL3, 99)
-
-    def test_context_accounting(self):
-        s = sample_states(1, 15, seed=3)[0]
-        ctx = SearchContext()
-        _, _, nodes = minimin_decide(s, GOAL3, 3, ctx=ctx)
-        assert ctx.generated == nodes
-        assert ctx.peak_stored >= 2
 
     def test_monotone_effort(self):
         for s in sample_states(10, 18, seed=4):
