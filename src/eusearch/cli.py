@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from typing import Sequence
 
-from .exact import bfs_optimal, idastar, instance_of_depth
+from .exact import DEFAULT_NODE_BUDGET, bfs_optimal, idastar, instance_of_depth
 from .experiment import (
     ExperimentConfig,
-    config_from_dict,
-    config_to_dict,
     load_experiment_config,
     read_report_csv,
     run_experiment,
@@ -23,7 +22,7 @@ from .experiment import (
     summary_table,
     to_user_units,
 )
-from .minimin import ResourceLimits, decision_accuracy, minimin_run
+from .minimin import ResourceLimits, check_level, decision_accuracy, minimin_run
 from .perfmodel import MarkovParams, fit_empirical, fit_markov, load_model, save_model
 from .puzzle import ProblemInstance, goal_state, parse_state
 from .seeds import subseed
@@ -39,17 +38,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
+    """Levels from text like ``"1-3,5"``; range ends are checked before expanding."""
     levels: set[int] = set()
     for part in text.split(","):
         part = part.strip()
         if "-" in part:
             lo, hi = part.split("-", 1)
-            levels.update(range(int(lo), int(hi) + 1))
+            levels.update(range(check_level(int(lo)), check_level(int(hi)) + 1))
         elif part:
-            levels.add(int(part))
+            levels.add(check_level(int(part)))
     if not levels:
         raise ValueError(f"no levels in {text!r}")
     return tuple(sorted(levels))
+
+
+def _parse_depths(text: str) -> tuple[int, ...]:
+    return tuple(int(d) for d in text.split(","))
 
 
 def _instance_from_args(args) -> ProblemInstance:
@@ -113,7 +117,7 @@ def cmd_accuracy(args) -> int:
 def cmd_fit(args) -> int:
     levels = _parse_levels(args.levels)
     limits = _limits_from_args(args)
-    depths = tuple(int(d) for d in args.depths.split(","))
+    depths = _parse_depths(args.depths)
     suites = {
         d: [
             instance_of_depth(
@@ -125,9 +129,7 @@ def cmd_fit(args) -> int:
     }
     if args.kind == "markov":
         training = [inst for d in depths for inst in suites[d]]
-        model = fit_markov(
-            training, levels, limits=limits, seed=args.seed, max_len=limits.max_moves
-        )
+        model = fit_markov(training, levels, limits=limits, seed=args.seed)
     else:
         model = fit_empirical(
             suites, levels, limits=limits, sample_meta={"seed": args.seed}
@@ -169,68 +171,37 @@ def cmd_select(args) -> int:
     return 0
 
 
-def cmd_experiment(args) -> int:
-    if args.config:
-        cfg = load_experiment_config(args.config)
-    else:
-        cfg = ExperimentConfig()
-    overrides = {}
-    if args.depths:
-        overrides["depths"] = tuple(int(d) for d in args.depths.split(","))
-    if args.instances is not None:
-        overrides["instances_per_depth"] = args.instances
-    if args.levels:
-        overrides["levels"] = _parse_levels(args.levels)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.model_kind:
-        overrides["model_kind"] = args.model_kind
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.utility:
-        overrides["utility_config"] = args.utility
-    if args.width is not None:
-        overrides["width"] = args.width
-    if args.train_per_depth is not None:
-        overrides["train_instances_per_depth"] = args.train_per_depth
-    if args.accuracy_states is not None:
-        overrides["accuracy_states_per_level"] = args.accuracy_states
-    if args.predict_samples is not None:
-        overrides["predict_samples"] = args.predict_samples
-    if args.gens_per_minute is not None:
-        overrides["gens_per_minute"] = args.gens_per_minute
-    if args.nodes_per_megabyte is not None:
-        overrides["nodes_per_megabyte"] = args.nodes_per_megabyte
-    if args.gen_attempts is not None:
-        overrides["gen_attempts"] = args.gen_attempts
-    if args.max_moves is not None or args.node_budget is not None:
-        base = cfg.limits
-        overrides["limits"] = {
-            "max_moves": args.max_moves if args.max_moves is not None else base.max_moves,
-            "node_budget": args.node_budget
-            if args.node_budget is not None
-            else base.node_budget,
-        }
-    if overrides:
-        cfg = config_from_dict({**config_to_dict(cfg), **overrides})
-    progress = (lambda msg: print(msg, file=sys.stderr)) if not args.quiet else None
-    report = run_experiment(cfg, csv_path=args.out, progress=progress)
+def _print_summary(report, csv_path: str | None) -> int:
     summary = summarize(report)
     print(summary_table(summary))
-    if args.summary_csv:
-        with open(args.summary_csv, "w", encoding="utf-8") as fh:
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(summary_csv_text(summary))
     return 0
+
+
+def cmd_experiment(args) -> int:
+    cfg = load_experiment_config(args.config) if args.config else ExperimentConfig()
+    # Override flags are named by their field in ExperimentConfig or
+    # ResourceLimits; an unset or empty one leaves the field as it is.
+    given = {k: v for k, v in vars(args).items() if v not in (None, "")}
+    if "depths" in given:
+        given["depths"] = _parse_depths(given["depths"])
+    if "levels" in given:
+        given["levels"] = _parse_levels(given["levels"])
+
+    def overrides(cls) -> dict:
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+    limits = replace(cfg.limits, **overrides(ResourceLimits))
+    cfg = replace(cfg, **overrides(ExperimentConfig), limits=limits)
+    progress = (lambda msg: print(msg, file=sys.stderr)) if not args.quiet else None
+    report = run_experiment(cfg, csv_path=args.out, progress=progress)
+    return _print_summary(report, args.summary_csv)
 
 
 def cmd_summarize(args) -> int:
-    report = read_report_csv(args.report)
-    summary = summarize(report)
-    print(summary_table(summary))
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(summary_csv_text(summary))
-    return 0
+    return _print_summary(read_report_csv(args.report), args.csv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,14 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_limits(p):
-        p.add_argument("--max-moves", type=int, default=100)
-        p.add_argument("--node-budget", type=int, default=200_000)
+        p.add_argument("--max-moves", type=int, default=ResourceLimits.max_moves)
+        p.add_argument("--node-budget", type=int, default=ResourceLimits.node_budget)
+
+    def add_units(p):
+        cfg = ExperimentConfig
+        p.add_argument("--gens-per-minute", type=float, default=cfg.gens_per_minute)
+        p.add_argument("--nodes-per-megabyte", type=float, default=cfg.nodes_per_megabyte)
 
     p = sub.add_parser("solve", help="exact shortest-path solve")
     p.add_argument("--instance", required=True, help="row-major tiles, 0 = blank")
     p.add_argument("--goal", default=None)
     p.add_argument("--algorithm", choices=("idastar", "bfs"), default="idastar")
-    p.add_argument("--node-budget", type=int, default=50_000_000)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("minimin", help="on-line lookahead run")
@@ -258,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_limits(p)
     p.add_argument("--score", action="store_true", help="also print joint utility")
     p.add_argument("--utility", default=None, help="utility config YAML")
-    p.add_argument("--gens-per-minute", type=float, default=20_000.0)
-    p.add_argument("--nodes-per-megabyte", type=float, default=10_000.0)
+    add_units(p)
     p.set_defaults(func=cmd_minimin)
 
     p = sub.add_parser("accuracy", help="estimate per-level decision accuracy")
@@ -268,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=3)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=2000)
+    p.add_argument("--attempts", type=int, default=ExperimentConfig.gen_attempts)
     p.set_defaults(func=cmd_accuracy)
 
     p = sub.add_parser("fit", help="fit a performance model and save it")
@@ -278,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="1-12")
     p.add_argument("--width", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=2000)
+    p.add_argument("--attempts", type=int, default=ExperimentConfig.gen_attempts)
     add_limits(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
@@ -291,23 +266,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--extrapolate", action="store_true")
-    p.add_argument("--gens-per-minute", type=float, default=20_000.0)
-    p.add_argument("--nodes-per-megabyte", type=float, default=10_000.0)
+    add_units(p)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_select)
 
+    # Each override flag's dest is the field it sets (see cmd_experiment).
     p = sub.add_parser("experiment", help="run the full selection experiment")
     p.add_argument("--config", default=None, help="experiment config YAML")
     p.add_argument("--depths", default=None)
-    p.add_argument("--instances", type=int, default=None)
+    p.add_argument("--instances", type=int, dest="instances_per_depth", metavar="INSTANCES")
     p.add_argument("--levels", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--model-kind", choices=("markov", "empirical"), default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--utility", default=None)
+    p.add_argument("--utility", dest="utility_config", metavar="UTILITY")
     p.add_argument("--width", type=int, default=None)
-    p.add_argument("--train-per-depth", type=int, default=None)
-    p.add_argument("--accuracy-states", type=int, default=None)
+    p.add_argument(
+        "--train-per-depth", type=int, dest="train_instances_per_depth", metavar="TRAIN_PER_DEPTH"
+    )
+    p.add_argument(
+        "--accuracy-states", type=int, dest="accuracy_states_per_level", metavar="ACCURACY_STATES"
+    )
     p.add_argument("--predict-samples", type=int, default=None)
     p.add_argument("--gens-per-minute", type=float, default=None)
     p.add_argument("--nodes-per-megabyte", type=float, default=None)

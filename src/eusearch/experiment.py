@@ -155,7 +155,6 @@ def _fit_model(
             limits=cfg.limits,
             max_states_per_level=cfg.accuracy_states_per_level,
             seed=subseed(cfg.seed, "fit", depth),
-            max_len=cfg.limits.max_moves,
         )
     return fit_empirical(
         {depth: list(training)},
@@ -344,13 +343,32 @@ class Summary:
     per_depth: tuple[DepthSummary, ...]
 
 
-def summarize(report: ExperimentReport) -> Summary:
-    """Compute the headline statistics from a complete report.
+def _judge(chosen: int, utilities: Mapping[int, float]) -> tuple[bool, int, float]:
+    """Whether ``chosen`` has the highest utility, its level error, its utility gap.
 
-    Per instance, the empirically best level is any level tying the maximum
-    actual utility (ties resolve in the selector's favor); the utility gap is
-    relative to that maximum.
+    The empirically best level is any level tying the maximum actual utility
+    (ties resolve in the selector's favor); the gap is relative to that maximum.
     """
+    best_u = max(utilities.values())
+    chosen_u = utilities[chosen]
+    err = min(abs(chosen - l) for l, u in utilities.items() if u == best_u)
+    gap = 0.0 if best_u <= 0.0 else (best_u - chosen_u) / best_u
+    return chosen_u == best_u, err, gap
+
+
+def _selection_stats(judged: Sequence[tuple[bool, int, float]]) -> dict:
+    """The headline statistics over a list of ``_judge`` results."""
+    highest, errors, gaps = zip(*judged)
+    return {
+        "fraction_highest": sum(highest) / len(judged),
+        "within_one": sum(e <= 1 for e in errors) / len(judged),
+        "max_level_error": max(errors),
+        "mean_utility_gap": sum(gaps) / len(judged),
+    }
+
+
+def summarize(report: ExperimentReport) -> Summary:
+    """Compute the headline statistics from a complete report, per depth and overall."""
     if not report.rows:
         raise IncompleteReport("report has no rows")
     levels = tuple(sorted(report.config.levels))
@@ -358,13 +376,8 @@ def summarize(report: ExperimentReport) -> Summary:
     for row in report.rows:
         by_instance.setdefault((row.depth, row.instance_id), {})[row.level] = row
 
-    highest = 0
-    within = 0
-    max_err = 0
-    gaps: list[float] = []
-    per_depth_acc: dict[int, list[tuple[bool, bool, int, float, float, int]]] = {}
-    level_utils: dict[tuple[int, int], list[float]] = {}
-
+    # depth -> [(chosen level, {level: utility})] in instance order
+    by_depth: dict[int, list[tuple[int, dict[int, float]]]] = {}
     for (depth, instance_id), cells in sorted(by_instance.items()):
         missing = [l for l in levels if l not in cells]
         if missing:
@@ -382,53 +395,29 @@ def summarize(report: ExperimentReport) -> Summary:
                 f"instance ({depth}, {instance_id}) lacks its chosen level {chosen}"
             )
         utilities = {l: cells[l].utility for l in levels}
-        best_u = max(utilities.values())
-        best_levels = [l for l, u in utilities.items() if u == best_u]
-        chosen_u = utilities[chosen]
-        is_highest = chosen_u == best_u
-        err = min(abs(chosen - b) for b in best_levels)
-        gap = 0.0 if best_u <= 0.0 else (best_u - chosen_u) / best_u
-        highest += is_highest
-        within += err <= 1
-        max_err = max(max_err, err)
-        gaps.append(gap)
-        per_depth_acc.setdefault(depth, []).append(
-            (is_highest, err <= 1, err, gap, chosen_u, chosen)
-        )
-        for l in levels:
-            level_utils.setdefault((depth, l), []).append(utilities[l])
+        by_depth.setdefault(depth, []).append((chosen, utilities))
 
-    n = len(by_instance)
+    judged = {d: [_judge(c, u) for c, u in runs] for d, runs in by_depth.items()}
     per_depth: list[DepthSummary] = []
-    for depth in sorted(per_depth_acc):
-        entries = per_depth_acc[depth]
-        dn = len(entries)
-        chosen_level = entries[0][5]
-        means = {
-            l: sum(level_utils[(depth, l)]) / dn for l in levels
-        }
+    for depth, runs in by_depth.items():
+        n = len(runs)
+        means = {l: sum(u[l] for _, u in runs) / n for l in levels}
         best_fixed = max(means, key=means.get)
         per_depth.append(
             DepthSummary(
                 depth=depth,
-                n_instances=dn,
-                chosen_level=chosen_level,
-                fraction_highest=sum(e[0] for e in entries) / dn,
-                within_one=sum(e[1] for e in entries) / dn,
-                max_level_error=max(e[2] for e in entries),
-                mean_utility_gap=sum(e[3] for e in entries) / dn,
-                mean_chosen_utility=sum(e[4] for e in entries) / dn,
+                n_instances=n,
+                chosen_level=runs[0][0],
+                **_selection_stats(judged[depth]),
+                mean_chosen_utility=sum(u[c] for c, u in runs) / n,
                 best_fixed_level=best_fixed,
                 best_fixed_mean_utility=means[best_fixed],
             )
         )
-
+    overall = [j for d in by_depth for j in judged[d]]
     return Summary(
-        n_instances=n,
-        fraction_highest=highest / n,
-        within_one=within / n,
-        max_level_error=max_err,
-        mean_utility_gap=sum(gaps) / n,
+        n_instances=len(overall),
+        **_selection_stats(overall),
         per_depth=tuple(per_depth),
     )
 

@@ -30,6 +30,7 @@ from .minimin import (  # noqa: F401
 )
 from .puzzle import ProblemInstance, State
 from .seeds import subseed
+from .utility import Lottery
 
 DEFAULT_MAX_LEN = 1000
 _ACCURACY_FLOOR = 0.501
@@ -98,7 +99,7 @@ def markov_predict(
     level: int,
     samples: int = 10_000,
     seed: int = 0,
-) -> "Lottery":
+) -> Lottery:
     """Simulate the distance walk from depth ``d`` and return an outcome lottery.
 
     Per move the remaining distance drops by 1 with probability p_level, else
@@ -107,8 +108,6 @@ def markov_predict(
     uniform draw is consumed per (sample, step) so runs with different p are
     coupled sample-by-sample under the same seed.
     """
-    from .utility import Lottery
-
     if d < 1:
         raise ValueError("depth must be >= 1")
     if samples < 1:
@@ -193,7 +192,6 @@ def fit_markov(
     limits: ResourceLimits = ResourceLimits(),
     max_states_per_level: int = 150,
     seed: int = 0,
-    max_len: int = DEFAULT_MAX_LEN,
 ) -> MarkovParams:
     """Estimate per-level accuracy and branching from instrumented runs.
 
@@ -203,7 +201,8 @@ def fit_markov(
     with its lookahead's top-ranked child, scored by ``decision_hit_rate``.
     That equals ``decision_accuracy`` on the sampled states without repeating
     their lookahead.  Accuracies are made nondecreasing in the level by
-    isotonic adjustment, then clamped into (0.5, 1].
+    isotonic adjustment, then clamped into (0.5, 1].  The model's walks stop
+    at the runs' move cap, ``limits.max_moves``.
     """
     if not training:
         raise EmptySample("fit_markov needs at least one training instance")
@@ -243,7 +242,7 @@ def fit_markov(
     return MarkovParams(
         accuracy=accuracy,
         branching=branching,
-        max_len=max_len,
+        max_len=limits.max_moves,
         sample_sizes=sizes,
     )
 
@@ -296,10 +295,8 @@ def predict(
     samples: int = 10_000,
     seed: int = 0,
     extrapolate: bool = False,
-) -> "Lottery":
+) -> Lottery:
     """Unified prediction interface over both model kinds."""
-    from .utility import Lottery
-
     if isinstance(model, MarkovParams):
         return markov_predict(model, d, level, samples=samples, seed=seed)
 
@@ -348,7 +345,7 @@ def _outcome_from_dict(data: Mapping) -> Outcome:
         time_units=data["time_units"],
         space_units=data["space_units"],
         solved=bool(data.get("solved", True)),
-        extra=tuple(sorted(dict(data.get("extra", {})).items())),
+        extra=dict(data.get("extra", {})),
     )
 
 

@@ -1,4 +1,13 @@
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import eusearch.cli as cli
 from eusearch.cli import main
+from eusearch.experiment import ExperimentConfig
+from eusearch.minimin import MAX_LOOKAHEAD, ResourceLimits
 
 
 def run_cli(capsys, *argv):
@@ -232,3 +241,115 @@ class TestExperimentCommand:
             )
         code, out, _ = run_cli(capsys, "experiment", "--config", cfg_path, "--quiet")
         assert code == 0
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestExperimentOverrides:
+    """Each `experiment` flag sets the config field it names."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        seen = []
+
+        def fake_run_experiment(cfg, csv_path=None, progress=None):
+            seen.append(cfg)
+            raise _Stop
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+
+        def run(*argv):
+            assert main(["experiment", "--quiet", *argv]) == 2
+            return seen.pop()
+
+        return run
+
+    @pytest.fixture
+    def cfg_file(self, tmp_path):
+        import yaml
+
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            yaml.safe_dump(
+                {
+                    "depths": [6],
+                    "instances_per_depth": 4,
+                    "levels": [2, 3],
+                    "seed": 9,
+                    "limits": {"max_moves": 50, "node_budget": 5000},
+                    "predict_samples": 100,
+                    "utility_config": "file.yaml",
+                }
+            )
+        )
+        return str(path)
+
+    def test_no_flags_gives_defaults(self, record):
+        assert record() == ExperimentConfig()
+
+    def test_every_flag(self, record, cfg_file):
+        cfg = record(
+            "--config", cfg_file,
+            "--depths", "4,8",
+            "--instances", "3",
+            "--levels", "1-3,5",
+            "--seed", "7",
+            "--model-kind", "empirical",
+            "--workers", "2",
+            "--utility", "u.yaml",
+            "--width", "3",
+            "--train-per-depth", "5",
+            "--accuracy-states", "9",
+            "--predict-samples", "11",
+            "--gens-per-minute", "1.5",
+            "--nodes-per-megabyte", "2.5",
+            "--gen-attempts", "13",
+            "--max-moves", "17",
+            "--node-budget", "19",
+        )
+        assert cfg == ExperimentConfig(
+            width=3,
+            depths=(4, 8),
+            instances_per_depth=3,
+            levels=(1, 2, 3, 5),
+            seed=7,
+            limits=ResourceLimits(max_moves=17, node_budget=19),
+            model_kind="empirical",
+            gens_per_minute=1.5,
+            nodes_per_megabyte=2.5,
+            train_instances_per_depth=5,
+            accuracy_states_per_level=9,
+            predict_samples=11,
+            gen_attempts=13,
+            workers=2,
+            utility_config="u.yaml",
+        )
+
+    def test_config_file_fields_not_overridden_stay(self, record, cfg_file):
+        cfg = record("--config", cfg_file, "--max-moves", "17", "--depths", "", "--levels", "")
+        assert cfg.limits == ResourceLimits(max_moves=17, node_budget=5000)
+        assert (cfg.depths, cfg.levels, cfg.instances_per_depth) == ((6,), (2, 3), 4)
+        assert (cfg.seed, cfg.predict_samples, cfg.utility_config) == (9, 100, "file.yaml")
+        assert cfg.train_instances_per_depth == ExperimentConfig.train_instances_per_depth
+
+
+class TestLevelsParsing:
+    def test_huge_range_fails_at_once(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "experiment", "--levels", "1-1000000000", "--quiet")
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert "lookahead level" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789-, _+x", max_size=20) | st.text(max_size=12))
+    def test_any_text_gives_valid_levels_or_value_error(self, text):
+        try:
+            levels = cli._parse_levels(text)
+        except ValueError:
+            return
+        assert levels
+        assert list(levels) == sorted(set(levels))
+        assert all(1 <= level <= MAX_LOOKAHEAD for level in levels)

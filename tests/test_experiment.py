@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from eusearch.experiment import (
@@ -6,6 +8,7 @@ from eusearch.experiment import (
     IncompleteReport,
     config_from_dict,
     config_to_dict,
+    load_experiment_config,
     read_report_csv,
     report_csv_text,
     run_experiment,
@@ -32,6 +35,10 @@ class TestConfig:
     def test_round_trip(self):
         d = config_to_dict(SMALL)
         assert config_from_dict(d) == SMALL
+
+    def test_desk_config_file_holds_the_defaults(self):
+        path = Path(__file__).parents[1] / "configs" / "experiment_desk.yaml"
+        assert load_experiment_config(str(path)) == ExperimentConfig()
 
     def test_validation(self):
         with pytest.raises(ValueError):
