@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
 
 from .exact import instance_of_depth
-from .minimin import Outcome, ResourceLimits, minimin_run
+from .minimin import Outcome, ResourceLimits, check_level, minimin_run
 from .perfmodel import EmpiricalTable, MarkovParams, fit_empirical, fit_markov
 from .puzzle import ProblemInstance
 from .seeds import subseed
@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ValueError("instance counts must be positive")
         if not self.depths or not self.levels:
             raise ValueError("depths and levels must be nonempty")
+        for level in self.levels:
+            check_level(level)
         if self.model_kind not in ("markov", "empirical"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         max_reachable = 31 if self.width == 3 else (6 if self.width == 2 else 80)

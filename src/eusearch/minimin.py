@@ -4,7 +4,9 @@ Each decision runs a depth-limited, full-width lookahead (depth-first,
 pruning the inverse of the arc just taken), scores frontier leaves with
 f = g + manhattan, backs the minimum up to the root, and commits to one
 move.  Runs record node generations (time), peak stored nodes (space), and
-executed moves.
+executed moves.  Deep decisions on boards of width <= 3 are memoised per goal
+in packed entries, at most ``_MEMO_CAP`` of them; a decision served from the
+memo reports the nodes and stack peak its search had.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 # ``idastar`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
-from .exact import exact_distance, idastar  # noqa: F401
+from .exact import _lehmer_rank, exact_distance, idastar  # noqa: F401
 from .puzzle import (
     _INVERSE,
     Op,
@@ -185,6 +187,76 @@ def _ranked_decisions(
     return ranked, nodes, deepest + 2
 
 
+# Decisions of width <= 3 at levels >= _MEMO_FLOOR are memoised.  Shallow
+# decisions are cheap to search, and leaving them out keeps the memo small.
+_MEMO_FLOOR = 7
+_MEMO_CAP = 1 << 16  # entries per (width, goal), about 6 MB; a full memo is cleared
+_NODES_SHIFT = 5 + 4 * 8  # above the peak and four ranked moves
+
+
+@lru_cache(maxsize=4)
+def _decision_memo(width: int, goal: tuple[int, ...]) -> dict[int, int]:
+    """Packed ``_ranked_decisions`` results on one (width, goal).
+
+    Keyed by ``_lehmer_rank(tiles) * 32 + level``.  An entry holds, from the
+    low bits up: the stack peak (5 bits); for each ranked first move, its
+    index in ``moves_table(width)[blank]`` (2 bits) and its backed-up value
+    (6 bits); then the node count.  Children are rebuilt from the moves.
+    """
+    return {}
+
+
+def _pack(
+    ranked: list[tuple[int, int, tuple[int, ...], int]],
+    nodes: int,
+    peak: int,
+    moves: tuple[tuple[int, int], ...],
+) -> int | None:
+    """The memo entry for one decision, or None if a field would not fit."""
+    if peak >= 32:
+        return None
+    fields = 0
+    for value, op, _, j in reversed(ranked):
+        if value >= 64:
+            return None
+        fields = fields << 8 | value << 2 | moves.index((op, j))
+    return nodes << _NODES_SHIFT | fields << 5 | peak
+
+
+def _decisions(
+    tiles: tuple[int, ...],
+    blank: int,
+    goal: tuple[int, ...],
+    width: int,
+    level: int,
+) -> tuple[list[tuple[int, int, tuple[int, ...], int]], int, int]:
+    """What ``_ranked_decisions`` returns, served from the decision memo if it can be."""
+    if width > 3 or level < _MEMO_FLOOR:
+        return _ranked_decisions(tiles, blank, goal, width, level)
+    memo = _decision_memo(width, goal)
+    key = _lehmer_rank(tiles) * 32 + level
+    moves = moves_table(width)[blank]
+    packed = memo.get(key)
+    if packed is None:
+        ranked, nodes, peak = _ranked_decisions(tiles, blank, goal, width, level)
+        packed = _pack(ranked, nodes, peak, moves)
+        if packed is not None:
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[key] = packed
+        return ranked, nodes, peak
+    ranked = []
+    field = packed >> 5
+    for _ in moves:
+        op, j = moves[field & 3]
+        board = list(tiles)
+        board[blank] = board[j]
+        board[j] = 0
+        ranked.append((field >> 2 & 63, op, tuple(board), j))
+        field >>= 8
+    return ranked, packed >> _NODES_SHIFT, packed & 31
+
+
 def minimin_decide(s: State, goal: State, level: int) -> tuple[Op, int, int]:
     """One Minimin decision: depth-``level`` lookahead from ``s``.
 
@@ -196,7 +268,7 @@ def minimin_decide(s: State, goal: State, level: int) -> tuple[Op, int, int]:
         raise ValueError("state and goal have different widths")
     if s.tiles == goal.tiles:
         raise ValueError("state is already the goal; no decision to make")
-    ranked, nodes, _ = _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
+    ranked, nodes, _ = _decisions(s.tiles, s.blank, goal.tiles, s.width, level)
     value, op, _, _ = ranked[0]
     return Op(op), value, nodes
 
@@ -226,7 +298,7 @@ def _run_loop(
             )
         if record is not None:
             record.append(State(tiles, width))
-        ranked, nodes, stack_peak = _ranked_decisions(tiles, blank, goal, width, level)
+        ranked, nodes, stack_peak = _decisions(tiles, blank, goal, width, level)
         total_nodes += nodes
         if tops is not None:
             tops.append(ranked[0][2])
@@ -302,7 +374,7 @@ def decision_accuracy(
     check_level(level)
     decisions = []
     for s in sample:
-        ranked, _, _ = _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
+        ranked, _, _ = _decisions(s.tiles, s.blank, goal.tiles, s.width, level)
         decisions.append((s, ranked[0][2]))
     return decision_hit_rate(decisions, goal, dstar_cache)
 

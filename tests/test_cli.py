@@ -1,10 +1,13 @@
+import io
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eusearch.cli as cli
+import eusearch.experiment as experiment
 from eusearch.cli import main
 from eusearch.experiment import ExperimentConfig
 from eusearch.minimin import MAX_LOOKAHEAD, ResourceLimits
@@ -242,6 +245,20 @@ class TestExperimentCommand:
         code, out, _ = run_cli(capsys, "experiment", "--config", cfg_path, "--quiet")
         assert code == 0
 
+    def test_config_file_level_out_of_range_fails_before_any_suite(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        generated = []
+        monkeypatch.setattr(
+            experiment, "instance_of_depth", lambda *a, **k: generated.append(a)
+        )
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("depths: [4]\nlevels: [1, 25]\n")
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path), "--quiet")
+        assert code == 2
+        assert err.startswith("eusearch: ValueError: lookahead level")
+        assert generated == []
+
 
 class _Stop(Exception):
     pass
@@ -353,3 +370,53 @@ class TestLevelsParsing:
         assert levels
         assert list(levels) == sorted(set(levels))
         assert all(1 <= level <= MAX_LOOKAHEAD for level in levels)
+
+
+def well_formed(tokens):
+    """A solvable permutation of 0..n-1 on a 2x2 or 3x3 board, by the parity invariant.
+
+    Each move swaps the blank with a tile, so it flips the parity of the
+    permutation relative to the goal and moves the blank one cell: a state is
+    reachable when the two parities agree.
+    """
+    try:
+        tiles = [int(t) for t in tokens]
+    except ValueError:
+        return False
+    n = len(tiles)
+    if n not in (4, 9) or sorted(tiles) != list(range(n)):
+        return False
+    width = 3 if n == 9 else 2
+    goal_index = [t - 1 if t else n - 1 for t in tiles]
+    inversions = sum(a > b for i, a in enumerate(goal_index) for b in goal_index[i + 1 :])
+    row, col = divmod(tiles.index(0), width)
+    return inversions % 2 == (width - 1 - row + width - 1 - col) % 2
+
+
+_TOKEN = st.one_of(
+    st.integers(0, 8).map(str),
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["x", "1.5", "--", "+3", "0x1", "", "08", "1_0", "nan", "٣"]),
+)
+
+
+class TestInstanceParsing:
+    # At most 9 tokens: no 4x4 board, so every solve is a quick 2x2 or 3x3 one.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_TOKEN, max_size=9).map(" ".join)
+        | st.permutations(range(4)).map(lambda p: " ".join(map(str, p)))
+        | st.permutations(range(9)).map(lambda p: " ".join(map(str, p)))
+    )
+    def test_any_instance_text_keeps_the_exit_code_contract(self, text):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["solve", f"--instance={text}"])
+        if well_formed(text.split()):
+            assert code == 0
+            assert out.getvalue().startswith("length ") and err.getvalue() == ""
+        else:
+            assert code == 2
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("eusearch: ")

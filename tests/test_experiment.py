@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ from eusearch.experiment import (
     summary_table,
     to_user_units,
 )
-from eusearch.minimin import Outcome
+from eusearch.minimin import Outcome, _decision_memo
+from eusearch.puzzle import goal_state
 from eusearch.utility import default_utility_model, joint_utility
 from reports import make_report
 
@@ -49,6 +51,12 @@ class TestConfig:
             ExperimentConfig(model_kind="psychic")
         with pytest.raises(ValueError):
             ExperimentConfig(depths=(40,), width=3)
+
+    def test_out_of_range_level_rejected(self):
+        with pytest.raises(ValueError, match="lookahead level"):
+            config_from_dict({"levels": [1, 25]})
+        with pytest.raises(ValueError, match="lookahead level"):
+            config_from_dict({"levels": [0]})
 
     def test_to_user_units(self):
         o = Outcome(10, 40_000, 5_000)
@@ -85,6 +93,16 @@ class TestRunExperiment:
         parallel_cfg = config_from_dict({**config_to_dict(SMALL), "workers": 2})
         parallel = run_experiment(parallel_cfg)
         assert report_csv_text(serial) == report_csv_text(parallel)
+
+    def test_memo_state_does_not_change_the_report(self):
+        # SMALL's levels all lie below the memo floor; levels 7 and 9 use it.
+        cfg = replace(SMALL, levels=(2, 7, 9))
+        memo = _decision_memo(3, goal_state(3).tiles)
+        memo.clear()
+        cold = run_experiment(cfg)
+        assert memo
+        warm = run_experiment(cfg)
+        assert warm == cold
 
     def test_csv_flushed_to_disk(self, tmp_path):
         path = str(tmp_path / "runs.csv")

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eusearch.minimin as minimin
 from eusearch.exact import idastar, instance_of_depth
 from eusearch.minimin import (
+    MAX_LOOKAHEAD,
     EmptySample,
     Outcome,
     ResourceLimits,
@@ -13,6 +15,8 @@ from eusearch.minimin import (
     minimin_decide,
     minimin_run,
     minimin_trace,
+    _decision_memo,
+    _decisions,
     _ranked_decisions,
 )
 from eusearch.puzzle import (
@@ -103,12 +107,12 @@ class TestDecide:
                 prev = nodes
 
 
-def assert_kernel_matches_oracle(s, goal, level):
+def assert_kernel_matches_oracle(s, goal, level, kernel=_ranked_decisions):
     """Ranking, values, children, node count and peak all equal the oracle's."""
     oracle_op, oracle_value, table, oracle_nodes, oracle_peak = exhaustive_lookahead(
         s, goal, level
     )
-    ranked, nodes, peak = _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
+    ranked, nodes, peak = kernel(s.tiles, s.blank, goal.tiles, s.width, level)
     assert [(value, op) for value, op, _, _ in ranked] == sorted(
         (value, int(op)) for op, value in table.items()
     )
@@ -161,6 +165,91 @@ class TestKernelOracle:
                 continue
             for level in range(1, 13):
                 assert_kernel_matches_oracle(State(tiles, 2), GOAL2, level)
+
+
+def fresh_memo(width, goal):
+    memo = _decision_memo(width, goal.tiles)
+    memo.clear()
+    return memo
+
+
+def decide_both(s, goal, level):
+    """The decision from the memoised entry point and from the kernel."""
+    args = (s.tiles, s.blank, goal.tiles, s.width, level)
+    return _decisions(*args), _ranked_decisions(*args)
+
+
+class TestDecisionMemo:
+    """The memoised entry point returns exactly what the kernel returns."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        steps=st.integers(1, 30),
+        seed=st.integers(0, 2**30),
+        level=st.integers(1, 12),
+    )
+    def test_miss_and_hit_equal_the_kernel(self, steps, seed, level):
+        s = walked_state(GOAL3, steps, seed)
+        memo = fresh_memo(3, GOAL3)
+        miss, expected = decide_both(s, GOAL3, level)
+        assert miss == expected
+        assert len(memo) == (level >= minimin._MEMO_FLOOR)
+        hit, _ = decide_both(s, GOAL3, level)
+        assert hit == expected
+        assert_kernel_matches_oracle(s, GOAL3, level, _decisions)
+
+    def test_equal_after_eviction(self, monkeypatch):
+        monkeypatch.setattr(minimin, "_MEMO_CAP", 3)
+        memo = fresh_memo(3, GOAL3)
+        states = sample_states(8, 24, seed=13)
+        for _ in range(2):
+            for s in states:
+                for level in (8, 8, 9, 9):  # a miss or a hit, then a hit
+                    got, expected = decide_both(s, GOAL3, level)
+                    assert got == expected
+                    assert 1 <= len(memo) <= 3
+
+    def test_goals_never_share_entries(self):
+        other = State((0, 1, 2, 3, 4, 5, 6, 7, 8), 3)
+        memo, other_memo = fresh_memo(3, GOAL3), fresh_memo(3, other)
+        assert memo is not other_memo
+        s = walked_state(GOAL3, 12, 5)
+        got, expected = decide_both(s, GOAL3, 8)
+        assert got == expected
+        assert len(memo) == 1 and not other_memo
+        got, expected_other = decide_both(s, other, 8)
+        assert got == expected_other != expected
+        assert len(memo) == len(other_memo) == 1
+        assert decide_both(s, GOAL3, 8)[0] == expected
+
+    def test_width4_and_shallow_levels_bypass_the_memo(self):
+        memo4, memo3 = fresh_memo(4, GOAL4), fresh_memo(3, GOAL3)
+        s4 = walked_state(GOAL4, 30, 1)
+        got, expected = decide_both(s4, GOAL4, minimin._MEMO_FLOOR)
+        assert got == expected and not memo4
+        s3 = walked_state(GOAL3, 20, 1)
+        for level in range(1, minimin._MEMO_FLOOR):
+            got, expected = decide_both(s3, GOAL3, level)
+            assert got == expected
+        assert not memo3
+
+    def test_entries_that_would_not_fit_are_not_packed(self):
+        moves = ((0, 1), (3, 5))
+        assert minimin._pack([(63, 3, (), 5), (63, 0, (), 1)], 10, 31, moves) is not None
+        assert minimin._pack([(64, 3, (), 5), (9, 0, (), 1)], 10, 3, moves) is None
+        assert minimin._pack([(9, 3, (), 5), (9, 0, (), 1)], 10, 32, moves) is None
+
+    def test_runs_stay_within_the_cap(self, monkeypatch):
+        instances = [instance_of_depth(16, 3, seed=40 + i) for i in range(4)]
+        monkeypatch.setattr(minimin, "_MEMO_FLOOR", MAX_LOOKAHEAD + 1)
+        unmemoised = [minimin_run(inst, 8) for inst in instances]
+        monkeypatch.setattr(minimin, "_MEMO_FLOOR", 7)
+        monkeypatch.setattr(minimin, "_MEMO_CAP", 5)
+        memo = fresh_memo(3, GOAL3)
+        for _ in range(2):
+            for inst, expected in zip(instances, unmemoised):
+                assert minimin_run(inst, 8) == expected
+                assert 1 <= len(memo) <= 5
 
 
 class TestRun:
