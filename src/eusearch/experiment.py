@@ -82,6 +82,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.instances_per_depth <= 0 or self.train_instances_per_depth <= 0:
             raise ValueError("instance counts must be positive")
+        for name in ("predict_samples", "accuracy_states_per_level"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not self.depths or not self.levels:
             raise ValueError("depths and levels must be nonempty")
         for level in self.levels:

@@ -12,6 +12,7 @@ Two interchangeable predictors:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -93,6 +94,34 @@ def nodes_per_decision(params: MarkovParams, level: int) -> float:
     return _geometric(params.branching[level], level)
 
 
+@lru_cache(maxsize=1)
+def _first_passage(
+    d: int, ps: tuple[float, ...], max_len: int, samples: int, seed: int
+) -> np.ndarray:
+    """First absorption step of each walk from ``d``, one row per p in ``ps``.
+
+    Every row reads the same uniform draws, so with ``ps`` ascending a higher
+    p's walk is never above a lower p's: once the lowest p's walks are all
+    absorbed, so are the rest.  Entry 0 means alive at ``max_len``.  A walk
+    is at 0 after k steps when (d + k) / 2 of them went down.  The array is
+    read-only because the cache shares it.
+    """
+    rng = np.random.default_rng(seed)
+    column = np.array(ps)[:, None]
+    downs = np.zeros((len(ps), samples), dtype=np.int32)
+    first = np.zeros((len(ps), samples), dtype=np.int32)
+    for step in range(1, max_len + 1):
+        downs += rng.random(samples) < column
+        if (d + step) % 2 == 0:
+            hit = downs == (d + step) // 2
+            first[hit] = step
+            downs[hit] = -max_len - 1  # an absorbed walk never matches again
+            if first[0].all():
+                break
+    first.flags.writeable = False
+    return first
+
+
 def markov_predict(
     params: MarkovParams,
     d: int,
@@ -104,9 +133,9 @@ def markov_predict(
 
     Per move the remaining distance drops by 1 with probability p_level, else
     rises by 1; absorption at 0 ends the walk.  Walks still alive at
-    ``max_len`` become unsolved outcomes.  Deterministic given ``seed``; one
-    uniform draw is consumed per (sample, step) so runs with different p are
-    coupled sample-by-sample under the same seed.
+    ``max_len`` become unsolved outcomes.  Deterministic given ``seed``.  One
+    cached walk serves every level: each step's row of uniform draws moves
+    the walks of all of ``params``' accuracies, coupling them sample by sample.
     """
     if d < 1:
         raise ValueError("depth must be >= 1")
@@ -114,25 +143,12 @@ def markov_predict(
         raise ValueError("samples must be >= 1")
     if level not in params.accuracy:
         raise MissingAccuracy(f"no accuracy estimate for level {level}")
-    p = params.accuracy[level]
-    rng = np.random.default_rng(seed)
-    dist = np.full(samples, d, dtype=np.int64)
-    lengths = np.zeros(samples, dtype=np.int64)
-    active = np.ones(samples, dtype=bool)
-    for step in range(1, params.max_len + 1):
-        if not active.any():
-            break
-        # One full row of draws per step keeps walks with different p coupled
-        # sample-by-sample under the same seed.
-        draws = rng.random(samples)
-        moves = np.where(draws < p, -1, 1)
-        dist[active] += moves[active]
-        absorbed = active & (dist == 0)
-        lengths[absorbed] = step
-        active &= ~absorbed
+    ps = tuple(sorted(set(params.accuracy.values())))
+    first = _first_passage(d, ps, params.max_len, samples, seed)
+    lengths = first[ps.index(params.accuracy[level])]
     npd = nodes_per_decision(params, level)
     entries: list[tuple[Outcome, float]] = []
-    solved = ~active
+    solved = lengths > 0
     if solved.any():
         unique, counts = np.unique(lengths[solved], return_counts=True)
         for length, count in zip(unique.tolist(), counts.tolist()):
@@ -143,7 +159,7 @@ def markov_predict(
                 solved=True,
             )
             entries.append((outcome, count / samples))
-    truncated = int(active.sum())
+    truncated = samples - int(solved.sum())
     if truncated:
         outcome = Outcome(
             path_length=float(params.max_len),

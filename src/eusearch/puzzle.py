@@ -9,6 +9,7 @@ the 2x2 board is supported for exhaustive testing.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -109,11 +110,9 @@ def parse_state(text: str) -> State:
     tokens = text.split()
     if not tokens:
         raise ValueError("empty state text")
-    try:
-        tiles = [int(t) for t in tokens]
-    except ValueError:
-        raise ValueError(f"non-integer token in state text: {text!r}") from None
-    return make_state(tiles)
+    if not all(re.fullmatch("[0-9]+", t) for t in tokens):
+        raise ValueError(f"tile labels must be decimal digits 0-9: {text!r}")
+    return make_state([int(t) for t in tokens])
 
 
 def format_state(s: State) -> str:

@@ -36,7 +36,7 @@ def select_lookahead(
     """Pick the level maximizing expected utility at depth ``d``.
 
     Ties break toward the smaller level (cheaper decisions at equal EU).  The
-    same seed is used for every level so Markov predictions are coupled.
+    same seed serves every level, so Markov predictions share one coupled walk.
     ``convert`` maps predicted outcomes into the utility model's units (e.g.
     node generations to minutes) before scoring; default is identity.
     """

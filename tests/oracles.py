@@ -114,3 +114,55 @@ def depth_keyed_ceiling(rows) -> tuple[float, float]:
         best_near = max(best_near, sum(near[p] for p in zip(depths, choice)))
     n = len(utilities)
     return best_highest / n, best_near / n
+
+
+def markov_predict_oracle(params, d: int, level: int, samples: int, seed: int):
+    """``markov_predict`` as one independent walk loop per call.
+
+    Each call draws its own row of ``samples`` uniforms per step from a fresh
+    generator and stops when its own walks are all absorbed or ``max_len``
+    steps have passed; a draw below p_level moves a walk one step closer.
+    """
+    import numpy as np
+
+    from eusearch.minimin import Outcome
+    from eusearch.perfmodel import nodes_per_decision
+    from eusearch.utility import Lottery
+
+    p = params.accuracy[level]
+    rng = np.random.default_rng(seed)
+    dist = np.full(samples, d, dtype=np.int64)
+    lengths = np.zeros(samples, dtype=np.int64)
+    active = np.ones(samples, dtype=bool)
+    for step in range(1, params.max_len + 1):
+        if not active.any():
+            break
+        draws = rng.random(samples)
+        moves = np.where(draws < p, -1, 1)
+        dist[active] += moves[active]
+        absorbed = active & (dist == 0)
+        lengths[absorbed] = step
+        active &= ~absorbed
+    npd = nodes_per_decision(params, level)
+    entries = []
+    solved = ~active
+    if solved.any():
+        unique, counts = np.unique(lengths[solved], return_counts=True)
+        for length, count in zip(unique.tolist(), counts.tolist()):
+            outcome = Outcome(
+                path_length=float(length),
+                time_units=float(length) * npd,
+                space_units=float(level + 1) + float(length + 1),
+                solved=True,
+            )
+            entries.append((outcome, count / samples))
+    truncated = int(active.sum())
+    if truncated:
+        outcome = Outcome(
+            path_length=float(params.max_len),
+            time_units=float(params.max_len) * npd,
+            space_units=float(level + 1) + float(params.max_len + 1),
+            solved=False,
+        )
+        entries.append((outcome, truncated / samples))
+    return Lottery.of(entries)

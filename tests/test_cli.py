@@ -1,4 +1,5 @@
 import io
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -46,6 +47,14 @@ class TestSolve:
     def test_unsolvable_instance_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--instance", "2 1 3 4 5 6 7 8 0")
         assert code == 2
+
+    @pytest.mark.parametrize("token", ["\u0668", "0_8", "+8"])
+    def test_only_ascii_digit_tokens(self, capsys, token):
+        # int() reads each of these as 8, which would make the goal state.
+        code, out, err = run_cli(capsys, "solve", "--instance", f"1 2 3 4 5 6 7 {token} 0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("eusearch: ValueError: tile labels")
 
 
 class TestUsageErrors:
@@ -259,6 +268,14 @@ class TestExperimentCommand:
         assert err.startswith("eusearch: ValueError: lookahead level")
         assert generated == []
 
+    @pytest.mark.parametrize("flag", ["--predict-samples", "--accuracy-states"])
+    def test_zero_count_fails_before_any_suite(self, capsys, flag):
+        code, out, err = run_cli(capsys, "experiment", flag, "0", "--instances", "1")
+        assert code == 2
+        assert out == ""
+        assert "generating training suite" not in err
+        assert err.startswith("eusearch: ValueError: ")
+
 
 class _Stop(Exception):
     pass
@@ -375,14 +392,15 @@ class TestLevelsParsing:
 def well_formed(tokens):
     """A solvable permutation of 0..n-1 on a 2x2 or 3x3 board, by the parity invariant.
 
+    Every token must be ASCII decimal digits, as ``parse_state`` requires.
+
     Each move swaps the blank with a tile, so it flips the parity of the
     permutation relative to the goal and moves the blank one cell: a state is
     reachable when the two parities agree.
     """
-    try:
-        tiles = [int(t) for t in tokens]
-    except ValueError:
+    if not all(re.fullmatch("[0-9]+", t) for t in tokens):
         return False
+    tiles = [int(t) for t in tokens]
     n = len(tiles)
     if n not in (4, 9) or sorted(tiles) != list(range(n)):
         return False

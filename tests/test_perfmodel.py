@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eusearch.exact import instance_of_depth
 from eusearch.minimin import EmptySample, Outcome, decision_accuracy, minimin_trace
 from eusearch.perfmodel import (
     _ACCURACY_FLOOR,
+    _first_passage,
     _isotonic,
     EmpiricalTable,
     MarkovParams,
@@ -22,6 +25,7 @@ from eusearch.perfmodel import (
 )
 from eusearch.puzzle import ProblemInstance, apply_op, goal_state, legal_ops
 from eusearch.seeds import subseed
+from oracles import markov_predict_oracle
 
 
 def simple_params(p=0.75, levels=(1, 2, 3, 4), max_len=1000):
@@ -113,6 +117,83 @@ class TestMarkovPredict:
 
         for t in range(0, 1001, 10):
             assert cdf(lot_high, t) >= cdf(lot_low, t) - 1e-12
+
+
+class TestSharedWalk:
+    """``markov_predict`` reads one coupled walk per (d, model, samples, seed)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        accuracies=st.lists(
+            st.sampled_from([0.501, 0.55, 0.6, 0.75, 0.9, 0.999, 1.0]),
+            min_size=1,
+            max_size=6,
+        ),
+        max_len=st.sampled_from([1, 5, 100, 1000]),
+        samples=st.integers(1, 200),
+        depths=st.lists(st.integers(1, 31), min_size=1, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_matches_per_level_oracle(
+        self, accuracies, max_len, samples, depths, seed, order
+    ):
+        # Sorted draws give nondecreasing accuracies with ties and p = 1.0.
+        levels = range(1, len(accuracies) + 1)
+        params = MarkovParams(
+            accuracy=dict(zip(levels, sorted(accuracies))),
+            branching={l: 1.5 for l in levels},
+            max_len=max_len,
+        )
+        queries = [(d, l) for d in depths for l in levels]
+        order.shuffle(queries)  # cache hits and misses interleave
+        for d, level in queries:
+            got = markov_predict(params, d, level, samples=samples, seed=seed)
+            want = markov_predict_oracle(params, d, level, samples, seed)
+            assert got.entries == want.entries
+
+    def test_walk_stops_when_lowest_p_is_absorbed(self, monkeypatch):
+        params = MarkovParams(
+            accuracy={1: 0.6, 2: 0.8, 3: 1.0},
+            branching={1: 1.5, 2: 1.5, 3: 1.5},
+            max_len=1000,
+        )
+        rows = []
+        make_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def random(self, n):
+                rows.append(n)
+                return self.rng.random(n)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        _first_passage.cache_clear()
+        lot = markov_predict(params, 6, 3, samples=300, seed=4)
+        walk_rows = len(rows)
+        rows.clear()
+        markov_predict_oracle(params, 6, 1, 300, 4)
+        # The lowest p needs as many rows as its own loop, and it dies out
+        # long before max_len, so a walk that ran on to max_len is caught.
+        assert walk_rows == len(rows) < params.max_len
+        assert lot.entries[0][0].path_length == 6
+
+    def test_cache_holds_one_walk(self):
+        params = simple_params()
+        for d in (3, 9, 3):
+            for level in params.levels:
+                markov_predict(params, d, level, samples=50, seed=d)
+        assert _first_passage.cache_info().currsize <= 1
+
+    def test_cached_walk_is_read_only(self):
+        params = simple_params()
+        markov_predict(params, 5, 1, samples=20, seed=0)
+        ps = tuple(sorted(set(params.accuracy.values())))
+        first = _first_passage(5, ps, params.max_len, 20, 0)
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
 
 
 class TestFitMarkov:

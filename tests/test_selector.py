@@ -1,5 +1,6 @@
 import pytest
 
+from eusearch.experiment import to_user_units
 from eusearch.minimin import Outcome
 from eusearch.perfmodel import EmpiricalTable, MarkovParams
 from eusearch.selector import SelectionReport, compare_algorithms, select_lookahead
@@ -9,7 +10,9 @@ from eusearch.utility import (
     Lottery,
     UtilityModel,
     default_utility_model,
+    expected_utility,
 )
+from oracles import markov_predict_oracle
 
 
 def hand_joint(model, path, minutes):
@@ -157,3 +160,35 @@ class TestCompareAlgorithms:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compare_algorithms([], default_utility_model())
+
+
+class TestSharedWalkSelection:
+    def test_eus_equal_oracle_lotteries_by_repr(self):
+        u = default_utility_model()
+        levels = (1, 2, 3, 4, 5, 6)
+
+        def convert(o):
+            return to_user_units(o, 20_000.0, 10_000.0)
+
+        models = [
+            MarkovParams(
+                accuracy=dict(zip(levels, accuracies)),
+                branching={l: 2.5 - 0.1 * l for l in levels},
+                max_len=100,
+            )
+            for accuracies in (
+                (0.7,) * 6,
+                (0.55, 0.6, 0.6, 0.8, 0.95, 0.95),
+                (0.6, 0.75, 1.0, 1.0, 1.0, 1.0),
+            )
+        ]
+        for depth in (1, 6, 17, 30):
+            for model in models:
+                report = select_lookahead(
+                    depth, model, u, levels, samples=400, seed=depth, convert=convert
+                )
+                for level in levels:
+                    lottery = markov_predict_oracle(model, depth, level, 400, depth)
+                    lottery = Lottery.of((convert(o), p) for o, p in lottery.entries)
+                    want = expected_utility(lottery, u)
+                    assert repr(report.eu_by_level[level]) == repr(want)
