@@ -1,12 +1,15 @@
 """On-line Minimin search: fixed-depth lookahead with full resource accounting.
 
-Each decision runs a depth-limited, full-width lookahead (depth-first,
-pruning the inverse of the arc just taken), scores frontier leaves with
-f = g + manhattan, backs the minimum up to the root, and commits to one
-move.  Runs record node generations (time), peak stored nodes (space), and
-executed moves.  Deep decisions on boards of width <= 3 are memoised per goal
-in packed entries, at most ``_MEMO_CAP`` of them; a decision served from the
-memo reports the nodes and stack peak its search had.
+Each decision scores a depth-limited, full-width lookahead tree (the inverse
+of the arc just taken is pruned, the goal ends a branch) by f = g + manhattan
+at its frontier, backs the minimum up to the root, and commits to one move.
+Runs record node generations (time), peak stored nodes (space), and executed
+moves, counted as if the whole tree were walked.  The kernel walks only part
+of it: each first move's value comes from a branch and bound on f, and the
+counts from a table of tree sizes plus a walk of the nodes the goal could cut.
+Deep decisions on boards of width <= 3 are memoised per goal in packed
+entries, at most ``_MEMO_CAP`` of them; a decision served from the memo
+reports the nodes and stack peak its search had.
 """
 
 from __future__ import annotations
@@ -35,7 +38,12 @@ class EmptySample(Exception):
 
 @dataclass(frozen=True)
 class ResourceLimits:
-    """Caps on executed moves and total node generations for one run."""
+    """Caps on executed moves and total node generations for one run.
+
+    Both are checked between decisions: a decision that starts under the
+    budget runs to the end, so a run's ``time_units`` can exceed
+    ``node_budget`` by up to its last decision's node count.
+    """
 
     max_moves: int = 100
     node_budget: int = 200_000
@@ -86,12 +94,15 @@ _ROOT = 4
 
 @lru_cache(maxsize=16)
 def _kernel_tables(width: int, goal: tuple[int, ...]):
-    """Move and heuristic tables for the lookahead kernel on one (width, goal).
+    """Move, heuristic and tree-size tables for the lookahead kernel on one (width, goal).
 
     ``after[b][last]`` lists the (op, new blank, delta row) moves from blank
     cell ``b`` when the blank arrived by op ``last`` (or ``_ROOT``), with the
     inverse of ``last`` left out.  ``delta[t]`` is the change in Manhattan
     distance when tile ``t`` slides from the new blank cell into ``b``.
+    ``size[left][b][last]`` counts the nodes generated below such a node when
+    ``left`` moves remain and no goal cuts the tree: the shape follows the
+    blank's path alone.  It is built from ``after`` up to ``MAX_LOOKAHEAD``.
     """
     dists = dist_table(width, goal)
     cells = range(width * width)
@@ -102,7 +113,14 @@ def _kernel_tables(width: int, goal: tuple[int, ...]):
             tuple((op, j, delta[j]) for op, j in moves if last == _ROOT or op != _INVERSE[last])
             for last in range(_ROOT + 1)
         ))
-    return tuple(after), dists
+    size = [((0,) * (_ROOT + 1),) * len(cells)]
+    for _ in range(MAX_LOOKAHEAD):
+        below = size[-1]
+        size.append(tuple(
+            tuple(sum(1 + below[j][op] for op, j, _ in after[b][last]) for last in range(_ROOT + 1))
+            for b in cells
+        ))
+    return tuple(after), dists, tuple(size)
 
 
 def _ranked_decisions(
@@ -115,71 +133,112 @@ def _ranked_decisions(
     """All first moves ranked by backed-up f (ties by op order).
 
     Returns (ranked entries (value, op, child tiles, child blank),
-    nodes generated, peak lookahead stack depth).  The search swaps the blank
-    in and back on one board list.  The last two layers are scored without a
-    call or a swap: a frontier node's f is g + h whether or not it is the goal,
-    and within two moves the blank cannot return to a cell, so the tiles it
-    would slide are still where the board has them.
+    nodes generated, peak lookahead stack depth), exactly as a walk of the
+    whole tree would find them, without walking it.  Manhattan distance is
+    consistent, so f = g + h moves by 0 or +2 per move and a node's f bounds
+    every frontier f below it.  A first move's value comes from a branch and
+    bound that tries the h-decreasing children first and stops at that
+    bound; a goal caps its branch at f = g.  The counts come from a walk that
+    enters only nodes with h < moves left: below any other node no goal can
+    be expanded, so its subtree is the full one in ``size``.  Both searches
+    swap the blank in and back on one board list.
     """
-    after, dists = _kernel_tables(width, goal)
+    after, dists, size = _kernel_tables(width, goal)
     board = list(tiles)
     nodes = 0
     deepest = 0  # depth of the deepest expanded node
 
-    def descend(b: int, hval: int, g: int, left: int, last: int) -> int:
-        # ``left`` >= 1 moves remain below this node, whose blank is at ``b``.
-        nonlocal nodes, deepest
-        if hval == 0:
-            return g  # goal inside the tree caps this branch
+    def bound(b: int, hval: int, g: int, left: int, last: int, best: int) -> int:
+        # The least frontier f below this node (0 < hval, left >= 1 moves
+        # remain, g + hval < best) if that is below ``best``, else ``best``.
+        f = g + hval
         moves = after[b][last]
-        nodes += len(moves)
-        if g > deepest:
-            deepest = g
-        best = 1 << 30
-        if left == 1:
-            for _, j, delta in moves:
-                h = delta[board[j]]
-                if h < best:
-                    best = h
-            return g + 1 + hval + best
-        if left == 2:
-            for op, j, delta in moves:
-                h1 = hval + delta[board[j]]
-                if h1 == 0:
-                    if g + 1 < best:
-                        best = g + 1
+        for op, j, delta in moves:
+            t = board[j]
+            if delta[t] < 0:
+                if hval == 1 or left == 1:
+                    return f  # a goal or a frontier leaf at the bound
+                if left == 2:
+                    # The child's leaves keep f if one of its moves lowers h.
+                    for _, k, delta2 in after[j][op]:
+                        if delta2[board[k]] < 0:
+                            return f
+                    if f + 2 < best:
+                        best = f + 2
                     continue
-                grand = after[j][op]
-                nodes += len(grand)
-                deepest = g + 1
-                m = 1 << 30
-                for _, k, delta2 in grand:
-                    h = delta2[board[k]]
-                    if h < m:
-                        m = h
-                if g + 2 + h1 + m < best:
-                    best = g + 2 + h1 + m
+                board[b] = t
+                board[j] = 0
+                value = bound(j, hval - 1, g + 1, left - 1, op, best)
+                board[j] = t
+                board[b] = 0
+                if value < best:
+                    if value == f:
+                        return f
+                    best = value
+        if f + 2 >= best:
             return best
         for op, j, delta in moves:
             t = board[j]
-            board[b] = t
-            board[j] = 0
-            value = descend(j, hval + delta[t], g + 1, left - 1, op)
-            board[j] = t
-            board[b] = 0
-            if value < best:
-                best = value
+            if delta[t] > 0:
+                if left == 1:
+                    return f + 2
+                if left == 2:
+                    for _, k, delta2 in after[j][op]:
+                        if delta2[board[k]] < 0:
+                            return f + 2
+                    if f + 4 < best:
+                        best = f + 4
+                    continue
+                board[b] = t
+                board[j] = 0
+                value = bound(j, hval + 1, g + 1, left - 1, op, best)
+                board[j] = t
+                board[b] = 0
+                if value < best:
+                    if value == f + 2:
+                        return value
+                    best = value
         return best
 
+    def walk(b: int, hval: int, g: int, left: int, last: int) -> None:
+        # Count the nodes generated below a node with hval < left moves
+        # remaining, whose tree the goal may cut; a child with h >= its moves
+        # left is counted whole from ``size``.
+        nonlocal nodes, deepest
+        if g > deepest:
+            deepest = g
+        moves = after[b][last]
+        nodes += len(moves)
+        left -= 1
+        for op, j, delta in moves:
+            t = board[j]
+            h = hval + delta[t]
+            if h >= left:
+                nodes += size[left][j][op]
+                if g + left > deepest:
+                    deepest = g + left
+            elif h:
+                board[b] = t
+                board[j] = 0
+                walk(j, h, g + 1, left, op)
+                board[j] = t
+                board[b] = 0
+
     h0 = sum(dists[t][i] for i, t in enumerate(tiles) if t)
+    if h0 >= level:
+        nodes, deepest = size[level][blank][_ROOT], level - 1
+    else:
+        walk(blank, h0, 0, level, _ROOT)
     ranked: list[tuple[int, int, tuple[int, ...], int]] = []
     for op, j, delta in after[blank][_ROOT]:
-        nodes += 1
         t = board[j]
         board[blank] = t
         board[j] = 0
         child_h = h0 + delta[t]
-        value = 1 + child_h if level == 1 else descend(j, child_h, 1, level - 1, op)
+        if level == 1 or not child_h:
+            value = 1 + child_h
+        else:
+            value = bound(j, child_h, 1, level - 1, op, 1 << 30)
         ranked.append((value, op, tuple(board), j))
         board[j] = t
         board[blank] = 0

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
-experiment's summary table.  The experiment criterion takes about 25 s and
-the two-worker fingerprint check about 17 s on a 2-core x86 machine.
+experiment's summary table.  On a 2-core x86 machine the experiment
+criterion takes about 6 s, the two-worker fingerprint check about 4 s and
+the reduced-full fingerprint check about 12 s.
 """
 
 import hashlib
@@ -10,12 +11,15 @@ import math
 import random
 import statistics
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from eusearch.exact import bfs_optimal, idastar
 from eusearch.experiment import (
     ExperimentConfig,
+    load_experiment_config,
     report_csv_text,
     run_experiment,
     summarize,
@@ -399,6 +403,18 @@ def test_desk_summary_csv_fingerprint(default_experiment):
     report, _ = default_experiment
     text = summary_csv_text(summarize(report))
     assert hashlib.sha256(text.encode()).hexdigest() == DESK_SUMMARY_FINGERPRINT
+
+
+# SHA-256 of the runs CSV of ``configs/experiment_full.yaml`` cut to 10
+# instances per depth on one worker: the full protocol's depths, levels and
+# limits at a tier-1 size.
+REDUCED_FULL_FINGERPRINT = "1e950d20fbb3c3d041b1265ed3b5570417c465b1161630199365247973b3c4e9"
+
+
+def test_reduced_full_runs_csv_fingerprint():
+    path = Path(__file__).parents[1] / "configs" / "experiment_full.yaml"
+    cfg = replace(load_experiment_config(str(path)), instances_per_depth=10, workers=1)
+    assert csv_sha256(run_experiment(cfg)) == REDUCED_FULL_FINGERPRINT
 
 
 def test_criterion_7_invariant_suites():

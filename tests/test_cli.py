@@ -100,6 +100,38 @@ class TestMinimin:
         assert code == 0
         assert "utility" in out
 
+    def test_deep_width4_lookahead_finishes(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys,
+            "minimin",
+            "--instance",
+            "0 2 4 8 1 7 3 6 10 5 11 12 9 14 13 15",
+            "--lookahead",
+            str(MAX_LOOKAHEAD),
+        )
+        assert code == 0
+        assert "solved 0" in out
+        assert time.perf_counter() - start < 5.0
+
+    def test_node_budget_is_checked_between_decisions(self, capsys):
+        # The one decision runs to the end, so time exceeds the budget of 50.
+        code, out, _ = run_cli(
+            capsys,
+            "minimin",
+            "--instance",
+            "8 6 7 2 5 4 3 0 1",
+            "--lookahead",
+            "18",
+            "--node-budget",
+            "50",
+            "--max-moves",
+            "1",
+        )
+        assert code == 0
+        assert "time_units 78728\n" in out
+        assert "solved 0" in out
+
 
 class TestAccuracy:
     def test_small_table(self, capsys):

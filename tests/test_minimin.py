@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 import eusearch.minimin as minimin
 from eusearch.exact import idastar, instance_of_depth
+from eusearch.experiment import ExperimentConfig
 from eusearch.minimin import (
     MAX_LOOKAHEAD,
     EmptySample,
@@ -159,12 +162,90 @@ class TestKernelOracle:
     def test_width4(self, steps, seed, level):
         assert_kernel_matches_oracle(walked_state(GOAL4, steps, seed), GOAL4, level)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.integers(1, 10),
+        seed=st.integers(0, 2**30),
+        level=st.integers(13, 16),
+    )
+    def test_width3_deep_goal_cutoffs(self, steps, seed, level):
+        # Deep trees the goal cuts: most paths reach it with moves to spare.
+        assert_kernel_matches_oracle(walked_state(GOAL3, steps, seed), GOAL3, level)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        steps=st.integers(1, 40),
+        seed=st.integers(0, 2**30),
+        level=st.integers(7, 9),
+    )
+    def test_width4_deep(self, steps, seed, level):
+        assert_kernel_matches_oracle(walked_state(GOAL4, steps, seed), GOAL4, level)
+
     def test_every_2x2_state(self):
         for tiles, d in bfs_distances(GOAL2).items():
             if d == 0:
                 continue
-            for level in range(1, 13):
+            for level in range(1, MAX_LOOKAHEAD + 1):
                 assert_kernel_matches_oracle(State(tiles, 2), GOAL2, level)
+
+    def test_goal_free_trees_have_the_tabulated_size(self):
+        # With h0 >= level no goal is expanded, so the whole tree is generated.
+        for goal, steps in ((GOAL3, 30), (GOAL4, 60)):
+            size = minimin._kernel_tables(goal.width, goal.tiles)[2]
+            for seed in range(4):
+                s = walked_state(goal, steps, seed)
+                for level in range(1, min(manhattan(s, goal), MAX_LOOKAHEAD) + 1):
+                    _, nodes, peak = _ranked_decisions(
+                        s.tiles, s.blank, goal.tiles, s.width, level
+                    )
+                    assert nodes == size[level][s.blank][minimin._ROOT]
+                    assert peak == level + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.integers(1, 12),
+        seed=st.integers(0, 2**30),
+        level=st.integers(1, 14),
+    )
+    def test_count_walk_enters_only_nodes_below_the_bound(self, steps, seed, level):
+        # Below a node whose h is at least its moves left, the goal can only
+        # be a leaf, so its subtree is taken from the table, not walked.
+        s = walked_state(GOAL3, steps, seed)
+        assert walk_entries(s, GOAL3, level) == nodes_with_h_below_moves_left(s, GOAL3, level)
+
+
+def walk_entries(s, goal, level):
+    """(depth, h, moves left) of each node the kernel's count walk enters, sorted."""
+    entries = []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "walk" and code.co_filename == minimin.__file__:
+            entries.append((frame.f_locals["g"], frame.f_locals["hval"], frame.f_locals["left"]))
+
+    sys.setprofile(hook)
+    try:
+        _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
+    finally:
+        sys.setprofile(None)
+    return sorted(entries)
+
+
+def nodes_with_h_below_moves_left(s, goal, level):
+    """(depth, h, moves left) of each tree node on whose path 0 < h < moves left holds."""
+    found = []
+
+    def visit(state, depth, last):
+        h = manhattan(state, goal)
+        if not 0 < h < level - depth:
+            return
+        found.append((depth, h, level - depth))
+        for op in legal_ops(state):
+            if last is None or op != last.inverse:
+                visit(apply_op(state, op), depth + 1, op)
+
+    visit(s, 0, None)
+    return sorted(found)
 
 
 def fresh_memo(width, goal):
@@ -327,6 +408,18 @@ class TestRun:
             ]
             assert all(a >= b for a, b in zip(lengths, lengths[1:]))
             assert lengths[-1] == d
+
+    def test_level_24_width4_run_finishes(self):
+        # One level-24 decision overruns the desk node budget, so the run
+        # stops after it, and its time is that decision's count.
+        s = random_walk(GOAL4, 12, seed=2)
+        start = time.perf_counter()
+        out = minimin_run(ProblemInstance(s, GOAL4), MAX_LOOKAHEAD, ExperimentConfig().limits)
+        elapsed = time.perf_counter() - start
+        _, _, nodes = minimin_decide(s, GOAL4, MAX_LOOKAHEAD)
+        assert not out.solved
+        assert out.time_units == nodes > ExperimentConfig().limits.node_budget
+        assert elapsed < 2.0
 
     def test_loop_avoidance_escapes(self):
         # level-1 greedy must still solve moderately deep instances given room
