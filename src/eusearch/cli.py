@@ -23,7 +23,7 @@ from .experiment import (
     to_user_units,
 )
 from .minimin import ResourceLimits, check_level, decision_accuracy, minimin_run
-from .perfmodel import MarkovParams, fit_empirical, fit_markov, load_model, save_model
+from .perfmodel import MAX_SAMPLES, MarkovParams, fit_empirical, fit_markov, load_model, save_model
 from .puzzle import ProblemInstance, goal_state, parse_state
 from .seeds import subseed
 from .selector import select_lookahead
@@ -141,6 +141,8 @@ def cmd_fit(args) -> int:
 
 def cmd_select(args) -> int:
     levels = _parse_levels(args.levels)
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be <= {MAX_SAMPLES}")
     model = load_model(args.model)
     utility = _utility_from_args(args)
     report = select_lookahead(

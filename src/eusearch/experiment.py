@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 from .exact import instance_of_depth
 from .minimin import Outcome, ResourceLimits, check_level, minimin_run
-from .perfmodel import EmpiricalTable, MarkovParams, fit_empirical, fit_markov
+from .perfmodel import MAX_SAMPLES, EmpiricalTable, MarkovParams, fit_empirical, fit_markov
 from .puzzle import ProblemInstance
 from .seeds import subseed
 from .selector import SelectionReport, select_lookahead
@@ -82,9 +82,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.instances_per_depth <= 0 or self.train_instances_per_depth <= 0:
             raise ValueError("instance counts must be positive")
-        for name in ("predict_samples", "accuracy_states_per_level"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if not 1 <= self.predict_samples <= MAX_SAMPLES:
+            raise ValueError(f"predict_samples must be in 1..{MAX_SAMPLES}")
+        if self.accuracy_states_per_level < 1:
+            raise ValueError("accuracy_states_per_level must be >= 1")
         if not self.depths or not self.levels:
             raise ValueError("depths and levels must be nonempty")
         for level in self.levels:

@@ -5,11 +5,10 @@ of the arc just taken is pruned, the goal ends a branch) by f = g + manhattan
 at its frontier, backs the minimum up to the root, and commits to one move.
 Runs record node generations (time), peak stored nodes (space), and executed
 moves, counted as if the whole tree were walked.  The kernel walks only part
-of it: each first move's value comes from a branch and bound on f, and the
-counts from a table of tree sizes plus a walk of the nodes the goal could cut.
-Deep decisions on boards of width <= 3 are memoised per goal in packed
-entries, at most ``_MEMO_CAP`` of them; a decision served from the memo
-reports the nodes and stack peak its search had.
+of it: the counts come from a table of tree sizes plus a walk of the nodes the
+goal could cut, and each first move's value from a per-goal table of every
+state's backed-up values on boards of width <= 3, or from a branch and bound
+on f on wider ones.
 """
 
 from __future__ import annotations
@@ -18,8 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 # ``idastar`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
-from .exact import _lehmer_rank, exact_distance, idastar  # noqa: F401
+from .exact import _lehmer_rank, _lehmer_ranks, exact_distance, idastar  # noqa: F401
 from .puzzle import (
     _INVERSE,
     Op,
@@ -27,6 +28,7 @@ from .puzzle import (
     State,
     dist_table,
     moves_table,
+    permutation_parity,
 )
 
 MAX_LOOKAHEAD = 24
@@ -90,11 +92,12 @@ def check_level(level: int) -> int:
 
 # Arrival index of the root in ``_kernel_tables``: no inverse move to leave out.
 _ROOT = 4
+_WORD_LEVEL = 17  # the deepest level whose values 16-bit profile words hold
 
 
 @lru_cache(maxsize=16)
 def _kernel_tables(width: int, goal: tuple[int, ...]):
-    """Move, heuristic and tree-size tables for the lookahead kernel on one (width, goal).
+    """Move, heuristic and tree-size tables for both lookahead kernels on one (width, goal).
 
     ``after[b][last]`` lists the (op, new blank, delta row) moves from blank
     cell ``b`` when the blank arrived by op ``last`` (or ``_ROOT``), with the
@@ -123,30 +126,63 @@ def _kernel_tables(width: int, goal: tuple[int, ...]):
     return tuple(after), dists, tuple(size)
 
 
+def _tree_counts(after, size, tiles, blank, h0, level) -> tuple[int, int]:
+    """Nodes generated and peak stack depth of the depth-``level`` tree at ``tiles``.
+
+    The walk enters only nodes with h < moves left.  Below any other node no
+    goal can be expanded, so its subtree is the full one in ``size``.
+    """
+    if h0 >= level:
+        return size[level][blank][_ROOT], level + 1
+    board = list(tiles)
+    nodes = 0
+    deepest = 0  # depth of the deepest expanded node
+
+    def walk(b: int, hval: int, g: int, left: int, last: int) -> None:
+        # Count the nodes generated below a node with hval < left moves
+        # remaining, whose tree the goal may cut; a child with h >= its moves
+        # left is counted whole from ``size``.
+        nonlocal nodes, deepest
+        if g > deepest:
+            deepest = g
+        moves = after[b][last]
+        nodes += len(moves)
+        left -= 1
+        for op, j, delta in moves:
+            t = board[j]
+            h = hval + delta[t]
+            if h >= left:
+                nodes += size[left][j][op]
+                if g + left > deepest:
+                    deepest = g + left
+            elif h:
+                board[b] = t
+                board[j] = 0
+                walk(j, h, g + 1, left, op)
+                board[j] = t
+                board[b] = 0
+
+    walk(blank, h0, 0, level, _ROOT)
+    return nodes, deepest + 2
+
+
 def _ranked_decisions(
     tiles: tuple[int, ...],
     blank: int,
     goal: tuple[int, ...],
     width: int,
     level: int,
-) -> tuple[list[tuple[int, int, tuple[int, ...], int]], int, int]:
-    """All first moves ranked by backed-up f (ties by op order).
+) -> tuple[list[tuple[int, int, int]], int, int]:
+    """Sorted (value, op, new blank) first moves, nodes and stack peak, by search.
 
-    Returns (ranked entries (value, op, child tiles, child blank),
-    nodes generated, peak lookahead stack depth), exactly as a walk of the
-    whole tree would find them, without walking it.  Manhattan distance is
-    consistent, so f = g + h moves by 0 or +2 per move and a node's f bounds
-    every frontier f below it.  A first move's value comes from a branch and
-    bound that tries the h-decreasing children first and stops at that
-    bound; a goal caps its branch at f = g.  The counts come from a walk that
-    enters only nodes with h < moves left: below any other node no goal can
-    be expanded, so its subtree is the full one in ``size``.  Both searches
-    swap the blank in and back on one board list.
+    ``_decisions`` calls it above width 3.  Manhattan distance is consistent,
+    so f = g + h moves by 0 or +2 per move and a node's f bounds every frontier
+    f below it.  A first move's value comes from a branch and bound on one
+    board list that tries the h-decreasing children first and stops at that
+    bound; a goal caps its branch at f = g.
     """
     after, dists, size = _kernel_tables(width, goal)
     board = list(tiles)
-    nodes = 0
-    deepest = 0  # depth of the deepest expanded node
 
     def bound(b: int, hval: int, g: int, left: int, last: int, best: int) -> int:
         # The least frontier f below this node (0 < hval, left >= 1 moves
@@ -200,120 +236,119 @@ def _ranked_decisions(
                     best = value
         return best
 
-    def walk(b: int, hval: int, g: int, left: int, last: int) -> None:
-        # Count the nodes generated below a node with hval < left moves
-        # remaining, whose tree the goal may cut; a child with h >= its moves
-        # left is counted whole from ``size``.
-        nonlocal nodes, deepest
-        if g > deepest:
-            deepest = g
-        moves = after[b][last]
-        nodes += len(moves)
-        left -= 1
-        for op, j, delta in moves:
-            t = board[j]
-            h = hval + delta[t]
-            if h >= left:
-                nodes += size[left][j][op]
-                if g + left > deepest:
-                    deepest = g + left
-            elif h:
-                board[b] = t
-                board[j] = 0
-                walk(j, h, g + 1, left, op)
-                board[j] = t
-                board[b] = 0
-
     h0 = sum(dists[t][i] for i, t in enumerate(tiles) if t)
-    if h0 >= level:
-        nodes, deepest = size[level][blank][_ROOT], level - 1
-    else:
-        walk(blank, h0, 0, level, _ROOT)
-    ranked: list[tuple[int, int, tuple[int, ...], int]] = []
+    ranked = []
     for op, j, delta in after[blank][_ROOT]:
         t = board[j]
         board[blank] = t
         board[j] = 0
         child_h = h0 + delta[t]
         if level == 1 or not child_h:
-            value = 1 + child_h
+            ranked.append((1 + child_h, op, j))
         else:
-            value = bound(j, child_h, 1, level - 1, op, 1 << 30)
-        ranked.append((value, op, tuple(board), j))
+            ranked.append((bound(j, child_h, 1, level - 1, op, 1 << 30), op, j))
         board[j] = t
         board[blank] = 0
-    ranked.sort(key=lambda e: (e[0], e[1]))
-    return ranked, nodes, deepest + 2
-
-
-# Decisions of width <= 3 at levels >= _MEMO_FLOOR are memoised.  Shallow
-# decisions are cheap to search, and leaving them out keeps the memo small.
-_MEMO_FLOOR = 7
-_MEMO_CAP = 1 << 16  # entries per (width, goal), about 6 MB; a full memo is cleared
-_NODES_SHIFT = 5 + 4 * 8  # above the peak and four ranked moves
+    ranked.sort()
+    return ranked, *_tree_counts(after, size, tiles, blank, h0, level)
 
 
 @lru_cache(maxsize=4)
-def _decision_memo(width: int, goal: tuple[int, ...]) -> dict[int, int]:
-    """Packed ``_ranked_decisions`` results on one (width, goal).
+def _value_table(width: int, goal: tuple[int, ...], deep: bool):
+    """Every state's backed-up lookahead values on one (width, goal), width <= 3.
 
-    Keyed by ``_lehmer_rank(tiles) * 32 + level``.  An entry holds, from the
-    low bits up: the stack peak (5 bits); for each ranked first move, its
-    index in ``moves_table(width)[blank]`` (2 bits) and its backed-up value
-    (6 bits); then the node count.  Children are rebuilt from the moves.
+    With blank cell ``b`` a state has ``k = r // 2`` for the Lehmer rank ``r``
+    of its tile order; only orders of parity ``parity[b]`` reach the goal.
+    W_l, the least frontier f of a depth-l lookahead below a state, is h at
+    l = 0, 0 at the goal, else 1 + the least W_{l-1} of the children but the
+    one undoing the arrival op.  Manhattan distance is consistent, so W rises
+    by 0 or 2 per level (else the build raises); bit l - 1 of a profile word
+    records which: W_l = h + 2 * popcount(word & (2**l - 1)).  Words have 16
+    bits (levels up to ``_WORD_LEVEL``), or 32 if ``deep``.  Returns (rows,
+    parity) + ``_kernel_tables(width, goal)``; ``rows[b]`` lists the (op, new
+    blank, delta row, words, ranks) first moves from ``b``: the child's words
+    by its ``k``, and its ``k`` by the state's if the move is vertical.
     """
-    return {}
+    kernel = _kernel_tables(width, goal)
+    moves = moves_table(width)
+    cells = width * width
+    orders, odd = np.zeros((1, 0), np.uint8), np.zeros(1, bool)
+    for n in range(1, cells):  # every tile order (tiles - 1) by rank, and its parity
+        orders = np.concatenate([np.insert(orders + (orders >= e), 0, e, axis=1) for e in range(n)])
+        odd = np.concatenate([odd ^ bool(e & 1) for e in range(n)])
+    goal_order = tuple(t - 1 for t in goal if t)
+    goal_blank = goal.index(0)
+    # A vertical move carries a tile past width - 1 others in the order.
+    rows_away = [b // width - goal_blank // width for b in range(cells)]
+    parity = tuple(permutation_parity(goal_order) ^ ((width - 1) * r & 1) for r in rows_away)
+    dists = np.array(kernel[1], np.uint8)
+    h, ranks = [], {}
+    for b in range(cells):
+        order = orders[odd == parity[b]]  # row k has rank 2k or 2k + 1
+        h.append(dists[order + 1, [i + (i >= b) for i in range(cells - 1)]].sum(axis=1, dtype=np.uint8))
+        for op, j in moves[b]:
+            if abs(j - b) > 1:
+                src = j - (j > b)
+                moved = np.insert(np.delete(order, src, axis=1), b - (b > j), order[:, src], axis=1)
+                ranks[b, op] = (_lehmer_ranks(moved) >> 1).astype(np.uint16)
+    del orders, odd
+    block = {a: i for i, a in enumerate((j, op) for b in range(cells) for op, j in moves[b])}
+    words = np.zeros((len(block), len(h[0])), np.uint32 if deep else np.uint16)
+    values = np.stack([h[j] for j, _ in block])  # W_0 by (cell, arrival op)
+    below = np.empty_like(values)
+    at_goal = [block[goal_blank, _INVERSE[op]] for op, _ in moves[goal_blank]]
+    for bit in range((MAX_LOOKAHEAD if deep else _WORD_LEVEL) - 1):
+        values, below = below, values
+        for b in range(cells):
+            via = 1 + np.stack([below[block[j, op]][ranks.get((b, op), slice(None))] for op, j in moves[b]])
+            for i, (op, _) in enumerate(moves[b]):  # arrived from the cell this op returns to
+                np.min(np.delete(via, i, axis=0), axis=0, out=values[block[b, _INVERSE[op]]])
+        values[at_goal, _lehmer_rank(goal_order) >> 1] = 0
+        np.subtract(values, below, out=below)
+        if (below & 0xFD).any():
+            raise RuntimeError("a lookahead value rose by other than 0 or 2 in one level")
+        for row, step in zip(words, below):
+            row |= (step >> 1).astype(words.dtype) << bit
+    words.flags.writeable = False
+    rows = tuple(tuple(
+        (op, j, delta, memoryview(words[block[j, op]]), memoryview(ranks[b, op]) if (b, op) in ranks else None)
+        for op, j, delta in kernel[0][b][_ROOT]
+    ) for b in range(cells))
+    return (rows, parity) + kernel
 
 
-def _pack(
-    ranked: list[tuple[int, int, tuple[int, ...], int]],
-    nodes: int,
-    peak: int,
-    moves: tuple[tuple[int, int], ...],
-) -> int | None:
-    """The memo entry for one decision, or None if a field would not fit."""
-    if peak >= 32:
-        return None
-    fields = 0
-    for value, op, _, j in reversed(ranked):
-        if value >= 64:
-            return None
-        fields = fields << 8 | value << 2 | moves.index((op, j))
-    return nodes << _NODES_SHIFT | fields << 5 | peak
+def _decisions(tiles, blank, goal, width, level, at=None):
+    """One decision's sorted (value, op, new blank) first moves, nodes and stack peak.
 
-
-def _decisions(
-    tiles: tuple[int, ...],
-    blank: int,
-    goal: tuple[int, ...],
-    width: int,
-    level: int,
-) -> tuple[list[tuple[int, int, tuple[int, ...], int]], int, int]:
-    """What ``_ranked_decisions`` returns, served from the decision memo if it can be."""
-    if width > 3 or level < _MEMO_FLOOR:
+    As a walk of the whole tree would find them.  At width <= 3 values come
+    from ``_value_table`` and entries add the child's (k, h), passed back as
+    ``at``; other states are searched.
+    """
+    if width > 3:
         return _ranked_decisions(tiles, blank, goal, width, level)
-    memo = _decision_memo(width, goal)
-    key = _lehmer_rank(tiles) * 32 + level
-    moves = moves_table(width)[blank]
-    packed = memo.get(key)
-    if packed is None:
-        ranked, nodes, peak = _ranked_decisions(tiles, blank, goal, width, level)
-        packed = _pack(ranked, nodes, peak, moves)
-        if packed is not None:
-            if len(memo) >= _MEMO_CAP:
-                memo.clear()
-            memo[key] = packed
-        return ranked, nodes, peak
+    rows, parity, after, dists, size = _value_table(width, goal, level > _WORD_LEVEL)
+    if at is None:
+        order = tuple(t - 1 for t in tiles if t)
+        if permutation_parity(order) != parity[blank]:
+            return _ranked_decisions(tiles, blank, goal, width, level)
+        at = _lehmer_rank(order) >> 1, sum(dists[t][i] for i, t in enumerate(tiles) if t)
+    k, h = at
+    mask = (1 << (level - 1)) - 1
     ranked = []
-    field = packed >> 5
-    for _ in moves:
-        op, j = moves[field & 3]
-        board = list(tiles)
-        board[blank] = board[j]
-        board[j] = 0
-        ranked.append((field >> 2 & 63, op, tuple(board), j))
-        field >>= 8
-    return ranked, packed >> _NODES_SHIFT, packed & 31
+    for op, j, delta, words, ranks in rows[blank]:
+        child_k = k if ranks is None else ranks[k]
+        child_h = h + delta[tiles[j]]
+        ranked.append((1 + child_h + 2 * (words[child_k] & mask).bit_count(), op, j, child_k, child_h))
+    ranked.sort()
+    return ranked, *_tree_counts(after, size, tiles, blank, h, level)
+
+
+def _child(tiles: tuple[int, ...], blank: int, j: int) -> tuple[int, ...]:
+    """``tiles`` after the blank at ``blank`` moves to cell ``j``."""
+    board = list(tiles)
+    board[blank] = board[j]
+    board[j] = 0
+    return tuple(board)
 
 
 def minimin_decide(s: State, goal: State, level: int) -> tuple[Op, int, int]:
@@ -328,7 +363,7 @@ def minimin_decide(s: State, goal: State, level: int) -> tuple[Op, int, int]:
     if s.tiles == goal.tiles:
         raise ValueError("state is already the goal; no decision to make")
     ranked, nodes, _ = _decisions(s.tiles, s.blank, goal.tiles, s.width, level)
-    value, op, _, _ = ranked[0]
+    value, op = ranked[0][:2]
     return Op(op), value, nodes
 
 
@@ -343,6 +378,7 @@ def _run_loop(
     width = p.width
     tiles = p.initial.tiles
     blank = p.initial.blank
+    at = None  # the state's (k, h) in the value table, once a decision gave it
     visits: dict[tuple[int, ...], int] = {tiles: 1}
     moves = 0
     total_nodes = 0
@@ -357,18 +393,18 @@ def _run_loop(
             )
         if record is not None:
             record.append(State(tiles, width))
-        ranked, nodes, stack_peak = _decisions(tiles, blank, goal, width, level)
+        ranked, nodes, stack_peak = _decisions(tiles, blank, goal, width, level, at)
         total_nodes += nodes
+        chosen, child = ranked[0], _child(tiles, blank, ranked[0][2])
         if tops is not None:
-            tops.append(ranked[0][2])
-        chosen = None
-        for entry in ranked:
-            if visits.get(entry[2], 0) < 2:
-                chosen = entry
-                break
-        if chosen is None:
-            chosen = ranked[0]
-        _, _, tiles, blank = chosen
+            tops.append(child)
+        if visits.get(child, 0) >= 2:
+            for entry in ranked[1:]:
+                other = _child(tiles, blank, entry[2])
+                if visits.get(other, 0) < 2:
+                    chosen, child = entry, other
+                    break
+        tiles, blank, at = child, chosen[2], chosen[3:]
         visits[tiles] = visits.get(tiles, 0) + 1
         moves += 1
         stored = stack_peak + len(visits)
@@ -434,7 +470,7 @@ def decision_accuracy(
     decisions = []
     for s in sample:
         ranked, _, _ = _decisions(s.tiles, s.blank, goal.tiles, s.width, level)
-        decisions.append((s, ranked[0][2]))
+        decisions.append((s, _child(s.tiles, s.blank, ranked[0][2])))
     return decision_hit_rate(decisions, goal, dstar_cache)
 
 

@@ -34,6 +34,7 @@ from .seeds import subseed
 from .utility import Lottery
 
 DEFAULT_MAX_LEN = 1000
+MAX_SAMPLES = 1_000_000  # ``_first_passage`` holds 8 bytes per sample and accuracy
 _ACCURACY_FLOOR = 0.501
 
 
@@ -139,8 +140,8 @@ def markov_predict(
     """
     if d < 1:
         raise ValueError("depth must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in 1..{MAX_SAMPLES}")
     if level not in params.accuracy:
         raise MissingAccuracy(f"no accuracy estimate for level {level}")
     ps = tuple(sorted(set(params.accuracy.values())))

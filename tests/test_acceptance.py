@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
 experiment's summary table.  On a 2-core x86 machine the experiment
-criterion takes about 6 s, the two-worker fingerprint check about 4 s and
-the reduced-full fingerprint check about 12 s.
+criterion takes about 4.5 s, the two-worker fingerprint check about 3 s and
+the reduced-full fingerprint check about 8 s.
 """
 
 import hashlib

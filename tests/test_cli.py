@@ -11,7 +11,7 @@ import eusearch.cli as cli
 import eusearch.experiment as experiment
 from eusearch.cli import main
 from eusearch.experiment import ExperimentConfig
-from eusearch.minimin import MAX_LOOKAHEAD, ResourceLimits
+from eusearch.minimin import MAX_LOOKAHEAD, ResourceLimits, _value_table
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +112,22 @@ class TestMinimin:
         )
         assert code == 0
         assert "solved 0" in out
+        assert time.perf_counter() - start < 5.0
+
+    def test_deep_3x3_lookahead_finishes(self, capsys):
+        # The first decision pays for the value table, at level 24 in 32-bit words.
+        _value_table.cache_clear()
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys,
+            "minimin",
+            "--instance",
+            "8 6 7 2 5 4 3 0 1",
+            "--lookahead",
+            str(MAX_LOOKAHEAD),
+        )
+        assert code == 0
+        assert "time_units 2125760\n" in out
         assert time.perf_counter() - start < 5.0
 
     def test_node_budget_is_checked_between_decisions(self, capsys):
@@ -231,6 +247,16 @@ class TestFitSelect:
         header = open(csv_path).read().splitlines()[0]
         assert header == "level,expected_utility,chosen"
 
+    def test_select_rejects_huge_samples_before_reading_the_model(self, capsys, monkeypatch):
+        read = []
+        monkeypatch.setattr(cli, "load_model", read.append)
+        code, out, err = run_cli(
+            capsys, "select", "--depth", "4", "--model", "m.yaml", "--samples", "1000001"
+        )
+        assert code == 2
+        assert out == "" and read == []
+        assert err.startswith("eusearch: ValueError: --samples must be <= 1000000")
+
     def test_select_missing_model_file(self, capsys):
         code, _, err = run_cli(
             capsys, "select", "--depth", "4", "--model", "/nonexistent.yaml"
@@ -307,6 +333,16 @@ class TestExperimentCommand:
         assert out == ""
         assert "generating training suite" not in err
         assert err.startswith("eusearch: ValueError: ")
+
+
+    def test_huge_predict_samples_fail_before_any_suite(self, capsys):
+        code, out, err = run_cli(
+            capsys, "experiment", "--predict-samples", "1000001", "--instances", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "generating training suite" not in err
+        assert err.startswith("eusearch: ValueError: predict_samples must be in 1..1000000")
 
 
 class _Stop(Exception):

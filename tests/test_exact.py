@@ -119,11 +119,6 @@ class TestIdastar:
 WALK30_DSTAR = 24
 
 
-@pytest.fixture(scope="module")
-def distances3():
-    return bfs_distances(GOAL3)
-
-
 def swapped(goal, a, b):
     """``goal`` with two tiles exchanged: the other parity class."""
     tiles = list(goal.tiles)

@@ -18,8 +18,7 @@ from eusearch.experiment import (
     summary_table,
     to_user_units,
 )
-from eusearch.minimin import Outcome, _decision_memo
-from eusearch.puzzle import goal_state
+from eusearch.minimin import Outcome, _value_table
 from eusearch.utility import default_utility_model, joint_utility
 from reports import make_report
 
@@ -94,14 +93,13 @@ class TestRunExperiment:
         parallel = run_experiment(parallel_cfg)
         assert report_csv_text(serial) == report_csv_text(parallel)
 
-    def test_memo_state_does_not_change_the_report(self):
-        # SMALL's levels all lie below the memo floor; levels 7 and 9 use it.
+    def test_table_state_does_not_change_the_report(self):
         cfg = replace(SMALL, levels=(2, 7, 9))
-        memo = _decision_memo(3, goal_state(3).tiles)
-        memo.clear()
+        _value_table.cache_clear()
         cold = run_experiment(cfg)
-        assert memo
+        assert _value_table.cache_info().currsize == 1
         warm = run_experiment(cfg)
+        assert _value_table.cache_info().hits
         assert warm == cold
 
     def test_csv_flushed_to_disk(self, tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eusearch.minimin as minimin
-from eusearch.exact import idastar, instance_of_depth
-from eusearch.experiment import ExperimentConfig
+from eusearch.exact import exact_distance, idastar, instance_of_depth
+from eusearch.experiment import ExperimentConfig, run_experiment
 from eusearch.minimin import (
     MAX_LOOKAHEAD,
     EmptySample,
@@ -18,9 +18,10 @@ from eusearch.minimin import (
     minimin_decide,
     minimin_run,
     minimin_trace,
-    _decision_memo,
+    _child,
     _decisions,
     _ranked_decisions,
+    _value_table,
 )
 from eusearch.puzzle import (
     Op,
@@ -116,12 +117,11 @@ def assert_kernel_matches_oracle(s, goal, level, kernel=_ranked_decisions):
         s, goal, level
     )
     ranked, nodes, peak = kernel(s.tiles, s.blank, goal.tiles, s.width, level)
-    assert [(value, op) for value, op, _, _ in ranked] == sorted(
+    assert [(value, op) for value, op, *_ in ranked] == sorted(
         (value, int(op)) for op, value in table.items()
     )
-    for _, op, child, child_blank in ranked:
-        assert State(child, s.width) == apply_op(s, Op(op))
-        assert child[child_blank] == 0
+    for _, op, child_blank, *_ in ranked:
+        assert State(_child(s.tiles, s.blank, child_blank), s.width) == apply_op(s, Op(op))
     assert (nodes, peak) == (oracle_nodes, oracle_peak)
     assert minimin_decide(s, goal, level) == (oracle_op, oracle_value, oracle_nodes)
 
@@ -248,89 +248,129 @@ def nodes_with_h_below_moves_left(s, goal, level):
     return sorted(found)
 
 
-def fresh_memo(width, goal):
-    memo = _decision_memo(width, goal.tiles)
-    memo.clear()
-    return memo
-
-
-def decide_both(s, goal, level):
-    """The decision from the memoised entry point and from the kernel."""
+def both_kernels(s, goal, level):
+    """The decision read from the value table and the one searched by branch and bound."""
     args = (s.tiles, s.blank, goal.tiles, s.width, level)
-    return _decisions(*args), _ranked_decisions(*args)
+    ranked, nodes, peak = _decisions(*args)
+    return ([entry[:3] for entry in ranked], nodes, peak), _ranked_decisions(*args)
 
 
-class TestDecisionMemo:
-    """The memoised entry point returns exactly what the kernel returns."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(
-        steps=st.integers(1, 30),
-        seed=st.integers(0, 2**30),
-        level=st.integers(1, 12),
+def table_bytes(table):
+    """Bytes held by a value table's profile words and rank maps."""
+    return sum(
+        words.nbytes + (ranks.nbytes if ranks is not None else 0)
+        for row in table[0]
+        for *_, words, ranks in row
     )
-    def test_miss_and_hit_equal_the_kernel(self, steps, seed, level):
-        s = walked_state(GOAL3, steps, seed)
-        memo = fresh_memo(3, GOAL3)
-        miss, expected = decide_both(s, GOAL3, level)
-        assert miss == expected
-        assert len(memo) == (level >= minimin._MEMO_FLOOR)
-        hit, _ = decide_both(s, GOAL3, level)
-        assert hit == expected
-        assert_kernel_matches_oracle(s, GOAL3, level, _decisions)
 
-    def test_equal_after_eviction(self, monkeypatch):
-        monkeypatch.setattr(minimin, "_MEMO_CAP", 3)
-        memo = fresh_memo(3, GOAL3)
-        states = sample_states(8, 24, seed=13)
-        for _ in range(2):
-            for s in states:
-                for level in (8, 8, 9, 9):  # a miss or a hit, then a hit
-                    got, expected = decide_both(s, GOAL3, level)
-                    assert got == expected
-                    assert 1 <= len(memo) <= 3
 
-    def test_goals_never_share_entries(self):
-        other = State((0, 1, 2, 3, 4, 5, 6, 7, 8), 3)
-        memo, other_memo = fresh_memo(3, GOAL3), fresh_memo(3, other)
-        assert memo is not other_memo
-        s = walked_state(GOAL3, 12, 5)
-        got, expected = decide_both(s, GOAL3, 8)
+class TestValueTable:
+    """Decisions read from ``_value_table`` equal the oracle's and the search's."""
+
+    def test_every_2x2_state(self):
+        for tiles, d in bfs_distances(GOAL2).items():
+            if d == 0:
+                continue
+            for level in range(1, MAX_LOOKAHEAD + 1):
+                assert_kernel_matches_oracle(State(tiles, 2), GOAL2, level, _decisions)
+
+    def test_every_3x3_state_at_levels_1_to_3(self, distances3):
+        for tiles, d in distances3.items():
+            if d == 0:
+                continue
+            s = State(tiles, 3)
+            for level in (1, 2, 3):
+                got, expected = both_kernels(s, GOAL3, level)
+                assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.integers(1, 60),
+        seed=st.integers(0, 2**30),
+        level=st.integers(1, MAX_LOOKAHEAD),
+    )
+    def test_sampled_3x3_states_equal_the_search(self, steps, seed, level):
+        got, expected = both_kernels(walked_state(GOAL3, steps, seed), GOAL3, level)
         assert got == expected
-        assert len(memo) == 1 and not other_memo
-        got, expected_other = decide_both(s, other, 8)
-        assert got == expected_other != expected
-        assert len(memo) == len(other_memo) == 1
-        assert decide_both(s, GOAL3, 8)[0] == expected
 
-    def test_width4_and_shallow_levels_bypass_the_memo(self):
-        memo4, memo3 = fresh_memo(4, GOAL4), fresh_memo(3, GOAL3)
-        s4 = walked_state(GOAL4, 30, 1)
-        got, expected = decide_both(s4, GOAL4, minimin._MEMO_FLOOR)
-        assert got == expected and not memo4
-        s3 = walked_state(GOAL3, 20, 1)
-        for level in range(1, minimin._MEMO_FLOOR):
-            got, expected = decide_both(s3, GOAL3, level)
+    def test_every_decision_of_an_experiment(self, monkeypatch):
+        # Runs pass each decision the (k, h) its parent decision gave them.
+        levels = []
+
+        def checked(tiles, blank, goal, width, level, at=None):
+            ranked, nodes, peak = _decisions(tiles, blank, goal, width, level, at)
+            searched = _ranked_decisions(tiles, blank, goal, width, level)
+            assert ([entry[:3] for entry in ranked], nodes, peak) == searched
+            levels.append(level)
+            return ranked, nodes, peak
+
+        monkeypatch.setattr(minimin, "_decisions", checked)
+        cfg = ExperimentConfig(
+            depths=(6, 14),
+            instances_per_depth=2,
+            levels=tuple(range(1, 13)),
+            seed=5,
+            train_instances_per_depth=2,
+            predict_samples=100,
+        )
+        run_experiment(cfg)
+        assert set(levels) == set(cfg.levels)
+
+    def test_states_that_cannot_reach_the_goal_are_searched(self):
+        tiles = list(walked_state(GOAL3, 12, 5).tiles)
+        i, j = [k for k, t in enumerate(tiles) if t][:2]
+        tiles[i], tiles[j] = tiles[j], tiles[i]  # the other parity class
+        for level in (1, 6, 18):
+            got, expected = both_kernels(State(tuple(tiles), 3), GOAL3, level)
             assert got == expected
-        assert not memo3
 
-    def test_entries_that_would_not_fit_are_not_packed(self):
-        moves = ((0, 1), (3, 5))
-        assert minimin._pack([(63, 3, (), 5), (63, 0, (), 1)], 10, 31, moves) is not None
-        assert minimin._pack([(64, 3, (), 5), (9, 0, (), 1)], 10, 3, moves) is None
-        assert minimin._pack([(9, 3, (), 5), (9, 0, (), 1)], 10, 32, moves) is None
+    def test_goals_never_share_a_table(self):
+        other = State((0, 1, 2, 3, 4, 5, 6, 7, 8), 3)
+        _value_table.cache_clear()
+        s = walked_state(GOAL3, 12, 5)
+        got, expected = both_kernels(s, GOAL3, 8)
+        got_other, expected_other = both_kernels(s, other, 8)
+        assert got == expected != expected_other == got_other
+        assert _value_table.cache_info().currsize == 2
+        assert _value_table(3, GOAL3.tiles, False) is not _value_table(3, other.tiles, False)
 
-    def test_runs_stay_within_the_cap(self, monkeypatch):
-        instances = [instance_of_depth(16, 3, seed=40 + i) for i in range(4)]
-        monkeypatch.setattr(minimin, "_MEMO_FLOOR", MAX_LOOKAHEAD + 1)
-        unmemoised = [minimin_run(inst, 8) for inst in instances]
-        monkeypatch.setattr(minimin, "_MEMO_FLOOR", 7)
-        monkeypatch.setattr(minimin, "_MEMO_CAP", 5)
-        memo = fresh_memo(3, GOAL3)
-        for _ in range(2):
-            for inst, expected in zip(instances, unmemoised):
-                assert minimin_run(inst, 8) == expected
-                assert 1 <= len(memo) <= 5
+    def test_width4_never_builds_a_table(self):
+        _value_table.cache_clear()
+        s = walked_state(GOAL4, 30, 1)
+        for level in (1, 7):
+            got, expected = both_kernels(s, GOAL4, level)
+            assert got == expected
+        minimin_run(ProblemInstance(s, GOAL4), 3)
+        assert _value_table.cache_info().misses == 0
+
+    def test_distance_queries_never_build_a_table(self):
+        # Instance generation and d* lookups are all deep_generation and
+        # select_sweep do; they must not pay for the build.
+        _value_table.cache_clear()
+        inst = instance_of_depth(20, 3, seed=1)
+        assert exact_distance(inst.initial, inst.goal) == 20
+        assert _value_table.cache_info().misses == 0
+
+    def test_resident_size_is_bounded(self):
+        assert table_bytes(_value_table(3, GOAL3.tiles, False)) <= 3 * 2**20
+
+    def test_levels_above_17_read_32_bit_words(self):
+        shallow, deep = (_value_table(3, GOAL3.tiles, d) for d in (False, True))
+        assert {words.format for row in shallow[0] for *_, words, _ in row} == {"H"}
+        assert {words.format for row in deep[0] for *_, words, _ in row} == {"I"}
+        # Some values still rise past level 17: 16-bit words could not hold them.
+        assert any(max(words) >> 16 for row in deep[0] for *_, words, _ in row)
+        for s in sample_states(10, 60, seed=17):
+            for level in (17, 18, MAX_LOOKAHEAD):
+                got, expected = both_kernels(s, GOAL3, level)
+                assert got == expected
+
+    def test_build_raises_on_an_inconsistent_heuristic(self, monkeypatch):
+        after, dists, size = minimin._kernel_tables(2, GOAL2.tiles)
+        doubled = tuple(tuple(2 * d for d in row) for row in dists)
+        monkeypatch.setattr(minimin, "_kernel_tables", lambda width, goal: (after, doubled, size))
+        with pytest.raises(RuntimeError):
+            _value_table.__wrapped__(2, GOAL2.tiles, False)
 
 
 class TestRun:
