@@ -92,7 +92,6 @@ def check_level(level: int) -> int:
 
 # Arrival index of the root in ``_kernel_tables``: no inverse move to leave out.
 _ROOT = 4
-_WORD_LEVEL = 17  # the deepest level whose values 16-bit profile words hold
 
 
 @lru_cache(maxsize=16)
@@ -243,10 +242,8 @@ def _ranked_decisions(
         board[blank] = t
         board[j] = 0
         child_h = h0 + delta[t]
-        if level == 1 or not child_h:
-            ranked.append((1 + child_h, op, j))
-        else:
-            ranked.append((bound(j, child_h, 1, level - 1, op, 1 << 30), op, j))
+        value = 1 + child_h if level == 1 or not child_h else bound(j, child_h, 1, level - 1, op, 1 << 30)
+        ranked.append((value, op, j))
         board[j] = t
         board[blank] = 0
     ranked.sort()
@@ -254,7 +251,7 @@ def _ranked_decisions(
 
 
 @lru_cache(maxsize=4)
-def _value_table(width: int, goal: tuple[int, ...], deep: bool):
+def _value_table(width: int, goal: tuple[int, ...]):
     """Every state's backed-up lookahead values on one (width, goal), width <= 3.
 
     With blank cell ``b`` a state has ``k = r // 2`` for the Lehmer rank ``r``
@@ -263,11 +260,11 @@ def _value_table(width: int, goal: tuple[int, ...], deep: bool):
     l = 0, 0 at the goal, else 1 + the least W_{l-1} of the children but the
     one undoing the arrival op.  Manhattan distance is consistent, so W rises
     by 0 or 2 per level (else the build raises); bit l - 1 of a profile word
-    records which: W_l = h + 2 * popcount(word & (2**l - 1)).  Words have 16
-    bits (levels up to ``_WORD_LEVEL``), or 32 if ``deep``.  Returns (rows,
-    parity) + ``_kernel_tables(width, goal)``; ``rows[b]`` lists the (op, new
-    blank, delta row, words, ranks) first moves from ``b``: the child's words
-    by its ``k``, and its ``k`` by the state's if the move is vertical.
+    records which: W_l = h + 2 * popcount(word & (2**l - 1)), for every level
+    up to ``MAX_LOOKAHEAD``.  Returns (rows, parity) + ``_kernel_tables(width,
+    goal)``; ``rows[b]`` lists the (op, new blank, delta row, words, ranks)
+    first moves from ``b``: the child's words by its ``k``, and its ``k`` by
+    the state's if the move is vertical.
     """
     kernel = _kernel_tables(width, goal)
     moves = moves_table(width)
@@ -293,11 +290,11 @@ def _value_table(width: int, goal: tuple[int, ...], deep: bool):
                 ranks[b, op] = (_lehmer_ranks(moved) >> 1).astype(np.uint16)
     del orders, odd
     block = {a: i for i, a in enumerate((j, op) for b in range(cells) for op, j in moves[b])}
-    words = np.zeros((len(block), len(h[0])), np.uint32 if deep else np.uint16)
+    words = np.zeros((len(block), len(h[0])), np.uint32)
     values = np.stack([h[j] for j, _ in block])  # W_0 by (cell, arrival op)
     below = np.empty_like(values)
     at_goal = [block[goal_blank, _INVERSE[op]] for op, _ in moves[goal_blank]]
-    for bit in range((MAX_LOOKAHEAD if deep else _WORD_LEVEL) - 1):
+    for bit in range(MAX_LOOKAHEAD - 1):
         values, below = below, values
         for b in range(cells):
             via = 1 + np.stack([below[block[j, op]][ranks.get((b, op), slice(None))] for op, j in moves[b]])
@@ -317,16 +314,19 @@ def _value_table(width: int, goal: tuple[int, ...], deep: bool):
     return (rows, parity) + kernel
 
 
-def _decisions(tiles, blank, goal, width, level, at=None):
+def _decisions(
+    tiles: tuple[int, ...], blank: int, goal: tuple[int, ...], width: int, level: int,
+    at: tuple[int, int] | None = None,
+) -> tuple[list[tuple[int, ...]], int, int]:
     """One decision's sorted (value, op, new blank) first moves, nodes and stack peak.
 
     As a walk of the whole tree would find them.  At width <= 3 values come
     from ``_value_table`` and entries add the child's (k, h), passed back as
-    ``at``; other states are searched.
+    ``at``; other states are searched, and their entries carry no (k, h).
     """
     if width > 3:
         return _ranked_decisions(tiles, blank, goal, width, level)
-    rows, parity, after, dists, size = _value_table(width, goal, level > _WORD_LEVEL)
+    rows, parity, after, dists, size = _value_table(width, goal)
     if at is None:
         order = tuple(t - 1 for t in tiles if t)
         if permutation_parity(order) != parity[blank]:
@@ -404,7 +404,7 @@ def _run_loop(
                 if visits.get(other, 0) < 2:
                     chosen, child = entry, other
                     break
-        tiles, blank, at = child, chosen[2], chosen[3:]
+        tiles, blank, at = child, chosen[2], chosen[3:] or None
         visits[tiles] = visits.get(tiles, 0) + 1
         moves += 1
         stored = stack_peak + len(visits)

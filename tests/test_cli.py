@@ -115,7 +115,7 @@ class TestMinimin:
         assert time.perf_counter() - start < 5.0
 
     def test_deep_3x3_lookahead_finishes(self, capsys):
-        # The first decision pays for the value table, at level 24 in 32-bit words.
+        # The first decision pays for the value table's build.
         _value_table.cache_clear()
         start = time.perf_counter()
         code, out, _ = run_cli(

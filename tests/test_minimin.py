@@ -316,6 +316,23 @@ class TestValueTable:
         run_experiment(cfg)
         assert set(levels) == set(cfg.levels)
 
+    def test_runs_recover_the_table_after_a_searched_decision(self, monkeypatch):
+        # A searched decision's entries carry no (k, h); the next decision
+        # must look the state up again.
+        p = ProblemInstance(walked_state(GOAL3, 30, 3), GOAL3)
+        expected = minimin_run(p, 5)
+        calls = []
+
+        def alternating(tiles, blank, goal, width, level, at=None):
+            calls.append(at)
+            if len(calls) % 2:
+                return _ranked_decisions(tiles, blank, goal, width, level)
+            return _decisions(tiles, blank, goal, width, level, at)
+
+        monkeypatch.setattr(minimin, "_decisions", alternating)
+        assert minimin_run(p, 5) == expected
+        assert all(at is None for at in calls[1::2]) and calls[2] is not None
+
     def test_states_that_cannot_reach_the_goal_are_searched(self):
         tiles = list(walked_state(GOAL3, 12, 5).tiles)
         i, j = [k for k, t in enumerate(tiles) if t][:2]
@@ -332,7 +349,7 @@ class TestValueTable:
         got_other, expected_other = both_kernels(s, other, 8)
         assert got == expected != expected_other == got_other
         assert _value_table.cache_info().currsize == 2
-        assert _value_table(3, GOAL3.tiles, False) is not _value_table(3, other.tiles, False)
+        assert _value_table(3, GOAL3.tiles) is not _value_table(3, other.tiles)
 
     def test_width4_never_builds_a_table(self):
         _value_table.cache_clear()
@@ -352,14 +369,12 @@ class TestValueTable:
         assert _value_table.cache_info().misses == 0
 
     def test_resident_size_is_bounded(self):
-        assert table_bytes(_value_table(3, GOAL3.tiles, False)) <= 3 * 2**20
+        assert table_bytes(_value_table(3, GOAL3.tiles)) <= 3 * 2**20
 
-    def test_levels_above_17_read_32_bit_words(self):
-        shallow, deep = (_value_table(3, GOAL3.tiles, d) for d in (False, True))
-        assert {words.format for row in shallow[0] for *_, words, _ in row} == {"H"}
-        assert {words.format for row in deep[0] for *_, words, _ in row} == {"I"}
-        # Some values still rise past level 17: 16-bit words could not hold them.
-        assert any(max(words) >> 16 for row in deep[0] for *_, words, _ in row)
+    def test_deep_levels_equal_the_search(self):
+        rows = _value_table(3, GOAL3.tiles)[0]
+        # Some values still rise past level 17, so bits above 15 are read.
+        assert any(max(words) >> 16 for row in rows for *_, words, _ in row)
         for s in sample_states(10, 60, seed=17):
             for level in (17, 18, MAX_LOOKAHEAD):
                 got, expected = both_kernels(s, GOAL3, level)
@@ -370,7 +385,7 @@ class TestValueTable:
         doubled = tuple(tuple(2 * d for d in row) for row in dists)
         monkeypatch.setattr(minimin, "_kernel_tables", lambda width, goal: (after, doubled, size))
         with pytest.raises(RuntimeError):
-            _value_table.__wrapped__(2, GOAL2.tiles, False)
+            _value_table.__wrapped__(2, GOAL2.tiles)
 
 
 class TestRun:
