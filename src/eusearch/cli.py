@@ -21,6 +21,7 @@ from .experiment import (
     summary_csv_text,
     summary_table,
     to_user_units,
+    training_suite,
 )
 from .minimin import ResourceLimits, check_level, decision_accuracy, minimin_run
 from .perfmodel import MAX_SAMPLES, MarkovParams, fit_empirical, fit_markov, load_model, save_model
@@ -119,12 +120,7 @@ def cmd_fit(args) -> int:
     limits = _limits_from_args(args)
     depths = _parse_depths(args.depths)
     suites = {
-        d: [
-            instance_of_depth(
-                d, args.width, subseed(args.seed, "train", d, i), attempts=args.attempts
-            )
-            for i in range(args.train_per_depth)
-        ]
+        d: training_suite(d, args.width, args.seed, args.train_per_depth, args.attempts)
         for d in depths
     }
     if args.kind == "markov":

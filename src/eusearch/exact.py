@@ -17,28 +17,14 @@ from math import factorial
 
 import numpy as np
 
-from .puzzle import (
-    _COL_DELTA,
-    _INVERSE,
-    _ROW_DELTA,
-    Op,
-    ProblemInstance,
-    SolutionPath,
-    State,
-    dist_table,
-    goal_state,
-    manhattan,
-    moves_table,
-    random_walk,
-)
+from .puzzle import _INVERSE, Op, ProblemInstance, SolutionPath, State, dist_table, goal_state
+from .puzzle import manhattan, moves_table, permutation_parity, random_walk
 from .seeds import subseed
 
 DEFAULT_NODE_BUDGET = 50_000_000
 # Widest board whose distances are tabulated: 9! entries at width 3, 16! at 4.
 _TABLE_MAX_WIDTH = 3
 _UNREACHED = 255
-# States expanded per numpy step while building a table; bounds temporaries.
-_BFS_CHUNK = 4096
 
 
 class BudgetExhausted(Exception):
@@ -196,47 +182,79 @@ def _lehmer_rank(tiles: tuple[int, ...]) -> int:
 
 def _lehmer_ranks(perms: np.ndarray) -> np.ndarray:
     """``_lehmer_rank`` of each row of ``perms``."""
-    n = perms.shape[1]
+    cols = np.ascontiguousarray(perms.T)
+    n = len(cols)
     ranks = np.zeros(len(perms), dtype=np.int64)
     for i in range(n - 1):
-        ranks = ranks * (n - i) + (perms[:, i + 1 :] < perms[:, i : i + 1]).sum(axis=1)
+        ranks = ranks * (n - i) + (cols[i + 1 :] < cols[i]).sum(axis=0, dtype=np.uint8)
     return ranks
+
+
+def _tile_orders(cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every order of tiles 0..cells-2 by Lehmer rank: the even ones, the odd ones."""
+    orders, odd = np.zeros((1, 0), np.uint8), np.zeros(1, bool)
+    for n in range(1, cells):  # put each e first, before the orders of the rest
+        orders = np.concatenate([np.insert(orders + (orders >= e), 0, e, axis=1) for e in range(n)])
+        odd = np.concatenate([odd ^ bool(e & 1) for e in range(n)])
+    return orders[~odd], orders[odd]
+
+
+@lru_cache(maxsize=4)
+def _state_index(width: int, goal: tuple[int, ...]):
+    """One index of every state that reaches ``goal``, for width <= 3.
+
+    A state is its blank cell ``b`` and the order of its other tiles, read
+    row-major with tile t as t - 1.  Only orders of parity ``parity[b]``
+    reach the goal.  Ranks 2k and 2k + 1 differ by a swap of the last two
+    tiles, so state (b, k) has the order in row k of
+    ``_tile_orders(width * width)[parity[b]]``, of Lehmer rank 2k or 2k + 1.
+    A horizontal move keeps the order and so k; a vertical move carries one
+    tile past width - 1 others, and ``ranks[b, op][k]`` is the child's k.
+    Returns (parity, ranks); the orders are not kept.
+    """
+    cells = width * width
+    goal_row = goal.index(0) // width
+    goal_parity = permutation_parity([t - 1 for t in goal if t])
+    parity = tuple(goal_parity ^ ((width - 1) * (b // width - goal_row) & 1) for b in range(cells))
+    orders = _tile_orders(cells)
+    ranks = {}
+    for b, moves in enumerate(moves_table(width)):
+        order = orders[parity[b]]
+        for op, j in moves:
+            if abs(j - b) > 1:
+                src = j - (j > b)
+                moved = np.insert(np.delete(order, src, axis=1), b - (b > j), order[:, src], axis=1)
+                ranks[b, op] = (_lehmer_ranks(moved) >> 1).astype(np.uint16)
+    return parity, ranks
 
 
 @lru_cache(maxsize=4)
 def _distance_table(width: int, goal: tuple[int, ...]) -> memoryview:
     """Distance to ``goal`` of every permutation, indexed by Lehmer rank.
 
-    Built by breadth-first search from the goal, ``_BFS_CHUNK`` states at a
+    Built by breadth-first search over ``_state_index``, one level at a
     time; unreachable permutations hold ``_UNREACHED``.  The read-only view
     indexes to plain ints.
     """
-    table = bytearray([_UNREACHED]) * factorial(width * width)
-    dist = np.frombuffer(table, dtype=np.uint8)
-    frontier = np.array([goal], dtype=np.uint8)
-    dist[_lehmer_ranks(frontier)] = 0
+    parity, ranks = _state_index(width, goal)
+    cells = width * width
+    dist = np.full((cells, factorial(cells - 1) // 2), _UNREACHED, np.uint8)
+    dist[goal.index(0), _lehmer_rank(tuple(t - 1 for t in goal if t)) >> 1] = 0
+    frontier = dist == 0
     depth = 0
-    while len(frontier):
+    while frontier.any():
         depth += 1
-        found = []
-        for lo in range(0, len(frontier), _BFS_CHUNK):
-            chunk = frontier[lo : lo + _BFS_CHUNK]
-            blank = (chunk == 0).argmax(axis=1)
-            row, col = np.divmod(blank, width)
-            for dr, dc in zip(_ROW_DELTA, _COL_DELTA):
-                legal = (0 <= row + dr) & (row + dr < width) & (0 <= col + dc) & (col + dc < width)
-                children = chunk[legal]
-                at = np.arange(len(children))
-                src = blank[legal]
-                dst = src + dr * width + dc
-                children[at, src] = children[at, dst]
-                children[at, dst] = 0
-                ranks = _lehmer_ranks(children)
-                new = dist[ranks] == _UNREACHED
-                ranks, first = np.unique(ranks[new], return_index=True)
-                dist[ranks] = depth
-                found.append(children[new][first])
-        frontier = np.concatenate(found)
+        reached = np.zeros_like(frontier)
+        for b, moves in enumerate(moves_table(width)):
+            for op, j in moves:  # a horizontal move keeps k
+                reached[j, ranks[b, op][frontier[b]] if (b, op) in ranks else frontier[b]] = True
+        frontier = reached & (dist == _UNREACHED)
+        dist[frontier] = depth
+    table = bytearray([_UNREACHED]) * factorial(cells)
+    by_rank = np.frombuffer(table, dtype=np.uint8)
+    orders = _tile_orders(cells)
+    for b, p in enumerate(parity):
+        by_rank[_lehmer_ranks(np.insert(orders[p] + 1, b, 0, axis=1))] = dist[b]
     return memoryview(table).toreadonly()
 
 

@@ -149,6 +149,14 @@ def _run_instance(
     return [minimin_run(instance, level, limits) for level in levels]
 
 
+def training_suite(depth: int, width: int, seed: int, count: int, attempts: int) -> list[ProblemInstance]:
+    """The ``count`` verified instances of one depth that a model is fitted on."""
+    return [
+        instance_of_depth(depth, width, subseed(seed, "train", depth, i), attempts=attempts)
+        for i in range(count)
+    ]
+
+
 def _fit_model(
     cfg: ExperimentConfig,
     depth: int,
@@ -193,15 +201,9 @@ def run_experiment(
     try:
         for depth in cfg.depths:
             say(f"depth {depth}: generating training suite")
-            training = [
-                instance_of_depth(
-                    depth,
-                    cfg.width,
-                    subseed(cfg.seed, "train", depth, i),
-                    attempts=cfg.gen_attempts,
-                )
-                for i in range(cfg.train_instances_per_depth)
-            ]
+            training = training_suite(
+                depth, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts
+            )
             say(f"depth {depth}: fitting {cfg.model_kind} model")
             model = _fit_model(cfg, depth, training)
             selection = select_lookahead(

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 # ``idastar`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
-from .exact import _lehmer_rank, _lehmer_ranks, exact_distance, idastar  # noqa: F401
+from .exact import _TABLE_MAX_WIDTH, _lehmer_rank, _state_index, _tile_orders, exact_distance
+from .exact import idastar  # noqa: F401
 from .puzzle import (
     _INVERSE,
     Op,
@@ -32,6 +33,8 @@ from .puzzle import (
 )
 
 MAX_LOOKAHEAD = 24
+# A traced decision: the tiles it was made at, and its top-ranked child's.
+Decision = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class EmptySample(Exception):
@@ -254,8 +257,6 @@ def _ranked_decisions(
 def _value_table(width: int, goal: tuple[int, ...]):
     """Every state's backed-up lookahead values on one (width, goal), width <= 3.
 
-    With blank cell ``b`` a state has ``k = r // 2`` for the Lehmer rank ``r``
-    of its tile order; only orders of parity ``parity[b]`` reach the goal.
     W_l, the least frontier f of a depth-l lookahead below a state, is h at
     l = 0, 0 at the goal, else 1 + the least W_{l-1} of the children but the
     one undoing the arrival op.  Manhattan distance is consistent, so W rises
@@ -263,36 +264,23 @@ def _value_table(width: int, goal: tuple[int, ...]):
     records which: W_l = h + 2 * popcount(word & (2**l - 1)), for every level
     up to ``MAX_LOOKAHEAD``.  Returns (rows, parity) + ``_kernel_tables(width,
     goal)``; ``rows[b]`` lists the (op, new blank, delta row, words, ranks)
-    first moves from ``b``: the child's words by its ``k``, and its ``k`` by
-    the state's if the move is vertical.
+    first moves from ``b``: the child's words by its k in ``_state_index``,
+    and the vertical move's map of k.
     """
     kernel = _kernel_tables(width, goal)
+    parity, ranks = _state_index(width, goal)
     moves = moves_table(width)
     cells = width * width
-    orders, odd = np.zeros((1, 0), np.uint8), np.zeros(1, bool)
-    for n in range(1, cells):  # every tile order (tiles - 1) by rank, and its parity
-        orders = np.concatenate([np.insert(orders + (orders >= e), 0, e, axis=1) for e in range(n)])
-        odd = np.concatenate([odd ^ bool(e & 1) for e in range(n)])
-    goal_order = tuple(t - 1 for t in goal if t)
-    goal_blank = goal.index(0)
-    # A vertical move carries a tile past width - 1 others in the order.
-    rows_away = [b // width - goal_blank // width for b in range(cells)]
-    parity = tuple(permutation_parity(goal_order) ^ ((width - 1) * r & 1) for r in rows_away)
+    orders = _tile_orders(cells)
     dists = np.array(kernel[1], np.uint8)
-    h, ranks = [], {}
-    for b in range(cells):
-        order = orders[odd == parity[b]]  # row k has rank 2k or 2k + 1
-        h.append(dists[order + 1, [i + (i >= b) for i in range(cells - 1)]].sum(axis=1, dtype=np.uint8))
-        for op, j in moves[b]:
-            if abs(j - b) > 1:
-                src = j - (j > b)
-                moved = np.insert(np.delete(order, src, axis=1), b - (b > j), order[:, src], axis=1)
-                ranks[b, op] = (_lehmer_ranks(moved) >> 1).astype(np.uint16)
-    del orders, odd
+    h = [dists[orders[p] + 1, [i + (i >= b) for i in range(cells - 1)]].sum(axis=1, dtype=np.uint8)
+         for b, p in enumerate(parity)]
+    del orders
     block = {a: i for i, a in enumerate((j, op) for b in range(cells) for op, j in moves[b])}
     words = np.zeros((len(block), len(h[0])), np.uint32)
     values = np.stack([h[j] for j, _ in block])  # W_0 by (cell, arrival op)
     below = np.empty_like(values)
+    goal_blank = goal.index(0)
     at_goal = [block[goal_blank, _INVERSE[op]] for op, _ in moves[goal_blank]]
     for bit in range(MAX_LOOKAHEAD - 1):
         values, below = below, values
@@ -300,7 +288,7 @@ def _value_table(width: int, goal: tuple[int, ...]):
             via = 1 + np.stack([below[block[j, op]][ranks.get((b, op), slice(None))] for op, j in moves[b]])
             for i, (op, _) in enumerate(moves[b]):  # arrived from the cell this op returns to
                 np.min(np.delete(via, i, axis=0), axis=0, out=values[block[b, _INVERSE[op]]])
-        values[at_goal, _lehmer_rank(goal_order) >> 1] = 0
+        values[at_goal, _lehmer_rank(tuple(t - 1 for t in goal if t)) >> 1] = 0
         np.subtract(values, below, out=below)
         if (below & 0xFD).any():
             raise RuntimeError("a lookahead value rose by other than 0 or 2 in one level")
@@ -324,7 +312,7 @@ def _decisions(
     from ``_value_table`` and entries add the child's (k, h), passed back as
     ``at``; other states are searched, and their entries carry no (k, h).
     """
-    if width > 3:
+    if width > _TABLE_MAX_WIDTH:
         return _ranked_decisions(tiles, blank, goal, width, level)
     rows, parity, after, dists, size = _value_table(width, goal)
     if at is None:
@@ -371,8 +359,7 @@ def _run_loop(
     p: ProblemInstance,
     level: int,
     limits: ResourceLimits,
-    record: list[State] | None = None,
-    tops: list[tuple[int, ...]] | None = None,
+    trace: list[Decision] | None = None,
 ) -> Outcome:
     goal = p.goal.tiles
     width = p.width
@@ -391,13 +378,11 @@ def _run_loop(
                 space_units=peak_space,
                 solved=False,
             )
-        if record is not None:
-            record.append(State(tiles, width))
         ranked, nodes, stack_peak = _decisions(tiles, blank, goal, width, level, at)
         total_nodes += nodes
         chosen, child = ranked[0], _child(tiles, blank, ranked[0][2])
-        if tops is not None:
-            tops.append(child)
+        if trace is not None:
+            trace.append((tiles, child))
         if visits.get(child, 0) >= 2:
             for entry in ranked[1:]:
                 other = _child(tiles, blank, entry[2])
@@ -437,18 +422,16 @@ def minimin_trace(
     p: ProblemInstance,
     level: int,
     limits: ResourceLimits = ResourceLimits(),
-    tops: list[tuple[int, ...]] | None = None,
-) -> tuple[Outcome, list[State]]:
-    """Like ``minimin_run`` but also returns the states where decisions were made.
+) -> tuple[Outcome, list[Decision]]:
+    """Like ``minimin_run`` but also returns one ``Decision`` per decision made.
 
-    If ``tops`` is given, the tiles of each decision's top-ranked child are
-    appended to it, in step with the returned states.  That is the move
-    ``decision_accuracy`` scores; loop avoidance may execute another one.
+    The top-ranked child is the move ``decision_accuracy`` scores; loop
+    avoidance may execute another one.
     """
     check_level(level)
-    record: list[State] = []
-    outcome = _run_loop(p, level, limits, record, tops)
-    return outcome, record
+    trace: list[Decision] = []
+    outcome = _run_loop(p, level, limits, trace)
+    return outcome, trace
 
 
 def decision_accuracy(
@@ -470,16 +453,16 @@ def decision_accuracy(
     decisions = []
     for s in sample:
         ranked, _, _ = _decisions(s.tiles, s.blank, goal.tiles, s.width, level)
-        decisions.append((s, _child(s.tiles, s.blank, ranked[0][2])))
+        decisions.append((s.tiles, _child(s.tiles, s.blank, ranked[0][2])))
     return decision_hit_rate(decisions, goal, dstar_cache)
 
 
 def decision_hit_rate(
-    decisions: Sequence[tuple[State, tuple[int, ...]]],
+    decisions: Sequence[Decision],
     goal: State,
     dstar_cache: dict[tuple[int, ...], int] | None = None,
 ) -> float:
-    """Fraction of (state, chosen child tiles) pairs whose child is one step closer.
+    """Fraction of (tiles, chosen child tiles) pairs whose child is one step closer.
 
     True distances come from ``exact_distance``; pass a shared ``dstar_cache``
     to amortize repeated solves across calls.
@@ -496,9 +479,9 @@ def decision_hit_rate(
         return hit
 
     hits = 0
-    for s, child in decisions:
-        if s.tiles == goal.tiles:
+    for tiles, child in decisions:
+        if tiles == goal.tiles:
             raise ValueError("sample contains the goal state; no decision exists")
-        if dstar(child) == dstar(s.tiles) - 1:
+        if dstar(child) == dstar(tiles) - 1:
             hits += 1
     return hits / len(decisions)

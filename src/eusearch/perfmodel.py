@@ -20,6 +20,7 @@ import numpy as np
 # ``decision_accuracy`` is looked up here by the benchmark's tracer
 # (perfbench/tracing.py).
 from .minimin import (  # noqa: F401
+    Decision,
     EmptySample,
     Outcome,
     ResourceLimits,
@@ -29,7 +30,7 @@ from .minimin import (  # noqa: F401
     minimin_run,
     minimin_trace,
 )
-from .puzzle import ProblemInstance, State
+from .puzzle import ProblemInstance
 from .seeds import subseed
 from .utility import Lottery
 
@@ -235,22 +236,20 @@ def fit_markov(
     sizes: dict[int, int] = {}
     branching: dict[int, float] = {}
     for level in levels:
-        pool: list[State] = []
-        tops: list[tuple[int, ...]] = []
+        decisions: list[Decision] = []
         total_nodes = 0.0
         for inst in training:
-            outcome, states = minimin_trace(inst, level, limits, tops)
-            pool.extend(states)
+            outcome, trace = minimin_trace(inst, level, limits)
+            decisions.extend(trace)
             total_nodes += outcome.time_units
-        if not pool:
+        if not decisions:
             raise EmptySample(f"no decisions observed at level {level}")
-        decisions = list(zip(pool, tops))
+        branching[level] = _solve_branching(total_nodes / len(decisions), level)
         if len(decisions) > max_states_per_level:
             idx = rng.choice(len(decisions), size=max_states_per_level, replace=False)
             decisions = [decisions[i] for i in sorted(idx.tolist())]
         raw_acc.append(decision_hit_rate(decisions, goal, dstar_cache))
         sizes[level] = len(decisions)
-        branching[level] = _solve_branching(total_nodes / len(pool), level)
 
     adjusted = _isotonic(raw_acc, [sizes[l] for l in levels])
     accuracy = {

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
 experiment's summary table.  On a 2-core x86 machine the experiment
-criterion takes about 4.5 s, the two-worker fingerprint check about 3 s and
-the reduced-full fingerprint check about 8 s.
+criterion takes about 3.5 s, the two-worker fingerprint check about 2 s and
+the reduced-full fingerprint check about 6 s.
 """
 
 import hashlib
@@ -475,8 +475,8 @@ def test_criterion_7_invariant_suites():
     inst = instance_of_depth(12, 3, seed=21)
     out, states = minimin_trace(inst, 5, ResourceLimits())
     replay_total = 0
-    for s in states:
-        _, _, nodes = minimin_decide(s, GOAL3, 5)
+    for tiles, _ in states:
+        _, _, nodes = minimin_decide(State(tiles, 3), GOAL3, 5)
         replay_total += nodes
     assert replay_total == out.time_units
 

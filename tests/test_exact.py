@@ -6,11 +6,14 @@ import pytest
 from eusearch.exact import (
     BudgetExhausted,
     GenerationFailed,
+    _lehmer_rank,
+    _state_index,
     bfs_optimal,
     exact_distance,
     idastar,
     instance_of_depth,
 )
+from eusearch.minimin import _value_table
 from eusearch.puzzle import (
     Op,
     ProblemInstance,
@@ -145,6 +148,14 @@ class TestExactDistance:
         for tiles, d in truth.items():
             assert exact_distance(State(tiles, 2), goal) == d
 
+    def test_every_state_of_a_blank_first_goal(self):
+        # The goal's blank cell and tile order set its index's parity and k.
+        goal = State((0, 1, 2, 3, 4, 5, 6, 7, 8), 3)
+        truth = bfs_distances(goal)
+        assert len(truth) == 181_440
+        for tiles, d in truth.items():
+            assert exact_distance(State(tiles, 3), goal) == d
+
     def test_other_goal_matches_idastar(self):
         # Tables are per goal: a blank-first goal gets its own.
         goal = State((0, 1, 2, 3, 4, 5, 6, 7, 8), 3)
@@ -198,3 +209,32 @@ class TestInstanceOfDepth:
     def test_width_4(self):
         inst = instance_of_depth(8, width=4, seed=3)
         assert idastar(inst).length == 8
+
+
+def order_k(tiles):
+    """A state's k in ``_state_index``: its tile order's Lehmer rank >> 1."""
+    return _lehmer_rank(tuple(t - 1 for t in tiles if t)) >> 1
+
+
+class TestStateIndex:
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_vertical_moves_map_k_to_the_childs(self, width, distances3):
+        goal = goal_state(width)
+        states = distances3 if width == 3 else bfs_distances(goal)
+        _, ranks = _state_index(width, goal.tiles)
+        checked = set()
+        for tiles in states:
+            b = tiles.index(0)
+            for op, j in ((Op.UP, b - width), (Op.DOWN, b + width)):
+                if 0 <= j < width * width:
+                    child = list(tiles)
+                    child[b], child[j] = child[j], 0
+                    assert ranks[b, op][order_k(tiles)] == order_k(child)
+                    checked.add((b, op))
+        assert checked == set(ranks)
+        assert all(len(m) == len(states) // width**2 for m in ranks.values())
+
+    def test_generation_builds_no_value_table(self):
+        _value_table.cache_clear()
+        instance_of_depth(20, 3, seed=1)
+        assert _value_table.cache_info().currsize == 0

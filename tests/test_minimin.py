@@ -415,8 +415,8 @@ class TestRun:
             assert out.solved
             assert len(states) == out.path_length
             total = 0
-            for s in states:
-                _, _, nodes = minimin_decide(s, GOAL3, level)
+            for tiles, _ in states:
+                _, _, nodes = minimin_decide(State(tiles, 3), GOAL3, level)
                 total += nodes
             assert total == out.time_units
 
@@ -426,8 +426,8 @@ class TestRun:
         out, states = minimin_trace(inst, 2, ResourceLimits())
         assert not out.solved
         total = 0
-        for s in states:
-            _, _, nodes = minimin_decide(s, GOAL3, 2)
+        for tiles, _ in states:
+            _, _, nodes = minimin_decide(State(tiles, 3), GOAL3, 2)
             total += nodes
         assert total == out.time_units
 

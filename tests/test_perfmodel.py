@@ -23,7 +23,7 @@ from eusearch.perfmodel import (
     predict,
     save_model,
 )
-from eusearch.puzzle import ProblemInstance, apply_op, goal_state, legal_ops
+from eusearch.puzzle import ProblemInstance, State, apply_op, goal_state, legal_ops
 from eusearch.seeds import subseed
 from oracles import markov_predict_oracle
 
@@ -242,7 +242,7 @@ class TestFitMarkov:
         rng = np.random.default_rng(subseed(seed, "fit-markov"))
         raw, sizes = [], []
         for level in levels:
-            pool = [s for inst in training for s in minimin_trace(inst, level)[1]]
+            pool = [State(tiles, 3) for inst in training for tiles, _ in minimin_trace(inst, level)[1]]
             assert len(pool) > cap
             idx = rng.choice(len(pool), size=cap, replace=False)
             pool = [pool[i] for i in sorted(idx.tolist())]
