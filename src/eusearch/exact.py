@@ -2,8 +2,9 @@
 
 ``bfs_optimal`` is the brute-force oracle; ``idastar`` is the working exact
 solver (memory-linear, deterministic Up < Down < Left < Right expansion
-order).  ``exact_distance`` answers true-distance queries: from a table of
-every state's distance for width <= 3, with ``idastar`` for width 4.
+order).  ``exact_distance`` answers true-distance queries with ``idastar``
+for width 4, and for width <= 3 from a table of every state's distance by
+the (blank cell, k) key of ``_state_key``, which ``minimin``'s values share.
 ``instance_of_depth`` rejection-samples random walks until the verified
 optimal depth matches the target exactly.
 """
@@ -18,11 +19,11 @@ from math import factorial
 import numpy as np
 
 from .puzzle import _INVERSE, Op, ProblemInstance, SolutionPath, State, dist_table, goal_state
-from .puzzle import manhattan, moves_table, permutation_parity, random_walk
+from .puzzle import manhattan, moves_table, random_walk
 from .seeds import subseed
 
 DEFAULT_NODE_BUDGET = 50_000_000
-# Widest board whose distances are tabulated: 9! entries at width 3, 16! at 4.
+# Widest board whose distances are tabulated: 9!/2 states at width 3, 16!/2 at 4.
 _TABLE_MAX_WIDTH = 3
 _UNREACHED = 255
 
@@ -167,21 +168,26 @@ def idastar(p: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Exact
         bound = int(t)
 
 
-def _lehmer_rank(tiles: tuple[int, ...]) -> int:
-    """Lexicographic rank of a permutation of 0..n-1 (its Lehmer code)."""
-    n = len(tiles)
-    rank = 0
-    seen = 0  # bit t set once tile t has been ranked
-    for i in range(n - 1):
-        t = tiles[i]
-        # Tiles after position i that are smaller than t: t minus those before it.
-        rank = rank * (n - i) + t - (seen & ((1 << t) - 1)).bit_count()
-        seen |= 1 << t
-    return rank
+def _state_key(tiles: tuple[int, ...]) -> tuple[int, int, int]:
+    """A state's blank cell, and the k and inversion parity of its tile order.
+
+    The order is read row-major with tile t as t - 1; its Lehmer rank is 2k or 2k + 1.
+    """
+    n = len(tiles) - 1
+    rank = inversions = seen = 0  # bit t of seen set once tile t is read
+    for t in tiles:
+        if t:
+            # Tiles after this one that are smaller: t - 1 minus those before it.
+            smaller = t - 1 - (seen & ((1 << t) - 1)).bit_count()
+            rank = rank * n + smaller
+            inversions += smaller
+            seen |= 1 << t
+            n -= 1
+    return tiles.index(0), rank >> 1, inversions & 1
 
 
 def _lehmer_ranks(perms: np.ndarray) -> np.ndarray:
-    """``_lehmer_rank`` of each row of ``perms``."""
+    """Lexicographic rank (Lehmer code) of each row of ``perms``, orders of 0..n-1."""
     cols = np.ascontiguousarray(perms.T)
     n = len(cols)
     ranks = np.zeros(len(perms), dtype=np.int64)
@@ -203,19 +209,17 @@ def _tile_orders(cells: int) -> tuple[np.ndarray, np.ndarray]:
 def _state_index(width: int, goal: tuple[int, ...]):
     """One index of every state that reaches ``goal``, for width <= 3.
 
-    A state is its blank cell ``b`` and the order of its other tiles, read
-    row-major with tile t as t - 1.  Only orders of parity ``parity[b]``
-    reach the goal.  Ranks 2k and 2k + 1 differ by a swap of the last two
-    tiles, so state (b, k) has the order in row k of
-    ``_tile_orders(width * width)[parity[b]]``, of Lehmer rank 2k or 2k + 1.
-    A horizontal move keeps the order and so k; a vertical move carries one
+    ``_state_key`` gives a state's blank cell b, its k and the parity of its
+    tile order; only orders of parity ``parity[b]`` reach the goal.  Ranks 2k
+    and 2k + 1 differ by a swap of the last two tiles, so state (b, k) has
+    the order in row k of ``_tile_orders(width * width)[parity[b]]``.  A
+    horizontal move keeps the order and so k; a vertical move carries one
     tile past width - 1 others, and ``ranks[b, op][k]`` is the child's k.
     Returns (parity, ranks); the orders are not kept.
     """
     cells = width * width
-    goal_row = goal.index(0) // width
-    goal_parity = permutation_parity([t - 1 for t in goal if t])
-    parity = tuple(goal_parity ^ ((width - 1) * (b // width - goal_row) & 1) for b in range(cells))
+    goal_blank, _, goal_parity = _state_key(goal)
+    parity = tuple(goal_parity ^ ((width - 1) * (b // width - goal_blank // width) & 1) for b in range(cells))
     orders = _tile_orders(cells)
     ranks = {}
     for b, moves in enumerate(moves_table(width)):
@@ -229,17 +233,17 @@ def _state_index(width: int, goal: tuple[int, ...]):
 
 
 @lru_cache(maxsize=4)
-def _distance_table(width: int, goal: tuple[int, ...]) -> memoryview:
-    """Distance to ``goal`` of every permutation, indexed by Lehmer rank.
+def _distance_table(width: int, goal: tuple[int, ...]):
+    """Distance to ``goal`` of every state in ``_state_index``.
 
-    Built by breadth-first search over ``_state_index``, one level at a
-    time; unreachable permutations hold ``_UNREACHED``.  The read-only view
-    indexes to plain ints.
+    Built by breadth-first search, one level at a time, which reaches every
+    state of the goal's parity class.  Returns (rows, parity): ``rows[b][k]``
+    is state (b, k)'s distance, as a plain int from a read-only view.
     """
     parity, ranks = _state_index(width, goal)
-    cells = width * width
-    dist = np.full((cells, factorial(cells - 1) // 2), _UNREACHED, np.uint8)
-    dist[goal.index(0), _lehmer_rank(tuple(t - 1 for t in goal if t)) >> 1] = 0
+    goal_blank, goal_k, _ = _state_key(goal)
+    dist = np.full((width * width, factorial(width * width - 1) // 2), _UNREACHED, np.uint8)
+    dist[goal_blank, goal_k] = 0
     frontier = dist == 0
     depth = 0
     while frontier.any():
@@ -250,12 +254,8 @@ def _distance_table(width: int, goal: tuple[int, ...]) -> memoryview:
                 reached[j, ranks[b, op][frontier[b]] if (b, op) in ranks else frontier[b]] = True
         frontier = reached & (dist == _UNREACHED)
         dist[frontier] = depth
-    table = bytearray([_UNREACHED]) * factorial(cells)
-    by_rank = np.frombuffer(table, dtype=np.uint8)
-    orders = _tile_orders(cells)
-    for b, p in enumerate(parity):
-        by_rank[_lehmer_ranks(np.insert(orders[p] + 1, b, 0, axis=1))] = dist[b]
-    return memoryview(table).toreadonly()
+    dist.flags.writeable = False
+    return tuple(memoryview(row) for row in dist), parity
 
 
 def exact_distance(
@@ -266,16 +266,17 @@ def exact_distance(
     Width <= 3 reads a table of every state's distance, built on the first
     query for that goal; width 4 solves with ``idastar`` under
     ``node_budget``.  Raises ValueError when the widths differ or ``state``
-    cannot reach ``goal``.
+    cannot reach ``goal``: at width <= 3, its tile order has the other parity.
     """
     if state.width != goal.width:
         raise ValueError("state and goal have different widths")
     if state.width > _TABLE_MAX_WIDTH:
         return idastar(ProblemInstance(state, goal), node_budget=node_budget).length
-    d = _distance_table(state.width, goal.tiles)[_lehmer_rank(state.tiles)]
-    if d == _UNREACHED:
+    rows, parity = _distance_table(state.width, goal.tiles)
+    blank, k, odd = _state_key(state.tiles)
+    if odd != parity[blank]:
         raise ValueError("state is not reachable from the goal")
-    return d
+    return rows[blank][k]
 
 
 def instance_of_depth(

@@ -22,6 +22,9 @@ from .seeds import subseed
 from .selector import SelectionReport, select_lookahead
 from .utility import UtilityModel, default_utility_model, joint_utility, load_utility_config
 
+# Most evaluation processes; a forking pool starts all at once, once per depth.
+MAX_WORKERS = 64
+
 # Published reference results for side-by-side comparison in summaries.
 REFERENCE_STATS: Mapping[str, float] = {
     "fraction_highest": 0.883,
@@ -86,6 +89,8 @@ class ExperimentConfig:
             raise ValueError(f"predict_samples must be in 1..{MAX_SAMPLES}")
         if self.accuracy_states_per_level < 1:
             raise ValueError("accuracy_states_per_level must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
         if not self.depths or not self.levels:
             raise ValueError("depths and levels must be nonempty")
         for level in self.levels:

@@ -20,17 +20,9 @@ from typing import Sequence
 import numpy as np
 
 # ``idastar`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
-from .exact import _TABLE_MAX_WIDTH, _lehmer_rank, _state_index, _tile_orders, exact_distance
+from .exact import _TABLE_MAX_WIDTH, _state_index, _state_key, _tile_orders, exact_distance
 from .exact import idastar  # noqa: F401
-from .puzzle import (
-    _INVERSE,
-    Op,
-    ProblemInstance,
-    State,
-    dist_table,
-    moves_table,
-    permutation_parity,
-)
+from .puzzle import _INVERSE, Op, ProblemInstance, State, dist_table, moves_table
 
 MAX_LOOKAHEAD = 24
 # A traced decision: the tiles it was made at, and its top-ranked child's.
@@ -280,7 +272,7 @@ def _value_table(width: int, goal: tuple[int, ...]):
     words = np.zeros((len(block), len(h[0])), np.uint32)
     values = np.stack([h[j] for j, _ in block])  # W_0 by (cell, arrival op)
     below = np.empty_like(values)
-    goal_blank = goal.index(0)
+    goal_blank, goal_k, _ = _state_key(goal)
     at_goal = [block[goal_blank, _INVERSE[op]] for op, _ in moves[goal_blank]]
     for bit in range(MAX_LOOKAHEAD - 1):
         values, below = below, values
@@ -288,7 +280,7 @@ def _value_table(width: int, goal: tuple[int, ...]):
             via = 1 + np.stack([below[block[j, op]][ranks.get((b, op), slice(None))] for op, j in moves[b]])
             for i, (op, _) in enumerate(moves[b]):  # arrived from the cell this op returns to
                 np.min(np.delete(via, i, axis=0), axis=0, out=values[block[b, _INVERSE[op]]])
-        values[at_goal, _lehmer_rank(tuple(t - 1 for t in goal if t)) >> 1] = 0
+        values[at_goal, goal_k] = 0
         np.subtract(values, below, out=below)
         if (below & 0xFD).any():
             raise RuntimeError("a lookahead value rose by other than 0 or 2 in one level")
@@ -309,17 +301,17 @@ def _decisions(
     """One decision's sorted (value, op, new blank) first moves, nodes and stack peak.
 
     As a walk of the whole tree would find them.  At width <= 3 values come
-    from ``_value_table`` and entries add the child's (k, h), passed back as
-    ``at``; other states are searched, and their entries carry no (k, h).
+    from ``_value_table`` at ``_state_key``'s k, or ``at``, and entries add the
+    child's (k, h); other states are searched, and their entries carry none.
     """
     if width > _TABLE_MAX_WIDTH:
         return _ranked_decisions(tiles, blank, goal, width, level)
     rows, parity, after, dists, size = _value_table(width, goal)
     if at is None:
-        order = tuple(t - 1 for t in tiles if t)
-        if permutation_parity(order) != parity[blank]:
+        _, k, odd = _state_key(tiles)
+        if odd != parity[blank]:
             return _ranked_decisions(tiles, blank, goal, width, level)
-        at = _lehmer_rank(order) >> 1, sum(dists[t][i] for i, t in enumerate(tiles) if t)
+        at = k, sum(dists[t][i] for i, t in enumerate(tiles) if t)
     k, h = at
     mask = (1 << (level - 1)) - 1
     ranked = []

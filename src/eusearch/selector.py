@@ -7,7 +7,7 @@ from typing import Callable, Mapping, Sequence
 
 from .minimin import Outcome
 from .perfmodel import EmpiricalTable, MarkovParams, predict
-from .utility import Lottery, UtilityModel, expected_utility
+from .utility import Lottery, UtilityModel, choose_max_eu, expected_utility
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,6 @@ def compare_algorithms(
     """
     if not candidates:
         raise ValueError("compare_algorithms needs at least one candidate")
-    table = [(label, expected_utility(lottery, u)) for label, lottery in candidates]
-    best_label, _ = max(table, key=lambda entry: entry[1])
-    return best_label, table
+    labels = [label for label, _ in candidates]
+    best, eus = choose_max_eu([lottery for _, lottery in candidates], u)
+    return labels[best], list(zip(labels, eus))

@@ -1,12 +1,15 @@
 """Independent brute-force oracles used only by tests.
 
 These deliberately share no search code with the package: plain State-level
-enumeration, fresh BFS, and per-tile tallies.
+enumeration, fresh BFS, per-tile tallies, and permutation ranks and parities
+by enumeration and cycle counting.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
+from itertools import permutations
 
 from eusearch.puzzle import Op, State, apply_op, legal_ops
 
@@ -35,6 +38,31 @@ def bfs_distances(goal: State) -> dict[tuple[int, ...], int]:
                 dist[n.tiles] = dist[s.tiles] + 1
                 queue.append(n)
     return dist
+
+
+@lru_cache(maxsize=None)
+def _ranks_by_permutation(n: int) -> dict[tuple[int, ...], int]:
+    # itertools.permutations yields in lexicographic order: position = rank.
+    return {perm: i for i, perm in enumerate(permutations(range(n)))}
+
+
+def lehmer_rank(perm) -> int:
+    """Lexicographic rank of a permutation of 0..n-1, by enumerating them all."""
+    return _ranks_by_permutation(len(perm))[tuple(perm)]
+
+
+def cycle_parity(perm) -> int:
+    """Parity of a permutation of 0..n-1: n minus its number of cycles, mod 2."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return (len(perm) - cycles) & 1
 
 
 def exhaustive_lookahead(

@@ -334,6 +334,17 @@ class TestExperimentCommand:
         assert "generating training suite" not in err
         assert err.startswith("eusearch: ValueError: ")
 
+    @pytest.mark.parametrize("workers", ["0", "100000"])
+    def test_out_of_range_workers_fail_before_any_suite(self, capsys, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            pytest.fail("a process pool was constructed")
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        code, out, err = run_cli(capsys, "experiment", "--workers", workers, "--instances", "1")
+        assert code == 2
+        assert out == ""
+        assert "generating training suite" not in err
+        assert err.startswith(f"eusearch: ValueError: workers must be in 1..{experiment.MAX_WORKERS}")
 
     def test_huge_predict_samples_fail_before_any_suite(self, capsys):
         code, out, err = run_cli(

@@ -1,13 +1,18 @@
 import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eusearch.exact import (
     BudgetExhausted,
     GenerationFailed,
-    _lehmer_rank,
+    _UNREACHED,
+    _distance_table,
     _state_index,
+    _state_key,
     bfs_optimal,
     exact_distance,
     idastar,
@@ -24,8 +29,9 @@ from eusearch.puzzle import (
     random_walk,
     replay,
 )
-from oracles import bfs_distances
+from oracles import bfs_distances, cycle_parity, lehmer_rank
 
+GOAL2 = goal_state(2)
 GOAL3 = goal_state(3)
 GOAL4 = goal_state(4)
 
@@ -129,6 +135,10 @@ def swapped(goal, a, b):
     return State(tuple(tiles), goal.width)
 
 
+# Every 2x2 state of the parity class that cannot reach the goal.
+OTHER_2X2 = [State(p, 2) for p in sorted(set(permutations(range(4))) - set(bfs_distances(GOAL2)))]
+
+
 class TestExactDistance:
     def test_every_3x3_state(self, distances3):
         assert len(distances3) == 181_440
@@ -140,6 +150,8 @@ class TestExactDistance:
         assert sum(hist.values()) == 181_440
         assert max(hist) == 31 and hist[31] == 2
         assert sorted(hist) == list(range(32))
+        rows, _ = _distance_table(3, GOAL3.tiles)
+        assert all(max(row) < _UNREACHED for row in rows)  # every (blank, k) reached
 
     def test_every_2x2_state(self):
         goal = goal_state(2)
@@ -170,11 +182,15 @@ class TestExactDistance:
             s = random_walk(GOAL4, rng.randrange(1, 25), seed=rng.randrange(1 << 30))
             assert exact_distance(s, GOAL4) == idastar(ProblemInstance(s, GOAL4)).length
 
-    @pytest.mark.parametrize("width", [2, 3, 4])
-    def test_unreachable_state_raises(self, width):
-        goal = goal_state(width)
-        with pytest.raises(ValueError):
-            exact_distance(swapped(goal, 0, 1), goal)
+    @pytest.mark.parametrize(
+        "goal, states",
+        [pytest.param(g, [swapped(g, 0, 1)], id=str(g.width)) for g in (GOAL2, GOAL3, GOAL4)]
+        + [pytest.param(GOAL2, OTHER_2X2, id="2-every")],
+    )
+    def test_unreachable_state_raises(self, goal, states):
+        for s in states:
+            with pytest.raises(ValueError):
+                exact_distance(s, goal)
 
     def test_width_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -211,9 +227,25 @@ class TestInstanceOfDepth:
         assert idastar(inst).length == 8
 
 
-def order_k(tiles):
-    """A state's k in ``_state_index``: its tile order's Lehmer rank >> 1."""
-    return _lehmer_rank(tuple(t - 1 for t in tiles if t)) >> 1
+def oracle_key(tiles):
+    """A state's (blank, k, parity) from the oracles: k is its tile order's rank >> 1."""
+    order = [t - 1 for t in tiles if t]
+    return tiles.index(0), lehmer_rank(order) >> 1, cycle_parity(order)
+
+
+class TestStateKey:
+    def test_every_2x2_permutation(self):
+        for tiles in permutations(range(4)):
+            assert _state_key(tiles) == oracle_key(tiles)
+
+    def test_every_3x3_order_with_the_blank_in_the_middle(self):
+        for order in permutations(range(1, 9)):
+            tiles = order[:4] + (0,) + order[4:]
+            assert _state_key(tiles) == oracle_key(tiles)
+
+    @given(st.permutations(range(9)))
+    def test_3x3_sample_over_every_blank_cell(self, tiles):
+        assert _state_key(tuple(tiles)) == oracle_key(tuple(tiles))
 
 
 class TestStateIndex:
@@ -229,7 +261,7 @@ class TestStateIndex:
                 if 0 <= j < width * width:
                     child = list(tiles)
                     child[b], child[j] = child[j], 0
-                    assert ranks[b, op][order_k(tiles)] == order_k(child)
+                    assert ranks[b, op][oracle_key(tiles)[1]] == oracle_key(child)[1]
                     checked.add((b, op))
         assert checked == set(ranks)
         assert all(len(m) == len(states) // width**2 for m in ranks.values())

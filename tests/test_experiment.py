@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from eusearch.experiment import (
+    MAX_WORKERS,
     ExperimentConfig,
     ExperimentReport,
     IncompleteReport,
@@ -50,6 +51,11 @@ class TestConfig:
             ExperimentConfig(model_kind="psychic")
         with pytest.raises(ValueError):
             ExperimentConfig(depths=(40,), width=3)
+
+    @pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1, 100_000])
+    def test_out_of_range_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be in"):
+            ExperimentConfig(workers=workers)
 
     def test_out_of_range_level_rejected(self):
         with pytest.raises(ValueError, match="lookahead level"):
