@@ -5,10 +5,12 @@ of the arc just taken is pruned, the goal ends a branch) by f = g + manhattan
 at its frontier, backs the minimum up to the root, and commits to one move.
 Runs record node generations (time), peak stored nodes (space), and executed
 moves, counted as if the whole tree were walked.  The kernel walks only part
-of it: the counts come from a table of tree sizes plus a walk of the nodes the
-goal could cut, and each first move's value from a per-goal table of every
+of it: the counts come from a table of tree sizes plus a walk of the subtrees
+the goal cuts, and each first move's value from a per-goal table of every
 state's backed-up values on boards of width <= 3, or from a branch and bound
-on f on wider ones.
+on f on wider ones.  The value table also tells the walk exactly which
+subtrees hold a goal above the frontier; without it, the walk enters every
+node whose Manhattan distance is below its moves left.
 """
 
 from __future__ import annotations
@@ -123,8 +125,10 @@ def _kernel_tables(width: int, goal: tuple[int, ...]):
 def _tree_counts(after, size, tiles, blank, h0, level) -> tuple[int, int]:
     """Nodes generated and peak stack depth of the depth-``level`` tree at ``tiles``.
 
-    The walk enters only nodes with h < moves left.  Below any other node no
-    goal can be expanded, so its subtree is the full one in ``size``.
+    For states without a value table: boards wider than 3 and states of the
+    other parity class.  The walk enters only nodes with h < moves left.
+    Below any other node no goal can be expanded, so its subtree is the full
+    one in ``size``.
     """
     if h0 >= level:
         return size[level][blank][_ROOT], level + 1
@@ -294,6 +298,63 @@ def _value_table(width: int, goal: tuple[int, ...]):
     return (rows, parity) + kernel
 
 
+def _goal_counts(rows, size, tiles, blank, ranked, level) -> tuple[int, int]:
+    """Nodes generated and peak stack depth of a depth-``level`` tree that holds a goal.
+
+    ``ranked`` is the root's first moves as ``_decisions`` sorts them, each
+    value 1 + W_{level-1} of the child.  Below the root the walk carries k
+    through the vertical moves' maps in ``rows`` and reads W_m = h + 2 *
+    popcount(word), the value at the deepest tabulated level m.  It enters a
+    node with ``left`` moves below it iff 0 < W < left: a goal g moves down
+    has f = g and any other frontier leaf f >= m + 1 >= left, so W < left iff
+    a goal lies above the frontier below the node, and only such a goal,
+    generated but never expanded, cuts its tree.  Every other subtree is the
+    full one in ``size``.
+    """
+    board = list(tiles)
+    nodes = len(ranked)
+    left = level - 1
+    deepest = 0  # depth of the deepest expanded node
+
+    def walk(b: int, k: int, hval: int, g: int, left: int, last: int) -> None:
+        nonlocal nodes, deepest
+        if g > deepest:
+            deepest = g
+        skip = _INVERSE[last]
+        left -= 1
+        for op, j, delta, words, ranks in rows[b]:
+            if op == skip:
+                continue
+            nodes += 1
+            t = board[j]
+            h = hval + delta[t]
+            child_k = k if ranks is None else ranks[k]
+            if h + 2 * words[child_k].bit_count() >= left:
+                nodes += size[left][j][op]
+                if g + left > deepest:
+                    deepest = g + left
+            elif h:
+                board[b] = t
+                board[j] = 0
+                walk(j, child_k, h, g + 1, left, op)
+                board[j] = t
+                board[b] = 0
+
+    for value, op, j, child_k, child_h in ranked:
+        if value > left:
+            nodes += size[left][j][op]
+            if left > deepest:
+                deepest = left
+        elif child_h:
+            t = board[j]
+            board[blank] = t
+            board[j] = 0
+            walk(j, child_k, child_h, 1, left, op)
+            board[j] = t
+            board[blank] = 0
+    return nodes, deepest + 2
+
+
 def _decisions(
     tiles: tuple[int, ...], blank: int, goal: tuple[int, ...], width: int, level: int,
     at: tuple[int, int] | None = None,
@@ -302,11 +363,14 @@ def _decisions(
 
     As a walk of the whole tree would find them.  At width <= 3 values come
     from ``_value_table`` at ``_state_key``'s k, or ``at``, and entries add the
-    child's (k, h); other states are searched, and their entries carry none.
+    child's (k, h); the top value is the root's W_level, so a tree it puts at
+    or above ``level`` holds no goal above the frontier and has the size in
+    the table, and any other is counted by ``_goal_counts``.  Other states
+    are searched, and their entries carry none.
     """
     if width > _TABLE_MAX_WIDTH:
         return _ranked_decisions(tiles, blank, goal, width, level)
-    rows, parity, after, dists, size = _value_table(width, goal)
+    rows, parity, _, dists, size = _value_table(width, goal)
     if at is None:
         _, k, odd = _state_key(tiles)
         if odd != parity[blank]:
@@ -320,7 +384,9 @@ def _decisions(
         child_h = h + delta[tiles[j]]
         ranked.append((1 + child_h + 2 * (words[child_k] & mask).bit_count(), op, j, child_k, child_h))
     ranked.sort()
-    return ranked, *_tree_counts(after, size, tiles, blank, h, level)
+    if ranked[0][0] >= level:
+        return ranked, size[level][blank][_ROOT], level + 1
+    return ranked, *_goal_counts(rows, size, tiles, blank, ranked, level)
 
 
 def _child(tiles: tuple[int, ...], blank: int, j: int) -> tuple[int, ...]:

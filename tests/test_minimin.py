@@ -213,36 +213,76 @@ class TestKernelOracle:
         s = walked_state(GOAL3, steps, seed)
         assert walk_entries(s, GOAL3, level) == nodes_with_h_below_moves_left(s, GOAL3, level)
 
+    def test_table_walk_enters_only_trees_with_a_goal_above_the_frontier(self):
+        # A goal at the frontier is a leaf either way, so it cuts nothing; a
+        # tree whose goals all lie there is taken from the size table.
+        for s in sample_states(12, 12, seed=29):
+            for level in range(1, 15):
+                expected = nodes_with_a_goal_above_the_frontier(s, GOAL3, level)
+                assert walk_entries(s, GOAL3, level, _decisions) == expected
 
-def walk_entries(s, goal, level):
-    """(depth, h, moves left) of each node the kernel's count walk enters, sorted."""
+
+def walk_entries(s, goal, level, kernel=_ranked_decisions):
+    """(depth, tiles, moves left) of each node ``kernel``'s count walk enters, sorted."""
     entries = []
 
     def hook(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_name == "walk" and code.co_filename == minimin.__file__:
-            entries.append((frame.f_locals["g"], frame.f_locals["hval"], frame.f_locals["left"]))
+        if event != "call" or code.co_filename != minimin.__file__:
+            return
+        if code.co_name == "walk":
+            local = frame.f_locals
+            entries.append((local["g"], tuple(local["board"]), local["left"]))
+        elif code.co_name == "_goal_counts":  # the table path enters the root here
+            entries.append((0, s.tiles, level))
 
     sys.setprofile(hook)
     try:
-        _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
+        kernel(s.tiles, s.blank, goal.tiles, s.width, level)
     finally:
         sys.setprofile(None)
     return sorted(entries)
 
 
 def nodes_with_h_below_moves_left(s, goal, level):
-    """(depth, h, moves left) of each tree node on whose path 0 < h < moves left holds."""
+    """(depth, tiles, moves left) of each tree node on whose path 0 < h < moves left holds."""
     found = []
 
     def visit(state, depth, last):
         h = manhattan(state, goal)
         if not 0 < h < level - depth:
             return
-        found.append((depth, h, level - depth))
+        found.append((depth, state.tiles, level - depth))
         for op in legal_ops(state):
             if last is None or op != last.inverse:
                 visit(apply_op(state, op), depth + 1, op)
+
+    visit(s, 0, None)
+    return sorted(found)
+
+
+def nodes_with_a_goal_above_the_frontier(s, goal, level):
+    """(depth, tiles, moves left) of each tree node on whose path every node
+    has a goal strictly above the frontier below it, by enumerating the tree."""
+
+    def children(state, last):
+        return [(apply_op(state, op), op) for op in legal_ops(state) if last is None or op != last.inverse]
+
+    def goal_within(state, moves, last):
+        # Whether the goal lies at most ``moves`` moves down this node's tree.
+        if state == goal:
+            return True
+        return moves > 0 and any(goal_within(c, moves - 1, op) for c, op in children(state, last))
+
+    found = []
+
+    def visit(state, depth, last):
+        left = level - depth
+        if state == goal or not goal_within(state, left - 1, last):
+            return
+        found.append((depth, state.tiles, left))
+        for child, op in children(state, last):
+            visit(child, depth + 1, op)
 
     visit(s, 0, None)
     return sorted(found)
@@ -282,6 +322,17 @@ class TestValueTable:
             for level in (1, 2, 3):
                 got, expected = both_kernels(s, GOAL3, level)
                 assert got == expected
+
+    def test_every_state_near_the_goal_counts_as_the_search(self, distances3):
+        # The goal cuts the trees of these states, so the walk runs on most of
+        # them; levels 15-24 are sampled in test_deep_levels_equal_the_search.
+        near = [tiles for tiles, d in distances3.items() if 0 < d <= 12]
+        assert len(near) == 1849
+        for tiles in near:
+            blank = tiles.index(0)
+            for level in range(1, 15):
+                _, nodes, peak = _decisions(tiles, blank, GOAL3.tiles, 3, level)
+                assert (nodes, peak) == _ranked_decisions(tiles, blank, GOAL3.tiles, 3, level)[1:]
 
     @settings(max_examples=150, deadline=None)
     @given(
