@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over every lookahead decision of three runs.
+"""Print one SHA-256 over every Minimin run of three experiments.
 
-Each ``minimin._decisions`` call adds its (tiles, level) and its result:
-the ranked first moves' (value, op), the node count and the stack peak.
-The runs are the seed-0 desk protocol at 35 instances per depth, Minimin at
-levels 1-8 on twelve 4x4 boards scrambled by seeded walks, and
+Every run, whether ``minimin_run`` or ``minimin_trace`` made it, goes through
+``minimin._run_loop``.  Each call adds its (initial tiles, level, move cap,
+node budget) and its ``Outcome``; a traced run also adds its (tiles,
+top-ranked child tiles) decision pairs, which record every decision's chosen
+move.  The runs are the seed-0 desk protocol at 35 instances per depth,
+Minimin at levels 1-8 on twelve 4x4 boards scrambled by seeded walks, and
 ``configs/experiment_full.yaml`` at 10 instances per depth, all in one
-process.  Two checkouts whose kernels decide and count alike print the same
-digest:
+process.  Two checkouts whose runs move, count and trace alike print the
+same digest:
 
     python3 scripts/replay_decisions.py
 """
@@ -47,28 +49,30 @@ RUNS = {
 
 
 def main() -> None:
-    decisions = minimin._decisions
+    run_loop = minimin._run_loop
     total = hashlib.sha256()
     for name, run in RUNS.items():
         digest = hashlib.sha256()
-        calls = 0
+        runs = decisions = 0
 
-        def recorded(tiles, blank, goal, width, level, at=None):
-            nonlocal calls
-            ranked, nodes, peak = decisions(tiles, blank, goal, width, level, at)
-            record = (tiles, level, [entry[:2] for entry in ranked], nodes, peak)
+        def recorded(p, level, limits, trace=None):
+            nonlocal runs, decisions
+            outcome = run_loop(p, level, limits, trace)
+            record = (p.initial.tiles, level, limits.max_moves, limits.node_budget, outcome, trace)
             digest.update(repr(record).encode())
-            calls += 1
-            return ranked, nodes, peak
+            runs += 1
+            decisions += len(trace or ())
+            return outcome
 
-        minimin._decisions = recorded
+        minimin._run_loop = recorded
         start = time.perf_counter()
         try:
             run()
         finally:
-            minimin._decisions = decisions
+            minimin._run_loop = run_loop
         seconds = time.perf_counter() - start
-        print(f"{name}: {calls} decisions in {seconds:.2f} s, sha256 {digest.hexdigest()}")
+        print(f"{name}: {runs} runs, {decisions} traced decisions in {seconds:.2f} s, "
+              f"sha256 {digest.hexdigest()}")
         total.update(digest.digest())
     print(f"all: sha256 {total.hexdigest()}")
 

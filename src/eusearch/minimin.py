@@ -10,7 +10,9 @@ the goal cuts, and each first move's value from a per-goal table of every
 state's backed-up values on boards of width <= 3, or from a branch and bound
 on f on wider ones.  The value table also tells the walk exactly which
 subtrees hold a goal above the frontier; without it, the walk enters every
-node whose Manhattan distance is below its moves left.
+node whose Manhattan distance is below its moves left.  A run on a board of
+width <= 3 never leaves its goal's parity class, so it carries its state as
+the table's (blank cell, k) and reads h and every value from the table.
 """
 
 from __future__ import annotations
@@ -173,11 +175,12 @@ def _ranked_decisions(
 ) -> tuple[list[tuple[int, int, int]], int, int]:
     """Sorted (value, op, new blank) first moves, nodes and stack peak, by search.
 
-    ``_decisions`` calls it above width 3.  Manhattan distance is consistent,
-    so f = g + h moves by 0 or +2 per move and a node's f bounds every frontier
-    f below it.  A first move's value comes from a branch and bound on one
-    board list that tries the h-decreasing children first and stops at that
-    bound; a goal caps its branch at f = g.
+    For states without a value table: runs and decisions above width 3, and
+    ``_decisions`` on states of the other parity class.  Manhattan distance
+    is consistent, so f = g + h moves by 0 or +2 per move and a node's f
+    bounds every frontier f below it.  A first move's value comes from a
+    branch and bound on one board list that tries the h-decreasing children
+    first and stops at that bound; a goal caps its branch at f = g.
     """
     after, dists, size = _kernel_tables(width, goal)
     board = list(tiles)
@@ -258,10 +261,11 @@ def _value_table(width: int, goal: tuple[int, ...]):
     one undoing the arrival op.  Manhattan distance is consistent, so W rises
     by 0 or 2 per level (else the build raises); bit l - 1 of a profile word
     records which: W_l = h + 2 * popcount(word & (2**l - 1)), for every level
-    up to ``MAX_LOOKAHEAD``.  Returns (rows, parity) + ``_kernel_tables(width,
-    goal)``; ``rows[b]`` lists the (op, new blank, delta row, words, ranks)
-    first moves from ``b``: the child's words by its k in ``_state_index``,
-    and the vertical move's map of k.
+    up to ``MAX_LOOKAHEAD``.  Returns (rows, h, parity, size): ``rows[b][last]``
+    lists the (op, new blank, words, ranks) moves from cell ``b`` as ``after``
+    in ``_kernel_tables`` does, with the child's words by its k in
+    ``_state_index`` and the move's map of k (a range where k is kept);
+    ``h[b][k]`` is state (b, k)'s h; ``size`` is ``_kernel_tables``'.
     """
     kernel = _kernel_tables(width, goal)
     parity, ranks = _state_index(width, goal)
@@ -291,102 +295,80 @@ def _value_table(width: int, goal: tuple[int, ...]):
         for row, step in zip(words, below):
             row |= (step >> 1).astype(words.dtype) << bit
     words.flags.writeable = False
+    views = [memoryview(row) for row in words]
+    maps = {a: memoryview(m) for a, m in ranks.items()}
+    keep = range(len(h[0]))  # a horizontal move keeps k
     rows = tuple(tuple(
-        (op, j, delta, memoryview(words[block[j, op]]), memoryview(ranks[b, op]) if (b, op) in ranks else None)
-        for op, j, delta in kernel[0][b][_ROOT]
+        tuple((op, j, views[block[j, op]], maps.get((b, op), keep))
+              for op, j in moves[b] if last == _ROOT or op != _INVERSE[last])
+        for last in range(_ROOT + 1)
     ) for b in range(cells))
-    return (rows, parity) + kernel
+    for row in h:
+        row.flags.writeable = False
+    return rows, tuple(memoryview(row) for row in h), parity, kernel[2]
 
 
-def _goal_counts(rows, size, tiles, blank, ranked, level) -> tuple[int, int]:
+def _goal_counts(rows, h, size, blank, k, level) -> tuple[int, int]:
     """Nodes generated and peak stack depth of a depth-``level`` tree that holds a goal.
 
-    ``ranked`` is the root's first moves as ``_decisions`` sorts them, each
-    value 1 + W_{level-1} of the child.  Below the root the walk carries k
-    through the vertical moves' maps in ``rows`` and reads W_m = h + 2 *
-    popcount(word), the value at the deepest tabulated level m.  It enters a
-    node with ``left`` moves below it iff 0 < W < left: a goal g moves down
-    has f = g and any other frontier leaf f >= m + 1 >= left, so W < left iff
-    a goal lies above the frontier below the node, and only such a goal,
-    generated but never expanded, cuts its tree.  Every other subtree is the
-    full one in ``size``.
+    The walk carries each node's k and reads h and W_m = h + 2 * popcount(word),
+    the value at the deepest tabulated level m, from the value table.  It
+    enters a node with ``left`` moves below it iff 0 < W < left: a goal g
+    moves down has f = g and any other frontier leaf f >= m + 1 >= left, so
+    W < left iff a goal lies above the frontier below the node, and only such
+    a goal, generated but never expanded, cuts its tree.  Every other subtree
+    is the full one in ``size``.
     """
-    board = list(tiles)
-    nodes = len(ranked)
-    left = level - 1
+    nodes = 0
     deepest = 0  # depth of the deepest expanded node
 
-    def walk(b: int, k: int, hval: int, g: int, left: int, last: int) -> None:
+    def walk(b: int, k: int, g: int, left: int, last: int) -> None:
         nonlocal nodes, deepest
         if g > deepest:
             deepest = g
-        skip = _INVERSE[last]
+        moves = rows[b][last]
+        nodes += len(moves)
         left -= 1
-        for op, j, delta, words, ranks in rows[b]:
-            if op == skip:
-                continue
-            nodes += 1
-            t = board[j]
-            h = hval + delta[t]
-            child_k = k if ranks is None else ranks[k]
-            if h + 2 * words[child_k].bit_count() >= left:
+        for op, j, words, ranks in moves:
+            child = ranks[k]
+            hval = h[j][child]
+            if hval + 2 * words[child].bit_count() >= left:
                 nodes += size[left][j][op]
                 if g + left > deepest:
                     deepest = g + left
-            elif h:
-                board[b] = t
-                board[j] = 0
-                walk(j, child_k, h, g + 1, left, op)
-                board[j] = t
-                board[b] = 0
+            elif hval:
+                walk(j, child, g + 1, left, op)
 
-    for value, op, j, child_k, child_h in ranked:
-        if value > left:
-            nodes += size[left][j][op]
-            if left > deepest:
-                deepest = left
-        elif child_h:
-            t = board[j]
-            board[blank] = t
-            board[j] = 0
-            walk(j, child_k, child_h, 1, left, op)
-            board[j] = t
-            board[blank] = 0
+    walk(blank, k, 0, level, _ROOT)
     return nodes, deepest + 2
 
 
 def _decisions(
-    tiles: tuple[int, ...], blank: int, goal: tuple[int, ...], width: int, level: int,
-    at: tuple[int, int] | None = None,
-) -> tuple[list[tuple[int, ...]], int, int]:
+    tiles: tuple[int, ...], blank: int, goal: tuple[int, ...], width: int, level: int
+) -> tuple[list[tuple[int, int, int]], int, int]:
     """One decision's sorted (value, op, new blank) first moves, nodes and stack peak.
 
     As a walk of the whole tree would find them.  At width <= 3 values come
-    from ``_value_table`` at ``_state_key``'s k, or ``at``, and entries add the
-    child's (k, h); the top value is the root's W_level, so a tree it puts at
-    or above ``level`` holds no goal above the frontier and has the size in
-    the table, and any other is counted by ``_goal_counts``.  Other states
-    are searched, and their entries carry none.
+    from ``_value_table`` at ``_state_key``'s k; the top value is the root's
+    W_level, so a tree it puts at or above ``level`` holds no goal above the
+    frontier and has the size in the table, and any other is counted by
+    ``_goal_counts``.  Other states are searched by ``_ranked_decisions``.
     """
     if width > _TABLE_MAX_WIDTH:
         return _ranked_decisions(tiles, blank, goal, width, level)
-    rows, parity, _, dists, size = _value_table(width, goal)
-    if at is None:
-        _, k, odd = _state_key(tiles)
-        if odd != parity[blank]:
-            return _ranked_decisions(tiles, blank, goal, width, level)
-        at = k, sum(dists[t][i] for i, t in enumerate(tiles) if t)
-    k, h = at
+    rows, h, parity, size = _value_table(width, goal)
+    _, k, odd = _state_key(tiles)
+    if odd != parity[blank]:
+        return _ranked_decisions(tiles, blank, goal, width, level)
     mask = (1 << (level - 1)) - 1
     ranked = []
-    for op, j, delta, words, ranks in rows[blank]:
-        child_k = k if ranks is None else ranks[k]
-        child_h = h + delta[tiles[j]]
-        ranked.append((1 + child_h + 2 * (words[child_k] & mask).bit_count(), op, j, child_k, child_h))
+    for op, j, words, ranks in rows[blank][_ROOT]:
+        child = ranks[k]
+        ranked.append((1 + h[j][child] + 2 * (words[child] & mask).bit_count(), op, j))
     ranked.sort()
     if ranked[0][0] >= level:
         return ranked, size[level][blank][_ROOT], level + 1
-    return ranked, *_goal_counts(rows, size, tiles, blank, ranked, level)
+    return ranked, *_goal_counts(rows, h, size, blank, k, level)
 
 
 def _child(tiles: tuple[int, ...], blank: int, j: int) -> tuple[int, ...]:
@@ -419,46 +401,103 @@ def _run_loop(
     limits: ResourceLimits,
     trace: list[Decision] | None = None,
 ) -> Outcome:
+    """Runs at width <= 3 go by ``_table_loop``, wider ones by ``_search_loop``.
+
+    A ``ProblemInstance``'s initial state reaches its goal, and so does every
+    state a run enters: all of them are in the value table.
+    """
+    if p.width > _TABLE_MAX_WIDTH:
+        return _search_loop(p, level, limits, trace)
+    return _table_loop(p, level, limits, trace)
+
+
+def _table_loop(p, level, limits, trace) -> Outcome:
+    """Minimin on a state carried as (blank, k), its h and values read from ``_value_table``.
+
+    The top move is the first of least value in op order, as ``_decisions``
+    ranks them.  Loop avoidance takes the first of least value among the
+    moves to states entered fewer than twice, if there is one: the next in
+    that ranking.  Only a traced run follows the state's tiles.
+    """
+    rows, h, _, size = _value_table(p.width, p.goal.tiles)
+    tiles = p.initial.tiles
+    blank, k, _ = _state_key(tiles)
+    mask = (1 << (level - 1)) - 1
+    roots = [after[_ROOT] for after in rows]
+    full = [tree[_ROOT] for tree in size[level]]
+    visits = {blank << 16 | k: 1}  # k < 8!/2 < 2**16
+    moves = 0
+    total_nodes = 0
+    peak_space = 0
+    while h[blank][k]:
+        if moves >= limits.max_moves or total_nodes >= limits.node_budget:
+            return Outcome(limits.max_moves, total_nodes, peak_space, solved=False)
+        row = roots[blank]
+        best = 1 << 30
+        for _, j, words, ranks in row:
+            child = ranks[k]
+            value = h[j][child] + 2 * (words[child] & mask).bit_count()
+            if value < best:
+                best, to, to_k = value, j, child
+        if best + 1 >= level:
+            nodes, stack_peak = full[blank], level + 1
+        else:
+            nodes, stack_peak = _goal_counts(rows, h, size, blank, k, level)
+        total_nodes += nodes
+        if trace is not None:
+            top = _child(tiles, blank, to)
+            trace.append((tiles, top))
+        if visits.get(to << 16 | to_k, 0) >= 2:
+            best = 1 << 30
+            for _, j, words, ranks in row:
+                child = ranks[k]
+                value = h[j][child] + 2 * (words[child] & mask).bit_count()
+                if value < best and visits.get(j << 16 | child, 0) < 2:
+                    best, to, to_k = value, j, child
+        if trace is not None:  # the top-ranked child, unless loop avoidance moved elsewhere
+            tiles = top if top[to] == 0 else _child(tiles, blank, to)
+        blank, k = to, to_k
+        key = blank << 16 | k
+        visits[key] = visits.get(key, 0) + 1
+        moves += 1
+        stored = stack_peak + len(visits)
+        if stored > peak_space:
+            peak_space = stored
+    return Outcome(moves, total_nodes, peak_space)
+
+
+def _search_loop(p, level, limits, trace) -> Outcome:
+    """Minimin on a state carried as tiles, each decision by ``_ranked_decisions``."""
     goal = p.goal.tiles
     width = p.width
     tiles = p.initial.tiles
     blank = p.initial.blank
-    at = None  # the state's (k, h) in the value table, once a decision gave it
-    visits: dict[tuple[int, ...], int] = {tiles: 1}
+    visits = {tiles: 1}
     moves = 0
     total_nodes = 0
     peak_space = 0
     while tiles != goal:
         if moves >= limits.max_moves or total_nodes >= limits.node_budget:
-            return Outcome(
-                path_length=limits.max_moves,
-                time_units=total_nodes,
-                space_units=peak_space,
-                solved=False,
-            )
-        ranked, nodes, stack_peak = _decisions(tiles, blank, goal, width, level, at)
+            return Outcome(limits.max_moves, total_nodes, peak_space, solved=False)
+        ranked, nodes, stack_peak = _ranked_decisions(tiles, blank, goal, width, level)
         total_nodes += nodes
-        chosen, child = ranked[0], _child(tiles, blank, ranked[0][2])
+        to = ranked[0][2]
+        child = _child(tiles, blank, to)
         if trace is not None:
             trace.append((tiles, child))
         if visits.get(child, 0) >= 2:
-            for entry in ranked[1:]:
-                other = _child(tiles, blank, entry[2])
+            for _, _, j in ranked[1:]:
+                other = _child(tiles, blank, j)
                 if visits.get(other, 0) < 2:
-                    chosen, child = entry, other
+                    to, child = j, other
                     break
-        tiles, blank, at = child, chosen[2], chosen[3:] or None
+        tiles, blank = child, to
         visits[tiles] = visits.get(tiles, 0) + 1
         moves += 1
         stored = stack_peak + len(visits)
         if stored > peak_space:
             peak_space = stored
-    return Outcome(
-        path_length=moves,
-        time_units=total_nodes,
-        space_units=peak_space,
-        solved=True,
-    )
+    return Outcome(moves, total_nodes, peak_space)
 
 
 def minimin_run(

@@ -106,6 +106,31 @@ def exhaustive_lookahead(
     return best_op, table[best_op], table, generated, 1 + deepest
 
 
+def minimin_run_oracle(s: State, goal: State, level: int, max_moves: int, node_budget: int):
+    """A Minimin run whose every decision is ``exhaustive_lookahead``'s.
+
+    Limits are checked before each decision.  A child already entered twice
+    is passed over for the next first move by (value, op), if one is not.
+    Returns ((path_length, time_units, space_units, solved), trace), the
+    trace holding each decision's (tiles, top-ranked child tiles).
+    """
+    visits = {s.tiles: 1}
+    moves = nodes = peak = 0
+    trace = []
+    while s.tiles != goal.tiles:
+        if moves >= max_moves or nodes >= node_budget:
+            return (max_moves, nodes, peak, False), trace
+        _, _, table, generated, stack = exhaustive_lookahead(s, goal, level)
+        nodes += generated
+        children = [apply_op(s, op) for op in sorted(table, key=lambda o: (table[o], int(o)))]
+        trace.append((s.tiles, children[0].tiles))
+        s = next((c for c in children if visits.get(c.tiles, 0) < 2), children[0])
+        visits[s.tiles] = visits.get(s.tiles, 0) + 1
+        moves += 1
+        peak = max(peak, stack + len(visits))
+    return (moves, nodes, peak, True), trace
+
+
 def depth_keyed_ceiling(rows) -> tuple[float, float]:
     """Best per-instance fraction-highest and within-one of any depth-keyed choice.
 

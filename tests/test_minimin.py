@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eusearch.minimin as minimin
-from eusearch.exact import exact_distance, idastar, instance_of_depth
+from eusearch.exact import _state_key, exact_distance, idastar, instance_of_depth
 from eusearch.experiment import ExperimentConfig, run_experiment
 from eusearch.minimin import (
     MAX_LOOKAHEAD,
@@ -33,7 +33,7 @@ from eusearch.puzzle import (
     manhattan,
     random_walk,
 )
-from oracles import bfs_distances, exhaustive_lookahead
+from oracles import bfs_distances, exhaustive_lookahead, minimin_run_oracle
 
 GOAL3 = goal_state(3)
 GOAL2 = goal_state(2)
@@ -218,23 +218,28 @@ class TestKernelOracle:
         # tree whose goals all lie there is taken from the size table.
         for s in sample_states(12, 12, seed=29):
             for level in range(1, 15):
-                expected = nodes_with_a_goal_above_the_frontier(s, GOAL3, level)
+                expected = sorted(
+                    (depth, _state_key(tiles)[:2], left)
+                    for depth, tiles, left in nodes_with_a_goal_above_the_frontier(s, GOAL3, level)
+                )
                 assert walk_entries(s, GOAL3, level, _decisions) == expected
 
 
 def walk_entries(s, goal, level, kernel=_ranked_decisions):
-    """(depth, tiles, moves left) of each node ``kernel``'s count walk enters, sorted."""
+    """(depth, node, moves left) of each node ``kernel``'s count walk enters, sorted.
+
+    A node is its tiles in ``_tree_counts``' walk and its (blank, k) in
+    ``_goal_counts``', which carries no tiles.
+    """
     entries = []
 
     def hook(frame, event, arg):
         code = frame.f_code
-        if event != "call" or code.co_filename != minimin.__file__:
+        if event != "call" or code.co_filename != minimin.__file__ or code.co_name != "walk":
             return
-        if code.co_name == "walk":
-            local = frame.f_locals
-            entries.append((local["g"], tuple(local["board"]), local["left"]))
-        elif code.co_name == "_goal_counts":  # the table path enters the root here
-            entries.append((0, s.tiles, level))
+        local = frame.f_locals
+        node = tuple(local["board"]) if "board" in local else (local["b"], local["k"])
+        entries.append((local["g"], node, local["left"]))
 
     sys.setprofile(hook)
     try:
@@ -291,17 +296,18 @@ def nodes_with_a_goal_above_the_frontier(s, goal, level):
 def both_kernels(s, goal, level):
     """The decision read from the value table and the one searched by branch and bound."""
     args = (s.tiles, s.blank, goal.tiles, s.width, level)
-    ranked, nodes, peak = _decisions(*args)
-    return ([entry[:3] for entry in ranked], nodes, peak), _ranked_decisions(*args)
+    return _decisions(*args), _ranked_decisions(*args)
 
 
 def table_bytes(table):
-    """Bytes held by a value table's profile words and rank maps."""
+    """Bytes held by a value table's profile words, rank maps and h rows."""
+    rows, h = table[:2]
+    # Each move is a root move once; a range map holds no bytes.
     return sum(
-        words.nbytes + (ranks.nbytes if ranks is not None else 0)
-        for row in table[0]
-        for *_, words, ranks in row
-    )
+        words.nbytes + (ranks.nbytes if isinstance(ranks, memoryview) else 0)
+        for row in rows
+        for *_, words, ranks in row[minimin._ROOT]
+    ) + sum(row.nbytes for row in h)
 
 
 class TestValueTable:
@@ -345,17 +351,20 @@ class TestValueTable:
         assert got == expected
 
     def test_every_decision_of_an_experiment(self, monkeypatch):
-        # Runs pass each decision the (k, h) its parent decision gave them.
+        # Each run, carried as (blank, k), moves, counts and traces as the
+        # search loop does from the same instance.
         levels = []
+        run_loop = minimin._run_loop
 
-        def checked(tiles, blank, goal, width, level, at=None):
-            ranked, nodes, peak = _decisions(tiles, blank, goal, width, level, at)
-            searched = _ranked_decisions(tiles, blank, goal, width, level)
-            assert ([entry[:3] for entry in ranked], nodes, peak) == searched
+        def checked(p, level, limits, trace=None):
+            outcome = run_loop(p, level, limits, trace)
+            searched = [] if trace is not None else None
+            assert minimin._search_loop(p, level, limits, searched) == outcome
+            assert searched == trace
             levels.append(level)
-            return ranked, nodes, peak
+            return outcome
 
-        monkeypatch.setattr(minimin, "_decisions", checked)
+        monkeypatch.setattr(minimin, "_run_loop", checked)
         cfg = ExperimentConfig(
             depths=(6, 14),
             instances_per_depth=2,
@@ -367,22 +376,34 @@ class TestValueTable:
         run_experiment(cfg)
         assert set(levels) == set(cfg.levels)
 
-    def test_runs_recover_the_table_after_a_searched_decision(self, monkeypatch):
-        # A searched decision's entries carry no (k, h); the next decision
-        # must look the state up again.
-        p = ProblemInstance(walked_state(GOAL3, 30, 3), GOAL3)
-        expected = minimin_run(p, 5)
+    def test_runs_never_mix_the_table_and_the_search(self, monkeypatch):
+        # Only reachable states start a run, and moves keep them reachable:
+        # every decision of a 2x2 or 3x3 run reads the table, every one of a
+        # 4x4 run is searched.  Both agree with the oracle's run.
         calls = []
-
-        def alternating(tiles, blank, goal, width, level, at=None):
-            calls.append(at)
-            if len(calls) % 2:
-                return _ranked_decisions(tiles, blank, goal, width, level)
-            return _decisions(tiles, blank, goal, width, level, at)
-
-        monkeypatch.setattr(minimin, "_decisions", alternating)
-        assert minimin_run(p, 5) == expected
-        assert all(at is None for at in calls[1::2]) and calls[2] is not None
+        searched = minimin._ranked_decisions
+        monkeypatch.setattr(
+            minimin, "_ranked_decisions", lambda *args: calls.append(args) or searched(*args)
+        )
+        tiles = list(walked_state(GOAL3, 12, 5).tiles)
+        i, j = [k for k, t in enumerate(tiles) if t][:2]
+        tiles[i], tiles[j] = tiles[j], tiles[i]  # the other parity class
+        with pytest.raises(ValueError):
+            ProblemInstance(State(tuple(tiles), 3), GOAL3)
+        cases = [
+            (GOAL2, 9, 1, ResourceLimits(10, 100)),
+            (GOAL3, 14, 2, ResourceLimits(100, 10**6)),
+            (GOAL3, 20, 3, ResourceLimits(100, 500)),
+            (GOAL4, 30, 3, ResourceLimits(30, 10**6)),
+        ]
+        for goal, steps, level, limits in cases:
+            s = walked_state(goal, steps, 7)
+            calls.clear()
+            outcome, trace = minimin_trace(ProblemInstance(s, goal), level, limits)
+            expected = minimin_run_oracle(s, goal, level, limits.max_moves, limits.node_budget)
+            got = (outcome.path_length, outcome.time_units, outcome.space_units, outcome.solved)
+            assert (got, trace) == expected
+            assert len(calls) == (len(trace) if goal.width > 3 else 0)
 
     def test_states_that_cannot_reach_the_goal_are_searched(self):
         tiles = list(walked_state(GOAL3, 12, 5).tiles)
@@ -425,7 +446,7 @@ class TestValueTable:
     def test_deep_levels_equal_the_search(self):
         rows = _value_table(3, GOAL3.tiles)[0]
         # Some values still rise past level 17, so bits above 15 are read.
-        assert any(max(words) >> 16 for row in rows for *_, words, _ in row)
+        assert any(max(words) >> 16 for row in rows for *_, words, _ in row[minimin._ROOT])
         for s in sample_states(10, 60, seed=17):
             for level in (17, 18, MAX_LOOKAHEAD):
                 got, expected = both_kernels(s, GOAL3, level)
@@ -437,6 +458,70 @@ class TestValueTable:
         monkeypatch.setattr(minimin, "_kernel_tables", lambda width, goal: (after, doubled, size))
         with pytest.raises(RuntimeError):
             _value_table.__wrapped__(2, GOAL2.tiles)
+
+
+def assert_table_run_is_the_search(p, level, limits):
+    """A run carried as (blank, k) and the search loop's agree in outcome and trace."""
+    outcome, trace = minimin_trace(p, level, limits)
+    searched = []
+    assert minimin._search_loop(p, level, limits, searched) == outcome
+    assert searched == trace
+    assert minimin_run(p, level, limits) == outcome
+    return outcome, trace
+
+
+def overrides(trace):
+    """Decisions whose executed child, the next decision's tiles, is not the top-ranked one."""
+    return sum(child != after for (_, child), (after, _) in zip(trace, trace[1:]))
+
+
+class TestTableLoop:
+    """Runs from the value table's parity class equal the search loop's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.integers(1, 60),
+        seed=st.integers(0, 2**30),
+        level=st.integers(1, MAX_LOOKAHEAD),
+    )
+    def test_sampled_3x3_runs(self, steps, seed, level):
+        p = ProblemInstance(walked_state(GOAL3, steps, seed), GOAL3)
+        assert_table_run_is_the_search(p, level, ResourceLimits())
+
+    def test_deep_levels(self):
+        for s in sample_states(4, 60, seed=31):
+            for level in (17, 20, MAX_LOOKAHEAD):
+                assert_table_run_is_the_search(ProblemInstance(s, GOAL3), level, ResourceLimits())
+
+    def test_loop_avoidance_overrides(self):
+        # Shallow lookahead from deep states revisits them, so runs take the
+        # next-best move, and some never escape before the move cap.
+        taken = unsolved = 0
+        for seed in range(4):
+            p = instance_of_depth(20, 3, seed=seed)
+            for level in (1, 2, 3):
+                outcome, trace = assert_table_run_is_the_search(p, level, ResourceLimits())
+                taken += overrides(trace)
+                unsolved += not outcome.solved
+        assert taken > 0 and unsolved > 0
+
+    def test_node_budget_stops(self):
+        for seed in range(3):
+            p = instance_of_depth(22, 3, seed=seed)
+            for level, budget in ((6, 500), (10, 5_000), (MAX_LOOKAHEAD, 50)):
+                outcome, _ = assert_table_run_is_the_search(p, level, ResourceLimits(1000, budget))
+                assert not outcome.solved and outcome.time_units >= budget
+        # A budget met exactly stops the run before its next decision.
+        _, trace = minimin_trace(p, 6, ResourceLimits(1000, 10**9))
+        spent = sum(minimin_decide(State(tiles, 3), GOAL3, 6)[2] for tiles, _ in trace[:5])
+        outcome, trace = assert_table_run_is_the_search(p, 6, ResourceLimits(1000, spent))
+        assert (outcome.time_units, len(trace)) == (spent, 5)
+
+    def test_every_2x2_state_at_every_level(self):
+        for tiles in bfs_distances(GOAL2):
+            for level in range(1, MAX_LOOKAHEAD + 1):
+                p = ProblemInstance(State(tiles, 2), GOAL2)
+                assert_table_run_is_the_search(p, level, ResourceLimits())
 
 
 class TestRun:
