@@ -9,9 +9,15 @@ move.  The runs are the seed-0 desk protocol at 35 instances per depth,
 Minimin at levels 1-8 on twelve 4x4 boards scrambled by seeded walks, and
 ``configs/experiment_full.yaml`` at 10 instances per depth, all in one
 process.  Two checkouts whose runs move, count and trace alike print the
-same digest:
+same ``all:`` digest:
 
     python3 scripts/replay_decisions.py
+
+A last line digests single decisions, apart from the runs: the return value
+(or the error type) of ``minimin_decide`` and ``decision_accuracy`` on fixed
+samples at widths 2-4 and levels 1-24, with 3x3 states of the other parity
+class for ``minimin_decide``.  It is computed after the runs, outside the
+``_run_loop`` hook, so it does not depend on which loop a decision goes by.
 """
 
 import hashlib
@@ -25,7 +31,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from eusearch import minimin  # noqa: E402
 from eusearch.experiment import ExperimentConfig, load_experiment_config, run_experiment  # noqa: E402
-from eusearch.puzzle import ProblemInstance, goal_state, random_walk  # noqa: E402
+from eusearch.puzzle import ProblemInstance, State, goal_state, random_walk  # noqa: E402
 
 
 def width4_runs() -> None:
@@ -35,6 +41,46 @@ def width4_runs() -> None:
         p = ProblemInstance(random_walk(goal, 20 + 2 * seed, seed), goal)
         for level in range(1, 9):
             minimin.minimin_run(p, level, limits)
+
+
+def decision_samples():
+    """Per width: the goal, seeded-walk states that reach it, and 3x3 states that do not."""
+    for width, steps in ((2, 6), (3, 40), (4, 20)):
+        goal = goal_state(width)
+        states = {random_walk(goal, 1 + seed % steps, seed) for seed in range(40)} - {goal}
+        states = sorted(states, key=lambda s: s.tiles)
+        other = []
+        if width == 3:  # swapping the tiles of the first two cells changes the parity class
+            other = [State(s.tiles[1::-1] + s.tiles[2:], 3) for s in states if 0 not in s.tiles[:2]]
+        yield goal, states, other
+
+
+def single_decisions() -> tuple[int, str]:
+    """The number of calls made and a SHA-256 over what each returned or raised."""
+    digest = hashlib.sha256()
+    calls = 0
+
+    def record(name, call, *args, **shared):
+        nonlocal calls
+        try:
+            result = call(*args, **shared)
+        except Exception as exc:  # the error type is part of the behaviour digested
+            result = type(exc).__name__
+        digest.update(repr((name, args, result)).encode())
+        calls += 1
+
+    for goal, states, other in decision_samples():
+        cache: dict = {}
+        for level in range(1, minimin.MAX_LOOKAHEAD + 1):
+            for s in states + other:
+                record("decide", minimin.minimin_decide, s, goal, level)
+            record("accuracy", minimin.decision_accuracy, level, states, goal, dstar_cache=cache)
+        record("accuracy", minimin.decision_accuracy, 2, [], goal)
+        record("accuracy", minimin.decision_accuracy, 2, [states[0], goal], goal)
+        record("decide", minimin.minimin_decide, goal, goal, 2)
+        if other:
+            record("accuracy", minimin.decision_accuracy, 2, other[:1], goal)
+    return calls, digest.hexdigest()
 
 
 RUNS = {
@@ -75,6 +121,9 @@ def main() -> None:
               f"sha256 {digest.hexdigest()}")
         total.update(digest.digest())
     print(f"all: sha256 {total.hexdigest()}")
+    start = time.perf_counter()
+    calls, single = single_decisions()
+    print(f"single decisions: {calls} calls in {time.perf_counter() - start:.2f} s, sha256 {single}")
 
 
 if __name__ == "__main__":

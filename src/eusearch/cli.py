@@ -108,10 +108,12 @@ def cmd_accuracy(args) -> int:
         for i in range(args.samples)
     ]
     cache: dict = {}
-    print("level,accuracy,n")
-    for level in levels:
-        p = decision_accuracy(level, states, goal, dstar_cache=cache)
-        print(f"{level},{p!r},{len(states)}")
+    # Every level is scored before the header, so a failure prints nothing.
+    rows = [
+        f"{level},{decision_accuracy(level, states, goal, dstar_cache=cache)!r},{len(states)}"
+        for level in levels
+    ]
+    print("level,accuracy,n", *rows, sep="\n")
     return 0
 
 

@@ -4,7 +4,8 @@
 solver (memory-linear, deterministic Up < Down < Left < Right expansion
 order).  ``exact_distance`` answers true-distance queries with ``idastar``
 for width 4, and for width <= 3 from a table of every state's distance by
-the (blank cell, k) key of ``_state_key``, which ``minimin``'s values share.
+``puzzle._state_key``'s (blank cell, k), in ``_state_index``, the one index
+of the states that reach a goal, which ``minimin``'s value table shares.
 ``instance_of_depth`` rejection-samples random walks until the verified
 optimal depth matches the target exactly.
 """
@@ -18,8 +19,8 @@ from math import factorial
 
 import numpy as np
 
-from .puzzle import _INVERSE, Op, ProblemInstance, SolutionPath, State, dist_table, goal_state
-from .puzzle import manhattan, moves_table, random_walk
+from .puzzle import _INVERSE, Op, ProblemInstance, SolutionPath, State, _reachable_parity, _state_key
+from .puzzle import dist_table, goal_state, manhattan, moves_table, random_walk
 from .seeds import subseed
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -168,24 +169,6 @@ def idastar(p: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Exact
         bound = int(t)
 
 
-def _state_key(tiles: tuple[int, ...]) -> tuple[int, int, int]:
-    """A state's blank cell, and the k and inversion parity of its tile order.
-
-    The order is read row-major with tile t as t - 1; its Lehmer rank is 2k or 2k + 1.
-    """
-    n = len(tiles) - 1
-    rank = inversions = seen = 0  # bit t of seen set once tile t is read
-    for t in tiles:
-        if t:
-            # Tiles after this one that are smaller: t - 1 minus those before it.
-            smaller = t - 1 - (seen & ((1 << t) - 1)).bit_count()
-            rank = rank * n + smaller
-            inversions += smaller
-            seen |= 1 << t
-            n -= 1
-    return tiles.index(0), rank >> 1, inversions & 1
-
-
 def _lehmer_ranks(perms: np.ndarray) -> np.ndarray:
     """Lexicographic rank (Lehmer code) of each row of ``perms``, orders of 0..n-1."""
     cols = np.ascontiguousarray(perms.T)
@@ -210,16 +193,16 @@ def _state_index(width: int, goal: tuple[int, ...]):
     """One index of every state that reaches ``goal``, for width <= 3.
 
     ``_state_key`` gives a state's blank cell b, its k and the parity of its
-    tile order; only orders of parity ``parity[b]`` reach the goal.  Ranks 2k
-    and 2k + 1 differ by a swap of the last two tiles, so state (b, k) has
-    the order in row k of ``_tile_orders(width * width)[parity[b]]``.  A
+    tile order; only orders of parity ``parity[b]``, the one that
+    ``is_reachable`` asks of blank cell b, reach the goal.  Ranks 2k and
+    2k + 1 differ by a swap of the last two tiles, so state (b, k) has the
+    order in row k of ``_tile_orders(width * width)[parity[b]]``.  A
     horizontal move keeps the order and so k; a vertical move carries one
     tile past width - 1 others, and ``ranks[b, op][k]`` is the child's k.
     Returns (parity, ranks); the orders are not kept.
     """
     cells = width * width
-    goal_blank, _, goal_parity = _state_key(goal)
-    parity = tuple(goal_parity ^ ((width - 1) * (b // width - goal_blank // width) & 1) for b in range(cells))
+    parity = tuple(_reachable_parity(goal, b) for b in range(cells))
     orders = _tile_orders(cells)
     ranks = {}
     for b, moves in enumerate(moves_table(width)):
@@ -258,20 +241,18 @@ def _distance_table(width: int, goal: tuple[int, ...]):
     return tuple(memoryview(row) for row in dist), parity
 
 
-def exact_distance(
-    state: State, goal: State, node_budget: int = DEFAULT_NODE_BUDGET
-) -> int:
+def exact_distance(state: State, goal: State) -> int:
     """True distance from ``state`` to ``goal``.
 
     Width <= 3 reads a table of every state's distance, built on the first
     query for that goal; width 4 solves with ``idastar`` under
-    ``node_budget``.  Raises ValueError when the widths differ or ``state``
+    ``DEFAULT_NODE_BUDGET``.  Raises ValueError when the widths differ or ``state``
     cannot reach ``goal``: at width <= 3, its tile order has the other parity.
     """
     if state.width != goal.width:
         raise ValueError("state and goal have different widths")
     if state.width > _TABLE_MAX_WIDTH:
-        return idastar(ProblemInstance(state, goal), node_budget=node_budget).length
+        return idastar(ProblemInstance(state, goal)).length
     rows, parity = _distance_table(state.width, goal.tiles)
     blank, k, odd = _state_key(state.tiles)
     if odd != parity[blank]:
@@ -284,14 +265,13 @@ def instance_of_depth(
     width: int = 3,
     seed: int = 0,
     attempts: int = 500,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ProblemInstance:
     """Generate an instance whose verified optimal depth is exactly ``d``.
 
     Rejection-samples seeded random walks of length ``d`` (walks backtrack, so
     the walked distance is only an upper bound) and verifies each candidate
     with ``exact_distance`` until one matches: a table lookup for width <= 3,
-    an ``idastar`` solve under ``node_budget`` for width 4.
+    an ``idastar`` solve for width 4.
     """
     if d < 0:
         raise ValueError("depth must be >= 0")
@@ -304,7 +284,7 @@ def instance_of_depth(
             continue
         if manhattan(s, goal) > d:
             continue
-        if exact_distance(s, goal, node_budget) == d:
+        if exact_distance(s, goal) == d:
             return ProblemInstance(s, goal)
     raise GenerationFailed(
         f"no depth-{d} instance found in {attempts} attempts (width {width}, seed {seed})"

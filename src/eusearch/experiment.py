@@ -62,6 +62,11 @@ def to_user_units(
     )
 
 
+def _max_depth(width: int) -> int:
+    """The deepest instance depth a config may ask for: the 2x2 and 3x3 diameters, else 80."""
+    return {2: 6, 3: 31}.get(width, 80)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters of one experiment; defaults are the desk-scale protocol."""
@@ -97,9 +102,8 @@ class ExperimentConfig:
             check_level(level)
         if self.model_kind not in ("markov", "empirical"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        max_reachable = 31 if self.width == 3 else (6 if self.width == 2 else 80)
         for d in self.depths:
-            if d < 0 or d > max_reachable:
+            if d < 0 or d > _max_depth(self.width):
                 raise ValueError(f"depth {d} not achievable at width {self.width}")
 
     def utility_model(self) -> UtilityModel:
@@ -303,7 +307,12 @@ def report_csv_text(report: ExperimentReport) -> str:
 
 
 def read_report_csv(path: str, config: ExperimentConfig | None = None) -> ExperimentReport:
-    """Rebuild a report from its CSV; summary statistics need nothing else."""
+    """Rebuild a report from its CSV; summary statistics need nothing else.
+
+    Without ``config`` the report gets the CSV's depths and levels.  The CSV
+    has no width column, so the width is 3 unless a depth lies beyond the
+    3x3 diameter, then 4.
+    """
     rows: list[ReportRow] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -325,8 +334,10 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
                     utility=float(rec["utility"]),
                 )
             )
+    depths = tuple(sorted({r.depth for r in rows}))
     cfg = config or ExperimentConfig(
-        depths=tuple(sorted({r.depth for r in rows})),
+        width=3 if all(d <= _max_depth(3) for d in depths) else 4,
+        depths=depths,
         levels=tuple(sorted({r.level for r in rows})),
     )
     return ExperimentReport(config=cfg, rows=rows)

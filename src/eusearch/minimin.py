@@ -6,13 +6,15 @@ at its frontier, backs the minimum up to the root, and commits to one move.
 Runs record node generations (time), peak stored nodes (space), and executed
 moves, counted as if the whole tree were walked.  The kernel walks only part
 of it: the counts come from a table of tree sizes plus a walk of the subtrees
-the goal cuts, and each first move's value from a per-goal table of every
-state's backed-up values on boards of width <= 3, or from a branch and bound
-on f on wider ones.  The value table also tells the walk exactly which
-subtrees hold a goal above the frontier; without it, the walk enters every
-node whose Manhattan distance is below its moves left.  A run on a board of
-width <= 3 never leaves its goal's parity class, so it carries its state as
-the table's (blank cell, k) and reads h and every value from the table.
+the goal cuts.  There are two kernels.  A run on a board of width <= 3
+starts in its goal's parity class (``ProblemInstance`` admits no other
+state) and never leaves it, so it carries its state as (blank cell, k) in
+``exact._state_index`` and reads h and each first move's value from a
+per-goal table of every state's backed-up values; the table also tells the
+walk exactly which subtrees hold a goal above the frontier.  Runs on wider
+boards, and every single decision of ``minimin_decide``, search: a branch
+and bound on f gives each first move's value, and the walk enters every
+node whose Manhattan distance is below its moves left.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Sequence
 import numpy as np
 
 # ``idastar`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
-from .exact import _TABLE_MAX_WIDTH, _state_index, _state_key, _tile_orders, exact_distance
+from .exact import _TABLE_MAX_WIDTH, _state_index, _tile_orders, exact_distance
 from .exact import idastar  # noqa: F401
-from .puzzle import _INVERSE, Op, ProblemInstance, State, dist_table, moves_table
+from .puzzle import _INVERSE, Op, ProblemInstance, State, _state_key, dist_table, moves_table
 
 MAX_LOOKAHEAD = 24
 # A traced decision: the tiles it was made at, and its top-ranked child's.
@@ -127,8 +129,8 @@ def _kernel_tables(width: int, goal: tuple[int, ...]):
 def _tree_counts(after, size, tiles, blank, h0, level) -> tuple[int, int]:
     """Nodes generated and peak stack depth of the depth-``level`` tree at ``tiles``.
 
-    For states without a value table: boards wider than 3 and states of the
-    other parity class.  The walk enters only nodes with h < moves left.
+    The count walk of ``_ranked_decisions``, which reads no value table.
+    It enters only nodes with h < moves left.
     Below any other node no goal can be expanded, so its subtree is the full
     one in ``size``.
     """
@@ -175,8 +177,8 @@ def _ranked_decisions(
 ) -> tuple[list[tuple[int, int, int]], int, int]:
     """Sorted (value, op, new blank) first moves, nodes and stack peak, by search.
 
-    For states without a value table: runs and decisions above width 3, and
-    ``_decisions`` on states of the other parity class.  Manhattan distance
+    The kernel of runs above width 3 and of every ``minimin_decide`` call;
+    ``_table_loop`` reads the same values from ``_value_table``.  Manhattan distance
     is consistent, so f = g + h moves by 0 or +2 per move and a node's f
     bounds every frontier f below it.  A first move's value comes from a
     branch and bound on one board list that tries the h-decreasing children
@@ -261,11 +263,12 @@ def _value_table(width: int, goal: tuple[int, ...]):
     one undoing the arrival op.  Manhattan distance is consistent, so W rises
     by 0 or 2 per level (else the build raises); bit l - 1 of a profile word
     records which: W_l = h + 2 * popcount(word & (2**l - 1)), for every level
-    up to ``MAX_LOOKAHEAD``.  Returns (rows, h, parity, size): ``rows[b][last]``
+    up to ``MAX_LOOKAHEAD``.  Returns (rows, h, size): ``rows[b][last]``
     lists the (op, new blank, words, ranks) moves from cell ``b`` as ``after``
     in ``_kernel_tables`` does, with the child's words by its k in
     ``_state_index`` and the move's map of k (a range where k is kept);
     ``h[b][k]`` is state (b, k)'s h; ``size`` is ``_kernel_tables``'.
+    Only ``_table_loop`` and its count walk ``_goal_counts`` read it.
     """
     kernel = _kernel_tables(width, goal)
     parity, ranks = _state_index(width, goal)
@@ -305,7 +308,7 @@ def _value_table(width: int, goal: tuple[int, ...]):
     ) for b in range(cells))
     for row in h:
         row.flags.writeable = False
-    return rows, tuple(memoryview(row) for row in h), parity, kernel[2]
+    return rows, tuple(memoryview(row) for row in h), kernel[2]
 
 
 def _goal_counts(rows, h, size, blank, k, level) -> tuple[int, int]:
@@ -343,34 +346,6 @@ def _goal_counts(rows, h, size, blank, k, level) -> tuple[int, int]:
     return nodes, deepest + 2
 
 
-def _decisions(
-    tiles: tuple[int, ...], blank: int, goal: tuple[int, ...], width: int, level: int
-) -> tuple[list[tuple[int, int, int]], int, int]:
-    """One decision's sorted (value, op, new blank) first moves, nodes and stack peak.
-
-    As a walk of the whole tree would find them.  At width <= 3 values come
-    from ``_value_table`` at ``_state_key``'s k; the top value is the root's
-    W_level, so a tree it puts at or above ``level`` holds no goal above the
-    frontier and has the size in the table, and any other is counted by
-    ``_goal_counts``.  Other states are searched by ``_ranked_decisions``.
-    """
-    if width > _TABLE_MAX_WIDTH:
-        return _ranked_decisions(tiles, blank, goal, width, level)
-    rows, h, parity, size = _value_table(width, goal)
-    _, k, odd = _state_key(tiles)
-    if odd != parity[blank]:
-        return _ranked_decisions(tiles, blank, goal, width, level)
-    mask = (1 << (level - 1)) - 1
-    ranked = []
-    for op, j, words, ranks in rows[blank][_ROOT]:
-        child = ranks[k]
-        ranked.append((1 + h[j][child] + 2 * (words[child] & mask).bit_count(), op, j))
-    ranked.sort()
-    if ranked[0][0] >= level:
-        return ranked, size[level][blank][_ROOT], level + 1
-    return ranked, *_goal_counts(rows, h, size, blank, k, level)
-
-
 def _child(tiles: tuple[int, ...], blank: int, j: int) -> tuple[int, ...]:
     """``tiles`` after the blank at ``blank`` moves to cell ``j``."""
     board = list(tiles)
@@ -384,13 +359,15 @@ def minimin_decide(s: State, goal: State, level: int) -> tuple[Op, int, int]:
 
     Returns (chosen operator, backed-up f value, nodes generated by this
     decision).  Ties between first moves break by Up < Down < Left < Right.
+    The decision is searched by ``_ranked_decisions`` at every width and
+    builds no value table; ``s`` need not reach ``goal``.
     """
     check_level(level)
     if s.width != goal.width:
         raise ValueError("state and goal have different widths")
     if s.tiles == goal.tiles:
         raise ValueError("state is already the goal; no decision to make")
-    ranked, nodes, _ = _decisions(s.tiles, s.blank, goal.tiles, s.width, level)
+    ranked, nodes, _ = _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
     value, op = ranked[0][:2]
     return Op(op), value, nodes
 
@@ -414,12 +391,15 @@ def _run_loop(
 def _table_loop(p, level, limits, trace) -> Outcome:
     """Minimin on a state carried as (blank, k), its h and values read from ``_value_table``.
 
-    The top move is the first of least value in op order, as ``_decisions``
-    ranks them.  Loop avoidance takes the first of least value among the
-    moves to states entered fewer than twice, if there is one: the next in
-    that ranking.  Only a traced run follows the state's tiles.
+    The top move is the first of least value in op order, as
+    ``_ranked_decisions`` ranks them.  Loop avoidance takes the first of
+    least value among the moves to states entered fewer than twice, if there
+    is one: the next in that ranking.  Only a traced run follows the state's
+    tiles.  A root whose least first-move value reaches ``level`` holds no
+    goal above the frontier, so its tree has the size in the table; any
+    other tree is counted by ``_goal_counts``.
     """
-    rows, h, _, size = _value_table(p.width, p.goal.tiles)
+    rows, h, size = _value_table(p.width, p.goal.tiles)
     tiles = p.initial.tiles
     blank, k, _ = _state_key(tiles)
     mask = (1 << (level - 1)) - 1
@@ -540,17 +520,22 @@ def decision_accuracy(
     """Fraction of sampled states whose chosen move strictly reduces true distance.
 
     The chosen move is the top-ranked first move of a depth-``level``
-    lookahead.  True distances come from ``exact_distance``: a table lookup at
-    width <= 3, an IDA* solve at width 4, amortized across calls by a shared
-    ``dstar_cache``.  Scored by ``decision_hit_rate``.
+    lookahead: the first decision of a one-move run from the state, as the
+    fit's traces record it.  Every state must reach ``goal`` and none may be
+    the goal (ValueError, before any run).  True distances come from
+    ``exact_distance``: a table lookup at width <= 3, an IDA* solve at width
+    4, amortized across calls by a shared ``dstar_cache``.  Scored by
+    ``decision_hit_rate``.
     """
     if not sample:
         raise EmptySample("decision_accuracy needs at least one state")
     check_level(level)
-    decisions = []
+    if any(s.tiles == goal.tiles for s in sample):
+        raise ValueError("sample contains the goal state; no decision exists")
+    decisions: list[Decision] = []
+    one_move = ResourceLimits(1, 1)
     for s in sample:
-        ranked, _, _ = _decisions(s.tiles, s.blank, goal.tiles, s.width, level)
-        decisions.append((s.tiles, _child(s.tiles, s.blank, ranked[0][2])))
+        _run_loop(ProblemInstance(s, goal), level, one_move, decisions)
     return decision_hit_rate(decisions, goal, dstar_cache)
 
 

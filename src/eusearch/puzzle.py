@@ -163,39 +163,46 @@ def manhattan(s: State, goal: State) -> int:
     return total
 
 
-def permutation_parity(perm: Iterable[int]) -> int:
-    """Parity (0 even / 1 odd) of a permutation given as an image list."""
-    perm = list(perm)
-    seen = [False] * len(perm)
-    transpositions = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        transpositions += length - 1
-    return transpositions & 1
+def _state_key(tiles: tuple[int, ...]) -> tuple[int, int, int]:
+    """A state's blank cell, and the k and inversion parity of its tile order.
+
+    The order is read row-major with tile t as t - 1; its Lehmer rank is 2k or 2k + 1.
+    """
+    n = len(tiles) - 1
+    rank = inversions = seen = 0  # bit t of seen set once tile t is read
+    for t in tiles:
+        if t:
+            # Tiles after this one that are smaller: t - 1 minus those before it.
+            smaller = t - 1 - (seen & ((1 << t) - 1)).bit_count()
+            rank = rank * n + smaller
+            inversions += smaller
+            seen |= 1 << t
+            n -= 1
+    return tiles.index(0), rank >> 1, inversions & 1
+
+
+def _reachable_parity(goal: tuple[int, ...], blank: int) -> int:
+    """The tile-order parity of the states with the blank at ``blank`` that reach ``goal``.
+
+    A horizontal move keeps the order; a vertical one carries one tile past
+    width - 1 others.  So each row the blank lies from the goal's flips the
+    parity on boards of even width and keeps it on odd ones.
+    """
+    width = isqrt(len(goal))
+    goal_blank, _, goal_parity = _state_key(goal)
+    return goal_parity ^ ((width - 1) * (blank // width - goal_blank // width) & 1)
 
 
 def is_reachable(a: State, b: State) -> bool:
     """Whether ``b`` is reachable from ``a`` by blank moves.
 
-    Each move is one transposition and moves the blank one grid step, so the
-    permutation parity between the states must equal the parity of the grid
-    distance between their blanks.
+    Moves reach every state whose tile order has the parity that
+    ``_reachable_parity`` gives for its blank row, and no other.
     """
     if a.width != b.width:
         raise ValueError("states have different widths")
-    pos_in_b = {t: i for i, t in enumerate(b.tiles)}
-    perm = [pos_in_b[t] for t in a.tiles]
-    ar, ac = divmod(a.blank, a.width)
-    br, bc = divmod(b.blank, b.width)
-    blank_dist = abs(ar - br) + abs(ac - bc)
-    return permutation_parity(perm) == (blank_dist & 1)
+    blank, _, odd = _state_key(a.tiles)
+    return odd == _reachable_parity(b.tiles, blank)
 
 
 @dataclass(frozen=True)

@@ -291,10 +291,13 @@ def _calibration_curves(bounds: Mapping[str, float]) -> tuple[AttributeUtility, 
     )
 
 
+# A calibrated model is a solution when its utilities of the rows vary by less.
+_VARIANCE_FLOOR = 1e-12
+
+
 def calibrate_multiplicative(
     equivalence_rows: Sequence[Outcome],
     bounds: Mapping[str, float] = DEFAULT_BOUNDS,
-    variance_floor: float = 1e-12,
 ) -> UtilityModel:
     """Fit a multiplicative model that scores the given rows equally.
 
@@ -399,14 +402,14 @@ def calibrate_multiplicative(
             model = candidate(root)
             if model is not None:
                 var = row_variance(model)
-                if var < variance_floor:
+                if var < _VARIANCE_FLOOR:
                     solutions.append((var, abs(model.k), model))
         previous = (k, s)
 
     if not solutions:
         raise CalibrationFailed(
             "rows are inconsistent with a multiplicative utility "
-            f"(no solution reached variance < {variance_floor})"
+            f"(no solution reached variance < {_VARIANCE_FLOOR})"
         )
     solutions.sort(key=lambda item: (item[0], item[1]))
     return solutions[0][2]

@@ -65,6 +65,19 @@ def cycle_parity(perm) -> int:
     return (len(perm) - cycles) & 1
 
 
+def cycle_count_reachable(a: State, b: State) -> bool:
+    """Whether ``b`` is reachable from ``a``, by the parity of the permutation between them.
+
+    Each move is one transposition and moves the blank one grid step, so the
+    cycle-count parity of the permutation taking ``a`` to ``b`` must equal the
+    parity of the grid distance between their blanks.
+    """
+    pos_in_b = {t: i for i, t in enumerate(b.tiles)}
+    ar, ac = divmod(a.blank, a.width)
+    br, bc = divmod(b.blank, b.width)
+    return cycle_parity([pos_in_b[t] for t in a.tiles]) == (abs(ar - br) + abs(ac - bc)) & 1
+
+
 def exhaustive_lookahead(
     s: State, goal: State, level: int
 ) -> tuple[Op, int, dict[Op, int], int, int]:

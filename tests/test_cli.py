@@ -168,6 +168,16 @@ class TestAccuracy:
         assert lines[0] == "level,accuracy,n"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [(("--samples", "0"), "EmptySample"), (("--depth", "0"), "ValueError: sample contains the goal")],
+    )
+    def test_failure_prints_no_header(self, capsys, flags, error):
+        code, out, err = run_cli(capsys, "accuracy", "--levels", "1,2", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"eusearch: {error}")
+
 
 class TestFitSelect:
     def test_markov_fit_then_select(self, capsys, tmp_path):
@@ -292,6 +302,22 @@ class TestExperimentCommand:
         code, out2, _ = run_cli(capsys, "summarize", "--report", runs_csv)
         assert code == 0
         assert "fraction highest utility" in out2
+
+    def test_summarize_a_width4_report(self, capsys, tmp_path):
+        # Depth 40 lies past the 3x3 diameter; the runs CSV has no width column.
+        rows = [",".join(experiment.REPORT_COLUMNS)]
+        for i, utilities in enumerate(((0.5, 0.25), (0.25, 0.75))):
+            for level, utility in zip((1, 2), utilities):
+                rows.append(f"40,{i},{7 + i},{level},1,40,{900 * level},{level + 60},1,{utility}")
+        runs_csv = tmp_path / "runs.csv"
+        runs_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        summary_csv = tmp_path / "summary.csv"
+        code, out, err = run_cli(capsys, "summarize", "--report", str(runs_csv), "--csv", str(summary_csv))
+        assert (code, err) == (0, "")
+        assert "fraction highest utility" in out
+        assert summary_csv.read_text(encoding="utf-8").splitlines()[2] == (
+            "depth,40,2,1,0.5,1.0,1,0.3333333333333333,0.375,2,0.5"
+        )
 
     def test_config_file(self, capsys, tmp_path):
         import yaml

@@ -12,7 +12,6 @@ from eusearch.exact import (
     _UNREACHED,
     _distance_table,
     _state_index,
-    _state_key,
     bfs_optimal,
     exact_distance,
     idastar,
@@ -23,6 +22,7 @@ from eusearch.puzzle import (
     Op,
     ProblemInstance,
     State,
+    _state_key,
     apply_op,
     goal_state,
     manhattan,

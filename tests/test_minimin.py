@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eusearch.minimin as minimin
-from eusearch.exact import _state_key, exact_distance, idastar, instance_of_depth
+from eusearch.exact import exact_distance, idastar, instance_of_depth
 from eusearch.experiment import ExperimentConfig, run_experiment
 from eusearch.minimin import (
     MAX_LOOKAHEAD,
@@ -19,7 +19,6 @@ from eusearch.minimin import (
     minimin_run,
     minimin_trace,
     _child,
-    _decisions,
     _ranked_decisions,
     _value_table,
 )
@@ -27,6 +26,7 @@ from eusearch.puzzle import (
     Op,
     ProblemInstance,
     State,
+    _state_key,
     apply_op,
     goal_state,
     legal_ops,
@@ -222,7 +222,7 @@ class TestKernelOracle:
                     (depth, _state_key(tiles)[:2], left)
                     for depth, tiles, left in nodes_with_a_goal_above_the_frontier(s, GOAL3, level)
                 )
-                assert walk_entries(s, GOAL3, level, _decisions) == expected
+                assert walk_entries(s, GOAL3, level, table_decision) == expected
 
 
 def walk_entries(s, goal, level, kernel=_ranked_decisions):
@@ -293,10 +293,49 @@ def nodes_with_a_goal_above_the_frontier(s, goal, level):
     return sorted(found)
 
 
+def table_decisions(s, goal, levels):
+    """Each level's decision at ``s`` as a 2x2 or 3x3 run makes it, in ``_ranked_decisions``' form.
+
+    Each first move's (value, op, new blank) is read from the value table's
+    words, h and ranks, and sorted.  The node count and stack peak are a
+    one-move ``_table_loop`` run's, whose traced top child must be the first
+    of those moves.
+    """
+    rows, h, _ = _value_table(s.width, goal.tiles)
+    _, k, _ = _state_key(s.tiles)
+    p = ProblemInstance(s, goal)
+    decisions = []
+    for level in levels:
+        mask = (1 << (level - 1)) - 1
+        ranked = sorted(
+            (1 + h[j][ranks[k]] + 2 * (words[ranks[k]] & mask).bit_count(), op, j)
+            for op, j, words, ranks in rows[s.blank][minimin._ROOT]
+        )
+        trace = []
+        outcome = minimin._table_loop(p, level, ResourceLimits(1, 1), trace)
+        assert trace == [(s.tiles, _child(s.tiles, s.blank, ranked[0][2]))]
+        # After one move the run stores its stack peak and the two states entered.
+        decisions.append((ranked, outcome.time_units, outcome.space_units - 2))
+    return decisions
+
+
+def table_decision(tiles, blank, goal, width, level):
+    """``table_decisions`` at one level, called as ``_ranked_decisions`` is."""
+    return table_decisions(State(tiles, width), State(goal, width), [level])[0]
+
+
 def both_kernels(s, goal, level):
     """The decision read from the value table and the one searched by branch and bound."""
     args = (s.tiles, s.blank, goal.tiles, s.width, level)
-    return _decisions(*args), _ranked_decisions(*args)
+    return table_decision(*args), _ranked_decisions(*args)
+
+
+def other_class(s):
+    """``s`` with its first two tiles swapped: a state of the other parity class."""
+    tiles = list(s.tiles)
+    i, j = [k for k, t in enumerate(tiles) if t][:2]
+    tiles[i], tiles[j] = tiles[j], tiles[i]
+    return State(tuple(tiles), s.width)
 
 
 def table_bytes(table):
@@ -318,16 +357,15 @@ class TestValueTable:
             if d == 0:
                 continue
             for level in range(1, MAX_LOOKAHEAD + 1):
-                assert_kernel_matches_oracle(State(tiles, 2), GOAL2, level, _decisions)
+                assert_kernel_matches_oracle(State(tiles, 2), GOAL2, level, table_decision)
 
     def test_every_3x3_state_at_levels_1_to_3(self, distances3):
         for tiles, d in distances3.items():
             if d == 0:
                 continue
             s = State(tiles, 3)
-            for level in (1, 2, 3):
-                got, expected = both_kernels(s, GOAL3, level)
-                assert got == expected
+            expected = [_ranked_decisions(tiles, s.blank, GOAL3.tiles, 3, level) for level in (1, 2, 3)]
+            assert table_decisions(s, GOAL3, (1, 2, 3)) == expected
 
     def test_every_state_near_the_goal_counts_as_the_search(self, distances3):
         # The goal cuts the trees of these states, so the walk runs on most of
@@ -335,10 +373,9 @@ class TestValueTable:
         near = [tiles for tiles, d in distances3.items() if 0 < d <= 12]
         assert len(near) == 1849
         for tiles in near:
-            blank = tiles.index(0)
-            for level in range(1, 15):
-                _, nodes, peak = _decisions(tiles, blank, GOAL3.tiles, 3, level)
-                assert (nodes, peak) == _ranked_decisions(tiles, blank, GOAL3.tiles, 3, level)[1:]
+            s = State(tiles, 3)
+            for level, (_, nodes, peak) in enumerate(table_decisions(s, GOAL3, range(1, 15)), 1):
+                assert (nodes, peak) == _ranked_decisions(tiles, s.blank, GOAL3.tiles, 3, level)[1:]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -385,11 +422,8 @@ class TestValueTable:
         monkeypatch.setattr(
             minimin, "_ranked_decisions", lambda *args: calls.append(args) or searched(*args)
         )
-        tiles = list(walked_state(GOAL3, 12, 5).tiles)
-        i, j = [k for k, t in enumerate(tiles) if t][:2]
-        tiles[i], tiles[j] = tiles[j], tiles[i]  # the other parity class
         with pytest.raises(ValueError):
-            ProblemInstance(State(tuple(tiles), 3), GOAL3)
+            ProblemInstance(other_class(walked_state(GOAL3, 12, 5)), GOAL3)
         cases = [
             (GOAL2, 9, 1, ResourceLimits(10, 100)),
             (GOAL3, 14, 2, ResourceLimits(100, 10**6)),
@@ -406,12 +440,19 @@ class TestValueTable:
             assert len(calls) == (len(trace) if goal.width > 3 else 0)
 
     def test_states_that_cannot_reach_the_goal_are_searched(self):
-        tiles = list(walked_state(GOAL3, 12, 5).tiles)
-        i, j = [k for k, t in enumerate(tiles) if t][:2]
-        tiles[i], tiles[j] = tiles[j], tiles[i]  # the other parity class
-        for level in (1, 6, 18):
-            got, expected = both_kernels(State(tuple(tiles), 3), GOAL3, level)
-            assert got == expected
+        for seed in (5, 6, 7):
+            s = other_class(walked_state(GOAL3, 12, seed))
+            for level in (1, 6, 18):
+                oracle_op, oracle_value, _, oracle_nodes, _ = exhaustive_lookahead(s, GOAL3, level)
+                assert minimin_decide(s, GOAL3, level) == (oracle_op, oracle_value, oracle_nodes)
+
+    def test_single_decisions_build_no_table(self):
+        _value_table.cache_clear()
+        s = walked_state(GOAL3, 12, 5)
+        for state in (s, other_class(s)):
+            for level in (1, 6, 18):
+                minimin_decide(state, GOAL3, level)
+        assert _value_table.cache_info().misses == 0
 
     def test_goals_never_share_a_table(self):
         other = State((0, 1, 2, 3, 4, 5, 6, 7, 8), 3)
@@ -427,8 +468,7 @@ class TestValueTable:
         _value_table.cache_clear()
         s = walked_state(GOAL4, 30, 1)
         for level in (1, 7):
-            got, expected = both_kernels(s, GOAL4, level)
-            assert got == expected
+            assert_kernel_matches_oracle(s, GOAL4, level)
         minimin_run(ProblemInstance(s, GOAL4), 3)
         assert _value_table.cache_info().misses == 0
 

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from eusearch.puzzle import (
     random_walk,
     replay,
 )
-from oracles import bfs_distances, manhattan_tally
+from oracles import bfs_distances, cycle_count_reachable, manhattan_tally
 
 GOAL3 = goal_state(3)
 
@@ -154,13 +155,33 @@ class TestReachability:
                 assert is_reachable(apply_op(s, op), GOAL3)
 
     def test_matches_2x2_enumeration(self):
-        goal = goal_state(2)
-        reachable = set(bfs_distances(goal))
-        import itertools
+        # Every 2x2 state against every 2x2 goal.
+        for goal_tiles in permutations(range(4)):
+            goal = State(goal_tiles, 2)
+            reachable = set(bfs_distances(goal))
+            for tiles in permutations(range(4)):
+                assert is_reachable(State(tiles, 2), goal) == (tiles in reachable)
 
-        for perm in itertools.permutations(range(4)):
-            s = State(perm, 2)
-            assert is_reachable(s, goal) == (perm in reachable)
+    def test_every_3x3_permutation(self, distances3):
+        # The BFS set is the default goal's class.  The blank-first goal with
+        # tiles 1 and 2 swapped lies in the other class, so it reaches the rest.
+        other = State((0, 2, 1, 3, 4, 5, 6, 7, 8), 3)
+        assert other.tiles not in distances3
+        for tiles in permutations(range(9)):
+            s = State(tiles, 3)
+            reachable = tiles in distances3
+            assert is_reachable(s, GOAL3) == reachable
+            assert is_reachable(s, other) != reachable
+
+    def test_sampled_4x4_pairs_match_the_cycle_count(self):
+        rng = random.Random(14)
+        outcomes = set()
+        for _ in range(5000):
+            a, b = (State(tuple(rng.sample(range(16), 16)), 4) for _ in range(2))
+            reachable = cycle_count_reachable(a, b)
+            assert is_reachable(a, b) == reachable
+            outcomes.add(reachable)
+        assert outcomes == {False, True}
 
 
 class TestRandomWalk:
