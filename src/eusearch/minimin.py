@@ -11,10 +11,13 @@ starts in its goal's parity class (``ProblemInstance`` admits no other
 state) and never leaves it, so it carries its state as (blank cell, k) in
 ``exact._state_index`` and reads h and each first move's value from a
 per-goal table of every state's backed-up values; the table also tells the
-walk exactly which subtrees hold a goal above the frontier.  Runs on wider
-boards, and every single decision of ``minimin_decide``, search: a branch
-and bound on f gives each first move's value, and the walk enters every
-node whose Manhattan distance is below its moves left.
+walk exactly which subtrees hold a goal above the frontier.  A walked
+tree's counts are kept with the table, per (level, state), so each is walked
+once per process: only states with 0 < d* < level are walked, which bounds
+the memo by the d* balls around the goal.  Runs on wider boards, and every
+single decision of ``minimin_decide``, search: a branch and bound on f gives
+each first move's value, and the walk enters every node whose Manhattan
+distance is below its moves left.
 """
 
 from __future__ import annotations
@@ -263,11 +266,17 @@ def _value_table(width: int, goal: tuple[int, ...]):
     one undoing the arrival op.  Manhattan distance is consistent, so W rises
     by 0 or 2 per level (else the build raises); bit l - 1 of a profile word
     records which: W_l = h + 2 * popcount(word & (2**l - 1)), for every level
-    up to ``MAX_LOOKAHEAD``.  Returns (rows, h, size): ``rows[b][last]``
-    lists the (op, new blank, words, ranks) moves from cell ``b`` as ``after``
-    in ``_kernel_tables`` does, with the child's words by its k in
-    ``_state_index`` and the move's map of k (a range where k is kept);
-    ``h[b][k]`` is state (b, k)'s h; ``size`` is ``_kernel_tables``'.
+    up to ``MAX_LOOKAHEAD``.  Returns (rows, h, size, counted):
+    ``rows[b][last]`` lists the (op, new blank, words, ranks) moves from cell
+    ``b`` as ``after`` in ``_kernel_tables`` does, with the child's words by
+    its k in ``_state_index`` and the move's map of k (a range where k is
+    kept); ``h[b][k]`` is state (b, k)'s h; ``size`` is ``_kernel_tables``'.
+    ``counted[level]`` starts empty and maps ``b << 16 | k`` to the
+    (nodes, stack peak) that ``_goal_counts`` gave state (b, k) at
+    ``level``; it lives and dies with this (width, goal)'s table.  A tree is
+    walked only when 0 < d* < level, so it holds at most the sum over the
+    levels run of the d* ball sizes: 2,834 entries at levels 1-12, 19,600
+    at 1-16 and 452,164 at 1-24 for the default 3x3 goal.
     Only ``_table_loop`` and its count walk ``_goal_counts`` read it.
     """
     kernel = _kernel_tables(width, goal)
@@ -308,7 +317,8 @@ def _value_table(width: int, goal: tuple[int, ...]):
     ) for b in range(cells))
     for row in h:
         row.flags.writeable = False
-    return rows, tuple(memoryview(row) for row in h), kernel[2]
+    counted = tuple({} for _ in range(MAX_LOOKAHEAD + 1))
+    return rows, tuple(memoryview(row) for row in h), kernel[2], counted
 
 
 def _goal_counts(rows, h, size, blank, k, level) -> tuple[int, int]:
@@ -320,7 +330,8 @@ def _goal_counts(rows, h, size, blank, k, level) -> tuple[int, int]:
     moves down has f = g and any other frontier leaf f >= m + 1 >= left, so
     W < left iff a goal lies above the frontier below the node, and only such
     a goal, generated but never expanded, cuts its tree.  Every other subtree
-    is the full one in ``size``.
+    is the full one in ``size``.  ``_table_loop`` keeps each result in the
+    table's ``counted``, so a (level, state) is walked once.
     """
     nodes = 0
     deepest = 0  # depth of the deepest expanded node
@@ -397,15 +408,18 @@ def _table_loop(p, level, limits, trace) -> Outcome:
     is one: the next in that ranking.  Only a traced run follows the state's
     tiles.  A root whose least first-move value reaches ``level`` holds no
     goal above the frontier, so its tree has the size in the table; any
-    other tree is counted by ``_goal_counts``.
+    other tree is counted by ``_goal_counts`` once, then read from the
+    table's ``counted``.
     """
-    rows, h, size = _value_table(p.width, p.goal.tiles)
+    rows, h, size, counted = _value_table(p.width, p.goal.tiles)
+    known = counted[level]
     tiles = p.initial.tiles
     blank, k, _ = _state_key(tiles)
     mask = (1 << (level - 1)) - 1
     roots = [after[_ROOT] for after in rows]
     full = [tree[_ROOT] for tree in size[level]]
-    visits = {blank << 16 | k: 1}  # k < 8!/2 < 2**16
+    key = blank << 16 | k  # k < 8!/2 < 2**16
+    visits = {key: 1}
     moves = 0
     total_nodes = 0
     peak_space = 0
@@ -422,7 +436,10 @@ def _table_loop(p, level, limits, trace) -> Outcome:
         if best + 1 >= level:
             nodes, stack_peak = full[blank], level + 1
         else:
-            nodes, stack_peak = _goal_counts(rows, h, size, blank, k, level)
+            counts = known.get(key)
+            if counts is None:
+                counts = known[key] = _goal_counts(rows, h, size, blank, k, level)
+            nodes, stack_peak = counts
         total_nodes += nodes
         if trace is not None:
             top = _child(tiles, blank, to)

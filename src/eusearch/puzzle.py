@@ -181,12 +181,14 @@ def _state_key(tiles: tuple[int, ...]) -> tuple[int, int, int]:
     return tiles.index(0), rank >> 1, inversions & 1
 
 
+@lru_cache(maxsize=128)
 def _reachable_parity(goal: tuple[int, ...], blank: int) -> int:
     """The tile-order parity of the states with the blank at ``blank`` that reach ``goal``.
 
     A horizontal move keeps the order; a vertical one carries one tile past
     width - 1 others.  So each row the blank lies from the goal's flips the
-    parity on boards of even width and keeps it on odd ones.
+    parity on boards of even width and keeps it on odd ones.  Cached, so a
+    goal's key is read once per blank cell, not on every ``is_reachable``.
     """
     width = isqrt(len(goal))
     goal_blank, _, goal_parity = _state_key(goal)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from eusearch.exact import bfs_optimal, idastar
+from eusearch.exact import _distance_table, bfs_optimal, idastar
 from eusearch.experiment import (
     ExperimentConfig,
     load_experiment_config,
@@ -26,7 +26,7 @@ from eusearch.experiment import (
     summary_csv_text,
     summary_table,
 )
-from eusearch.minimin import Outcome, minimin_decide, minimin_trace, ResourceLimits
+from eusearch.minimin import Outcome, minimin_decide, minimin_trace, ResourceLimits, _value_table
 from eusearch.perfmodel import MarkovParams, markov_predict
 from eusearch.puzzle import (
     ProblemInstance,
@@ -403,6 +403,20 @@ def test_desk_summary_csv_fingerprint(default_experiment):
     report, _ = default_experiment
     text = summary_csv_text(summarize(report))
     assert hashlib.sha256(text.encode()).hexdigest() == DESK_SUMMARY_FINGERPRINT
+
+
+def test_desk_count_memo_holds_only_goal_cut_trees(default_experiment):
+    # A 3x3 run walks a decision's tree only when 0 < d* < level, and keeps
+    # its counts per (level, state); the seed-0 desk walks about 2,300 of the
+    # 2,834 such pairs at levels 1-12.
+    dstar = _distance_table(3, GOAL3.tiles)[0]
+    entries = [
+        (level, dstar[key >> 16][key & 0xFFFF])
+        for level, known in enumerate(_value_table(3, GOAL3.tiles)[3])
+        for key in known
+    ]
+    assert len(entries) > 2000
+    assert all(0 < d < level for level, d in entries)
 
 
 # SHA-256 of the runs CSV of ``configs/experiment_full.yaml`` cut to 10

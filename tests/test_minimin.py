@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eusearch.minimin as minimin
-from eusearch.exact import exact_distance, idastar, instance_of_depth
+from eusearch.exact import _distance_table, exact_distance, idastar, instance_of_depth
 from eusearch.experiment import ExperimentConfig, run_experiment
 from eusearch.minimin import (
     MAX_LOOKAHEAD,
@@ -222,7 +222,21 @@ class TestKernelOracle:
                     (depth, _state_key(tiles)[:2], left)
                     for depth, tiles, left in nodes_with_a_goal_above_the_frontier(s, GOAL3, level)
                 )
-                assert walk_entries(s, GOAL3, level, table_decision) == expected
+                assert walk_entries(s, GOAL3, level, cold_table_decision) == expected
+
+    def test_a_repeated_table_decision_walks_nothing(self):
+        # The first decision at a (level, state) walks and keeps its counts;
+        # the next one reads them back.
+        counted = _value_table(3, GOAL3.tiles)[3]
+        walked = 0
+        for s in sample_states(12, 12, seed=29):
+            for level in range(1, 15):
+                args = (s.tiles, s.blank, GOAL3.tiles, 3, level)
+                cold = cold_table_decision(*args)
+                walked += bool(counted[level])
+                assert walk_entries(s, GOAL3, level, table_decision) == []
+                assert table_decision(*args) == cold == _ranked_decisions(*args)
+        assert walked > 0
 
 
 def walk_entries(s, goal, level, kernel=_ranked_decisions):
@@ -301,7 +315,7 @@ def table_decisions(s, goal, levels):
     one-move ``_table_loop`` run's, whose traced top child must be the first
     of those moves.
     """
-    rows, h, _ = _value_table(s.width, goal.tiles)
+    rows, h = _value_table(s.width, goal.tiles)[:2]
     _, k, _ = _state_key(s.tiles)
     p = ProblemInstance(s, goal)
     decisions = []
@@ -322,6 +336,30 @@ def table_decisions(s, goal, levels):
 def table_decision(tiles, blank, goal, width, level):
     """``table_decisions`` at one level, called as ``_ranked_decisions`` is."""
     return table_decisions(State(tiles, width), State(goal, width), [level])[0]
+
+
+def forget_counts(width, goal):
+    """Empty the count memo of the value table of (width, goal tiles)."""
+    for known in _value_table(width, goal)[3]:
+        known.clear()
+
+
+def cold_table_decision(tiles, blank, goal, width, level):
+    """``table_decision`` with an empty count memo, so its run walks every goal-cut tree."""
+    forget_counts(width, goal)
+    return table_decision(tiles, blank, goal, width, level)
+
+
+def assert_counted_only_goal_cut_trees(width, goal):
+    """Every state in (width, goal)'s count memo has 0 < d* < its level; returns their number."""
+    dstar = _distance_table(width, goal.tiles)[0]
+    entries = [
+        (level, dstar[key >> 16][key & 0xFFFF])
+        for level, known in enumerate(_value_table(width, goal.tiles)[3])
+        for key in known
+    ]
+    assert all(0 < d < level for level, d in entries)
+    return len(entries)
 
 
 def both_kernels(s, goal, level):
@@ -370,12 +408,19 @@ class TestValueTable:
     def test_every_state_near_the_goal_counts_as_the_search(self, distances3):
         # The goal cuts the trees of these states, so the walk runs on most of
         # them; levels 15-24 are sampled in test_deep_levels_equal_the_search.
+        # The first pass walks on an empty count memo, the second reads it.
         near = [tiles for tiles, d in distances3.items() if 0 < d <= 12]
         assert len(near) == 1849
-        for tiles in near:
-            s = State(tiles, 3)
-            for level, (_, nodes, peak) in enumerate(table_decisions(s, GOAL3, range(1, 15)), 1):
-                assert (nodes, peak) == _ranked_decisions(tiles, s.blank, GOAL3.tiles, 3, level)[1:]
+        expected = [
+            [_ranked_decisions(tiles, tiles.index(0), GOAL3.tiles, 3, level)[1:] for level in range(1, 15)]
+            for tiles in near
+        ]
+        forget_counts(3, GOAL3.tiles)
+        for _ in ("cold", "warm"):
+            for tiles, counts in zip(near, expected):
+                decisions = table_decisions(State(tiles, 3), GOAL3, range(1, 15))
+                assert [(nodes, peak) for _, nodes, peak in decisions] == counts
+            assert assert_counted_only_goal_cut_trees(3, GOAL3) > 0
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -463,6 +508,18 @@ class TestValueTable:
         assert got == expected != expected_other == got_other
         assert _value_table.cache_info().currsize == 2
         assert _value_table(3, GOAL3.tiles) is not _value_table(3, other.tiles)
+        # Nor a count memo: each holds its own goal's goal-cut trees, which a
+        # 2x2 table's keys would alias, and keeps counting as the search.
+        for goal in (GOAL3, other, GOAL2):
+            for steps in range(1, 9):
+                for seed in range(3):
+                    s = walked_state(goal, steps, seed)
+                    got, expected = both_kernels(s, goal, 10)
+                    assert got == expected
+        memos = [_value_table(goal.width, goal.tiles)[3] for goal in (GOAL3, other, GOAL2)]
+        assert len({id(known) for counted in memos for known in counted}) == 3 * (MAX_LOOKAHEAD + 1)
+        for goal in (GOAL3, other, GOAL2):
+            assert assert_counted_only_goal_cut_trees(goal.width, goal) > 0
 
     def test_width4_never_builds_a_table(self):
         _value_table.cache_clear()
