@@ -13,11 +13,15 @@ same ``all:`` digest:
 
     python3 scripts/replay_decisions.py
 
-A last line digests single decisions, apart from the runs: the return value
+A further line digests single decisions, apart from the runs: the return value
 (or the error type) of ``minimin_decide`` and ``decision_accuracy`` on fixed
 samples at widths 2-4 and levels 1-24, with 3x3 states of the other parity
 class for ``minimin_decide``.  It is computed after the runs, outside the
 ``_run_loop`` hook, so it does not depend on which loop a decision goes by.
+The last line, ``exact:``, digests the tiles of seeded ``random_walk``
+scrambles at widths 2-4 and what ``idastar`` returns on them (length, node
+count, peak stored nodes, path) or raises, every fourth solve on a budget
+of 2,000 nodes.
 """
 
 import hashlib
@@ -30,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from eusearch import minimin  # noqa: E402
+from eusearch.exact import idastar  # noqa: E402
 from eusearch.experiment import ExperimentConfig, load_experiment_config, run_experiment  # noqa: E402
 from eusearch.puzzle import ProblemInstance, State, goal_state, random_walk  # noqa: E402
 
@@ -83,6 +88,25 @@ def single_decisions() -> tuple[int, str]:
     return calls, digest.hexdigest()
 
 
+def exact_samples() -> tuple[int, str]:
+    """The number of calls made and a SHA-256 over the walks' tiles and the IDA* results."""
+    digest = hashlib.sha256()
+    calls = 0
+    for width, seeds in ((2, 24), (3, 40), (4, 48)):
+        goal = goal_state(width)
+        for seed in range(seeds):  # a walk of ``seed`` steps; every fourth solve on a small budget
+            s = random_walk(goal, seed, seed)
+            budget = 2_000 if seed % 4 == 3 else 500_000
+            try:
+                r = idastar(ProblemInstance(s, goal), node_budget=budget)
+                result = (r.length, r.nodes_generated, r.peak_stored, r.path.letters)
+            except Exception as exc:  # the error type is part of the behaviour digested
+                result = type(exc).__name__
+            digest.update(repr((width, seed, s.tiles, budget, result)).encode())
+            calls += 2
+    return calls, digest.hexdigest()
+
+
 RUNS = {
     "desk": lambda: run_experiment(ExperimentConfig(instances_per_depth=35)),
     "width4": width4_runs,
@@ -124,6 +148,9 @@ def main() -> None:
     start = time.perf_counter()
     calls, single = single_decisions()
     print(f"single decisions: {calls} calls in {time.perf_counter() - start:.2f} s, sha256 {single}")
+    start = time.perf_counter()
+    calls, exact = exact_samples()
+    print(f"exact: {calls} calls in {time.perf_counter() - start:.2f} s, sha256 {exact}")
 
 
 if __name__ == "__main__":

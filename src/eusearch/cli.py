@@ -28,7 +28,7 @@ from .perfmodel import MAX_SAMPLES, MarkovParams, fit_empirical, fit_markov, loa
 from .puzzle import ProblemInstance, goal_state, parse_state
 from .seeds import subseed
 from .selector import select_lookahead
-from .utility import default_utility_model, joint_utility, load_utility_config
+from .utility import joint_utility, load_utility_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,12 +67,6 @@ def _limits_from_args(args) -> ResourceLimits:
     return ResourceLimits(max_moves=args.max_moves, node_budget=args.node_budget)
 
 
-def _utility_from_args(args):
-    if getattr(args, "utility", None):
-        return load_utility_config(args.utility)
-    return default_utility_model()
-
-
 def cmd_solve(args) -> int:
     instance = _instance_from_args(args)
     solver = bfs_optimal if args.algorithm == "bfs" else idastar
@@ -92,7 +86,7 @@ def cmd_minimin(args) -> int:
     print(f"space_units {int(outcome.space_units)}")
     print(f"solved {1 if outcome.solved else 0}")
     if args.utility or args.score:
-        model = _utility_from_args(args)
+        model = load_utility_model(args.utility)
         converted = to_user_units(outcome, args.gens_per_minute, args.nodes_per_megabyte)
         print(f"utility {joint_utility(converted, model)!r}")
     return 0
@@ -142,7 +136,7 @@ def cmd_select(args) -> int:
     if args.samples > MAX_SAMPLES:
         raise ValueError(f"--samples must be <= {MAX_SAMPLES}")
     model = load_model(args.model)
-    utility = _utility_from_args(args)
+    utility = load_utility_model(args.utility)
     report = select_lookahead(
         args.depth,
         model,

@@ -7,7 +7,8 @@ for width 4, and for width <= 3 from a table of every state's distance by
 ``puzzle._state_key``'s (blank cell, k), in ``_state_index``, the one index
 of the states that reach a goal, which ``minimin``'s value table shares.
 ``instance_of_depth`` rejection-samples random walks until the verified
-optimal depth matches the target exactly.
+optimal depth matches the target exactly.  Walks and ``idastar`` never undo
+the last move: both read ``puzzle.moves_after``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from math import factorial
 
 import numpy as np
 
-from .puzzle import _INVERSE, Op, ProblemInstance, SolutionPath, State, _reachable_parity, _state_key
-from .puzzle import dist_table, goal_state, manhattan, moves_table, random_walk
+from .puzzle import _ROOT, Op, ProblemInstance, SolutionPath, State, _reachable_parity, _state_key
+from .puzzle import dist_table, goal_state, moves_after, moves_table, random_walk
 from .seeds import subseed
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -113,7 +114,7 @@ def idastar(p: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Exact
     if start == goal:
         return ExactResult(SolutionPath(()), 0, 1)
 
-    table = moves_table(p.width)
+    after = moves_after(p.width)
     dists = dist_table(p.width, goal)
 
     generated = 0
@@ -131,9 +132,7 @@ def idastar(p: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Exact
             found = True
             return f
         next_bound = INF
-        for op, j in table[blank]:
-            if last_op >= 0 and op == _INVERSE[last_op]:
-                continue
+        for op, j in after[blank][last_op]:
             generated += 1
             if generated > node_budget:
                 raise BudgetExhausted(f"idastar exceeded node budget of {node_budget}")
@@ -157,7 +156,7 @@ def idastar(p: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Exact
     bound = h0
     blank0 = start.index(0)
     while True:
-        t = dfs(start, blank0, 0, h0, bound, -1)
+        t = dfs(start, blank0, 0, h0, bound, _ROOT)
         if found:
             return ExactResult(
                 SolutionPath(tuple(Op(o) for o in path_ops)),
@@ -280,10 +279,6 @@ def instance_of_depth(
         return ProblemInstance(goal, goal)
     for k in range(attempts):
         s = random_walk(goal, d, subseed(seed, "walk", k))
-        if s.tiles == goal.tiles:
-            continue
-        if manhattan(s, goal) > d:
-            continue
         if exact_distance(s, goal) == d:
             return ProblemInstance(s, goal)
     raise GenerationFailed(

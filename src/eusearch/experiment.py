@@ -20,7 +20,9 @@ from .perfmodel import MAX_SAMPLES, EmpiricalTable, MarkovParams, fit_empirical,
 from .puzzle import ProblemInstance
 from .seeds import subseed
 from .selector import SelectionReport, select_lookahead
-from .utility import UtilityModel, default_utility_model, joint_utility, load_utility_config
+# ``default_utility_model`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
+from .utility import joint_utility, load_utility_model
+from .utility import default_utility_model  # noqa: F401
 
 # Most evaluation processes; a forking pool starts all at once, once per depth.
 MAX_WORKERS = 64
@@ -105,11 +107,6 @@ class ExperimentConfig:
         for d in self.depths:
             if d < 0 or d > _max_depth(self.width):
                 raise ValueError(f"depth {d} not achievable at width {self.width}")
-
-    def utility_model(self) -> UtilityModel:
-        if self.utility_config:
-            return load_utility_config(self.utility_config)
-        return default_utility_model()
 
 
 # Plain data with ``limits`` as a mapping; ``config_from_dict`` inverts it.
@@ -200,7 +197,7 @@ def run_experiment(
     the actual outcomes with the utility model.
     """
     say = progress or (lambda msg: None)
-    utility = cfg.utility_model()
+    utility = load_utility_model(cfg.utility_config)
     report = ExperimentReport(config=cfg)
     sink = open(csv_path, "w", newline="", encoding="utf-8") if csv_path else None
     writer = None
@@ -311,7 +308,7 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
 
     Without ``config`` the report gets the CSV's depths and levels.  The CSV
     has no width column, so the width is 3 unless a depth lies beyond the
-    3x3 diameter, then 4.
+    3x3 diameter, then 4.  Raises IncompleteReport when the CSV has no rows.
     """
     rows: list[ReportRow] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -334,6 +331,8 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
                     utility=float(rec["utility"]),
                 )
             )
+    if not rows:
+        raise IncompleteReport("report has no rows")
     depths = tuple(sorted({r.depth for r in rows}))
     cfg = config or ExperimentConfig(
         width=3 if all(d <= _max_depth(3) for d in depths) else 4,

@@ -1,8 +1,9 @@
 """On-line Minimin search: fixed-depth lookahead with full resource accounting.
 
-Each decision scores a depth-limited, full-width lookahead tree (the inverse
-of the arc just taken is pruned, the goal ends a branch) by f = g + manhattan
-at its frontier, backs the minimum up to the root, and commits to one move.
+Each decision scores a depth-limited, full-width lookahead tree (the goal
+ends a branch, and ``puzzle.moves_after`` leaves out the inverse of the arc
+just taken) by f = g + manhattan at its frontier, backs the minimum up to
+the root, and commits to one move.
 Runs record node generations (time), peak stored nodes (space), and executed
 moves, counted as if the whole tree were walked.  The kernel walks only part
 of it: the counts come from a table of tree sizes plus a walk of the subtrees
@@ -31,7 +32,8 @@ import numpy as np
 # ``idastar`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
 from .exact import _TABLE_MAX_WIDTH, _state_index, _tile_orders, exact_distance
 from .exact import idastar  # noqa: F401
-from .puzzle import _INVERSE, Op, ProblemInstance, State, _state_key, dist_table, moves_table
+from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, dist_table
+from .puzzle import moves_after, moves_table
 
 MAX_LOOKAHEAD = 24
 # A traced decision: the tiles it was made at, and its top-ranked child's.
@@ -94,18 +96,14 @@ def check_level(level: int) -> int:
     return level
 
 
-# Arrival index of the root in ``_kernel_tables``: no inverse move to leave out.
-_ROOT = 4
-
-
 @lru_cache(maxsize=16)
 def _kernel_tables(width: int, goal: tuple[int, ...]):
     """Move, heuristic and tree-size tables for both lookahead kernels on one (width, goal).
 
-    ``after[b][last]`` lists the (op, new blank, delta row) moves from blank
-    cell ``b`` when the blank arrived by op ``last`` (or ``_ROOT``), with the
-    inverse of ``last`` left out.  ``delta[t]`` is the change in Manhattan
-    distance when tile ``t`` slides from the new blank cell into ``b``.
+    ``after[b][last]`` lists ``puzzle.moves_after``'s (op, new blank) moves
+    from blank cell ``b`` when the blank arrived by op ``last`` (or
+    ``_ROOT``), each with its delta row: ``delta[t]`` is the change in
+    Manhattan distance when tile ``t`` slides from the new blank cell into ``b``.
     ``size[left][b][last]`` counts the nodes generated below such a node when
     ``left`` moves remain and no goal cuts the tree: the shape follows the
     blank's path alone.  It is built from ``after`` up to ``MAX_LOOKAHEAD``.
@@ -113,12 +111,9 @@ def _kernel_tables(width: int, goal: tuple[int, ...]):
     dists = dist_table(width, goal)
     cells = range(width * width)
     after = []
-    for b, moves in enumerate(moves_table(width)):
-        delta = {j: tuple(dists[t][b] - dists[t][j] if t else 0 for t in cells) for _, j in moves}
-        after.append(tuple(
-            tuple((op, j, delta[j]) for op, j in moves if last == _ROOT or op != _INVERSE[last])
-            for last in range(_ROOT + 1)
-        ))
+    for b, moves in enumerate(moves_after(width)):
+        delta = {j: tuple(dists[t][b] - dists[t][j] if t else 0 for t in cells) for _, j in moves[_ROOT]}
+        after.append(tuple(tuple((op, j, delta[j]) for op, j in row) for row in moves))
     size = [((0,) * (_ROOT + 1),) * len(cells)]
     for _ in range(MAX_LOOKAHEAD):
         below = size[-1]
@@ -267,8 +262,8 @@ def _value_table(width: int, goal: tuple[int, ...]):
     by 0 or 2 per level (else the build raises); bit l - 1 of a profile word
     records which: W_l = h + 2 * popcount(word & (2**l - 1)), for every level
     up to ``MAX_LOOKAHEAD``.  Returns (rows, h, size, counted):
-    ``rows[b][last]`` lists the (op, new blank, words, ranks) moves from cell
-    ``b`` as ``after`` in ``_kernel_tables`` does, with the child's words by
+    ``rows[b][last]`` lists ``puzzle.moves_after``'s moves from cell ``b``
+    as (op, new blank, words, ranks), with the child's words by
     its k in ``_state_index`` and the move's map of k (a range where k is
     kept); ``h[b][k]`` is state (b, k)'s h; ``size`` is ``_kernel_tables``'.
     ``counted[level]`` starts empty and maps ``b << 16 | k`` to the
@@ -311,10 +306,8 @@ def _value_table(width: int, goal: tuple[int, ...]):
     maps = {a: memoryview(m) for a, m in ranks.items()}
     keep = range(len(h[0]))  # a horizontal move keeps k
     rows = tuple(tuple(
-        tuple((op, j, views[block[j, op]], maps.get((b, op), keep))
-              for op, j in moves[b] if last == _ROOT or op != _INVERSE[last])
-        for last in range(_ROOT + 1)
-    ) for b in range(cells))
+        tuple((op, j, views[block[j, op]], maps.get((b, op), keep)) for op, j in row) for row in after
+    ) for b, after in enumerate(moves_after(width)))
     for row in h:
         row.flags.writeable = False
     counted = tuple({} for _ in range(MAX_LOOKAHEAD + 1))

@@ -3,7 +3,9 @@
 States are row-major tile permutations with 0 as the blank.  Operators move
 the blank (Up/Down/Left/Right); all moves cost 1, so path cost equals path
 length.  The 3x3 (Eight) and 4x4 (Fifteen) boards are the shipped domains;
-the 2x2 board is supported for exhaustive testing.
+the 2x2 board is supported for exhaustive testing.  ``moves_after`` owns the
+rule that random walks, IDA* and Minimin's lookahead trees share: never undo
+the move just made.
 """
 
 from __future__ import annotations
@@ -63,6 +65,20 @@ def moves_table(width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                 entries.append((op, nr * width + nc))
         table.append(tuple(entries))
     return tuple(table)
+
+
+_ROOT = 4  # the arrival index of a first move in ``moves_after``: no move to leave out
+
+
+@lru_cache(maxsize=None)
+def moves_after(width: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """``[b][last]``: the (op, new blank) moves from blank cell ``b``, in op order,
+    but the one undoing ``last``, the op the blank arrived by (all of them for ``_ROOT``).
+    """
+    return tuple(tuple(
+        tuple((op, j) for op, j in moves if last == _ROOT or op != _INVERSE[last])
+        for last in range(_ROOT + 1)
+    ) for moves in moves_table(width))
 
 
 @dataclass(frozen=True)
@@ -249,7 +265,7 @@ def replay(start: State, moves: Iterable[Op]) -> State:
 
 
 def random_walk(goal: State, steps: int, seed: int) -> State:
-    """Scramble by a seeded random walk that never immediately backtracks.
+    """Scramble by a seeded random walk that never immediately backtracks (``moves_after``).
 
     The result's true optimal depth is at most ``steps`` and has the same
     parity as ``steps``.
@@ -257,18 +273,12 @@ def random_walk(goal: State, steps: int, seed: int) -> State:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
-    table = moves_table(goal.width)
+    after = moves_after(goal.width)
     tiles = list(goal.tiles)
     blank = goal.blank
-    last_op: int | None = None
+    last = _ROOT
     for _ in range(steps):
-        options = [
-            (op, j)
-            for op, j in table[blank]
-            if last_op is None or op != _INVERSE[last_op]
-        ]
-        op, j = rng.choice(options)
+        last, j = rng.choice(after[blank][last])
         tiles[blank], tiles[j] = tiles[j], tiles[blank]
         blank = j
-        last_op = op
     return State(tuple(tiles), goal.width)

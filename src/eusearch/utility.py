@@ -487,3 +487,8 @@ def load_utility_config(path: str) -> UtilityModel:
 
     with open(path, "r", encoding="utf-8") as fh:
         return utility_model_from_dict(yaml.safe_load(fh))
+
+
+def load_utility_model(path: str | None) -> UtilityModel:
+    """The model in the YAML config at ``path``, or the default model when no path is given."""
+    return load_utility_config(path) if path else default_utility_model()

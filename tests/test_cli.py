@@ -319,6 +319,13 @@ class TestExperimentCommand:
             "depth,40,2,1,0.5,1.0,1,0.3333333333333333,0.375,2,0.5"
         )
 
+    def test_summarize_a_report_without_rows(self, capsys, tmp_path):
+        runs_csv = tmp_path / "runs.csv"
+        runs_csv.write_text(",".join(experiment.REPORT_COLUMNS) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "summarize", "--report", str(runs_csv))
+        assert (code, out) == (2, "")
+        assert err == "eusearch: IncompleteReport: report has no rows\n"
+
     def test_config_file(self, capsys, tmp_path):
         import yaml
 

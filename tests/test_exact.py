@@ -25,6 +25,7 @@ from eusearch.puzzle import (
     _state_key,
     apply_op,
     goal_state,
+    make_state,
     manhattan,
     random_walk,
     replay,
@@ -114,6 +115,22 @@ class TestIdastar:
             b.nodes_generated,
             b.peak_stored,
         )
+
+    @pytest.mark.parametrize("tiles, expected", [
+        ((6, 5, 3, 4, 7, 2, 1, 8, 0), (24, 11742, 25, "LURULLDRURDLULDDRUULDRDR")),
+        ((6, 1, 5, 7, 0, 8, 2, 3, 4), (22, 1291, 23, "DRULLDRUULDRURDLULDDRR")),
+        ((6, 8, 5, 2, 1, 4, 10, 7, 0, 13, 3, 11, 14, 9, 15, 12),
+         (32, 15786, 33, "RDLURRUULDRRULLLDRDRURULDLURDDRD")),
+        ((7, 0, 2, 8, 1, 13, 4, 10, 5, 9, 3, 14, 15, 6, 12, 11),
+         (33, 2428, 34, "LDDRUURDDRUULDLLDRDLUURDRRDLLURRD")),
+        ((6, 5, 9, 3, 13, 2, 11, 10, 1, 8, 15, 4, 14, 12, 7, 0),
+         (42, 570668, 43, "LLULUURDDRUULDRRDDLLUURDDLLURULURRRDDLURDD")),
+    ])
+    def test_pinned_results(self, tiles, expected):
+        # Length, nodes generated, peak stored and path, as ``eusearch solve`` prints them.
+        initial = make_state(tiles)
+        r = idastar(ProblemInstance(initial, goal_state(initial.width)))
+        assert (r.length, r.nodes_generated, r.peak_stored, r.path.letters) == expected
 
     def test_walk30_regression(self):
         # fixed-seed 30-step walk; d* frozen from the BFS oracle

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eusearch.puzzle import (
+    _ROOT,
     IllegalMove,
     Op,
     ProblemInstance,
@@ -17,6 +18,8 @@ from eusearch.puzzle import (
     legal_ops,
     make_state,
     manhattan,
+    moves_after,
+    moves_table,
     parse_state,
     random_walk,
     replay,
@@ -200,12 +203,33 @@ class TestRandomWalk:
         with pytest.raises(ValueError):
             random_walk(GOAL3, -1, seed=0)
 
+    @pytest.mark.parametrize("width, steps, seed, tiles", [
+        (2, 7, 1, (2, 3, 0, 1)),
+        (3, 30, 11, (3, 8, 0, 2, 1, 6, 5, 4, 7)),
+        (3, 31, 4, (6, 8, 2, 0, 3, 7, 5, 1, 4)),
+        (4, 50, 5, (11, 13, 4, 3, 2, 1, 6, 0, 5, 9, 7, 8, 10, 14, 15, 12)),
+        (4, 80, 2, (10, 2, 6, 15, 1, 0, 4, 5, 13, 14, 12, 9, 11, 8, 3, 7)),
+    ])
+    def test_pinned_walks(self, width, steps, seed, tiles):
+        assert random_walk(goal_state(width), steps, seed).tiles == tiles
+
     @given(steps=st.integers(0, 30), seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_walk_stays_reachable_and_bounded(self, steps, seed):
         s = random_walk(GOAL3, steps, seed=seed)
         assert is_reachable(s, GOAL3)
         assert manhattan(s, GOAL3) <= steps
+
+
+class TestMovesAfter:
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_every_move_but_the_inverse_of_arrival(self, width):
+        after = moves_after(width)
+        assert len(after) == width * width
+        for b, moves in enumerate(moves_table(width)):
+            assert after[b][_ROOT] == moves
+            for last in Op:
+                assert after[b][last] == tuple((op, j) for op, j in moves if op != last.inverse)
 
 
 class TestReplay:
