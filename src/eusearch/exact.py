@@ -111,9 +111,6 @@ def idastar(p: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> Exact
     """
     start = p.initial.tiles
     goal = p.goal.tiles
-    if start == goal:
-        return ExactResult(SolutionPath(()), 0, 1)
-
     after = moves_after(p.width)
     dists = dist_table(p.width, goal)
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .exact import instance_of_depth
@@ -109,11 +111,8 @@ class ExperimentConfig:
                 raise ValueError(f"depth {d} not achievable at width {self.width}")
 
 
-# Plain data with ``limits`` as a mapping; ``config_from_dict`` inverts it.
-config_to_dict = asdict
-
-
 def config_from_dict(data: Mapping) -> ExperimentConfig:
+    """Rebuild a config from ``dataclasses.asdict`` data, ``limits`` as a mapping."""
     kwargs = dict(data)
     if "limits" in kwargs and isinstance(kwargs["limits"], Mapping):
         kwargs["limits"] = ResourceLimits(**kwargs["limits"])
@@ -194,17 +193,19 @@ def run_experiment(
     Per depth: generate verified instances, fit the performance model on a
     separate training suite, select one lookahead level by expected utility,
     then run Minimin at every configured level on every instance and score
-    the actual outcomes with the utility model.
+    the actual outcomes with the utility model.  Each instance's rows are
+    scored and written as its runs arrive, from ``map`` with one worker or
+    from a pool forked for the depth with more.
     """
     say = progress or (lambda msg: None)
     utility = load_utility_model(cfg.utility_config)
     report = ExperimentReport(config=cfg)
-    sink = open(csv_path, "w", newline="", encoding="utf-8") if csv_path else None
-    writer = None
-    if sink is not None:
-        writer = _report_writer(sink)
-        sink.flush()
-    try:
+
+    def user_units(o: Outcome) -> Outcome:
+        return to_user_units(o, cfg.gens_per_minute, cfg.nodes_per_megabyte)
+
+    with open(csv_path, "w", newline="", encoding="utf-8") if csv_path else nullcontext() as sink:
+        writer = _report_writer(sink) if sink else None
         for depth in cfg.depths:
             say(f"depth {depth}: generating training suite")
             training = training_suite(
@@ -219,52 +220,27 @@ def run_experiment(
                 cfg.levels,
                 samples=cfg.predict_samples,
                 seed=subseed(cfg.seed, "predict", depth),
-                convert=lambda o: to_user_units(
-                    o, cfg.gens_per_minute, cfg.nodes_per_megabyte
-                ),
+                convert=user_units,
             )
             chosen = selection.chosen_level
             report.selections[depth] = selection
             say(f"depth {depth}: selected level {chosen}; running instances")
-            seeds = [
-                subseed(cfg.seed, "inst", depth, i)
-                for i in range(cfg.instances_per_depth)
-            ]
-            instances = [
-                instance_of_depth(depth, cfg.width, s, attempts=cfg.gen_attempts)
+            seeds = [subseed(cfg.seed, "inst", depth, i) for i in range(cfg.instances_per_depth)]
+            tasks = [
+                (instance_of_depth(depth, cfg.width, s, attempts=cfg.gen_attempts), cfg.levels, cfg.limits)
                 for s in seeds
             ]
-            tasks = [(inst, cfg.levels, cfg.limits) for inst in instances]
-            if cfg.workers > 1:
-                with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                    all_outcomes = list(pool.map(_run_instance, tasks, chunksize=4))
-            else:
-                all_outcomes = [_run_instance(t) for t in tasks]
-            for i, outcomes in enumerate(all_outcomes):
-                for level, outcome in zip(cfg.levels, outcomes):
-                    scored = joint_utility(
-                        to_user_units(
-                            outcome, cfg.gens_per_minute, cfg.nodes_per_megabyte
-                        ),
-                        utility,
-                    )
-                    row = ReportRow(
-                        depth=depth,
-                        instance_id=i,
-                        seed=seeds[i],
-                        level=level,
-                        chosen=chosen,
-                        outcome=outcome,
-                        utility=scored,
-                    )
-                    report.rows.append(row)
-                    if writer is not None:
-                        writer.writerow(_row_to_csv(row))
-                if sink is not None:
-                    sink.flush()
-    finally:
-        if sink is not None:
-            sink.close()
+            with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+                runs = partial(pool.map, chunksize=4) if pool else map
+                for i, outcomes in enumerate(runs(_run_instance, tasks)):
+                    rows = [
+                        ReportRow(depth, i, seeds[i], level, chosen, o, joint_utility(user_units(o), utility))
+                        for level, o in zip(cfg.levels, outcomes)
+                    ]
+                    report.rows.extend(rows)
+                    if writer:
+                        writer.writerows(map(_row_to_csv, rows))
+                        sink.flush()
     return report
 
 
@@ -289,9 +265,10 @@ def _num(x: float):
 
 
 def _report_writer(fh):
-    """A runs-CSV writer on ``fh`` that has already written the header row."""
+    """A runs-CSV writer on ``fh`` that has already written and flushed the header row."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
+    fh.flush()
     return writer
 
 

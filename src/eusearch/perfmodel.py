@@ -134,10 +134,11 @@ def markov_predict(
     """Simulate the distance walk from depth ``d`` and return an outcome lottery.
 
     Per move the remaining distance drops by 1 with probability p_level, else
-    rises by 1; absorption at 0 ends the walk.  Walks still alive at
-    ``max_len`` become unsolved outcomes.  Deterministic given ``seed``.  One
-    cached walk serves every level: each step's row of uniform draws moves
-    the walks of all of ``params``' accuracies, coupling them sample by sample.
+    rises by 1; absorption at 0 ends the walk.  Entries are solved outcomes
+    by length, then one unsolved outcome of length ``max_len`` for the walks
+    still alive there.  Deterministic given ``seed``.  One cached walk serves
+    every level: each step's row of uniform draws moves the walks of all of
+    ``params``' accuracies, coupling them sample by sample.
     """
     if d < 1:
         raise ValueError("depth must be >= 1")
@@ -149,27 +150,19 @@ def markov_predict(
     first = _first_passage(d, ps, params.max_len, samples, seed)
     lengths = first[ps.index(params.accuracy[level])]
     npd = nodes_per_decision(params, level)
+    # A walk alive at max_len (entry 0) sorts after those absorbed there.
+    keys = np.where(lengths > 0, lengths, params.max_len + 1)
+    unique, counts = np.unique(keys, return_counts=True)
     entries: list[tuple[Outcome, float]] = []
-    solved = lengths > 0
-    if solved.any():
-        unique, counts = np.unique(lengths[solved], return_counts=True)
-        for length, count in zip(unique.tolist(), counts.tolist()):
-            outcome = Outcome(
-                path_length=float(length),
-                time_units=float(length) * npd,
-                space_units=float(level + 1) + float(length + 1),
-                solved=True,
-            )
-            entries.append((outcome, count / samples))
-    truncated = samples - int(solved.sum())
-    if truncated:
+    for key, count in zip(unique.tolist(), counts.tolist()):
+        length = min(key, params.max_len)
         outcome = Outcome(
-            path_length=float(params.max_len),
-            time_units=float(params.max_len) * npd,
-            space_units=float(level + 1) + float(params.max_len + 1),
-            solved=False,
+            path_length=float(length),
+            time_units=float(length) * npd,
+            space_units=float(level + 1) + float(length + 1),
+            solved=key <= params.max_len,
         )
-        entries.append((outcome, truncated / samples))
+        entries.append((outcome, count / samples))
     return Lottery.of(entries)
 
 

@@ -10,7 +10,7 @@ judges equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -122,14 +122,13 @@ class AttributeUtility:
         pts = self.points
         if value <= pts[0][0]:
             return pts[0][1]
-        if value >= pts[-1][0]:
+        if not value < pts[-1][0]:  # NaN included, so the loop below always returns
             return pts[-1][1]
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if value == x1:  # exact knot values, no interpolation round-off
                 return y1
             if value < x1:
                 return y0 + (y1 - y0) * (value - x0) / (x1 - x0)
-        return pts[-1][1]
 
 
 _FORMS = ("additive", "multiplicative", "multilinear")
@@ -280,14 +279,22 @@ DEFAULT_EQUIVALENCE_ROWS: tuple[Outcome, ...] = (
 )
 
 
+# The calibration's curves as config blocks: linear from 0 for moves and
+# time, free for space.
+_CALIBRATION_BLOCKS: Mapping[str, Mapping] = {
+    "path_length": {"curve": "linear", "best": 0.0},
+    "time_units": {"curve": "linear", "best": 0.0},
+    "space_units": {"curve": "free", "best": 0.0},
+}
+
+
 def _calibration_curves(bounds: Mapping[str, float]) -> tuple[AttributeUtility, ...]:
-    for name in ("path_length", "time_units", "space_units"):
+    for name in _CALIBRATION_BLOCKS:
         if name not in bounds:
             raise ValueError(f"bounds must include {name!r}")
-    return (
-        AttributeUtility.linear("path_length", 0.0, bounds["path_length"]),
-        AttributeUtility.linear("time_units", 0.0, bounds["time_units"]),
-        AttributeUtility.free("space_units", bounds["space_units"]),
+    return tuple(
+        _attribute_from_block(name, {**block, "bound": bounds[name]})
+        for name, block in _CALIBRATION_BLOCKS.items()
     )
 
 
@@ -311,27 +318,22 @@ def calibrate_multiplicative(
     if len(equivalence_rows) < 2:
         raise ValueError("calibration needs at least two equivalence rows")
     curves = _calibration_curves(bounds)
-    path_curve, time_curve, space_curve = curves
-    up = []
-    ut = []
     for row in equivalence_rows:
         for curve in curves:
             if attribute_value(row, curve.attribute) >= curve.bound:
                 raise CalibrationFailed(
                     f"row {row} violates the {curve.attribute} bound"
                 )
-        up.append(path_curve.evaluate(row.path_length))
-        ut.append(time_curve.evaluate(row.time_units))
-
-    # Row-equality differences; unknown vector is (A, B, C).
-    diff_rows = []
-    for j in range(len(up) - 1):
-        diff_rows.append(
+    up = [curves[0].evaluate(row.path_length) for row in equivalence_rows]
+    ut = [curves[1].evaluate(row.time_units) for row in equivalence_rows]
+    # Row-equality differences, then the consistency row; the unknowns are (A, B, C).
+    matrix = np.array(
+        [
             [up[j] - up[j + 1], ut[j] - ut[j + 1], up[j] * ut[j] - up[j + 1] * ut[j + 1]]
-        )
-    diff = np.array(diff_rows, dtype=float)
-    consistency = np.ones((1, 3))
-    matrix = np.vstack([diff, consistency])
+            for j in range(len(up) - 1)
+        ]
+        + [[1.0, 1.0, 1.0]]
+    )
 
     def solve_for(k: float) -> np.ndarray:
         rhs = np.zeros(len(matrix))
@@ -374,45 +376,36 @@ def calibrate_multiplicative(
     negatives = sorted(-(10.0 ** (-4 + 4 * i / 80)) for i in range(81))
     grid: list[float] = [k for k in negatives if k > -0.999]
     grid += [10.0 ** (-4 + 8 * i / 160) for i in range(161)]
+    points = [(k, coupling(k)) for k in grid]
 
     solutions: list[tuple[float, float, UtilityModel]] = []
-    previous = None
-    for k in grid:
-        s = coupling(k)
-        if previous is not None and previous[0] * k > 0:
-            k0, s0 = previous
-            if s0 == 0.0:
-                root = k0
-            elif s0 * s < 0:
-                lo, hi, slo = k0, k, s0
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    sm = coupling(mid)
-                    if sm == 0.0:
-                        lo = hi = mid
-                        break
-                    if slo * sm < 0:
-                        hi = mid
-                    else:
-                        lo, slo = mid, sm
-                root = 0.5 * (lo + hi)
-            else:
-                previous = (k, s)
-                continue
-            model = candidate(root)
-            if model is not None:
-                var = row_variance(model)
-                if var < _VARIANCE_FLOOR:
-                    solutions.append((var, abs(model.k), model))
-        previous = (k, s)
+    for (k0, s0), (k1, s1) in zip(points, points[1:]):
+        if k0 * k1 <= 0 or not (s0 == 0.0 or s0 * s1 < 0):
+            continue
+        model = candidate(k0 if s0 == 0.0 else _bisect(coupling, k0, k1, s0))
+        if model is not None and (var := row_variance(model)) < _VARIANCE_FLOOR:
+            solutions.append((var, abs(model.k), model))
 
     if not solutions:
         raise CalibrationFailed(
             "rows are inconsistent with a multiplicative utility "
             f"(no solution reached variance < {_VARIANCE_FLOOR})"
         )
-    solutions.sort(key=lambda item: (item[0], item[1]))
-    return solutions[0][2]
+    return min(solutions, key=lambda item: item[:2])[2]
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
+    """A root of ``f`` between ``lo`` and ``hi``; ``f(lo) = flo`` and ``f(hi)`` differ in sign."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if flo * fm < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
 
 
 def default_utility_model() -> UtilityModel:
@@ -423,20 +416,45 @@ def default_utility_model() -> UtilityModel:
 # --- config files -----------------------------------------------------------
 
 
+def _attribute_from_block(name: str, block: Mapping) -> AttributeUtility:
+    """The curve of one ``attributes`` block of a config."""
+    bound = float(block["bound"])
+    curve = block.get("curve", "linear")
+    if "points" in block:
+        pts = tuple((float(x), float(y)) for x, y in block["points"])
+        return AttributeUtility(name, pts, bound)
+    if curve == "free":
+        return AttributeUtility.free(name, bound, best=float(block.get("best", 0.0)))
+    if curve == "linear":
+        return AttributeUtility.linear(name, float(block.get("best", 0.0)), bound)
+    raise MalformedModel(f"unknown curve kind {curve!r} for {name}")
+
+
 def utility_model_from_dict(data: Mapping) -> UtilityModel:
     """Build a model from config data (see the shipped YAML for the schema).
 
     ``attributes`` maps attribute name to a block with ``bound`` plus either
     ``curve: linear`` (with ``best``) or ``curve: free``, or explicit
     ``points``.  If ``equivalence_rows`` is present the multiplicative model
-    is calibrated from them and any weights in the file are ignored.
+    is calibrated from them and any weights in the file are ignored; the
+    blocks then give only bounds, and any other setting must match the
+    calibration's curves (linear from 0 for path and time, free for space),
+    else MalformedModel.
     """
+    blocks = data.get("attributes", {})
     rows = data.get("equivalence_rows")
     if rows:
         bounds = {
-            name: float(block["bound"])
-            for name, block in data.get("attributes", {}).items()
+            name: float(block["bound"]) for name, block in blocks.items()
         } or dict(DEFAULT_BOUNDS)
+        curves = {c.attribute: c for c in _calibration_curves(bounds)}
+        for name, block in blocks.items():
+            fixed = _CALIBRATION_BLOCKS.get(name)
+            if fixed is None or _attribute_from_block(name, {**fixed, **block}) != curves[name]:
+                raise MalformedModel(
+                    f"{name}: with equivalence_rows, attributes give only the bounds of "
+                    "path_length, time_units (linear from 0) and space_units (free)"
+                )
         outcomes = [
             Outcome(
                 path_length=float(r["path_length"]),
@@ -447,23 +465,7 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
         ]
         return calibrate_multiplicative(outcomes, bounds)
 
-    attributes = []
-    for name, block in data["attributes"].items():
-        bound = float(block["bound"])
-        curve = block.get("curve", "linear")
-        if "points" in block:
-            pts = tuple((float(x), float(y)) for x, y in block["points"])
-            attributes.append(AttributeUtility(name, pts, bound))
-        elif curve == "free":
-            attributes.append(
-                AttributeUtility.free(name, bound, best=float(block.get("best", 0.0)))
-            )
-        elif curve == "linear":
-            attributes.append(
-                AttributeUtility.linear(name, float(block.get("best", 0.0)), bound)
-            )
-        else:
-            raise MalformedModel(f"unknown curve kind {curve!r} for {name}")
+    attributes = [_attribute_from_block(name, block) for name, block in blocks.items()]
     names = [a.attribute for a in attributes]
     weight_map = data.get("weights", {})
     weights = tuple(float(weight_map.get(n, 0.0)) for n in names)

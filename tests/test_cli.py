@@ -100,6 +100,32 @@ class TestMinimin:
         assert code == 0
         assert "utility" in out
 
+    def test_utility_config_unlike_the_calibration_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            "attributes:\n"
+            "  path_length: {best: 30, bound: 100, curve: free}\n"
+            "  time_units: {bound: 10}\n"
+            "  space_units: {bound: 10}\n"
+            "equivalence_rows:\n"
+            "  - {path_length: 20, time_units: 8}\n"
+            "  - {path_length: 68, time_units: 6}\n"
+        )
+        code, out, err = run_cli(
+            capsys,
+            "minimin",
+            "--instance",
+            "1 2 3 4 5 6 0 7 8",
+            "--lookahead",
+            "2",
+            "--utility",
+            str(bad),
+            "--score",
+        )
+        assert code == 2
+        assert "utility" not in out
+        assert "MalformedModel: path_length" in err
+
     def test_deep_width4_lookahead_finishes(self, capsys):
         start = time.perf_counter()
         code, out, _ = run_cli(

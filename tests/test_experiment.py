@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +9,6 @@ from eusearch.experiment import (
     ExperimentReport,
     IncompleteReport,
     config_from_dict,
-    config_to_dict,
     load_experiment_config,
     read_report_csv,
     report_csv_text,
@@ -35,7 +34,7 @@ SMALL = ExperimentConfig(
 
 class TestConfig:
     def test_round_trip(self):
-        d = config_to_dict(SMALL)
+        d = asdict(SMALL)
         assert config_from_dict(d) == SMALL
 
     def test_desk_config_file_holds_the_defaults(self):
@@ -95,7 +94,7 @@ class TestRunExperiment:
 
     def test_worker_count_does_not_change_csv(self):
         serial = run_experiment(SMALL)
-        parallel_cfg = config_from_dict({**config_to_dict(SMALL), "workers": 2})
+        parallel_cfg = config_from_dict({**asdict(SMALL), "workers": 2})
         parallel = run_experiment(parallel_cfg)
         assert report_csv_text(serial) == report_csv_text(parallel)
 
@@ -115,7 +114,7 @@ class TestRunExperiment:
         assert on_disk == report_csv_text(report)
 
     def test_empirical_model_kind(self):
-        cfg = config_from_dict({**config_to_dict(SMALL), "model_kind": "empirical"})
+        cfg = config_from_dict({**asdict(SMALL), "model_kind": "empirical"})
         report = run_experiment(cfg)
         assert len(report.rows) == 2 * 3 * 3
 
@@ -150,7 +149,7 @@ class TestRunExperiment:
 
         cfg = config_from_dict(
             {
-                **config_to_dict(SMALL),
+                **asdict(SMALL),
                 "depths": (4, 19),
                 "gen_attempts": 1,  # depth 19 cannot generate in one attempt
             }

@@ -101,6 +101,15 @@ class TestMarkovPredict:
         unsolved = [o for o, _ in lot.entries if not o.solved]
         assert unsolved and all(o.path_length == 10 for o in unsolved)
 
+    def test_absorbed_at_max_len_comes_before_truncated(self):
+        # From depth 8 with max_len 10, walks end at step 8, at step 10, or alive.
+        params = MarkovParams(accuracy={1: 0.6}, branching={1: 1.7}, max_len=10)
+        lot = markov_predict(params, d=8, level=1, samples=200, seed=0)
+        at_cap = [o for o, _ in lot.entries if o.path_length == 10]
+        assert [o.solved for o in at_cap] == [True, False]
+        assert [o for o, _ in lot.entries[-2:]] == at_cap
+        assert lot.entries == markov_predict_oracle(params, 8, 1, 200, 0).entries
+
     def test_probabilities_sum_to_one(self):
         params = simple_params(p=0.55)
         lot = markov_predict(params, d=8, level=1, samples=5000, seed=7)

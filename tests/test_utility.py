@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from eusearch.utility import (
     expected_utility,
     expected_value,
     joint_utility,
+    load_utility_config,
     utility_model_from_dict,
 )
 
@@ -300,6 +303,17 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_multiplicative((Outcome(10, 1, 1),), DEFAULT_BOUNDS)
 
+    def test_pinned_calibrations(self):
+        # Exact reprs: a change in the calibration's arithmetic fails here by
+        # name, not only as a changed desk fingerprint.
+        m = default_utility_model()
+        assert repr(m.weights) == "(0.11989342806394335, 0.36944937833037317, 0.0)"
+        assert repr(m.k) == "11.528668091168061"
+        rows = (Outcome(10, 9, 2), Outcome(50, 5, 2), Outcome(90, 1.5, 2))
+        m = calibrate_multiplicative(rows, DEFAULT_BOUNDS)
+        assert repr(m.weights) == "(0.5258620689655179, 0.5603448275862076, 0.0)"
+        assert repr(m.k) == "-0.29255989911728014"
+
     def test_model_invariants_hold(self):
         m = calibrate_multiplicative(DEFAULT_EQUIVALENCE_ROWS, DEFAULT_BOUNDS)
         assert m.form == "multiplicative"
@@ -346,6 +360,12 @@ class TestJointUtilityProperties:
 
 
 class TestConfig:
+    DEFAULT_ROWS = [
+        {"path_length": 20, "time_units": 8, "space_units": 9},
+        {"path_length": 68, "time_units": 6, "space_units": 9},
+        {"path_length": 93, "time_units": 4, "space_units": 9},
+    ]
+
     def test_explicit_weights_round_trip(self):
         data = {
             "form": "additive",
@@ -368,16 +388,47 @@ class TestConfig:
                 "time_units": {"best": 0, "bound": 10, "curve": "linear"},
                 "space_units": {"bound": 10, "curve": "free"},
             },
-            "equivalence_rows": [
-                {"path_length": 20, "time_units": 8, "space_units": 9},
-                {"path_length": 68, "time_units": 6, "space_units": 9},
-                {"path_length": 93, "time_units": 4, "space_units": 9},
-            ],
+            "equivalence_rows": self.DEFAULT_ROWS,
         }
         m = utility_model_from_dict(data)
         assert m.form == "multiplicative"
         scores = {joint_utility(Outcome(20, 8, 9), m), joint_utility(Outcome(93, 4, 9), m)}
         assert max(scores) - min(scores) < 1e-6
+
+    def test_shipped_config_is_the_default_model(self):
+        path = Path(__file__).parents[1] / "configs" / "utility_default.yaml"
+        assert load_utility_config(str(path)) == default_utility_model()
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            {"path_length": {"bound": 100}, "time_units": {"bound": 10}, "space_units": {"bound": 10}},
+            {
+                "path_length": {"bound": 100, "points": [[0, 1], [100, 0]]},
+                "time_units": {"bound": 10, "best": 0, "curve": "linear"},
+                "space_units": {"bound": 10, "best": 0, "curve": "free"},
+            },
+        ],
+    )
+    def test_equivalence_rows_accept_the_calibration_curves(self, blocks):
+        data = {"attributes": blocks, "equivalence_rows": self.DEFAULT_ROWS}
+        assert utility_model_from_dict(data) == default_utility_model()
+
+    @pytest.mark.parametrize(
+        "name, block",
+        [
+            ("path_length", {"best": 30, "bound": 100, "curve": "free"}),
+            ("path_length", {"best": 5, "bound": 100}),
+            ("time_units", {"bound": 10, "points": [[0, 1], [5, 0.2], [10, 0]]}),
+            ("space_units", {"bound": 10, "curve": "linear"}),
+            ("cost", {"bound": 5}),
+        ],
+    )
+    def test_equivalence_rows_reject_other_settings(self, name, block):
+        blocks = {n: {"bound": b} for n, b in DEFAULT_BOUNDS.items()}
+        data = {"attributes": {**blocks, name: block}, "equivalence_rows": self.DEFAULT_ROWS}
+        with pytest.raises(MalformedModel, match=f"^{name}:"):
+            utility_model_from_dict(data)
 
     def test_yaml_file_load(self, tmp_path):
         import yaml
@@ -389,7 +440,5 @@ class TestConfig:
             "weights": {"path_length": 1.0},
         }
         path.write_text(yaml.safe_dump(data))
-        from eusearch.utility import load_utility_config
-
         m = load_utility_config(str(path))
         assert joint_utility(Outcome(25, 0, 0), m) == pytest.approx(0.75)
