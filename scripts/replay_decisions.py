@@ -18,10 +18,11 @@ A further line digests single decisions, apart from the runs: the return value
 samples at widths 2-4 and levels 1-24, with 3x3 states of the other parity
 class for ``minimin_decide``.  It is computed after the runs, outside the
 ``_run_loop`` hook, so it does not depend on which loop a decision goes by.
-The last line, ``exact:``, digests the tiles of seeded ``random_walk``
-scrambles at widths 2-4 and what ``idastar`` returns on them (length, node
-count, peak stored nodes, path) or raises, every fourth solve on a budget
-of 2,000 nodes.
+The line ``exact:`` digests the tiles of seeded ``random_walk`` scrambles at
+widths 2-4 and what ``idastar`` returns on them (length, node count, peak
+stored nodes, path) or raises, every fourth solve on a budget of 2,000 nodes.
+The last line, ``bfs:``, digests the same for ``bfs_optimal`` on the
+scrambles at widths 2-3.
 """
 
 import hashlib
@@ -34,7 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from eusearch import minimin  # noqa: E402
-from eusearch.exact import idastar  # noqa: E402
+from eusearch.exact import bfs_optimal, idastar  # noqa: E402
 from eusearch.experiment import ExperimentConfig, load_experiment_config, run_experiment  # noqa: E402
 from eusearch.puzzle import ProblemInstance, State, goal_state, random_walk  # noqa: E402
 
@@ -88,17 +89,21 @@ def single_decisions() -> tuple[int, str]:
     return calls, digest.hexdigest()
 
 
-def exact_samples() -> tuple[int, str]:
-    """The number of calls made and a SHA-256 over the walks' tiles and the IDA* results."""
+def solver_samples(solver, sizes) -> tuple[int, str]:
+    """The number of calls made and a SHA-256 over the walks' tiles and the solver's results.
+
+    ``sizes`` holds (width, seeds) pairs: at each width, the walk of ``seed``
+    steps from the goal for every seed below ``seeds``.
+    """
     digest = hashlib.sha256()
     calls = 0
-    for width, seeds in ((2, 24), (3, 40), (4, 48)):
+    for width, seeds in sizes:
         goal = goal_state(width)
-        for seed in range(seeds):  # a walk of ``seed`` steps; every fourth solve on a small budget
+        for seed in range(seeds):  # every fourth solve on a small budget
             s = random_walk(goal, seed, seed)
             budget = 2_000 if seed % 4 == 3 else 500_000
             try:
-                r = idastar(ProblemInstance(s, goal), node_budget=budget)
+                r = solver(ProblemInstance(s, goal), node_budget=budget)
                 result = (r.length, r.nodes_generated, r.peak_stored, r.path.letters)
             except Exception as exc:  # the error type is part of the behaviour digested
                 result = type(exc).__name__
@@ -148,9 +153,13 @@ def main() -> None:
     start = time.perf_counter()
     calls, single = single_decisions()
     print(f"single decisions: {calls} calls in {time.perf_counter() - start:.2f} s, sha256 {single}")
-    start = time.perf_counter()
-    calls, exact = exact_samples()
-    print(f"exact: {calls} calls in {time.perf_counter() - start:.2f} s, sha256 {exact}")
+    for name, solver, sizes in (
+        ("exact", idastar, ((2, 24), (3, 40), (4, 48))),
+        ("bfs", bfs_optimal, ((2, 24), (3, 40))),
+    ):
+        start = time.perf_counter()
+        calls, digest = solver_samples(solver, sizes)
+        print(f"{name}: {calls} calls in {time.perf_counter() - start:.2f} s, sha256 {digest}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from typing import Sequence
 from .exact import DEFAULT_NODE_BUDGET, bfs_optimal, idastar, instance_of_depth
 from .experiment import (
     ExperimentConfig,
+    check_unit_rates,
     load_experiment_config,
     read_report_csv,
     run_experiment,
@@ -80,13 +81,15 @@ def cmd_solve(args) -> int:
 
 def cmd_minimin(args) -> int:
     instance = _instance_from_args(args)
+    check_unit_rates(args.gens_per_minute, args.nodes_per_megabyte)
+    # The utility model is loaded before the run, so a bad file prints nothing.
+    model = load_utility_model(args.utility) if args.utility or args.score else None
     outcome = minimin_run(instance, args.lookahead, _limits_from_args(args))
     print(f"path_length {int(outcome.path_length)}")
     print(f"time_units {int(outcome.time_units)}")
     print(f"space_units {int(outcome.space_units)}")
     print(f"solved {1 if outcome.solved else 0}")
-    if args.utility or args.score:
-        model = load_utility_model(args.utility)
+    if model is not None:
         converted = to_user_units(outcome, args.gens_per_minute, args.nodes_per_megabyte)
         print(f"utility {joint_utility(converted, model)!r}")
     return 0
@@ -135,6 +138,7 @@ def cmd_select(args) -> int:
     levels = _parse_levels(args.levels)
     if args.samples > MAX_SAMPLES:
         raise ValueError(f"--samples must be <= {MAX_SAMPLES}")
+    check_unit_rates(args.gens_per_minute, args.nodes_per_megabyte)
     model = load_model(args.model)
     utility = load_utility_model(args.utility)
     report = select_lookahead(

@@ -7,8 +7,9 @@ for width 4, and for width <= 3 from a table of every state's distance by
 ``puzzle._state_key``'s (blank cell, k), in ``_state_index``, the one index
 of the states that reach a goal, which ``minimin``'s value table shares.
 ``instance_of_depth`` rejection-samples random walks until the verified
-optimal depth matches the target exactly.  Walks and ``idastar`` never undo
-the last move: both read ``puzzle.moves_after``.
+optimal depth matches the target exactly.  Walks read ``puzzle.moves_after``;
+``idastar`` walks one board over ``puzzle.delta_moves``, the same moves with
+each slide's h step, as Minimin's search does.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import factorial
 import numpy as np
 
 from .puzzle import _ROOT, Op, ProblemInstance, SolutionPath, State, _reachable_parity, _state_key
-from .puzzle import dist_table, goal_state, moves_after, moves_table, random_walk
+from .puzzle import delta_moves, goal_state, manhattan, moves_table, random_walk
 from .seeds import subseed
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -61,9 +62,7 @@ def bfs_optimal(p: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> E
     if start == goal:
         return ExactResult(SolutionPath(()), 0, 1)
     table = moves_table(p.width)
-    visited: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]] = {
-        start: (None, -1)
-    }
+    visited: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {start: (start, _ROOT)}
     frontier: deque[tuple[tuple[int, ...], int]] = deque([(start, start.index(0))])
     generated = 0
     while frontier:
@@ -81,88 +80,59 @@ def bfs_optimal(p: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> E
                 continue
             visited[child_t] = (tiles, op)
             if child_t == goal:
-                return ExactResult(
-                    _reconstruct(visited, child_t), generated, len(visited)
-                )
+                ops: list[Op] = []
+                while child_t != start:
+                    child_t, op = visited[child_t]
+                    ops.append(Op(op))
+                ops.reverse()
+                return ExactResult(SolutionPath(tuple(ops)), generated, len(visited))
             frontier.append((child_t, j))
     raise BudgetExhausted("state space exhausted without reaching the goal")
-
-
-def _reconstruct(
-    visited: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]],
-    end: tuple[int, ...],
-) -> SolutionPath:
-    ops: list[Op] = []
-    cur: tuple[int, ...] | None = end
-    while cur is not None:
-        parent, op = visited[cur]
-        if parent is None:
-            break
-        ops.append(Op(op))
-        cur = parent
-    ops.reverse()
-    return SolutionPath(tuple(ops))
 
 
 def idastar(p: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     """Iterative-deepening A* on Manhattan distance; returns a shortest path.
 
-    The heuristic is updated incrementally from the one tile each move slides.
+    The search walks one board in place over ``puzzle.delta_moves``, which
+    gives h's change for the one tile each move slides; h == 0 is the goal.
+    A slide moves one tile one cell, so f = g + h rises by 0 or 2 per move:
+    every node cut off by a bound has f = bound + 2, the next bound.
     """
-    start = p.initial.tiles
-    goal = p.goal.tiles
-    after = moves_after(p.width)
-    dists = dist_table(p.width, goal)
-
+    after = delta_moves(p.width, p.goal.tiles)
+    board = list(p.initial.tiles)
     generated = 0
     peak_depth = 0
-    path_ops: list[int] = []
-    found = False
-    INF = float("inf")
+    path_ops: list[int] = []  # the goal's path, last move first
 
-    def dfs(tiles: tuple[int, ...], blank: int, g: int, hval: int, bound: int, last_op: int) -> float:
-        nonlocal generated, peak_depth, found
-        f = g + hval
-        if f > bound:
-            return f
-        if tiles == goal:
-            found = True
-            return f
-        next_bound = INF
-        for op, j in after[blank][last_op]:
+    def dfs(b: int, hval: int, g: int, last: int) -> bool:
+        # Whether a goal lies within ``bound`` below this node (0 < hval, g + hval <= bound).
+        nonlocal generated, peak_depth
+        g += 1
+        if g > peak_depth:
+            peak_depth = g
+        for op, j, delta in after[b][last]:
             generated += 1
             if generated > node_budget:
                 raise BudgetExhausted(f"idastar exceeded node budget of {node_budget}")
-            child = list(tiles)
-            child[blank], child[j] = child[j], child[blank]
-            child_t = tuple(child)
-            moved = tiles[j]
-            child_h = hval + dists[moved][blank] - dists[moved][j]
-            if g + 1 > peak_depth:
-                peak_depth = g + 1
-            path_ops.append(op)
-            t = dfs(child_t, j, g + 1, child_h, bound, op)
-            if found:
-                return t
-            path_ops.pop()
-            if t < next_bound:
-                next_bound = t
-        return next_bound
+            t = board[j]
+            h = hval + delta[t]
+            if g + h <= bound:
+                board[b] = t
+                board[j] = 0
+                if not h or dfs(j, h, g, op):
+                    path_ops.append(op)
+                    return True
+                board[j] = t
+                board[b] = 0
+        return False
 
-    h0 = sum(dists[t][i] for i, t in enumerate(start) if t)
-    bound = h0
-    blank0 = start.index(0)
-    while True:
-        t = dfs(start, blank0, 0, h0, bound, _ROOT)
-        if found:
-            return ExactResult(
-                SolutionPath(tuple(Op(o) for o in path_ops)),
-                generated,
-                peak_depth + 1,
-            )
-        if t == INF:
-            raise BudgetExhausted("no solution within any bound (unreachable goal?)")
-        bound = int(t)
+    bound = h0 = manhattan(p.initial, p.goal)
+    if h0:
+        while not dfs(p.initial.blank, h0, 0, _ROOT):
+            bound += 2
+    return ExactResult(
+        SolutionPath(tuple(Op(o) for o in reversed(path_ops))), generated, peak_depth + 1
+    )
 
 
 def _lehmer_ranks(perms: np.ndarray) -> np.ndarray:

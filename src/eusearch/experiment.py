@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
@@ -53,6 +54,13 @@ REPORT_COLUMNS = (
 
 class IncompleteReport(Exception):
     """The report is missing (instance, level) cells required for summary."""
+
+
+def check_unit_rates(gens_per_minute: float, nodes_per_megabyte: float) -> None:
+    """Raise ValueError unless both unit rates are finite and > 0 (NaN is neither)."""
+    for name, rate in (("gens_per_minute", gens_per_minute), ("nodes_per_megabyte", nodes_per_megabyte)):
+        if not 0 < rate < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {rate!r}")
 
 
 def to_user_units(
@@ -104,6 +112,7 @@ class ExperimentConfig:
             raise ValueError("depths and levels must be nonempty")
         for level in self.levels:
             check_level(level)
+        check_unit_rates(self.gens_per_minute, self.nodes_per_megabyte)
         if self.model_kind not in ("markov", "empirical"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         for d in self.depths:

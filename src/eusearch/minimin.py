@@ -16,9 +16,9 @@ walk exactly which subtrees hold a goal above the frontier.  A walked
 tree's counts are kept with the table, per (level, state), so each is walked
 once per process: only states with 0 < d* < level are walked, which bounds
 the memo by the d* balls around the goal.  Runs on wider boards, and every
-single decision of ``minimin_decide``, search: a branch and bound on f gives
-each first move's value, and the walk enters every node whose Manhattan
-distance is below its moves left.
+single decision of ``minimin_decide``, search one board over ``puzzle.delta_moves``,
+as ``exact.idastar`` does: a branch and bound on f gives each first move's
+value, and the walk enters every node whose Manhattan distance is below its moves left.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 # ``idastar`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
 from .exact import _TABLE_MAX_WIDTH, _state_index, _tile_orders, exact_distance
 from .exact import idastar  # noqa: F401
-from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, dist_table
-from .puzzle import moves_after, moves_table
+from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, delta_moves
+from .puzzle import dist_table, moves_after, moves_table
 
 MAX_LOOKAHEAD = 24
 # A traced decision: the tiles it was made at, and its top-ranked child's.
@@ -80,8 +80,8 @@ class Outcome:
     def __post_init__(self) -> None:
         if isinstance(self.extra, dict):
             object.__setattr__(self, "extra", tuple(sorted(self.extra.items())))
-        if self.path_length < 0 or self.time_units < 0 or self.space_units < 0:
-            raise ValueError("outcome attributes must be nonnegative")
+        if not (self.path_length >= 0 and self.time_units >= 0 and self.space_units >= 0):
+            raise ValueError("outcome attributes must be nonnegative and not NaN")
 
     def extra_value(self, name: str) -> float | None:
         for key, value in self.extra:
@@ -96,32 +96,32 @@ def check_level(level: int) -> int:
     return level
 
 
-@lru_cache(maxsize=16)
-def _kernel_tables(width: int, goal: tuple[int, ...]):
-    """Move, heuristic and tree-size tables for both lookahead kernels on one (width, goal).
+@lru_cache(maxsize=None)
+def _tree_sizes(width: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``size[left][b][last]``: the nodes generated below blank cell ``b``, arrived by op
+    ``last`` (or ``_ROOT``), with ``left`` moves left and no goal cutting the tree.
 
-    ``after[b][last]`` lists ``puzzle.moves_after``'s (op, new blank) moves
-    from blank cell ``b`` when the blank arrived by op ``last`` (or
-    ``_ROOT``), each with its delta row: ``delta[t]`` is the change in
-    Manhattan distance when tile ``t`` slides from the new blank cell into ``b``.
-    ``size[left][b][last]`` counts the nodes generated below such a node when
-    ``left`` moves remain and no goal cuts the tree: the shape follows the
-    blank's path alone.  It is built from ``after`` up to ``MAX_LOOKAHEAD``.
+    The shape follows the blank's path alone: built from ``puzzle.moves_after``.
     """
-    dists = dist_table(width, goal)
+    after = moves_after(width)
     cells = range(width * width)
-    after = []
-    for b, moves in enumerate(moves_after(width)):
-        delta = {j: tuple(dists[t][b] - dists[t][j] if t else 0 for t in cells) for _, j in moves[_ROOT]}
-        after.append(tuple(tuple((op, j, delta[j]) for op, j in row) for row in moves))
     size = [((0,) * (_ROOT + 1),) * len(cells)]
     for _ in range(MAX_LOOKAHEAD):
         below = size[-1]
         size.append(tuple(
-            tuple(sum(1 + below[j][op] for op, j, _ in after[b][last]) for last in range(_ROOT + 1))
+            tuple(sum(1 + below[j][op] for op, j in after[b][last]) for last in range(_ROOT + 1))
             for b in cells
         ))
-    return tuple(after), dists, tuple(size)
+    return tuple(size)
+
+
+@lru_cache(maxsize=16)
+def _kernel_tables(width: int, goal: tuple[int, ...]):
+    """Both lookahead kernels' tables on one (width, goal), found by one cache lookup.
+
+    (after, dists, size): ``puzzle.delta_moves``, ``puzzle.dist_table``, ``_tree_sizes``.
+    """
+    return delta_moves(width, goal), dist_table(width, goal), _tree_sizes(width)
 
 
 def _tree_counts(after, size, tiles, blank, h0, level) -> tuple[int, int]:

@@ -5,7 +5,7 @@ the blank (Up/Down/Left/Right); all moves cost 1, so path cost equals path
 length.  The 3x3 (Eight) and 4x4 (Fifteen) boards are the shipped domains;
 the 2x2 board is supported for exhaustive testing.  ``moves_after`` owns the
 rule that random walks, IDA* and Minimin's lookahead trees share: never undo
-the move just made.
+the move just made; ``delta_moves`` owns the h step of every search over tiles.
 """
 
 from __future__ import annotations
@@ -165,6 +165,22 @@ def dist_table(width: int, goal_tiles: tuple[int, ...]) -> tuple[tuple[int, ...]
             row.append(abs(r - gr) + abs(c - gc))
         table.append(tuple(row))
     return tuple(table)
+
+
+@lru_cache(maxsize=128)
+def delta_moves(width: int, goal_tiles: tuple[int, ...]):
+    """``moves_after``'s rows, each move as (op, new blank, delta row).
+
+    ``delta[t]`` is the change in Manhattan distance to ``goal_tiles`` when tile
+    ``t`` slides from the new blank cell into the old one (0 for the blank).
+    """
+    dists = dist_table(width, goal_tiles)
+    cells = range(width * width)
+    rows = []
+    for b, moves in enumerate(moves_after(width)):
+        delta = {j: tuple(dists[t][b] - dists[t][j] if t else 0 for t in cells) for _, j in moves[_ROOT]}
+        rows.append(tuple(tuple((op, j, delta[j]) for op, j in row) for row in moves))
+    return tuple(rows)
 
 
 def manhattan(s: State, goal: State) -> int:

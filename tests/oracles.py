@@ -1,8 +1,8 @@
 """Independent brute-force oracles used only by tests.
 
 These deliberately share no search code with the package: plain State-level
-enumeration, fresh BFS, per-tile tallies, and permutation ranks and parities
-by enumeration and cycle counting.
+enumeration, fresh BFS, per-tile tallies, permutation ranks and parities by
+enumeration and cycle counting, and an IDA* that walks tiles tuples.
 """
 
 from __future__ import annotations
@@ -142,6 +142,63 @@ def minimin_run_oracle(s: State, goal: State, level: int, max_moves: int, node_b
         moves += 1
         peak = max(peak, stack + len(visits))
     return (moves, nodes, peak, True), trace
+
+
+def idastar_oracle(p, node_budget: int) -> tuple[int, int, int, str]:
+    """IDA* on Manhattan distance that builds a tiles tuple for every node it generates.
+
+    The goal test compares tiles with the goal, each child's h is worked out
+    from ``dist_table`` for the tile it slides, and each next bound is the
+    least f seen above the last.  Returns (length, nodes generated, peak
+    stored, path letters); raises ``BudgetExhausted`` on the generation that
+    exceeds ``node_budget``.
+    """
+    from eusearch.exact import BudgetExhausted
+    from eusearch.puzzle import _ROOT, dist_table, moves_after
+
+    start = p.initial.tiles
+    goal = p.goal.tiles
+    after = moves_after(p.width)
+    dists = dist_table(p.width, goal)
+    generated = 0
+    peak_depth = 0
+    path_ops: list[int] = []
+    found = False
+    inf = float("inf")
+
+    def dfs(tiles, blank, g, hval, bound, last_op):
+        nonlocal generated, peak_depth, found
+        f = g + hval
+        if f > bound:
+            return f
+        if tiles == goal:
+            found = True
+            return f
+        next_bound = inf
+        for op, j in after[blank][last_op]:
+            generated += 1
+            if generated > node_budget:
+                raise BudgetExhausted(f"idastar exceeded node budget of {node_budget}")
+            child = list(tiles)
+            child[blank], child[j] = child[j], child[blank]
+            moved = tiles[j]
+            peak_depth = max(peak_depth, g + 1)
+            path_ops.append(op)
+            t = dfs(tuple(child), j, g + 1, hval + dists[moved][blank] - dists[moved][j], bound, op)
+            if found:
+                return t
+            path_ops.pop()
+            next_bound = min(next_bound, t)
+        return next_bound
+
+    h0 = bound = sum(dists[t][i] for i, t in enumerate(start) if t)
+    while True:
+        t = dfs(start, start.index(0), 0, h0, bound, _ROOT)
+        if found:
+            return len(path_ops), generated, peak_depth + 1, "".join(Op(o).letter for o in path_ops)
+        if t == inf:
+            raise BudgetExhausted("no solution within any bound")
+        bound = int(t)
 
 
 def depth_keyed_ceiling(rows) -> tuple[float, float]:

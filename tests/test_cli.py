@@ -123,7 +123,7 @@ class TestMinimin:
             "--score",
         )
         assert code == 2
-        assert "utility" not in out
+        assert out == ""  # the model is read before the run
         assert "MalformedModel: path_length" in err
 
     def test_deep_width4_lookahead_finishes(self, capsys):
@@ -173,6 +173,27 @@ class TestMinimin:
         assert code == 0
         assert "time_units 78728\n" in out
         assert "solved 0" in out
+
+
+class TestUnitRates:
+    @pytest.mark.parametrize("flag", ["--gens-per-minute", "--nodes-per-megabyte"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    @pytest.mark.parametrize("command", [
+        ("minimin", "--instance", "1 2 3 4 5 6 0 7 8", "--lookahead", "2", "--score"),
+        ("select", "--depth", "4", "--model", "m.yaml"),
+        ("experiment", "--instances", "1", "--quiet"),
+    ])
+    def test_bad_rate_fails_before_any_run(self, capsys, monkeypatch, command, flag, value):
+        def no_work(*args, **kwargs):
+            pytest.fail("a run, model read or suite started")
+
+        for name in ("minimin_run", "load_model", "run_experiment"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out, err = run_cli(capsys, *command, flag, value)
+        assert code == 2
+        assert out == ""
+        rate = flag[2:].replace("-", "_")
+        assert err == f"eusearch: ValueError: {rate} must be finite and > 0, got {float(value)!r}\n"
 
 
 class TestAccuracy:

@@ -3,11 +3,12 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eusearch.exact import (
     BudgetExhausted,
+    ExactResult,
     GenerationFailed,
     _UNREACHED,
     _distance_table,
@@ -30,7 +31,7 @@ from eusearch.puzzle import (
     random_walk,
     replay,
 )
-from oracles import bfs_distances, cycle_parity, lehmer_rank
+from oracles import bfs_distances, cycle_parity, idastar_oracle, lehmer_rank
 
 GOAL2 = goal_state(2)
 GOAL3 = goal_state(3)
@@ -131,6 +132,37 @@ class TestIdastar:
         initial = make_state(tiles)
         r = idastar(ProblemInstance(initial, goal_state(initial.width)))
         assert (r.length, r.nodes_generated, r.peak_stored, r.path.letters) == expected
+
+    @given(
+        width=st.sampled_from((2, 3, 4)),
+        steps=st.integers(0, 40),
+        seed=st.integers(0, 10_000),
+        budget=st.sampled_from((1, 20, 300, 3_000, 20_000)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_tuple_walking_oracle(self, width, steps, seed, budget):
+        # Same length, counts and path, or the same exception, on the same budget;
+        # a solved search also on a budget of exactly its node count, and one less.
+        goal = goal_state(width)
+        inst = ProblemInstance(random_walk(goal, steps, seed), goal)
+
+        def both(budget):
+            results = []
+            for solve in (idastar_oracle, idastar):
+                try:
+                    r = solve(inst, node_budget=budget)
+                except BudgetExhausted:
+                    r = BudgetExhausted
+                if isinstance(r, ExactResult):
+                    r = (r.length, r.nodes_generated, r.peak_stored, r.path.letters)
+                results.append(r)
+            assert results[0] == results[1]
+            return results[0]
+
+        expected = both(budget)
+        if expected is not BudgetExhausted and expected[1]:
+            assert both(expected[1]) == expected
+            assert both(expected[1] - 1) is BudgetExhausted
 
     def test_walk30_regression(self):
         # fixed-seed 30-step walk; d* frozen from the BFS oracle

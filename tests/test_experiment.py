@@ -56,6 +56,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="workers must be in"):
             ExperimentConfig(workers=workers)
 
+    @pytest.mark.parametrize("field", ["gens_per_minute", "nodes_per_megabyte"])
+    @pytest.mark.parametrize("rate", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_unit_rates_must_be_finite_and_positive(self, field, rate):
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+            ExperimentConfig(**{field: rate})
+
     def test_out_of_range_level_rejected(self):
         with pytest.raises(ValueError, match="lookahead level"):
             config_from_dict({"levels": [1, 25]})

@@ -56,6 +56,11 @@ class TestOutcome:
         with pytest.raises(ValueError):
             Outcome(path_length=-1, time_units=0, space_units=0)
 
+    @pytest.mark.parametrize("field", ["path_length", "time_units", "space_units"])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            Outcome(**{"path_length": 0, "time_units": 0, "space_units": 0, field: float("nan")})
+
     def test_extra_dict_normalized(self):
         o = Outcome(1, 2, 3, extra={"cost": 5.0})
         assert o.extra == (("cost", 5.0),)

@@ -12,6 +12,7 @@ from eusearch.puzzle import (
     ProblemInstance,
     State,
     apply_op,
+    delta_moves,
     format_state,
     goal_state,
     is_reachable,
@@ -230,6 +231,23 @@ class TestMovesAfter:
             assert after[b][_ROOT] == moves
             for last in Op:
                 assert after[b][last] == tuple((op, j) for op, j in moves if op != last.inverse)
+
+
+class TestDeltaMoves:
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    @pytest.mark.parametrize("blank_first", [False, True])
+    def test_rows_are_moves_after_with_each_slides_h_step(self, width, blank_first):
+        goal = goal_state(width)
+        if blank_first:  # another goal: the blank in the first cell
+            goal = State((0,) + goal.tiles[:-1], width)
+        rows = delta_moves(width, goal.tiles)
+        for b, after in enumerate(moves_after(width)):
+            for last in range(_ROOT + 1):
+                assert tuple((op, j) for op, j, _ in rows[b][last]) == after[last]
+        for s in walk_states(width, seed=width, count=30):
+            for op, j, delta in rows[s.blank][_ROOT]:
+                step = manhattan(apply_op(s, Op(op)), goal) - manhattan(s, goal)
+                assert step == delta[s.tiles[j]]
 
 
 class TestReplay:
