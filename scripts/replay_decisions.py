@@ -21,8 +21,12 @@ class for ``minimin_decide``.  It is computed after the runs, outside the
 The line ``exact:`` digests the tiles of seeded ``random_walk`` scrambles at
 widths 2-4 and what ``idastar`` returns on them (length, node count, peak
 stored nodes, path) or raises, every fourth solve on a budget of 2,000 nodes.
-The last line, ``bfs:``, digests the same for ``bfs_optimal`` on the
-scrambles at widths 2-3.
+The line ``bfs:`` digests the same for ``bfs_optimal`` on the scrambles at
+widths 2-3.  The last line, ``search:``, digests width-4 ``minimin_trace``
+runs from seeded-walk scrambles at levels 1-10, each on the desk's limits and
+on a budget of 3,000 nodes that stops some of them: the initial tiles, level,
+limits, ``Outcome`` and every (tiles, top-ranked child tiles) decision pair.
+It calls only public functions, so it runs on any checkout that has them.
 """
 
 import hashlib
@@ -123,6 +127,22 @@ RUNS = {
 }
 
 
+def search_runs() -> tuple[int, str]:
+    """The number of runs made and a SHA-256 over each one's limits, outcome and trace."""
+    digest = hashlib.sha256()
+    runs = 0
+    goal = goal_state(4)
+    budgets = (minimin.ResourceLimits(100, 200_000), minimin.ResourceLimits(100, 3_000))
+    for seed in range(12):
+        p = ProblemInstance(random_walk(goal, 20 + 4 * seed, 100 + seed), goal)
+        for level in range(1, 11):
+            for limits in budgets:
+                outcome, trace = minimin.minimin_trace(p, level, limits)
+                digest.update(repr((p.initial.tiles, level, limits, outcome, trace)).encode())
+                runs += 1
+    return runs, digest.hexdigest()
+
+
 def main() -> None:
     run_loop = minimin._run_loop
     total = hashlib.sha256()
@@ -160,6 +180,9 @@ def main() -> None:
         start = time.perf_counter()
         calls, digest = solver_samples(solver, sizes)
         print(f"{name}: {calls} calls in {time.perf_counter() - start:.2f} s, sha256 {digest}")
+    start = time.perf_counter()
+    runs, digest = search_runs()
+    print(f"search: {runs} runs in {time.perf_counter() - start:.2f} s, sha256 {digest}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -53,7 +53,7 @@ REPORT_COLUMNS = (
 
 
 class IncompleteReport(Exception):
-    """The report is missing (instance, level) cells required for summary."""
+    """The report is missing (instance, level) cells required for summary, or repeats one."""
 
 
 def check_unit_rates(gens_per_minute: float, nodes_per_megabyte: float) -> None:
@@ -67,11 +67,9 @@ def to_user_units(
     outcome: Outcome, gens_per_minute: float, nodes_per_megabyte: float
 ) -> Outcome:
     """Convert raw node counts to the utility model's minutes/megabytes."""
-    return replace(
-        outcome,
-        time_units=outcome.time_units / gens_per_minute,
-        space_units=outcome.space_units / nodes_per_megabyte,
-    )
+    # Built directly: ``dataclasses.replace`` takes twice as long per call.
+    t, s = outcome.time_units / gens_per_minute, outcome.space_units / nodes_per_megabyte
+    return Outcome(outcome.path_length, t, s, outcome.solved, outcome.extra)
 
 
 def _max_depth(width: int) -> int:
@@ -110,14 +108,17 @@ class ExperimentConfig:
             raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
         if not self.depths or not self.levels:
             raise ValueError("depths and levels must be nonempty")
+        for name, values in (("depths", self.depths), ("levels", self.levels)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat, got {list(values)}")
         for level in self.levels:
             check_level(level)
         check_unit_rates(self.gens_per_minute, self.nodes_per_megabyte)
         if self.model_kind not in ("markov", "empirical"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         for d in self.depths:
-            if d < 0 or d > _max_depth(self.width):
-                raise ValueError(f"depth {d} not achievable at width {self.width}")
+            if not 1 <= d <= _max_depth(self.width):
+                raise ValueError(f"depth {d} not in 1..{_max_depth(self.width)} at width {self.width}")
 
 
 def config_from_dict(data: Mapping) -> ExperimentConfig:
@@ -383,7 +384,10 @@ def summarize(report: ExperimentReport) -> Summary:
     levels = tuple(sorted(report.config.levels))
     by_instance: dict[tuple[int, int], dict[int, ReportRow]] = {}
     for row in report.rows:
-        by_instance.setdefault((row.depth, row.instance_id), {})[row.level] = row
+        cells = by_instance.setdefault((row.depth, row.instance_id), {})
+        if row.level in cells:
+            raise IncompleteReport(f"instance ({row.depth}, {row.instance_id}) repeats level {row.level}")
+        cells[row.level] = row
 
     # depth -> [(chosen level, {level: utility})] in instance order
     by_depth: dict[int, list[tuple[int, dict[int, float]]]] = {}

@@ -15,10 +15,11 @@ per-goal table of every state's backed-up values; the table also tells the
 walk exactly which subtrees hold a goal above the frontier.  A walked
 tree's counts are kept with the table, per (level, state), so each is walked
 once per process: only states with 0 < d* < level are walked, which bounds
-the memo by the d* balls around the goal.  Runs on wider boards, and every
-single decision of ``minimin_decide``, search one board over ``puzzle.delta_moves``,
-as ``exact.idastar`` does: a branch and bound on f gives each first move's
-value, and the walk enters every node whose Manhattan distance is below its moves left.
+the memo by the d* balls around the goal.  A run on a wider board carries one
+board and its h through all its decisions and searches it in place over
+``puzzle.delta_moves``, as ``exact.idastar`` does, and so does each single
+decision of ``minimin_decide``: a branch and bound on f gives each first move's
+value and child h, and the walk enters every node whose h is below its moves left.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .exact import _TABLE_MAX_WIDTH, _state_index, _tile_orders, exact_distance
 from .exact import idastar  # noqa: F401
 from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, delta_moves
-from .puzzle import dist_table, moves_after, moves_table
+from .puzzle import dist_table, manhattan, moves_after, moves_table
 
 MAX_LOOKAHEAD = 24
 # A traced decision: the tiles it was made at, and its top-ranked child's.
@@ -115,26 +116,16 @@ def _tree_sizes(width: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(size)
 
 
-@lru_cache(maxsize=16)
-def _kernel_tables(width: int, goal: tuple[int, ...]):
-    """Both lookahead kernels' tables on one (width, goal), found by one cache lookup.
+def _tree_counts(after, size, board, blank, h0, level) -> tuple[int, int]:
+    """Nodes generated and peak stack depth of the depth-``level`` tree at ``board``.
 
-    (after, dists, size): ``puzzle.delta_moves``, ``puzzle.dist_table``, ``_tree_sizes``.
-    """
-    return delta_moves(width, goal), dist_table(width, goal), _tree_sizes(width)
-
-
-def _tree_counts(after, size, tiles, blank, h0, level) -> tuple[int, int]:
-    """Nodes generated and peak stack depth of the depth-``level`` tree at ``tiles``.
-
-    The count walk of ``_ranked_decisions``, which reads no value table.
-    It enters only nodes with h < moves left.
-    Below any other node no goal can be expanded, so its subtree is the full
-    one in ``size``.
+    The count walk of ``_ranked_decisions``, on its arguments: it reads no
+    value table and leaves the board as it found it.  It enters only nodes
+    with h < moves left.  Below any other node no goal can be expanded, so
+    its subtree is the full one in ``size``.
     """
     if h0 >= level:
         return size[level][blank][_ROOT], level + 1
-    board = list(tiles)
     nodes = 0
     deepest = 0  # depth of the deepest expanded node
 
@@ -166,24 +157,19 @@ def _tree_counts(after, size, tiles, blank, h0, level) -> tuple[int, int]:
     return nodes, deepest + 2
 
 
-def _ranked_decisions(
-    tiles: tuple[int, ...],
-    blank: int,
-    goal: tuple[int, ...],
-    width: int,
-    level: int,
-) -> tuple[list[tuple[int, int, int]], int, int]:
-    """Sorted (value, op, new blank) first moves, nodes and stack peak, by search.
+def _ranked_decisions(board, blank, h0, after, size, level) -> tuple[list, int, int]:
+    """Sorted (value, op, new blank, child h) first moves, nodes and stack peak, by search.
 
     The kernel of runs above width 3 and of every ``minimin_decide`` call;
-    ``_table_loop`` reads the same values from ``_value_table``.  Manhattan distance
-    is consistent, so f = g + h moves by 0 or +2 per move and a node's f
-    bounds every frontier f below it.  A first move's value comes from a
-    branch and bound on one board list that tries the h-decreasing children
-    first and stops at that bound; a goal caps its branch at f = g.
+    ``_table_loop`` reads the same values from ``_value_table``.  It searches
+    the caller's ``board`` (blank at ``blank``, h ``h0``) in place over
+    ``after``, ``puzzle.delta_moves``' on the goal, and leaves it as it was;
+    ``size`` is ``_tree_sizes``'.  Manhattan distance is consistent, so
+    f = g + h moves by 0 or +2 per move and a node's f bounds every frontier
+    f below it.  A first move's value comes from a branch and bound that
+    tries the h-decreasing children first and stops at that bound; a goal
+    caps its branch at f = g.
     """
-    after, dists, size = _kernel_tables(width, goal)
-    board = list(tiles)
 
     def bound(b: int, hval: int, g: int, left: int, last: int, best: int) -> int:
         # The least frontier f below this node (0 < hval, left >= 1 moves
@@ -237,7 +223,6 @@ def _ranked_decisions(
                     best = value
         return best
 
-    h0 = sum(dists[t][i] for i, t in enumerate(tiles) if t)
     ranked = []
     for op, j, delta in after[blank][_ROOT]:
         t = board[j]
@@ -245,11 +230,11 @@ def _ranked_decisions(
         board[j] = 0
         child_h = h0 + delta[t]
         value = 1 + child_h if level == 1 or not child_h else bound(j, child_h, 1, level - 1, op, 1 << 30)
-        ranked.append((value, op, j))
+        ranked.append((value, op, j, child_h))
         board[j] = t
         board[blank] = 0
     ranked.sort()
-    return ranked, *_tree_counts(after, size, tiles, blank, h0, level)
+    return ranked, *_tree_counts(after, size, board, blank, h0, level)
 
 
 @lru_cache(maxsize=4)
@@ -265,7 +250,7 @@ def _value_table(width: int, goal: tuple[int, ...]):
     ``rows[b][last]`` lists ``puzzle.moves_after``'s moves from cell ``b``
     as (op, new blank, words, ranks), with the child's words by
     its k in ``_state_index`` and the move's map of k (a range where k is
-    kept); ``h[b][k]`` is state (b, k)'s h; ``size`` is ``_kernel_tables``'.
+    kept); ``h[b][k]`` is state (b, k)'s h; ``size`` is ``_tree_sizes``'.
     ``counted[level]`` starts empty and maps ``b << 16 | k`` to the
     (nodes, stack peak) that ``_goal_counts`` gave state (b, k) at
     ``level``; it lives and dies with this (width, goal)'s table.  A tree is
@@ -274,12 +259,11 @@ def _value_table(width: int, goal: tuple[int, ...]):
     at 1-16 and 452,164 at 1-24 for the default 3x3 goal.
     Only ``_table_loop`` and its count walk ``_goal_counts`` read it.
     """
-    kernel = _kernel_tables(width, goal)
     parity, ranks = _state_index(width, goal)
     moves = moves_table(width)
     cells = width * width
     orders = _tile_orders(cells)
-    dists = np.array(kernel[1], np.uint8)
+    dists = np.array(dist_table(width, goal), np.uint8)
     h = [dists[orders[p] + 1, [i + (i >= b) for i in range(cells - 1)]].sum(axis=1, dtype=np.uint8)
          for b, p in enumerate(parity)]
     del orders
@@ -311,7 +295,7 @@ def _value_table(width: int, goal: tuple[int, ...]):
     for row in h:
         row.flags.writeable = False
     counted = tuple({} for _ in range(MAX_LOOKAHEAD + 1))
-    return rows, tuple(memoryview(row) for row in h), kernel[2], counted
+    return rows, tuple(memoryview(row) for row in h), _tree_sizes(width), counted
 
 
 def _goal_counts(rows, h, size, blank, k, level) -> tuple[int, int]:
@@ -371,7 +355,8 @@ def minimin_decide(s: State, goal: State, level: int) -> tuple[Op, int, int]:
         raise ValueError("state and goal have different widths")
     if s.tiles == goal.tiles:
         raise ValueError("state is already the goal; no decision to make")
-    ranked, nodes, _ = _ranked_decisions(s.tiles, s.blank, goal.tiles, s.width, level)
+    after, size = delta_moves(s.width, goal.tiles), _tree_sizes(s.width)
+    ranked, nodes, _ = _ranked_decisions(list(s.tiles), s.blank, manhattan(s, goal), after, size, level)
     value, op = ranked[0][:2]
     return Op(op), value, nodes
 
@@ -457,31 +442,39 @@ def _table_loop(p, level, limits, trace) -> Outcome:
 
 
 def _search_loop(p, level, limits, trace) -> Outcome:
-    """Minimin on a state carried as tiles, each decision by ``_ranked_decisions``."""
-    goal = p.goal.tiles
-    width = p.width
+    """Minimin on one board carried with its blank and h, each decision by ``_ranked_decisions``.
+
+    A move takes its h from its ranked entry; h == 0 is the goal.
+    """
+    after = delta_moves(p.width, p.goal.tiles)
+    size = _tree_sizes(p.width)
     tiles = p.initial.tiles
+    board = list(tiles)
     blank = p.initial.blank
+    hval = manhattan(p.initial, p.goal)
     visits = {tiles: 1}
     moves = 0
     total_nodes = 0
     peak_space = 0
-    while tiles != goal:
+    while hval:
         if moves >= limits.max_moves or total_nodes >= limits.node_budget:
             return Outcome(limits.max_moves, total_nodes, peak_space, solved=False)
-        ranked, nodes, stack_peak = _ranked_decisions(tiles, blank, goal, width, level)
+        ranked, nodes, stack_peak = _ranked_decisions(board, blank, hval, after, size, level)
         total_nodes += nodes
-        to = ranked[0][2]
-        child = _child(tiles, blank, to)
+        _, _, to, child_h = ranked[0]
+        board[blank] = board[to]
+        board[to] = 0
+        child = tuple(board)
         if trace is not None:
             trace.append((tiles, child))
         if visits.get(child, 0) >= 2:
-            for _, _, j in ranked[1:]:
+            for _, _, j, h in ranked[1:]:
                 other = _child(tiles, blank, j)
                 if visits.get(other, 0) < 2:
-                    to, child = j, other
+                    board[:] = other
+                    to, child, child_h = j, other, h
                     break
-        tiles, blank = child, to
+        tiles, blank, hval = child, to, child_h
         visits[tiles] = visits.get(tiles, 0) + 1
         moves += 1
         stored = stack_peak + len(visits)

@@ -414,6 +414,35 @@ class TestExperimentCommand:
         assert "generating training suite" not in err
         assert err.startswith("eusearch: ValueError: ")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--depths", "4,4"), "depths must not repeat, got [4, 4]"),
+            (("--depths", "0"), "depth 0 not in 1..31 at width 3"),
+        ],
+    )
+    def test_repeated_or_zero_depths_fail_before_any_suite(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "experiment", *flags, "--instances", "1")
+        assert (code, out) == (2, "")
+        assert err == f"eusearch: ValueError: {message}\n"
+
+    def test_config_file_repeated_levels_fail_before_any_suite(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("depths: [4]\nlevels: [1, 1, 2]\n")
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+        assert (code, out) == (2, "")
+        assert err == "eusearch: ValueError: levels must not repeat, got [1, 1, 2]\n"
+
+    def test_summarize_a_report_with_a_repeated_row(self, capsys, tmp_path):
+        # Each (depth, instance, level) cell is one run; a second copy is not
+        # averaged in or dropped, it fails the report.
+        row = "4,0,7,1,1,4,900,61,1,0.5"
+        runs_csv = tmp_path / "runs.csv"
+        runs_csv.write_text("\n".join([",".join(experiment.REPORT_COLUMNS), row, row]) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "summarize", "--report", str(runs_csv))
+        assert (code, out) == (2, "")
+        assert err == "eusearch: IncompleteReport: instance (4, 0) repeats level 1\n"
+
     @pytest.mark.parametrize("workers", ["0", "100000"])
     def test_out_of_range_workers_fail_before_any_suite(self, capsys, monkeypatch, workers):
         def no_pool(*args, **kwargs):

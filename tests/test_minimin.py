@@ -28,6 +28,7 @@ from eusearch.puzzle import (
     State,
     _state_key,
     apply_op,
+    delta_moves,
     goal_state,
     legal_ops,
     manhattan,
@@ -116,8 +117,20 @@ class TestDecide:
                 prev = nodes
 
 
-def assert_kernel_matches_oracle(s, goal, level, kernel=_ranked_decisions):
-    """Ranking, values, children, node count and peak all equal the oracle's."""
+def searched_decision(tiles, blank, goal, width, level):
+    """``_ranked_decisions`` on a board of ``tiles``, called as ``table_decision`` is.
+
+    The kernel searches the board in place; it must hand it back unchanged.
+    """
+    board = list(tiles)
+    h0 = manhattan(State(tiles, width), State(goal, width))
+    result = _ranked_decisions(board, blank, h0, delta_moves(width, goal), minimin._tree_sizes(width), level)
+    assert board == list(tiles)
+    return result
+
+
+def assert_kernel_matches_oracle(s, goal, level, kernel=searched_decision):
+    """Ranking, values, children, child h, node count and peak all equal the oracle's."""
     oracle_op, oracle_value, table, oracle_nodes, oracle_peak = exhaustive_lookahead(
         s, goal, level
     )
@@ -125,8 +138,10 @@ def assert_kernel_matches_oracle(s, goal, level, kernel=_ranked_decisions):
     assert [(value, op) for value, op, *_ in ranked] == sorted(
         (value, int(op)) for op, value in table.items()
     )
-    for _, op, child_blank, *_ in ranked:
-        assert State(_child(s.tiles, s.blank, child_blank), s.width) == apply_op(s, Op(op))
+    for _, op, child_blank, child_h in ranked:
+        child = apply_op(s, Op(op))
+        assert State(_child(s.tiles, s.blank, child_blank), s.width) == child
+        assert child_h == manhattan(child, goal)
     assert (nodes, peak) == (oracle_nodes, oracle_peak)
     assert minimin_decide(s, goal, level) == (oracle_op, oracle_value, oracle_nodes)
 
@@ -196,11 +211,11 @@ class TestKernelOracle:
     def test_goal_free_trees_have_the_tabulated_size(self):
         # With h0 >= level no goal is expanded, so the whole tree is generated.
         for goal, steps in ((GOAL3, 30), (GOAL4, 60)):
-            size = minimin._kernel_tables(goal.width, goal.tiles)[2]
+            size = minimin._tree_sizes(goal.width)
             for seed in range(4):
                 s = walked_state(goal, steps, seed)
                 for level in range(1, min(manhattan(s, goal), MAX_LOOKAHEAD) + 1):
-                    _, nodes, peak = _ranked_decisions(
+                    _, nodes, peak = searched_decision(
                         s.tiles, s.blank, goal.tiles, s.width, level
                     )
                     assert nodes == size[level][s.blank][minimin._ROOT]
@@ -240,11 +255,11 @@ class TestKernelOracle:
                 cold = cold_table_decision(*args)
                 walked += bool(counted[level])
                 assert walk_entries(s, GOAL3, level, table_decision) == []
-                assert table_decision(*args) == cold == _ranked_decisions(*args)
+                assert table_decision(*args) == cold == searched_decision(*args)
         assert walked > 0
 
 
-def walk_entries(s, goal, level, kernel=_ranked_decisions):
+def walk_entries(s, goal, level, kernel=searched_decision):
     """(depth, node, moves left) of each node ``kernel``'s count walk enters, sorted.
 
     A node is its tiles in ``_tree_counts``' walk and its (blank, k) in
@@ -315,10 +330,10 @@ def nodes_with_a_goal_above_the_frontier(s, goal, level):
 def table_decisions(s, goal, levels):
     """Each level's decision at ``s`` as a 2x2 or 3x3 run makes it, in ``_ranked_decisions``' form.
 
-    Each first move's (value, op, new blank) is read from the value table's
-    words, h and ranks, and sorted.  The node count and stack peak are a
-    one-move ``_table_loop`` run's, whose traced top child must be the first
-    of those moves.
+    Each first move's (value, op, new blank, child h) is read from the value
+    table's words, h and ranks, and sorted.  The node count and stack peak
+    are a one-move ``_table_loop`` run's, whose traced top child must be the
+    first of those moves.
     """
     rows, h = _value_table(s.width, goal.tiles)[:2]
     _, k, _ = _state_key(s.tiles)
@@ -327,7 +342,7 @@ def table_decisions(s, goal, levels):
     for level in levels:
         mask = (1 << (level - 1)) - 1
         ranked = sorted(
-            (1 + h[j][ranks[k]] + 2 * (words[ranks[k]] & mask).bit_count(), op, j)
+            (1 + h[j][ranks[k]] + 2 * (words[ranks[k]] & mask).bit_count(), op, j, h[j][ranks[k]])
             for op, j, words, ranks in rows[s.blank][minimin._ROOT]
         )
         trace = []
@@ -339,7 +354,7 @@ def table_decisions(s, goal, levels):
 
 
 def table_decision(tiles, blank, goal, width, level):
-    """``table_decisions`` at one level, called as ``_ranked_decisions`` is."""
+    """``table_decisions`` at one level, called as ``searched_decision`` is."""
     return table_decisions(State(tiles, width), State(goal, width), [level])[0]
 
 
@@ -370,7 +385,7 @@ def assert_counted_only_goal_cut_trees(width, goal):
 def both_kernels(s, goal, level):
     """The decision read from the value table and the one searched by branch and bound."""
     args = (s.tiles, s.blank, goal.tiles, s.width, level)
-    return table_decision(*args), _ranked_decisions(*args)
+    return table_decision(*args), searched_decision(*args)
 
 
 def other_class(s):
@@ -407,7 +422,7 @@ class TestValueTable:
             if d == 0:
                 continue
             s = State(tiles, 3)
-            expected = [_ranked_decisions(tiles, s.blank, GOAL3.tiles, 3, level) for level in (1, 2, 3)]
+            expected = [searched_decision(tiles, s.blank, GOAL3.tiles, 3, level) for level in (1, 2, 3)]
             assert table_decisions(s, GOAL3, (1, 2, 3)) == expected
 
     def test_every_state_near_the_goal_counts_as_the_search(self, distances3):
@@ -417,7 +432,7 @@ class TestValueTable:
         near = [tiles for tiles, d in distances3.items() if 0 < d <= 12]
         assert len(near) == 1849
         expected = [
-            [_ranked_decisions(tiles, tiles.index(0), GOAL3.tiles, 3, level)[1:] for level in range(1, 15)]
+            [searched_decision(tiles, tiles.index(0), GOAL3.tiles, 3, level)[1:] for level in range(1, 15)]
             for tiles in near
         ]
         forget_counts(3, GOAL3.tiles)
@@ -555,9 +570,8 @@ class TestValueTable:
                 assert got == expected
 
     def test_build_raises_on_an_inconsistent_heuristic(self, monkeypatch):
-        after, dists, size = minimin._kernel_tables(2, GOAL2.tiles)
-        doubled = tuple(tuple(2 * d for d in row) for row in dists)
-        monkeypatch.setattr(minimin, "_kernel_tables", lambda width, goal: (after, doubled, size))
+        doubled = tuple(tuple(2 * d for d in row) for row in minimin.dist_table(2, GOAL2.tiles))
+        monkeypatch.setattr(minimin, "dist_table", lambda width, goal: doubled)
         with pytest.raises(RuntimeError):
             _value_table.__wrapped__(2, GOAL2.tiles)
 
@@ -713,6 +727,22 @@ class TestRun:
         assert not out.solved
         assert out.time_units == nodes > ExperimentConfig().limits.node_budget
         assert elapsed < 2.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.integers(1, 60),
+        seed=st.integers(0, 2**30),
+        level=st.integers(1, 3),
+        max_moves=st.integers(1, 60),
+        node_budget=st.integers(1, 3_000),
+    )
+    def test_width4_runs_equal_the_oracle(self, steps, seed, level, max_moves, node_budget):
+        # A 4x4 run carries one board and its h from decision to decision; it
+        # must move, count, stop and trace as a run that re-derives each state.
+        s = walked_state(GOAL4, steps, seed)
+        outcome, trace = minimin_trace(ProblemInstance(s, GOAL4), level, ResourceLimits(max_moves, node_budget))
+        got = (outcome.path_length, outcome.time_units, outcome.space_units, outcome.solved)
+        assert (got, trace) == minimin_run_oracle(s, GOAL4, level, max_moves, node_budget)
 
     def test_loop_avoidance_escapes(self):
         # level-1 greedy must still solve moderately deep instances given room
