@@ -14,6 +14,7 @@ from typing import Sequence
 from .exact import DEFAULT_NODE_BUDGET, bfs_optimal, idastar, instance_of_depth
 from .experiment import (
     ExperimentConfig,
+    check_depths,
     check_unit_rates,
     load_experiment_config,
     read_report_csv,
@@ -117,7 +118,7 @@ def cmd_accuracy(args) -> int:
 def cmd_fit(args) -> int:
     levels = _parse_levels(args.levels)
     limits = _limits_from_args(args)
-    depths = _parse_depths(args.depths)
+    depths = check_depths(_parse_depths(args.depths), args.width)
     suites = {
         d: training_suite(d, args.width, args.seed, args.train_per_depth, args.attempts)
         for d in depths

@@ -77,6 +77,16 @@ def _max_depth(width: int) -> int:
     return {2: 6, 3: 31}.get(width, 80)
 
 
+def check_depths(depths: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """Raise ValueError if ``depths`` repeat or one is not in 1..``_max_depth(width)``."""
+    if len(set(depths)) != len(depths):
+        raise ValueError(f"depths must not repeat, got {list(depths)}")
+    for d in depths:
+        if not 1 <= d <= _max_depth(width):
+            raise ValueError(f"depth {d} not in 1..{_max_depth(width)} at width {width}")
+    return depths
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters of one experiment; defaults are the desk-scale protocol."""
@@ -108,17 +118,14 @@ class ExperimentConfig:
             raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
         if not self.depths or not self.levels:
             raise ValueError("depths and levels must be nonempty")
-        for name, values in (("depths", self.depths), ("levels", self.levels)):
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat, got {list(values)}")
+        check_depths(self.depths, self.width)
+        if len(set(self.levels)) != len(self.levels):
+            raise ValueError(f"levels must not repeat, got {list(self.levels)}")
         for level in self.levels:
             check_level(level)
         check_unit_rates(self.gens_per_minute, self.nodes_per_megabyte)
         if self.model_kind not in ("markov", "empirical"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        for d in self.depths:
-            if not 1 <= d <= _max_depth(self.width):
-                raise ValueError(f"depth {d} not in 1..{_max_depth(self.width)} at width {self.width}")
 
 
 def config_from_dict(data: Mapping) -> ExperimentConfig:

@@ -20,6 +20,8 @@ board and its h through all its decisions and searches it in place over
 ``puzzle.delta_moves``, as ``exact.idastar`` does, and so does each single
 decision of ``minimin_decide``: a branch and bound on f gives each first move's
 value and child h, and the walk enters every node whose h is below its moves left.
+Such a run searches each distinct state once and keeps that decision until
+the run ends; a revisit reuses it and is charged the same counts again.
 """
 
 from __future__ import annotations
@@ -444,7 +446,10 @@ def _table_loop(p, level, limits, trace) -> Outcome:
 def _search_loop(p, level, limits, trace) -> Outcome:
     """Minimin on one board carried with its blank and h, each decision by ``_ranked_decisions``.
 
-    A move takes its h from its ranked entry; h == 0 is the goal.
+    A move takes its h from its ranked entry; h == 0 is the goal.  A decision
+    depends only on the state, so each distinct state is searched once per
+    run: ``decided`` keeps its ranked moves and counts, and a revisit charges
+    the same nodes and stack peak as the search did.
     """
     after = delta_moves(p.width, p.goal.tiles)
     size = _tree_sizes(p.width)
@@ -453,13 +458,17 @@ def _search_loop(p, level, limits, trace) -> Outcome:
     blank = p.initial.blank
     hval = manhattan(p.initial, p.goal)
     visits = {tiles: 1}
+    decided = {}  # tiles -> (ranked, nodes, stack peak); never more entries than ``visits``
     moves = 0
     total_nodes = 0
     peak_space = 0
     while hval:
         if moves >= limits.max_moves or total_nodes >= limits.node_budget:
             return Outcome(limits.max_moves, total_nodes, peak_space, solved=False)
-        ranked, nodes, stack_peak = _ranked_decisions(board, blank, hval, after, size, level)
+        decision = decided.get(tiles)
+        if decision is None:
+            decision = decided[tiles] = _ranked_decisions(board, blank, hval, after, size, level)
+        ranked, nodes, stack_peak = decision
         total_nodes += nodes
         _, _, to, child_h = ranked[0]
         board[blank] = board[to]

@@ -304,6 +304,29 @@ class TestFitSelect:
         header = open(csv_path).read().splitlines()[0]
         assert header == "level,expected_utility,chosen"
 
+    @pytest.mark.parametrize("kind", ["markov", "empirical"])
+    @pytest.mark.parametrize(
+        "depths, width, message",
+        [
+            ("4,4", "3", "depths must not repeat, got [4, 4]"),
+            ("0", "3", "depth 0 not in 1..31 at width 3"),
+            ("40", "3", "depth 40 not in 1..31 at width 3"),
+            ("8,81", "4", "depth 81 not in 1..80 at width 4"),
+        ],
+    )
+    def test_fit_checks_depths_as_experiment_does_before_any_suite(
+        self, capsys, tmp_path, monkeypatch, kind, depths, width, message
+    ):
+        built = []
+        monkeypatch.setattr(cli, "training_suite", lambda *a: built.append(a) or [])
+        model_path = tmp_path / "model.yaml"
+        code, out, err = run_cli(
+            capsys, "fit", "--kind", kind, "--depths", depths, "--width", width,
+            "--levels", "1-2", "--out", str(model_path),
+        )
+        assert (code, out, err) == (2, "", f"eusearch: ValueError: {message}\n")
+        assert built == [] and not model_path.exists()
+
     def test_select_rejects_huge_samples_before_reading_the_model(self, capsys, monkeypatch):
         read = []
         monkeypatch.setattr(cli, "load_model", read.append)

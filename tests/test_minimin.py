@@ -480,8 +480,9 @@ class TestValueTable:
 
     def test_runs_never_mix_the_table_and_the_search(self, monkeypatch):
         # Only reachable states start a run, and moves keep them reachable:
-        # every decision of a 2x2 or 3x3 run reads the table, every one of a
-        # 4x4 run is searched.  Both agree with the oracle's run.
+        # every decision of a 2x2 or 3x3 run reads the table, and a 4x4 run
+        # searches each distinct state it decides at, once (the last case
+        # re-enters states before the move cap).  Both agree with the oracle's run.
         calls = []
         searched = minimin._ranked_decisions
         monkeypatch.setattr(
@@ -494,6 +495,7 @@ class TestValueTable:
             (GOAL3, 14, 2, ResourceLimits(100, 10**6)),
             (GOAL3, 20, 3, ResourceLimits(100, 500)),
             (GOAL4, 30, 3, ResourceLimits(30, 10**6)),
+            (GOAL4, 30, 3, ResourceLimits(100, 10**6)),
         ]
         for goal, steps, level, limits in cases:
             s = walked_state(goal, steps, 7)
@@ -502,7 +504,7 @@ class TestValueTable:
             expected = minimin_run_oracle(s, goal, level, limits.max_moves, limits.node_budget)
             got = (outcome.path_length, outcome.time_units, outcome.space_units, outcome.solved)
             assert (got, trace) == expected
-            assert len(calls) == (len(trace) if goal.width > 3 else 0)
+            assert len(calls) == (len({tiles for tiles, _ in trace}) if goal.width > 3 else 0)
 
     def test_states_that_cannot_reach_the_goal_are_searched(self):
         for seed in (5, 6, 7):
@@ -732,17 +734,42 @@ class TestRun:
     @given(
         steps=st.integers(1, 60),
         seed=st.integers(0, 2**30),
-        level=st.integers(1, 3),
-        max_moves=st.integers(1, 60),
-        node_budget=st.integers(1, 3_000),
+        level=st.integers(1, 4),
+        max_moves=st.integers(1, 100),
+        node_budget=st.integers(1, 10_000),
     )
     def test_width4_runs_equal_the_oracle(self, steps, seed, level, max_moves, node_budget):
-        # A 4x4 run carries one board and its h from decision to decision; it
-        # must move, count, stop and trace as a run that re-derives each state.
+        # A 4x4 run carries one board and its h from decision to decision, and
+        # reuses a revisited state's decision; it must move, count, stop and
+        # trace as a run that re-derives and re-searches each state.
         s = walked_state(GOAL4, steps, seed)
         outcome, trace = minimin_trace(ProblemInstance(s, GOAL4), level, ResourceLimits(max_moves, node_budget))
         got = (outcome.path_length, outcome.time_units, outcome.space_units, outcome.solved)
         assert (got, trace) == minimin_run_oracle(s, GOAL4, level, max_moves, node_budget)
+
+    def test_width4_run_searches_each_state_once(self, monkeypatch):
+        # A level-4 run that wanders to the move cap re-enters states.  It
+        # searches each distinct state once, charges every decision its
+        # count as the oracle does, and keeps nothing for the next run.
+        calls = []
+        searched = minimin._ranked_decisions
+        monkeypatch.setattr(
+            minimin, "_ranked_decisions", lambda *args: calls.append(args) or searched(*args)
+        )
+        s = walked_state(GOAL4, 30, 7)
+        limits = ResourceLimits(100, 10**6)
+        expected = minimin_run_oracle(s, GOAL4, 4, limits.max_moves, limits.node_budget)
+        searches = []
+        for _ in range(2):
+            calls.clear()
+            outcome, trace = minimin_trace(ProblemInstance(s, GOAL4), 4, limits)
+            got = (outcome.path_length, outcome.time_units, outcome.space_units, outcome.solved)
+            assert (got, trace) == expected
+            searches.append(len(calls))
+        assert got == (100, 5825, 72, False)
+        assert overrides(trace) > 0
+        assert searches == [len({tiles for tiles, _ in trace})] * 2 == [66, 66]
+        assert len(trace) == 100
 
     def test_loop_avoidance_escapes(self):
         # level-1 greedy must still solve moderately deep instances given room
