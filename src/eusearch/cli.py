@@ -14,8 +14,6 @@ from typing import Sequence
 from .exact import DEFAULT_NODE_BUDGET, bfs_optimal, idastar, instance_of_depth
 from .experiment import (
     ExperimentConfig,
-    check_depths,
-    check_unit_rates,
     load_experiment_config,
     read_report_csv,
     run_experiment,
@@ -26,7 +24,7 @@ from .experiment import (
     training_suite,
 )
 from .minimin import ResourceLimits, check_level, decision_accuracy, minimin_run
-from .perfmodel import MAX_SAMPLES, MarkovParams, fit_empirical, fit_markov, load_model, save_model
+from .perfmodel import MarkovParams, fit_empirical, fit_markov, load_model, save_model
 from .puzzle import ProblemInstance, goal_state, parse_state
 from .seeds import subseed
 from .selector import select_lookahead
@@ -65,8 +63,23 @@ def _instance_from_args(args) -> ProblemInstance:
     return ProblemInstance(initial, goal)
 
 
-def _limits_from_args(args) -> ResourceLimits:
-    return ResourceLimits(max_moves=args.max_moves, node_budget=args.node_budget)
+def _settings(args, base: ExperimentConfig, **fixed) -> ExperimentConfig:
+    """``base`` with each flag whose dest names an ``ExperimentConfig`` or
+    ``ResourceLimits`` field, then ``fixed``; the config checks them all.
+
+    An unset or empty flag leaves its field as it is.
+    """
+    given = {k: v for k, v in vars(args).items() if v not in (None, "")}
+    for name, parse in (("depths", _parse_depths), ("levels", _parse_levels)):
+        if name in given:
+            given[name] = parse(given[name])
+    given.update(fixed)
+
+    def overrides(cls) -> dict:
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+    limits = replace(base.limits, **overrides(ResourceLimits))
+    return replace(base, **overrides(ExperimentConfig), limits=limits)
 
 
 def cmd_solve(args) -> int:
@@ -82,26 +95,26 @@ def cmd_solve(args) -> int:
 
 def cmd_minimin(args) -> int:
     instance = _instance_from_args(args)
-    check_unit_rates(args.gens_per_minute, args.nodes_per_megabyte)
+    cfg = _settings(args, ExperimentConfig(), levels=(args.lookahead,))
     # The utility model is loaded before the run, so a bad file prints nothing.
-    model = load_utility_model(args.utility) if args.utility or args.score else None
-    outcome = minimin_run(instance, args.lookahead, _limits_from_args(args))
+    model = load_utility_model(cfg.utility_config) if cfg.utility_config or args.score else None
+    outcome = minimin_run(instance, args.lookahead, cfg.limits)
     print(f"path_length {int(outcome.path_length)}")
     print(f"time_units {int(outcome.time_units)}")
     print(f"space_units {int(outcome.space_units)}")
     print(f"solved {1 if outcome.solved else 0}")
     if model is not None:
-        converted = to_user_units(outcome, args.gens_per_minute, args.nodes_per_megabyte)
+        converted = to_user_units(outcome, cfg.gens_per_minute, cfg.nodes_per_megabyte)
         print(f"utility {joint_utility(converted, model)!r}")
     return 0
 
 
 def cmd_accuracy(args) -> int:
-    levels = _parse_levels(args.levels)
-    goal = goal_state(args.width)
+    cfg = _settings(args, ExperimentConfig(), depths=(args.depth,))
+    goal = goal_state(cfg.width)
     states = [
         instance_of_depth(
-            args.depth, args.width, subseed(args.seed, "acc", i), attempts=args.attempts
+            args.depth, cfg.width, subseed(cfg.seed, "acc", i), attempts=cfg.gen_attempts
         ).initial
         for i in range(args.samples)
     ]
@@ -109,50 +122,43 @@ def cmd_accuracy(args) -> int:
     # Every level is scored before the header, so a failure prints nothing.
     rows = [
         f"{level},{decision_accuracy(level, states, goal, dstar_cache=cache)!r},{len(states)}"
-        for level in levels
+        for level in cfg.levels
     ]
     print("level,accuracy,n", *rows, sep="\n")
     return 0
 
 
 def cmd_fit(args) -> int:
-    levels = _parse_levels(args.levels)
-    limits = _limits_from_args(args)
-    depths = check_depths(_parse_depths(args.depths), args.width)
+    cfg = _settings(args, ExperimentConfig())
     suites = {
-        d: training_suite(d, args.width, args.seed, args.train_per_depth, args.attempts)
-        for d in depths
+        d: training_suite(d, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts)
+        for d in cfg.depths
     }
-    if args.kind == "markov":
-        training = [inst for d in depths for inst in suites[d]]
-        model = fit_markov(training, levels, limits=limits, seed=args.seed)
+    if cfg.model_kind == "markov":
+        training = [inst for d in cfg.depths for inst in suites[d]]
+        model = fit_markov(training, cfg.levels, limits=cfg.limits, seed=cfg.seed)
     else:
         model = fit_empirical(
-            suites, levels, limits=limits, sample_meta={"seed": args.seed}
+            suites, cfg.levels, limits=cfg.limits, sample_meta={"seed": cfg.seed}
         )
     save_model(model, args.out)
-    print(f"wrote {args.kind} model to {args.out}")
+    print(f"wrote {cfg.model_kind} model to {args.out}")
     return 0
 
 
 def cmd_select(args) -> int:
-    levels = _parse_levels(args.levels)
-    if args.samples > MAX_SAMPLES:
-        raise ValueError(f"--samples must be <= {MAX_SAMPLES}")
-    check_unit_rates(args.gens_per_minute, args.nodes_per_megabyte)
+    cfg = _settings(args, ExperimentConfig())
     model = load_model(args.model)
-    utility = load_utility_model(args.utility)
+    utility = load_utility_model(cfg.utility_config)
     report = select_lookahead(
         args.depth,
         model,
         utility,
-        levels,
-        samples=args.samples,
-        seed=args.seed,
+        cfg.levels,
+        samples=cfg.predict_samples,
+        seed=cfg.seed,
         extrapolate=args.extrapolate,
-        convert=lambda o: to_user_units(
-            o, args.gens_per_minute, args.nodes_per_megabyte
-        ),
+        convert=lambda o: to_user_units(o, cfg.gens_per_minute, cfg.nodes_per_megabyte),
     )
     kind = "markov" if isinstance(model, MarkovParams) else "empirical"
     print(f"chosen_level {report.chosen_level}")
@@ -180,20 +186,8 @@ def _print_summary(report, csv_path: str | None) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = load_experiment_config(args.config) if args.config else ExperimentConfig()
-    # Override flags are named by their field in ExperimentConfig or
-    # ResourceLimits; an unset or empty one leaves the field as it is.
-    given = {k: v for k, v in vars(args).items() if v not in (None, "")}
-    if "depths" in given:
-        given["depths"] = _parse_depths(given["depths"])
-    if "levels" in given:
-        given["levels"] = _parse_levels(given["levels"])
-
-    def overrides(cls) -> dict:
-        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
-
-    limits = replace(cfg.limits, **overrides(ResourceLimits))
-    cfg = replace(cfg, **overrides(ExperimentConfig), limits=limits)
+    base = load_experiment_config(args.config) if args.config else ExperimentConfig()
+    cfg = _settings(args, base)
     progress = (lambda msg: print(msg, file=sys.stderr)) if not args.quiet else None
     report = run_experiment(cfg, csv_path=args.out, progress=progress)
     return _print_summary(report, args.summary_csv)
@@ -209,15 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tile-puzzle search with expected-utility lookahead selection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag whose dest names an ExperimentConfig or ResourceLimits field sets it, and
+    # one left unset keeps the config's value (see _settings).
 
     def add_limits(p):
-        p.add_argument("--max-moves", type=int, default=ResourceLimits.max_moves)
-        p.add_argument("--node-budget", type=int, default=ResourceLimits.node_budget)
+        p.add_argument("--max-moves", type=int)
+        p.add_argument("--node-budget", type=int)
 
     def add_units(p):
-        cfg = ExperimentConfig
-        p.add_argument("--gens-per-minute", type=float, default=cfg.gens_per_minute)
-        p.add_argument("--nodes-per-megabyte", type=float, default=cfg.nodes_per_megabyte)
+        p.add_argument("--gens-per-minute", type=float)
+        p.add_argument("--nodes-per-megabyte", type=float)
 
     p = sub.add_parser("solve", help="exact shortest-path solve")
     p.add_argument("--instance", required=True, help="row-major tiles, 0 = blank")
@@ -232,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lookahead", type=int, required=True)
     add_limits(p)
     p.add_argument("--score", action="store_true", help="also print joint utility")
-    p.add_argument("--utility", default=None, help="utility config YAML")
+    p.add_argument("--utility", dest="utility_config", metavar="UTILITY", help="utility config YAML")
     add_units(p)
     p.set_defaults(func=cmd_minimin)
 
@@ -242,17 +237,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=3)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=ExperimentConfig.gen_attempts)
+    p.add_argument("--attempts", type=int, dest="gen_attempts", metavar="ATTEMPTS")
     p.set_defaults(func=cmd_accuracy)
 
     p = sub.add_parser("fit", help="fit a performance model and save it")
-    p.add_argument("--kind", choices=("markov", "empirical"), default="markov")
+    p.add_argument("--kind", choices=("markov", "empirical"), dest="model_kind", default="markov")
     p.add_argument("--depths", default="4,8,12,16,20")
-    p.add_argument("--train-per-depth", type=int, default=20)
+    p.add_argument(
+        "--train-per-depth", type=int, dest="train_instances_per_depth", metavar="TRAIN_PER_DEPTH",
+        default=20,
+    )
     p.add_argument("--levels", default="1-12")
     p.add_argument("--width", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=ExperimentConfig.gen_attempts)
+    p.add_argument("--attempts", type=int, dest="gen_attempts", metavar="ATTEMPTS")
     add_limits(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
@@ -261,15 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--model", required=True, help="model YAML from `fit`")
     p.add_argument("--levels", default="1-12")
-    p.add_argument("--utility", default=None)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--utility", dest="utility_config", metavar="UTILITY")
+    p.add_argument("--samples", type=int, dest="predict_samples", metavar="SAMPLES", default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--extrapolate", action="store_true")
     add_units(p)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_select)
 
-    # Each override flag's dest is the field it sets (see cmd_experiment).
     p = sub.add_parser("experiment", help="run the full selection experiment")
     p.add_argument("--config", default=None, help="experiment config YAML")
     p.add_argument("--depths", default=None)
@@ -287,11 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--accuracy-states", type=int, dest="accuracy_states_per_level", metavar="ACCURACY_STATES"
     )
     p.add_argument("--predict-samples", type=int, default=None)
-    p.add_argument("--gens-per-minute", type=float, default=None)
-    p.add_argument("--nodes-per-megabyte", type=float, default=None)
+    add_units(p)
     p.add_argument("--gen-attempts", type=int, default=None)
-    p.add_argument("--max-moves", type=int, default=None)
-    p.add_argument("--node-budget", type=int, default=None)
+    add_limits(p)
     p.add_argument("--out", default=None, help="write per-run rows CSV here")
     p.add_argument("--summary-csv", default=None)
     p.add_argument("--quiet", action="store_true")

@@ -56,13 +56,6 @@ class IncompleteReport(Exception):
     """The report is missing (instance, level) cells required for summary, or repeats one."""
 
 
-def check_unit_rates(gens_per_minute: float, nodes_per_megabyte: float) -> None:
-    """Raise ValueError unless both unit rates are finite and > 0 (NaN is neither)."""
-    for name, rate in (("gens_per_minute", gens_per_minute), ("nodes_per_megabyte", nodes_per_megabyte)):
-        if not 0 < rate < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {rate!r}")
-
-
 def to_user_units(
     outcome: Outcome, gens_per_minute: float, nodes_per_megabyte: float
 ) -> Outcome:
@@ -75,16 +68,6 @@ def to_user_units(
 def _max_depth(width: int) -> int:
     """The deepest instance depth a config may ask for: the 2x2 and 3x3 diameters, else 80."""
     return {2: 6, 3: 31}.get(width, 80)
-
-
-def check_depths(depths: tuple[int, ...], width: int) -> tuple[int, ...]:
-    """Raise ValueError if ``depths`` repeat or one is not in 1..``_max_depth(width)``."""
-    if len(set(depths)) != len(depths):
-        raise ValueError(f"depths must not repeat, got {list(depths)}")
-    for d in depths:
-        if not 1 <= d <= _max_depth(width):
-            raise ValueError(f"depth {d} not in 1..{_max_depth(width)} at width {width}")
-    return depths
 
 
 @dataclass(frozen=True)
@@ -118,12 +101,19 @@ class ExperimentConfig:
             raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
         if not self.depths or not self.levels:
             raise ValueError("depths and levels must be nonempty")
-        check_depths(self.depths, self.width)
-        if len(set(self.levels)) != len(self.levels):
-            raise ValueError(f"levels must not repeat, got {list(self.levels)}")
+        for name in ("depths", "levels"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat, got {list(values)}")
+        for d in self.depths:
+            if not 1 <= d <= _max_depth(self.width):
+                raise ValueError(f"depth {d} not in 1..{_max_depth(self.width)} at width {self.width}")
         for level in self.levels:
             check_level(level)
-        check_unit_rates(self.gens_per_minute, self.nodes_per_megabyte)
+        for name in ("gens_per_minute", "nodes_per_megabyte"):
+            rate = getattr(self, name)  # NaN is neither finite nor > 0
+            if not 0 < rate < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {rate!r}")
         if self.model_kind not in ("markov", "empirical"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
 

@@ -7,6 +7,7 @@ the reduced-full fingerprint check about 6 s.
 """
 
 import hashlib
+import importlib.util
 import math
 import random
 import statistics
@@ -429,6 +430,21 @@ def test_reduced_full_runs_csv_fingerprint():
     path = Path(__file__).parents[1] / "configs" / "experiment_full.yaml"
     cfg = replace(load_experiment_config(str(path)), instances_per_depth=10, workers=1)
     assert csv_sha256(run_experiment(cfg)) == REDUCED_FULL_FINGERPRINT
+
+
+# Two of ``scripts/replay_decisions.py``'s digests: ``exact:`` over IDA* on
+# seeded walks at widths 2-4, ``search:`` over traced width-4 Minimin runs.
+REPLAY_EXACT_DIGEST = "b83730c2ca7b20086ce3e13a3f7589cdf445ff97a4de5668d90ae8d1109c39fa"
+REPLAY_SEARCH_DIGEST = "4c10c00da1ff14d300761f427f4a4cb756847410448cc2f76b06a8ed9ff107b7"
+
+
+def test_replay_script_exact_and_search_digests():
+    path = Path(__file__).parents[1] / "scripts" / "replay_decisions.py"
+    spec = importlib.util.spec_from_file_location("replay_decisions", path)
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    assert replay.solver_samples(idastar, replay.SOLVER_SIZES)[1] == REPLAY_EXACT_DIGEST
+    assert replay.search_runs()[1] == REPLAY_SEARCH_DIGEST
 
 
 def test_criterion_7_invariant_suites():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import re
 import time
@@ -12,6 +13,10 @@ import eusearch.experiment as experiment
 from eusearch.cli import main
 from eusearch.experiment import ExperimentConfig
 from eusearch.minimin import MAX_LOOKAHEAD, ResourceLimits, _value_table
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_cli(capsys, *argv):
@@ -175,25 +180,72 @@ class TestMinimin:
         assert "solved 0" in out
 
 
+MINIMIN = ("minimin", "--instance", "1 2 3 4 5 6 0 7 8", "--lookahead", "2", "--score")
+ACCURACY = ("accuracy",)
+FIT = ("fit", "--out", "m.yaml")
+SELECT = ("select", "--depth", "4", "--model", "m.yaml")
+EXPERIMENT = ("experiment", "--instances", "1", "--quiet")
+
+
 class TestUnitRates:
+    """Each shared setting fails by the config's check, with one line, from every command."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch, tmp_path):
+        def no_work(*args, **kwargs):
+            pytest.fail("a run, model read, suite or walk started")
+
+        for name in ("minimin_run", "load_model", "run_experiment", "training_suite", "instance_of_depth"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.chdir(tmp_path)
+
     @pytest.mark.parametrize("flag", ["--gens-per-minute", "--nodes-per-megabyte"])
     @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
-    @pytest.mark.parametrize("command", [
-        ("minimin", "--instance", "1 2 3 4 5 6 0 7 8", "--lookahead", "2", "--score"),
-        ("select", "--depth", "4", "--model", "m.yaml"),
-        ("experiment", "--instances", "1", "--quiet"),
-    ])
-    def test_bad_rate_fails_before_any_run(self, capsys, monkeypatch, command, flag, value):
-        def no_work(*args, **kwargs):
-            pytest.fail("a run, model read or suite started")
-
-        for name in ("minimin_run", "load_model", "run_experiment"):
-            monkeypatch.setattr(cli, name, no_work)
+    @pytest.mark.parametrize("command", [MINIMIN, SELECT, EXPERIMENT])
+    def test_bad_rate_fails_before_any_run(self, capsys, command, flag, value):
         code, out, err = run_cli(capsys, *command, flag, value)
         assert code == 2
         assert out == ""
         rate = flag[2:].replace("-", "_")
         assert err == f"eusearch: ValueError: {rate} must be finite and > 0, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("command", [MINIMIN, FIT, EXPERIMENT], ids=lambda c: c[0])
+    def test_zero_max_moves_fails_before_any_run(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, *command, "--max-moves", "0")
+        assert (code, out, err) == (2, "", "eusearch: ValueError: resource limits must be positive\n")
+        assert list(tmp_path.iterdir()) == []
+
+    # minimin takes one level, as --lookahead.
+    @pytest.mark.parametrize(
+        "argv",
+        [(*MINIMIN, "--lookahead", "25")]
+        + [(*c, "--levels", "25") for c in (ACCURACY, FIT, SELECT, EXPERIMENT)],
+        ids=lambda argv: argv[0],
+    )
+    def test_level_25_fails_before_any_run(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv)
+        message = f"lookahead level must be in 1..{MAX_LOOKAHEAD}, got 25"
+        assert (code, out, err) == (2, "", f"eusearch: ValueError: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fit_flags_reach_the_suite_and_the_fit(self, capsys, monkeypatch):
+        suites, fits = [], []
+        monkeypatch.setattr(cli, "training_suite", lambda *a: suites.append(a) or [])
+
+        def fake_fit_empirical(suite, levels, limits, sample_meta):
+            fits.append((sorted(suite), levels, limits, sample_meta))
+            raise _Stop
+
+        monkeypatch.setattr(cli, "fit_empirical", fake_fit_empirical)
+        code, out, err = run_cli(
+            capsys, "fit", "--kind", "empirical", "--train-per-depth", "5",
+            "--attempts", "13", "--max-moves", "17", "--out", "m.yaml",
+        )
+        assert (code, out) == (2, "") and err.startswith("eusearch: _Stop")
+        depths = ExperimentConfig.depths
+        assert suites == [(d, 3, 0, 5, 13) for d in depths]
+        limits = ResourceLimits(max_moves=17, node_budget=200_000)
+        assert fits == [(list(depths), tuple(range(1, 13)), limits, {"seed": 0})]
 
 
 class TestAccuracy:
@@ -217,13 +269,20 @@ class TestAccuracy:
 
     @pytest.mark.parametrize(
         "flags, error",
-        [(("--samples", "0"), "EmptySample"), (("--depth", "0"), "ValueError: sample contains the goal")],
+        [
+            (("--samples", "0"), "EmptySample"),
+            (("--depth", "0"), "ValueError: depth 0 not in 1..31 at width 3"),
+            (("--depth", "40"), "ValueError: depth 40 not in 1..31 at width 3"),
+        ],
     )
-    def test_failure_prints_no_header(self, capsys, flags, error):
+    def test_failure_prints_no_header(self, capsys, monkeypatch, flags, error):
+        walks = []
+        monkeypatch.setattr(cli, "instance_of_depth", lambda *a, **k: walks.append(a))
         code, out, err = run_cli(capsys, "accuracy", "--levels", "1,2", *flags)
         assert code == 2
         assert out == ""
         assert err.startswith(f"eusearch: {error}")
+        assert walks == []  # the depth is checked before any walk
 
 
 class TestFitSelect:
@@ -317,13 +376,27 @@ class TestFitSelect:
     def test_fit_checks_depths_as_experiment_does_before_any_suite(
         self, capsys, tmp_path, monkeypatch, kind, depths, width, message
     ):
+        self._fit_fails_before_any_suite(
+            capsys, tmp_path, monkeypatch, message,
+            "--kind", kind, "--depths", depths, "--width", width,
+        )
+
+    @pytest.mark.parametrize("kind", ["markov", "empirical"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_fit_checks_counts_as_experiment_does_before_any_suite(
+        self, capsys, tmp_path, monkeypatch, kind, count
+    ):
+        self._fit_fails_before_any_suite(
+            capsys, tmp_path, monkeypatch, "instance counts must be positive",
+            "--kind", kind, "--train-per-depth", count,
+        )
+
+    @staticmethod
+    def _fit_fails_before_any_suite(capsys, tmp_path, monkeypatch, message, *flags):
         built = []
         monkeypatch.setattr(cli, "training_suite", lambda *a: built.append(a) or [])
         model_path = tmp_path / "model.yaml"
-        code, out, err = run_cli(
-            capsys, "fit", "--kind", kind, "--depths", depths, "--width", width,
-            "--levels", "1-2", "--out", str(model_path),
-        )
+        code, out, err = run_cli(capsys, "fit", *flags, "--levels", "1-2", "--out", str(model_path))
         assert (code, out, err) == (2, "", f"eusearch: ValueError: {message}\n")
         assert built == [] and not model_path.exists()
 
@@ -335,7 +408,23 @@ class TestFitSelect:
         )
         assert code == 2
         assert out == "" and read == []
-        assert err.startswith("eusearch: ValueError: --samples must be <= 1000000")
+        assert err == "eusearch: ValueError: predict_samples must be in 1..1000000\n"
+
+    def test_fit_model_and_select_csv_bytes_are_pinned(self, capsys, tmp_path):
+        # SHA-256 of a small markov model file and of the selection CSV made from it.
+        model_path, csv_path = tmp_path / "m.yaml", tmp_path / "select.csv"
+        code, _, _ = run_cli(
+            capsys, "fit", "--depths", "4,8", "--train-per-depth", "5", "--levels", "1-4",
+            "--out", str(model_path),
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, "select", "--depth", "6", "--model", str(model_path), "--levels", "1-4",
+            "--csv", str(csv_path),
+        )
+        assert code == 0
+        assert sha256(model_path) == "bb26cfd0245178c9db585ab07d1d35d5baf8f84a4992a71ffce56f19be507de3"
+        assert sha256(csv_path) == "6534c9e78d5ac33664d4243d3c67b56d93a33594a3b418c61b68c352d4b88883"
 
     def test_select_missing_model_file(self, capsys):
         code, _, err = run_cli(
