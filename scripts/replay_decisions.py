@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over every Minimin run of three experiments.
 
-Every run, whether ``minimin_run`` or ``minimin_trace`` made it, goes through
-``minimin._run_loop``.  Each call adds its (initial tiles, level, move cap,
-node budget) and its ``Outcome``; a traced run also adds its (tiles,
+Every run, whether ``minimin_run``, ``minimin_trace`` or the fit made it, goes
+through ``minimin._run_loop``.  Each call adds its (initial tiles, level, move
+cap, node budget) and its ``Outcome``; a traced run also adds its (tiles,
 top-ranked child tiles) decision pairs, which record every decision's chosen
-move.  The runs are the seed-0 desk protocol at 35 instances per depth,
-Minimin at levels 1-8 on twelve 4x4 boards scrambled by seeded walks, and
+move.  A run loop that traces 2x2 and 3x3 states by their keys in
+``exact._state_index`` has them unranked to tiles first, so checkouts that
+trace keys and checkouts that trace tiles digest alike.  The runs are the
+seed-0 desk protocol at 35 instances per depth, Minimin at levels 1-8 on
+twelve 4x4 boards scrambled by seeded walks, and
 ``configs/experiment_full.yaml`` at 10 instances per depth, all in one
 process.  Two checkouts whose runs move, count and trace alike print the
 same ``all:`` digest:
@@ -147,6 +150,13 @@ def search_runs() -> tuple[int, str]:
     return runs, digest.hexdigest()
 
 
+def tile_pairs(goal, trace):
+    """A trace of state keys as (tiles, child tiles) pairs."""
+    from eusearch.exact import _state_tiles  # only checkouts that trace keys have it
+
+    return [(_state_tiles(goal, state), _state_tiles(goal, child)) for state, child in trace]
+
+
 def main() -> None:
     run_loop = minimin._run_loop
     total = hashlib.sha256()
@@ -157,6 +167,8 @@ def main() -> None:
         def recorded(p, level, limits, trace=None):
             nonlocal runs, decisions
             outcome = run_loop(p, level, limits, trace)
+            if trace and isinstance(trace[0][0], int):
+                trace = tile_pairs(p.goal.tiles, trace)
             record = (p.initial.tiles, level, limits.max_moves, limits.node_budget, outcome, trace)
             digest.update(repr(record).encode())
             runs += 1

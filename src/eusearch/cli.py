@@ -148,6 +148,8 @@ def cmd_fit(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = _settings(args, ExperimentConfig())
+    if args.depth < 1:  # checked here, before the model read: select has no width to bound it above
+        raise ValueError(f"depth must be >= 1, got {args.depth}")
     model = load_model(args.model)
     utility = load_utility_model(cfg.utility_config)
     report = select_lookahead(

@@ -15,11 +15,14 @@ per-goal table of every state's backed-up values; the table also tells the
 walk exactly which subtrees hold a goal above the frontier.  A walked
 tree's counts are kept with the table, per (level, state), so each is walked
 once per process: only states with 0 < d* < level are walked, which bounds
-the memo by the d* balls around the goal.  A run on a wider board carries one
-board and its h through all its decisions and searches it in place over
-``puzzle.delta_moves``, as ``exact.idastar`` does, and so does each single
-decision of ``minimin_decide``: a branch and bound on f gives each first move's
-value and child h, and the walk enters every node whose h is below its moves left.
+the memo by the d* balls around the goal.  A traced 2x2 or 3x3 run records
+its decisions by these keys and builds no tiles: the fit scores the keys
+against the d* table, and ``minimin_trace`` unranks them to tiles after the
+run.  A run on a wider board carries one board and its h through all its
+decisions and searches it in place over ``puzzle.delta_moves``, as
+``exact.idastar`` does, and so does each single decision of
+``minimin_decide``: a branch and bound on f gives each first move's value
+and child h, and the walk enters every node whose h is below its moves left.
 Such a run searches each distinct state once and keeps that decision until
 the run ends; a revisit reuses it and is charged the same counts again.
 """
@@ -33,14 +36,16 @@ from typing import Sequence
 import numpy as np
 
 # ``idastar`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
-from .exact import _TABLE_MAX_WIDTH, _state_index, _tile_orders, exact_distance
+from .exact import _TABLE_MAX_WIDTH, _distance_table, _state_index, _state_tiles, _tile_orders
+from .exact import exact_distance
 from .exact import idastar  # noqa: F401
 from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, delta_moves
 from .puzzle import dist_table, manhattan, moves_after, moves_table
 
 MAX_LOOKAHEAD = 24
-# A traced decision: the tiles it was made at, and its top-ranked child's.
-Decision = tuple[tuple[int, ...], tuple[int, ...]]
+# A traced decision: the state it was made at and its top-ranked child, as
+# ``exact`` state keys (blank << 16 | k) at width <= 3 and as tiles on wider boards.
+Decision = tuple[int, int] | tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class EmptySample(Exception):
@@ -385,16 +390,16 @@ def _table_loop(p, level, limits, trace) -> Outcome:
     The top move is the first of least value in op order, as
     ``_ranked_decisions`` ranks them.  Loop avoidance takes the first of
     least value among the moves to states entered fewer than twice, if there
-    is one: the next in that ranking.  Only a traced run follows the state's
-    tiles.  A root whose least first-move value reaches ``level`` holds no
-    goal above the frontier, so its tree has the size in the table; any
-    other tree is counted by ``_goal_counts`` once, then read from the
-    table's ``counted``.
+    is one: the next in that ranking.  No run builds tiles: a traced one
+    records each decision as its state's key, blank << 16 | k, and its
+    top-ranked child's, taken before loop avoidance.  A root whose least
+    first-move value reaches ``level`` holds no goal above the frontier, so
+    its tree has the size in the table; any other tree is counted by
+    ``_goal_counts`` once, then read from the table's ``counted``.
     """
     rows, h, size, counted = _value_table(p.width, p.goal.tiles)
     known = counted[level]
-    tiles = p.initial.tiles
-    blank, k, _ = _state_key(tiles)
+    blank, k, _ = _state_key(p.initial.tiles)
     mask = (1 << (level - 1)) - 1
     roots = [after[_ROOT] for after in rows]
     full = [tree[_ROOT] for tree in size[level]]
@@ -422,8 +427,7 @@ def _table_loop(p, level, limits, trace) -> Outcome:
             nodes, stack_peak = counts
         total_nodes += nodes
         if trace is not None:
-            top = _child(tiles, blank, to)
-            trace.append((tiles, top))
+            trace.append((key, to << 16 | to_k))
         if visits.get(to << 16 | to_k, 0) >= 2:
             best = 1 << 30
             for _, j, words, ranks in row:
@@ -431,8 +435,6 @@ def _table_loop(p, level, limits, trace) -> Outcome:
                 value = h[j][child] + 2 * (words[child] & mask).bit_count()
                 if value < best and visits.get(j << 16 | child, 0) < 2:
                     best, to, to_k = value, j, child
-        if trace is not None:  # the top-ranked child, unless loop avoidance moved elsewhere
-            tiles = top if top[to] == 0 else _child(tiles, blank, to)
         blank, k = to, to_k
         key = blank << 16 | k
         visits[key] = visits.get(key, 0) + 1
@@ -507,19 +509,28 @@ def minimin_run(
     return _run_loop(p, level, limits)
 
 
+def _traced_run(p: ProblemInstance, level: int, limits: ResourceLimits) -> tuple[Outcome, list[Decision]]:
+    """A run and its ``Decision``s as the run loop records them."""
+    trace: list[Decision] = []
+    return _run_loop(p, level, limits, trace), trace
+
+
 def minimin_trace(
     p: ProblemInstance,
     level: int,
     limits: ResourceLimits = ResourceLimits(),
-) -> tuple[Outcome, list[Decision]]:
-    """Like ``minimin_run`` but also returns one ``Decision`` per decision made.
+) -> tuple[Outcome, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Like ``minimin_run`` but also returns each decision's (tiles, top-ranked child tiles).
 
     The top-ranked child is the move ``decision_accuracy`` scores; loop
-    avoidance may execute another one.
+    avoidance may execute another one.  A run at width <= 3 records state
+    keys, unranked to tiles here once it ends.
     """
     check_level(level)
-    trace: list[Decision] = []
-    outcome = _run_loop(p, level, limits, trace)
+    outcome, trace = _traced_run(p, level, limits)
+    if p.width <= _TABLE_MAX_WIDTH:
+        goal = p.goal.tiles
+        trace = [(_state_tiles(goal, s), _state_tiles(goal, child)) for s, child in trace]
     return outcome, trace
 
 
@@ -534,10 +545,9 @@ def decision_accuracy(
     The chosen move is the top-ranked first move of a depth-``level``
     lookahead: the first decision of a one-move run from the state, as the
     fit's traces record it.  Every state must reach ``goal`` and none may be
-    the goal (ValueError, before any run).  True distances come from
-    ``exact_distance``: a table lookup at width <= 3, an IDA* solve at width
-    4, amortized across calls by a shared ``dstar_cache``.  Scored by
-    ``decision_hit_rate``.
+    the goal (ValueError, before any run).  Scored by ``decision_hit_rate``:
+    at width <= 3 by state key from the d* table, at width 4 by IDA* solves
+    amortized across calls by a shared ``dstar_cache``.
     """
     if not sample:
         raise EmptySample("decision_accuracy needs at least one state")
@@ -556,26 +566,34 @@ def decision_hit_rate(
     goal: State,
     dstar_cache: dict[tuple[int, ...], int] | None = None,
 ) -> float:
-    """Fraction of (tiles, chosen child tiles) pairs whose child is one step closer.
+    """Fraction of traced ``Decision``s whose top-ranked child is one step closer to ``goal``.
 
-    True distances come from ``exact_distance``; pass a shared ``dstar_cache``
-    to amortize repeated solves across calls.
+    At width <= 3 both states are keys and their distances are read from
+    ``exact._distance_table``; wider states are tiles, solved by
+    ``exact_distance`` and kept in ``dstar_cache``, which may be shared to
+    amortize the solves across calls.
     """
     if not decisions:
         raise EmptySample("decision_hit_rate needs at least one decision")
-    cache = dstar_cache if dstar_cache is not None else {}
+    if goal.width <= _TABLE_MAX_WIDTH:
+        rows, _ = _distance_table(goal.width, goal.tiles)
 
-    def dstar(tiles: tuple[int, ...]) -> int:
-        hit = cache.get(tiles)
-        if hit is None:
-            hit = exact_distance(State(tiles, goal.width), goal)
-            cache[tiles] = hit
-        return hit
+        def dstar(key: int) -> int:
+            return rows[key >> 16][key & 0xFFFF]
+    else:
+        cache = dstar_cache if dstar_cache is not None else {}
+
+        def dstar(tiles: tuple[int, ...]) -> int:
+            hit = cache.get(tiles)
+            if hit is None:
+                hit = cache[tiles] = exact_distance(State(tiles, goal.width), goal)
+            return hit
 
     hits = 0
-    for tiles, child in decisions:
-        if tiles == goal.tiles:
+    for state, child in decisions:
+        d = dstar(state)
+        if not d:
             raise ValueError("sample contains the goal state; no decision exists")
-        if dstar(child) == dstar(tiles) - 1:
+        if dstar(child) == d - 1:
             hits += 1
     return hits / len(decisions)

@@ -17,13 +17,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# ``decision_accuracy`` is looked up here by the benchmark's tracer
-# (perfbench/tracing.py).
+# ``decision_accuracy`` and ``minimin_trace`` are looked up here by the
+# benchmark's tracer (perfbench/tracing.py).
 from .minimin import (  # noqa: F401
     Decision,
     EmptySample,
     Outcome,
     ResourceLimits,
+    _traced_run,
     check_level,
     decision_accuracy,
     decision_hit_rate,
@@ -209,7 +210,8 @@ def fit_markov(
     For each level, Minimin runs over the training instances supply both the
     mean nodes-per-decision (inverted to an effective branching factor) and a
     sample of the decisions made along the executed trajectories: each state
-    with its lookahead's top-ranked child, scored by ``decision_hit_rate``.
+    with its lookahead's top-ranked child, as the run loop records them (state
+    keys at width <= 3), scored by ``decision_hit_rate`` from the d* table.
     That equals ``decision_accuracy`` on the sampled states without repeating
     their lookahead.  Accuracies are made nondecreasing in the level by
     isotonic adjustment, then clamped into (0.5, 1].  The model's walks stop
@@ -232,7 +234,7 @@ def fit_markov(
         decisions: list[Decision] = []
         total_nodes = 0.0
         for inst in training:
-            outcome, trace = minimin_trace(inst, level, limits)
+            outcome, trace = _traced_run(inst, level, limits)
             decisions.extend(trace)
             total_nodes += outcome.time_units
         if not decisions:

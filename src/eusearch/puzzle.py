@@ -284,17 +284,25 @@ def random_walk(goal: State, steps: int, seed: int) -> State:
     """Scramble by a seeded random walk that never immediately backtracks (``moves_after``).
 
     The result's true optimal depth is at most ``steps`` and has the same
-    parity as ``steps``.
+    parity as ``steps``.  Each step draws its move as ``random.Random(seed).choice``
+    would, inline: ``getrandbits`` of the move count's bit length, redrawn
+    until below the count.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     after = moves_after(goal.width)
     tiles = list(goal.tiles)
     blank = goal.blank
     last = _ROOT
     for _ in range(steps):
-        last, j = rng.choice(after[blank][last])
+        moves = after[blank][last]
+        n = len(moves)
+        bits = n.bit_length()
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        last, j = moves[i]
         tiles[blank], tiles[j] = tiles[j], tiles[blank]
         blank = j
     return State(tuple(tiles), goal.width)

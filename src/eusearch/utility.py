@@ -10,6 +10,7 @@ judges equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -203,11 +204,14 @@ class UtilityModel:
             total += kij * by_name[a] * by_name[b]
         return total
 
+    @cached_property
+    def _all_best(self) -> float:
+        """``_raw`` at the all-best corner, which ``combine`` divides by."""
+        return self._raw([1.0] * len(self.attributes))
+
     def combine(self, utilities: Sequence[float]) -> float:
         """Combine per-attribute utilities; exactly 1.0 at the all-best corner."""
-        numerator = self._raw(utilities)
-        denominator = self._raw([1.0] * len(self.attributes))
-        value = numerator / denominator
+        value = self._raw(utilities) / self._all_best
         return min(1.0, max(0.0, value))
 
 

@@ -7,6 +7,7 @@ enumeration and cycle counting, and an IDA* that walks tiles tuples.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from functools import lru_cache
 from itertools import permutations
@@ -76,6 +77,17 @@ def cycle_count_reachable(a: State, b: State) -> bool:
     ar, ac = divmod(a.blank, a.width)
     br, bc = divmod(b.blank, b.width)
     return cycle_parity([pos_in_b[t] for t in a.tiles]) == (abs(ar - br) + abs(ac - bc)) & 1
+
+
+def random_walk_oracle(goal: State, steps: int, seed: int) -> State:
+    """A seeded walk from ``goal`` that never undoes its last move, each step
+    drawn by ``random.Random(seed).choice`` from the legal ops in op order."""
+    rng = random.Random(seed)
+    s, last = goal, None
+    for _ in range(steps):
+        last = rng.choice([op for op in legal_ops(s) if last is None or op != last.inverse])
+        s = apply_op(s, last)
+    return s
 
 
 def exhaustive_lookahead(

@@ -426,6 +426,12 @@ class TestFitSelect:
         assert sha256(model_path) == "bb26cfd0245178c9db585ab07d1d35d5baf8f84a4992a71ffce56f19be507de3"
         assert sha256(csv_path) == "6534c9e78d5ac33664d4243d3c67b56d93a33594a3b418c61b68c352d4b88883"
 
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_select_rejects_a_bad_depth_before_reading_the_model(self, capsys, monkeypatch, depth):
+        monkeypatch.setattr(cli, "load_model", lambda path: pytest.fail("the model was read"))
+        code, out, err = run_cli(capsys, "select", "--depth", depth, "--model", "m.yaml")
+        assert (code, out, err) == (2, "", f"eusearch: ValueError: depth must be >= 1, got {depth}\n")
+
     def test_select_missing_model_file(self, capsys):
         code, _, err = run_cli(
             capsys, "select", "--depth", "4", "--model", "/nonexistent.yaml"

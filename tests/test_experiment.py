@@ -17,8 +17,11 @@ from eusearch.experiment import (
     summary_csv_text,
     summary_table,
     to_user_units,
+    _fit_model,
+    training_suite,
 )
 from eusearch.minimin import Outcome, _value_table
+from eusearch.perfmodel import load_model
 from eusearch.utility import default_utility_model, joint_utility
 from reports import make_report
 
@@ -92,6 +95,17 @@ class TestRunExperiment:
         assert row.chosen == 1
         assert row.outcome.path_length == 1
         assert row.utility > 0
+
+    def test_desk_fits_equal_the_recorded_models(self):
+        # The benchmark's select_sweep loads the five seed-0 desk models from
+        # perfbench/data; a fit that changed any of them would show here.
+        cfg = ExperimentConfig()
+        data = Path(__file__).parents[1] / "perfbench" / "data"
+        for depth in cfg.depths:
+            training = training_suite(
+                depth, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts
+            )
+            assert _fit_model(cfg, depth, training) == load_model(str(data / f"markov_d{depth}.yaml"))
 
     def test_deterministic_csv(self):
         a = run_experiment(SMALL)

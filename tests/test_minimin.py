@@ -327,6 +327,12 @@ def nodes_with_a_goal_above_the_frontier(s, goal, level):
     return sorted(found)
 
 
+def state_key(tiles):
+    """The key a 2x2 or 3x3 run traces a state by: blank << 16 | k."""
+    blank, k, _ = _state_key(tiles)
+    return blank << 16 | k
+
+
 def table_decisions(s, goal, levels):
     """Each level's decision at ``s`` as a 2x2 or 3x3 run makes it, in ``_ranked_decisions``' form.
 
@@ -347,7 +353,7 @@ def table_decisions(s, goal, levels):
         )
         trace = []
         outcome = minimin._table_loop(p, level, ResourceLimits(1, 1), trace)
-        assert trace == [(s.tiles, _child(s.tiles, s.blank, ranked[0][2]))]
+        assert trace == [(state_key(s.tiles), state_key(_child(s.tiles, s.blank, ranked[0][2])))]
         # After one move the run stores its stack peak and the two states entered.
         decisions.append((ranked, outcome.time_units, outcome.space_units - 2))
     return decisions
@@ -454,7 +460,8 @@ class TestValueTable:
 
     def test_every_decision_of_an_experiment(self, monkeypatch):
         # Each run, carried as (blank, k), moves, counts and traces as the
-        # search loop does from the same instance.
+        # search loop does from the same instance: its trace holds the keys
+        # of the search loop's tiles.
         levels = []
         run_loop = minimin._run_loop
 
@@ -462,6 +469,8 @@ class TestValueTable:
             outcome = run_loop(p, level, limits, trace)
             searched = [] if trace is not None else None
             assert minimin._search_loop(p, level, limits, searched) == outcome
+            if searched is not None:
+                searched = [(state_key(tiles), state_key(child)) for tiles, child in searched]
             assert searched == trace
             levels.append(level)
             return outcome

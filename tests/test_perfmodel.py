@@ -240,18 +240,18 @@ class TestFitMarkov:
         for level in (1, 2, 3, 4):
             assert params.branching[level] > 1.0
 
-    def test_equals_decision_accuracy_on_its_sample(self):
+    @staticmethod
+    def assert_fit_equals_decision_accuracy(width, depths, levels, cap, seed):
         # The fit scores the decisions its runs recorded; rerunning the
         # lookahead with decision_accuracy on the same subsample agrees.
-        goal = goal_state(3)
-        training = [instance_of_depth(depth, 3, seed=40 + depth) for depth in (6, 10, 14)]
-        levels, cap, seed = (1, 2, 3, 5, 7), 25, 11
+        goal = goal_state(width)
+        training = [instance_of_depth(depth, width, seed=40 + depth) for depth in depths]
         params = fit_markov(training, levels, max_states_per_level=cap, seed=seed)
 
         rng = np.random.default_rng(subseed(seed, "fit-markov"))
         raw, sizes = [], []
         for level in levels:
-            pool = [State(tiles, 3) for inst in training for tiles, _ in minimin_trace(inst, level)[1]]
+            pool = [State(tiles, width) for inst in training for tiles, _ in minimin_trace(inst, level)[1]]
             assert len(pool) > cap
             idx = rng.choice(len(pool), size=cap, replace=False)
             pool = [pool[i] for i in sorted(idx.tolist())]
@@ -263,6 +263,15 @@ class TestFitMarkov:
         }
         assert params.sample_sizes == dict(zip(levels, sizes))
         assert len(set(raw)) > 1  # not a trivial sample: the levels score differently
+
+    def test_equals_decision_accuracy_on_its_sample(self):
+        # At width 3 the fit scores state keys, and decision_accuracy reruns from the
+        # tiles that minimin_trace unranks them to.
+        self.assert_fit_equals_decision_accuracy(3, (6, 10, 14), (1, 2, 3, 5, 7), 25, 11)
+
+    def test_equals_decision_accuracy_on_its_sample_at_width_4(self):
+        # At width 4 both score tiles, by IDA* solves.
+        self.assert_fit_equals_decision_accuracy(4, (6, 8, 10), (1, 2, 4), 20, 11)
 
     def test_mixed_goals_rejected(self):
         goal = goal_state(3)

@@ -25,7 +25,7 @@ from eusearch.puzzle import (
     random_walk,
     replay,
 )
-from oracles import bfs_distances, cycle_count_reachable, manhattan_tally
+from oracles import bfs_distances, cycle_count_reachable, manhattan_tally, random_walk_oracle
 
 GOAL3 = goal_state(3)
 
@@ -213,6 +213,12 @@ class TestRandomWalk:
     ])
     def test_pinned_walks(self, width, steps, seed, tiles):
         assert random_walk(goal_state(width), steps, seed).tiles == tiles
+
+    @given(width=st.integers(2, 4), steps=st.integers(0, 80), seed=st.integers(0, 2**64))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_choice_oracle(self, width, steps, seed):
+        goal = goal_state(width)
+        assert random_walk(goal, steps, seed) == random_walk_oracle(goal, steps, seed)
 
     @given(steps=st.integers(0, 30), seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
