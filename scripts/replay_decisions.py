@@ -6,8 +6,10 @@ through ``minimin._run_loop``.  Each call adds its (initial tiles, level, move
 cap, node budget) and its ``Outcome``; a traced run also adds its (tiles,
 top-ranked child tiles) decision pairs, which record every decision's chosen
 move.  A run loop that traces 2x2 and 3x3 states by their keys in
-``exact._state_index`` has them unranked to tiles first, so checkouts that
-trace keys and checkouts that trace tiles digest alike.  The runs are the
+``exact._state_index`` (blank cell << 16 | k) has its tiles replayed first:
+each key's blank cell is where the blank went from the state before, and the
+child key's is where the top-ranked move takes it.  So checkouts that trace
+keys and checkouts that trace tiles digest alike.  The runs are the
 seed-0 desk protocol at 35 instances per depth, Minimin at levels 1-8 on
 twelve 4x4 boards scrambled by seeded walks, and
 ``configs/experiment_full.yaml`` at 10 instances per depth, all in one
@@ -150,11 +152,19 @@ def search_runs() -> tuple[int, str]:
     return runs, digest.hexdigest()
 
 
-def tile_pairs(goal, trace):
-    """A trace of state keys as (tiles, child tiles) pairs."""
-    from eusearch.exact import _state_tiles  # only checkouts that trace keys have it
+def tile_pairs(tiles, trace):
+    """A trace of state keys, one per move from ``tiles``, as (tiles, child tiles) pairs."""
 
-    return [(_state_tiles(goal, state), _state_tiles(goal, child)) for state, child in trace]
+    def moved(tiles, cell):
+        board = list(tiles)
+        board[board.index(0)], board[cell] = board[cell], 0
+        return tuple(board)
+
+    pairs = []
+    for state, child in trace:
+        tiles = moved(tiles, state >> 16)  # the first state's blank has not moved
+        pairs.append((tiles, moved(tiles, child >> 16)))
+    return pairs
 
 
 def main() -> None:
@@ -168,7 +178,7 @@ def main() -> None:
             nonlocal runs, decisions
             outcome = run_loop(p, level, limits, trace)
             if trace and isinstance(trace[0][0], int):
-                trace = tile_pairs(p.goal.tiles, trace)
+                trace = tile_pairs(p.initial.tiles, trace)
             record = (p.initial.tiles, level, limits.max_moves, limits.node_budget, outcome, trace)
             digest.update(repr(record).encode())
             runs += 1

@@ -236,22 +236,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("accuracy", help="estimate per-level decision accuracy")
     p.add_argument("--levels", default="1-4")
     p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--width", type=int, default=3)
+    p.add_argument("--width", type=int)
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--attempts", type=int, dest="gen_attempts", metavar="ATTEMPTS")
     p.set_defaults(func=cmd_accuracy)
 
     p = sub.add_parser("fit", help="fit a performance model and save it")
-    p.add_argument("--kind", choices=("markov", "empirical"), dest="model_kind", default="markov")
-    p.add_argument("--depths", default="4,8,12,16,20")
+    p.add_argument("--kind", choices=("markov", "empirical"), dest="model_kind")
+    p.add_argument("--depths")
     p.add_argument(
         "--train-per-depth", type=int, dest="train_instances_per_depth", metavar="TRAIN_PER_DEPTH",
         default=20,
     )
-    p.add_argument("--levels", default="1-12")
-    p.add_argument("--width", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--levels")
+    p.add_argument("--width", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--attempts", type=int, dest="gen_attempts", metavar="ATTEMPTS")
     add_limits(p)
     p.add_argument("--out", required=True)
@@ -260,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="select the best lookahead level")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--model", required=True, help="model YAML from `fit`")
-    p.add_argument("--levels", default="1-12")
+    p.add_argument("--levels")
     p.add_argument("--utility", dest="utility_config", metavar="UTILITY")
     p.add_argument("--samples", type=int, dest="predict_samples", metavar="SAMPLES", default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--extrapolate", action="store_true")
     add_units(p)
     p.add_argument("--csv", default=None)

@@ -6,7 +6,7 @@ order).  ``exact_distance`` answers true-distance queries with ``idastar``
 for width 4, and for width <= 3 from a table of every state's distance by
 ``puzzle._state_key``'s (blank cell, k), in ``_state_index``, the one index
 of the states that reach a goal, which ``minimin``'s value table and traced
-runs share; ``_state_tiles`` turns a key back into tiles.
+runs share.
 ``instance_of_depth`` rejection-samples random walks until the verified
 optimal depth matches the target exactly.  Walks read ``puzzle.moves_after``;
 ``idastar`` walks one board over ``puzzle.delta_moves``, the same moves with
@@ -180,25 +180,6 @@ def _state_index(width: int, goal: tuple[int, ...]):
                 moved = np.insert(np.delete(order, src, axis=1), b - (b > j), order[:, src], axis=1)
                 ranks[b, op] = (_lehmer_ranks(moved) >> 1).astype(np.uint16)
     return parity, ranks
-
-
-def _state_tiles(goal: tuple[int, ...], key: int) -> tuple[int, ...]:
-    """The tiles of the state keyed ``blank << 16 | k`` in ``_state_index``: ``_state_key``'s inverse.
-
-    The state's tile order has Lehmer rank 2k or 2k + 1, whichever has the
-    parity that ``_reachable_parity`` asks of the blank cell.
-    """
-    blank, rank = key >> 16, (key & 0xFFFF) << 1
-    rest = list(range(1, len(goal)))  # ascending, so tile t is read as t - 1
-    digits = []
-    for n in range(len(rest) - 1, -1, -1):
-        digit, rank = divmod(rank, factorial(n))
-        digits.append(digit)
-    # The inversion count is the digit sum, and digit -2 is the rank's low bit.
-    digits[-2] = (sum(digits) ^ _reachable_parity(goal, blank)) & 1
-    tiles = [rest.pop(d) for d in digits]
-    tiles.insert(blank, 0)
-    return tuple(tiles)
 
 
 @lru_cache(maxsize=4)

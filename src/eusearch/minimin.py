@@ -17,26 +17,27 @@ tree's counts are kept with the table, per (level, state), so each is walked
 once per process: only states with 0 < d* < level are walked, which bounds
 the memo by the d* balls around the goal.  A traced 2x2 or 3x3 run records
 its decisions by these keys and builds no tiles: the fit scores the keys
-against the d* table, and ``minimin_trace`` unranks them to tiles after the
-run.  A run on a wider board carries one board and its h through all its
-decisions and searches it in place over ``puzzle.delta_moves``, as
-``exact.idastar`` does, and so does each single decision of
-``minimin_decide``: a branch and bound on f gives each first move's value
-and child h, and the walk enters every node whose h is below its moves left.
-Such a run searches each distinct state once and keeps that decision until
-the run ends; a revisit reuses it and is charged the same counts again.
+against the d* table, and ``minimin_trace`` replays the blank moves they
+record from the initial tiles.  A run on a wider board carries one board and
+its h through all its decisions and searches it in place over
+``puzzle.delta_moves``, as ``exact.idastar`` does, and so does each single
+decision of ``minimin_decide``: a branch and bound on f gives each first
+move's value and child h, and the walk enters every node whose h is below
+its moves left.  Such a run searches each distinct state once and keeps that
+decision until the run ends; a revisit reuses it and is charged the same
+counts again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 # ``idastar`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
-from .exact import _TABLE_MAX_WIDTH, _distance_table, _state_index, _state_tiles, _tile_orders
+from .exact import _TABLE_MAX_WIDTH, _distance_table, _state_index, _tile_orders
 from .exact import exact_distance
 from .exact import idastar  # noqa: F401
 from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, delta_moves
@@ -65,6 +66,7 @@ class ResourceLimits:
     node_budget: int = 200_000
 
     def __post_init__(self) -> None:
+        check_ints(self)
         if self.max_moves <= 0 or self.node_budget <= 0:
             raise ValueError("resource limits must be positive")
 
@@ -96,6 +98,17 @@ class Outcome:
             if key == name:
                 return value
         return None
+
+
+def check_ints(settings) -> None:
+    """ValueError unless each ``int`` field of the dataclass ``settings`` holds an int and each
+    ``tuple[int, ...]`` field only ints (types read as annotation text); a bool is not one."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        items = {"int": (value,), "tuple[int, ...]": value}.get(f.type, ())
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in items):
+            noun = "an integer" if f.type == "int" else "integers"
+            raise ValueError(f"{f.name} must be {noun}, got {value!r}")
 
 
 def check_level(level: int) -> int:
@@ -510,7 +523,8 @@ def minimin_run(
 
 
 def _traced_run(p: ProblemInstance, level: int, limits: ResourceLimits) -> tuple[Outcome, list[Decision]]:
-    """A run and its ``Decision``s as the run loop records them."""
+    """A run and its ``Decision``s as the run loop records them.  Other modules trace through
+    here, so ``_run_loop`` is looked up in this module, where the replay script hooks it."""
     trace: list[Decision] = []
     return _run_loop(p, level, limits, trace), trace
 
@@ -524,13 +538,18 @@ def minimin_trace(
 
     The top-ranked child is the move ``decision_accuracy`` scores; loop
     avoidance may execute another one.  A run at width <= 3 records state
-    keys, unranked to tiles here once it ends.
+    keys, one per executed move, and its tiles are replayed from the initial
+    state once it ends: each key's blank cell is where the blank went from
+    the state before, and the child's is where its top-ranked move takes it.
     """
     check_level(level)
     outcome, trace = _traced_run(p, level, limits)
     if p.width <= _TABLE_MAX_WIDTH:
-        goal = p.goal.tiles
-        trace = [(_state_tiles(goal, s), _state_tiles(goal, child)) for s, child in trace]
+        tiles, pairs = p.initial.tiles, []
+        for key, child in trace:  # the first key's blank has not moved
+            tiles = _child(tiles, tiles.index(0), key >> 16)
+            pairs.append((tiles, _child(tiles, key >> 16, child >> 16)))
+        trace = pairs
     return outcome, trace
 
 
@@ -545,7 +564,7 @@ def decision_accuracy(
     The chosen move is the top-ranked first move of a depth-``level``
     lookahead: the first decision of a one-move run from the state, as the
     fit's traces record it.  Every state must reach ``goal`` and none may be
-    the goal (ValueError, before any run).  Scored by ``decision_hit_rate``:
+    the goal (ValueError, before any run).  Scored by ``_hit_rate``:
     at width <= 3 by state key from the d* table, at width 4 by IDA* solves
     amortized across calls by a shared ``dstar_cache``.
     """
@@ -558,23 +577,22 @@ def decision_accuracy(
     one_move = ResourceLimits(1, 1)
     for s in sample:
         _run_loop(ProblemInstance(s, goal), level, one_move, decisions)
-    return decision_hit_rate(decisions, goal, dstar_cache)
+    return _hit_rate(decisions, goal, dstar_cache)
 
 
-def decision_hit_rate(
+def _hit_rate(
     decisions: Sequence[Decision],
     goal: State,
     dstar_cache: dict[tuple[int, ...], int] | None = None,
 ) -> float:
     """Fraction of traced ``Decision``s whose top-ranked child is one step closer to ``goal``.
 
+    ``decision_accuracy``'s and the fit's scorer, of at least one decision.
     At width <= 3 both states are keys and their distances are read from
     ``exact._distance_table``; wider states are tiles, solved by
     ``exact_distance`` and kept in ``dstar_cache``, which may be shared to
     amortize the solves across calls.
     """
-    if not decisions:
-        raise EmptySample("decision_hit_rate needs at least one decision")
     if goal.width <= _TABLE_MAX_WIDTH:
         rows, _ = _distance_table(goal.width, goal.tiles)
 

@@ -24,10 +24,10 @@ from .minimin import (  # noqa: F401
     EmptySample,
     Outcome,
     ResourceLimits,
+    _hit_rate,
     _traced_run,
     check_level,
     decision_accuracy,
-    decision_hit_rate,
     minimin_run,
     minimin_trace,
 )
@@ -211,11 +211,11 @@ def fit_markov(
     mean nodes-per-decision (inverted to an effective branching factor) and a
     sample of the decisions made along the executed trajectories: each state
     with its lookahead's top-ranked child, as the run loop records them (state
-    keys at width <= 3), scored by ``decision_hit_rate`` from the d* table.
-    That equals ``decision_accuracy`` on the sampled states without repeating
-    their lookahead.  Accuracies are made nondecreasing in the level by
-    isotonic adjustment, then clamped into (0.5, 1].  The model's walks stop
-    at the runs' move cap, ``limits.max_moves``.
+    keys at width <= 3, read against the d* table), scored by
+    ``decision_accuracy``'s scorer.  That equals ``decision_accuracy`` on the
+    sampled states without repeating their lookahead.  Accuracies are
+    made nondecreasing in the level by isotonic adjustment, then clamped into
+    (0.5, 1].  The model's walks stop at the runs' move cap, ``limits.max_moves``.
     """
     if not training:
         raise EmptySample("fit_markov needs at least one training instance")
@@ -243,7 +243,7 @@ def fit_markov(
         if len(decisions) > max_states_per_level:
             idx = rng.choice(len(decisions), size=max_states_per_level, replace=False)
             decisions = [decisions[i] for i in sorted(idx.tolist())]
-        raw_acc.append(decision_hit_rate(decisions, goal, dstar_cache))
+        raw_acc.append(_hit_rate(decisions, goal, dstar_cache))
         sizes[level] = len(decisions)
 
     adjusted = _isotonic(raw_acc, [sizes[l] for l in levels])

@@ -7,10 +7,12 @@ the reduced-full fingerprint check about 6 s.
 """
 
 import hashlib
+import importlib
 import importlib.util
 import math
 import random
 import statistics
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -445,6 +447,19 @@ def test_replay_script_exact_and_search_digests():
     spec.loader.exec_module(replay)
     assert replay.solver_samples(idastar, replay.SOLVER_SIZES)[1] == REPLAY_EXACT_DIGEST
     assert replay.search_runs()[1] == REPLAY_SEARCH_DIGEST
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # perfbench/tracing.py wraps each name where its callers look it up, so a
+    # name that its module no longer holds breaks ``perfbench/run.py --trace 1``.
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    wraps = (*tracing.TRACE_WRAPS, *tracing.SETUP_WRAPS, tracing.DESK_ITEM_WRAP)
+    missing = [(m, name) for m, name, *_ in wraps if not hasattr(importlib.import_module(m), name)]
+    assert wraps and missing == []
 
 
 def test_criterion_7_invariant_suites():

@@ -228,6 +228,27 @@ class TestUnitRates:
         assert (code, out, err) == (2, "", f"eusearch: ValueError: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("depths: [true, 4]", "depths must be integers, got (True, 4)"),
+            ("depths: [4, 2.5]", "depths must be integers, got (4, 2.5)"),
+            ("levels: [1, 2.5]", "levels must be integers, got (1, 2.5)"),
+            ("instances_per_depth: 2.5", "instances_per_depth must be an integer, got 2.5"),
+            ("train_instances_per_depth: 2.5", "train_instances_per_depth must be an integer, got 2.5"),
+            ("gen_attempts: 2.5", "gen_attempts must be an integer, got 2.5"),
+            ("workers: 2.5", "workers must be an integer, got 2.5"),
+            ("seed: 0.5", "seed must be an integer, got 0.5"),
+            ("width: true", "width must be an integer, got True"),
+            ("limits: {max_moves: 2.5}", "max_moves must be an integer, got 2.5"),
+            ("limits: {node_budget: '5'}", "node_budget must be an integer, got '5'"),
+        ],
+    )
+    def test_config_value_of_a_wrong_type_fails_before_any_run(self, capsys, tmp_path, text, message):
+        (tmp_path / "cfg.yaml").write_text(text + "\n")
+        code, out, err = run_cli(capsys, "experiment", "--config", "cfg.yaml", "--quiet")
+        assert (code, out, err) == (2, "", f"eusearch: ValueError: {message}\n")
+
     def test_fit_flags_reach_the_suite_and_the_fit(self, capsys, monkeypatch):
         suites, fits = [], []
         monkeypatch.setattr(cli, "training_suite", lambda *a: suites.append(a) or [])

@@ -13,7 +13,6 @@ from eusearch.exact import (
     _UNREACHED,
     _distance_table,
     _state_index,
-    _state_tiles,
     bfs_optimal,
     exact_distance,
     idastar,
@@ -24,7 +23,6 @@ from eusearch.puzzle import (
     Op,
     ProblemInstance,
     State,
-    _reachable_parity,
     _state_key,
     apply_op,
     goal_state,
@@ -297,24 +295,6 @@ class TestStateKey:
     @given(st.permutations(range(9)))
     def test_3x3_sample_over_every_blank_cell(self, tiles):
         assert _state_key(tuple(tiles)) == oracle_key(tuple(tiles))
-
-
-class TestStateTiles:
-    """``_state_tiles`` unranks a key to the one state of the goal's class that has it."""
-
-    @staticmethod
-    def assert_round_trip(goal, key_count):
-        for blank in range(len(goal)):
-            parity = _reachable_parity(goal, blank)
-            for k in range(key_count):
-                assert _state_key(_state_tiles(goal, blank << 16 | k)) == (blank, k, parity)
-
-    def test_every_2x2_state_of_every_goal(self):
-        for goal in permutations(range(4)):
-            self.assert_round_trip(goal, 3)
-
-    def test_every_3x3_state(self):
-        self.assert_round_trip(GOAL3.tiles, 20_160)
 
 
 class TestStateIndex:

@@ -266,7 +266,7 @@ class TestFitMarkov:
 
     def test_equals_decision_accuracy_on_its_sample(self):
         # At width 3 the fit scores state keys, and decision_accuracy reruns from the
-        # tiles that minimin_trace unranks them to.
+        # tiles that minimin_trace replays from the keys' blank moves.
         self.assert_fit_equals_decision_accuracy(3, (6, 10, 14), (1, 2, 3, 5, 7), 25, 11)
 
     def test_equals_decision_accuracy_on_its_sample_at_width_4(self):
