@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over every Minimin run of three experiments.
 
-Every run, whether ``minimin_run``, ``minimin_trace`` or the fit made it, goes
-through ``minimin._run_loop``.  Each call adds its (initial tiles, level, move
-cap, node budget) and its ``Outcome``; a traced run also adds its (tiles,
-top-ranked child tiles) decision pairs, which record every decision's chosen
-move.  A run loop that traces 2x2 and 3x3 states by their keys in
-``exact._state_index`` (blank cell << 16 | k) has its tiles replayed first:
-each key's blank cell is where the blank went from the state before, and the
-child key's is where the top-ranked move takes it.  So checkouts that trace
-keys and checkouts that trace tiles digest alike.  The runs are the
+Every run, whether ``minimin_run`` or ``minimin_trace`` (through which the fit
+traces) made it, goes through ``minimin._run_loop``.  Each call adds its
+(initial tiles, level, move cap, node budget) and its ``Outcome``; a traced run
+also adds its (tiles, top-ranked child tiles) decision pairs, which record
+every decision's chosen move.  A run loop that traces 2x2 and 3x3 states by
+their keys in ``exact._state_index`` (blank cell << 16 | k) has its tiles
+replayed first by ``tile_pairs``: each key's blank cell is where the blank went
+from the state before, and the child key's is where the top-ranked move takes
+it.  So checkouts that trace keys and checkouts that trace tiles digest alike.
+``tile_pairs`` is the one decoder of such traces; the package keeps none, and
+the tests read traced 2x2 and 3x3 tiles through it.  The runs are the
 seed-0 desk protocol at 35 instances per depth, Minimin at levels 1-8 on
 twelve 4x4 boards scrambled by seeded walks, and
 ``configs/experiment_full.yaml`` at 10 instances per depth, all in one

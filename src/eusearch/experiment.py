@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .exact import instance_of_depth
-from .minimin import Outcome, ResourceLimits, check_ints, check_level, minimin_run
+from .minimin import Outcome, ResourceLimits, check_level, check_types, minimin_run
 from .perfmodel import MAX_SAMPLES, EmpiricalTable, MarkovParams, fit_empirical, fit_markov
 from .puzzle import ProblemInstance
 from .seeds import subseed
@@ -91,7 +91,7 @@ class ExperimentConfig:
     utility_config: str | None = None
 
     def __post_init__(self) -> None:
-        check_ints(self)
+        check_types(self)
         if self.instances_per_depth <= 0 or self.train_instances_per_depth <= 0:
             raise ValueError("instance counts must be positive")
         if not 1 <= self.predict_samples <= MAX_SAMPLES:
@@ -125,7 +125,7 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     if "limits" in kwargs and isinstance(kwargs["limits"], Mapping):
         kwargs["limits"] = ResourceLimits(**kwargs["limits"])
     for key in ("depths", "levels"):
-        if key in kwargs:
+        if isinstance(kwargs.get(key), list):
             kwargs[key] = tuple(kwargs[key])
     return ExperimentConfig(**kwargs)
 

@@ -16,16 +16,15 @@ walk exactly which subtrees hold a goal above the frontier.  A walked
 tree's counts are kept with the table, per (level, state), so each is walked
 once per process: only states with 0 < d* < level are walked, which bounds
 the memo by the d* balls around the goal.  A traced 2x2 or 3x3 run records
-its decisions by these keys and builds no tiles: the fit scores the keys
-against the d* table, and ``minimin_trace`` replays the blank moves they
-record from the initial tiles.  A run on a wider board carries one board and
-its h through all its decisions and searches it in place over
-``puzzle.delta_moves``, as ``exact.idastar`` does, and so does each single
-decision of ``minimin_decide``: a branch and bound on f gives each first
-move's value and child h, and the walk enters every node whose h is below
-its moves left.  Such a run searches each distinct state once and keeps that
-decision until the run ends; a revisit reuses it and is charged the same
-counts again.
+its decisions by these keys and builds no tiles: ``minimin_trace`` returns
+them as they are, and the fit scores them against the d* table.  A run on a
+wider board carries one board and its h through all its decisions and
+searches it in place over ``puzzle.delta_moves``, as ``exact.idastar`` does,
+and so does each single decision of ``minimin_decide``: a branch and bound
+on f gives each first move's value and child h, and the walk enters every
+node whose h is below its moves left.  Such a run searches each distinct
+state once and keeps that decision until the run ends; a revisit reuses it
+and is charged the same counts again.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class ResourceLimits:
     node_budget: int = 200_000
 
     def __post_init__(self) -> None:
-        check_ints(self)
+        check_types(self)
         if self.max_moves <= 0 or self.node_budget <= 0:
             raise ValueError("resource limits must be positive")
 
@@ -100,14 +99,27 @@ class Outcome:
         return None
 
 
-def check_ints(settings) -> None:
-    """ValueError unless each ``int`` field of the dataclass ``settings`` holds an int and each
-    ``tuple[int, ...]`` field only ints (types read as annotation text); a bool is not one."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Annotation text -> (what a field so annotated must hold, the test of its value).
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "tuple[int, ...]": ("integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
+    "str | None": ("a string or None", lambda v: v is None or isinstance(v, str)),
+    "ResourceLimits": ("ResourceLimits", lambda v: isinstance(v, ResourceLimits)),
+}
+
+
+def check_types(settings) -> None:
+    """ValueError naming the field unless each field of the dataclass ``settings`` holds what
+    its annotation, read as text, asks in ``_FIELD_TYPES``; other annotations are not checked."""
     for f in fields(settings):
+        noun, holds = _FIELD_TYPES.get(f.type, ("", None))
         value = getattr(settings, f.name)
-        items = {"int": (value,), "tuple[int, ...]": value}.get(f.type, ())
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in items):
-            noun = "an integer" if f.type == "int" else "integers"
+        if holds and not holds(value):
             raise ValueError(f"{f.name} must be {noun}, got {value!r}")
 
 
@@ -522,35 +534,23 @@ def minimin_run(
     return _run_loop(p, level, limits)
 
 
-def _traced_run(p: ProblemInstance, level: int, limits: ResourceLimits) -> tuple[Outcome, list[Decision]]:
-    """A run and its ``Decision``s as the run loop records them.  Other modules trace through
-    here, so ``_run_loop`` is looked up in this module, where the replay script hooks it."""
-    trace: list[Decision] = []
-    return _run_loop(p, level, limits, trace), trace
-
-
 def minimin_trace(
     p: ProblemInstance,
     level: int,
     limits: ResourceLimits = ResourceLimits(),
-) -> tuple[Outcome, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Like ``minimin_run`` but also returns each decision's (tiles, top-ranked child tiles).
+) -> tuple[Outcome, list[Decision]]:
+    """Like ``minimin_run`` but also returns each decision as the run loop records it.
 
-    The top-ranked child is the move ``decision_accuracy`` scores; loop
-    avoidance may execute another one.  A run at width <= 3 records state
-    keys, one per executed move, and its tiles are replayed from the initial
-    state once it ends: each key's blank cell is where the blank went from
-    the state before, and the child's is where its top-ranked move takes it.
+    A ``Decision`` holds the state decided at and its top-ranked child, the
+    move ``decision_accuracy`` scores; loop avoidance may execute another one.
+    A run at width <= 3 records state keys, one per executed move, so they
+    spell out its path: ``tile_pairs`` in ``scripts/replay_decisions.py``
+    turns them into tiles.  The fit traces through here too, and
+    ``_run_loop`` is looked up in this module, where that script hooks it.
     """
     check_level(level)
-    outcome, trace = _traced_run(p, level, limits)
-    if p.width <= _TABLE_MAX_WIDTH:
-        tiles, pairs = p.initial.tiles, []
-        for key, child in trace:  # the first key's blank has not moved
-            tiles = _child(tiles, tiles.index(0), key >> 16)
-            pairs.append((tiles, _child(tiles, key >> 16, child >> 16)))
-        trace = pairs
-    return outcome, trace
+    trace: list[Decision] = []
+    return _run_loop(p, level, limits, trace), trace
 
 
 def decision_accuracy(
@@ -562,11 +562,11 @@ def decision_accuracy(
     """Fraction of sampled states whose chosen move strictly reduces true distance.
 
     The chosen move is the top-ranked first move of a depth-``level``
-    lookahead: the first decision of a one-move run from the state, as the
-    fit's traces record it.  Every state must reach ``goal`` and none may be
-    the goal (ValueError, before any run).  Scored by ``_hit_rate``:
-    at width <= 3 by state key from the d* table, at width 4 by IDA* solves
-    amortized across calls by a shared ``dstar_cache``.
+    lookahead: the ``Decision`` a one-move run from the state records, as
+    ``minimin_trace`` returns it to the fit.  Every state must reach ``goal``
+    and none may be the goal (ValueError, before any run).  Scored by
+    ``_hit_rate``: at width <= 3 by state key from the d* table, at width 4
+    by IDA* solves amortized across calls by a shared ``dstar_cache``.
     """
     if not sample:
         raise EmptySample("decision_accuracy needs at least one state")

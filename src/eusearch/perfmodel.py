@@ -17,15 +17,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# ``decision_accuracy`` and ``minimin_trace`` are looked up here by the
-# benchmark's tracer (perfbench/tracing.py).
+# ``decision_accuracy`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
 from .minimin import (  # noqa: F401
     Decision,
     EmptySample,
     Outcome,
     ResourceLimits,
     _hit_rate,
-    _traced_run,
     check_level,
     decision_accuracy,
     minimin_run,
@@ -207,15 +205,16 @@ def fit_markov(
 ) -> MarkovParams:
     """Estimate per-level accuracy and branching from instrumented runs.
 
-    For each level, Minimin runs over the training instances supply both the
-    mean nodes-per-decision (inverted to an effective branching factor) and a
-    sample of the decisions made along the executed trajectories: each state
-    with its lookahead's top-ranked child, as the run loop records them (state
-    keys at width <= 3, read against the d* table), scored by
-    ``decision_accuracy``'s scorer.  That equals ``decision_accuracy`` on the
-    sampled states without repeating their lookahead.  Accuracies are
-    made nondecreasing in the level by isotonic adjustment, then clamped into
-    (0.5, 1].  The model's walks stop at the runs' move cap, ``limits.max_moves``.
+    For each level, ``minimin_trace`` runs over the training instances supply
+    both the mean nodes-per-decision (inverted to an effective branching
+    factor) and a sample of the decisions made along the executed
+    trajectories: each state with its lookahead's top-ranked child, as the run
+    loop records them (state keys at width <= 3, read against the d* table),
+    scored by ``decision_accuracy``'s scorer.  That equals
+    ``decision_accuracy`` on the sampled states without repeating their
+    lookahead.  Accuracies are made nondecreasing in the level by isotonic
+    adjustment, then clamped into (0.5, 1].  The model's walks stop at the
+    runs' move cap, ``limits.max_moves``.
     """
     if not training:
         raise EmptySample("fit_markov needs at least one training instance")
@@ -234,7 +233,7 @@ def fit_markov(
         decisions: list[Decision] = []
         total_nodes = 0.0
         for inst in training:
-            outcome, trace = _traced_run(inst, level, limits)
+            outcome, trace = minimin_trace(inst, level, limits)
             decisions.extend(trace)
             total_nodes += outcome.time_units
         if not decisions:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from eusearch.exact import _distance_table, bfs_optimal, idastar
+from eusearch.exact import _distance_table, bfs_optimal, idastar, instance_of_depth
 from eusearch.experiment import (
     ExperimentConfig,
     load_experiment_config,
@@ -29,8 +29,15 @@ from eusearch.experiment import (
     summary_csv_text,
     summary_table,
 )
-from eusearch.minimin import Outcome, minimin_decide, minimin_trace, ResourceLimits, _value_table
-from eusearch.perfmodel import MarkovParams, markov_predict
+from eusearch.minimin import (
+    Outcome,
+    ResourceLimits,
+    _search_loop,
+    _value_table,
+    minimin_decide,
+    minimin_trace,
+)
+from eusearch.perfmodel import MarkovParams, fit_markov, markov_predict
 from eusearch.puzzle import (
     ProblemInstance,
     State,
@@ -52,6 +59,7 @@ from eusearch.utility import (
     joint_utility,
 )
 from oracles import bfs_distances, depth_keyed_ceiling, exhaustive_lookahead
+from replay import replay_decisions, tile_pairs
 from reports import make_report
 
 GOAL3 = goal_state(3)
@@ -441,25 +449,71 @@ REPLAY_SEARCH_DIGEST = "4c10c00da1ff14d300761f427f4a4cb756847410448cc2f76b06a8ed
 
 
 def test_replay_script_exact_and_search_digests():
-    path = Path(__file__).parents[1] / "scripts" / "replay_decisions.py"
-    spec = importlib.util.spec_from_file_location("replay_decisions", path)
-    replay = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(replay)
-    assert replay.solver_samples(idastar, replay.SOLVER_SIZES)[1] == REPLAY_EXACT_DIGEST
-    assert replay.search_runs()[1] == REPLAY_SEARCH_DIGEST
+    assert replay_decisions.solver_samples(idastar, replay_decisions.SOLVER_SIZES)[1] == REPLAY_EXACT_DIGEST
+    assert replay_decisions.search_runs()[1] == REPLAY_SEARCH_DIGEST
 
 
-def test_benchmark_tracer_names_resolve(monkeypatch):
-    # perfbench/tracing.py wraps each name where its callers look it up, so a
-    # name that its module no longer holds breaks ``perfbench/run.py --trace 1``.
+def test_replay_script_tile_pairs_decode_traced_runs():
+    # The script's ``tile_pairs`` is the one decoder of the state keys that 2x2
+    # and 3x3 runs trace: it gives the search loop's tiles, also on runs whose
+    # loop avoidance overrides the top-ranked move and on runs that stop on the
+    # node budget.
+    goal2 = goal_state(2)
+    runs = [
+        (ProblemInstance(random_walk(goal2, 1 + seed, seed), goal2), level, ResourceLimits())
+        for seed in range(12)
+        for level in (1, 2, 4)
+    ]
+    runs += [
+        (instance_of_depth(20, 3, seed=seed), level, ResourceLimits())
+        for seed in range(3)
+        for level in (1, 2, 3)
+    ]
+    runs += [
+        (instance_of_depth(22, 3, seed=seed), level, ResourceLimits(1000, budget))
+        for seed in range(2)
+        for level, budget in ((6, 500), (10, 5_000))
+    ]
+    overridden = stopped = 0
+    for p, level, limits in runs:
+        outcome, trace = minimin_trace(p, level, limits)
+        searched = []
+        assert _search_loop(p, level, limits, searched) == outcome
+        decoded = tile_pairs(p.initial.tiles, trace)
+        assert decoded == searched
+        overridden += sum(child != after for (_, child), (after, _) in zip(decoded, decoded[1:]))
+        stopped += outcome.time_units >= limits.node_budget
+    assert overridden > 0 and stopped > 0
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """The benchmark's ``perfbench/tracing.py``, loaded read-only from its file."""
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_names_resolve(tracing):
+    # perfbench/tracing.py wraps each name where its callers look it up, so a
+    # name that its module no longer holds breaks ``perfbench/run.py --trace 1``.
     wraps = (*tracing.TRACE_WRAPS, *tracing.SETUP_WRAPS, tracing.DESK_ITEM_WRAP)
     missing = [(m, name) for m, name, *_ in wraps if not hasattr(importlib.import_module(m), name)]
     assert wraps and missing == []
+
+
+def test_benchmark_tracer_sees_every_fit_run(tracing):
+    # The fit's runs go through ``minimin_trace``, so the tracer gives each one
+    # a span; a fit that traced by another path would hide them in
+    # ``perfmodel.fit_markov``'s self time.
+    training = [instance_of_depth(8, 3, seed=seed) for seed in range(3)]
+    rec = tracing.Recorder()
+    with tracing.installed(rec, tracing.TRACE_WRAPS):
+        fit_markov(training, (1, 2))
+    assert sum(span.name == "minimin.minimin_trace" for span in rec.spans) == 3 * 2
 
 
 def test_criterion_7_invariant_suites():
@@ -520,7 +574,7 @@ def test_criterion_7_invariant_suites():
     inst = instance_of_depth(12, 3, seed=21)
     out, states = minimin_trace(inst, 5, ResourceLimits())
     replay_total = 0
-    for tiles, _ in states:
+    for tiles, _ in tile_pairs(inst.initial.tiles, states):
         _, _, nodes = minimin_decide(State(tiles, 3), GOAL3, 5)
         replay_total += nodes
     assert replay_total == out.time_units

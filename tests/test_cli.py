@@ -242,6 +242,13 @@ class TestUnitRates:
             ("width: true", "width must be an integer, got True"),
             ("limits: {max_moves: 2.5}", "max_moves must be an integer, got 2.5"),
             ("limits: {node_budget: '5'}", "node_budget must be an integer, got '5'"),
+            ("depths: 4", "depths must be integers, got 4"),
+            ('depths: "4,8"', "depths must be integers, got '4,8'"),
+            ("limits: 5", "limits must be ResourceLimits, got 5"),
+            ("utility_config: 0", "utility_config must be a string or None, got 0"),
+            ("utility_config: 5", "utility_config must be a string or None, got 5"),
+            ("gens_per_minute: true", "gens_per_minute must be a number, got True"),
+            ('gens_per_minute: "fast"', "gens_per_minute must be a number, got 'fast'"),
         ],
     )
     def test_config_value_of_a_wrong_type_fails_before_any_run(self, capsys, tmp_path, text, message):

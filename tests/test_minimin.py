@@ -35,6 +35,7 @@ from eusearch.puzzle import (
     random_walk,
 )
 from oracles import bfs_distances, exhaustive_lookahead, minimin_run_oracle
+from replay import tile_pairs
 
 GOAL3 = goal_state(3)
 GOAL2 = goal_state(2)
@@ -491,7 +492,8 @@ class TestValueTable:
         # Only reachable states start a run, and moves keep them reachable:
         # every decision of a 2x2 or 3x3 run reads the table, and a 4x4 run
         # searches each distinct state it decides at, once (the last case
-        # re-enters states before the move cap).  Both agree with the oracle's run.
+        # re-enters states before the move cap).  Both agree with the oracle's run,
+        # the key traces of 2x2 and 3x3 runs read as tiles.
         calls = []
         searched = minimin._ranked_decisions
         monkeypatch.setattr(
@@ -510,6 +512,8 @@ class TestValueTable:
             s = walked_state(goal, steps, 7)
             calls.clear()
             outcome, trace = minimin_trace(ProblemInstance(s, goal), level, limits)
+            if goal.width <= 3:
+                trace = tile_pairs(s.tiles, trace)
             expected = minimin_run_oracle(s, goal, level, limits.max_moves, limits.node_budget)
             got = (outcome.path_length, outcome.time_units, outcome.space_units, outcome.solved)
             assert (got, trace) == expected
@@ -588,11 +592,12 @@ class TestValueTable:
 
 
 def assert_table_run_is_the_search(p, level, limits):
-    """A run carried as (blank, k) and the search loop's agree in outcome and trace."""
+    """A run carried as (blank, k) and the search loop's agree in outcome and trace: its
+    trace holds the state keys of the search loop's tiles."""
     outcome, trace = minimin_trace(p, level, limits)
     searched = []
     assert minimin._search_loop(p, level, limits, searched) == outcome
-    assert searched == trace
+    assert [(state_key(tiles), state_key(child)) for tiles, child in searched] == trace
     assert minimin_run(p, level, limits) == outcome
     return outcome, trace
 
@@ -640,7 +645,8 @@ class TestTableLoop:
                 assert not outcome.solved and outcome.time_units >= budget
         # A budget met exactly stops the run before its next decision.
         _, trace = minimin_trace(p, 6, ResourceLimits(1000, 10**9))
-        spent = sum(minimin_decide(State(tiles, 3), GOAL3, 6)[2] for tiles, _ in trace[:5])
+        trace = tile_pairs(p.initial.tiles, trace[:5])
+        spent = sum(minimin_decide(State(tiles, 3), GOAL3, 6)[2] for tiles, _ in trace)
         outcome, trace = assert_table_run_is_the_search(p, 6, ResourceLimits(1000, spent))
         assert (outcome.time_units, len(trace)) == (spent, 5)
 
@@ -678,7 +684,7 @@ class TestRun:
             assert out.solved
             assert len(states) == out.path_length
             total = 0
-            for tiles, _ in states:
+            for tiles, _ in tile_pairs(inst.initial.tiles, states):
                 _, _, nodes = minimin_decide(State(tiles, 3), GOAL3, level)
                 total += nodes
             assert total == out.time_units
@@ -689,7 +695,7 @@ class TestRun:
         out, states = minimin_trace(inst, 2, ResourceLimits())
         assert not out.solved
         total = 0
-        for tiles, _ in states:
+        for tiles, _ in tile_pairs(inst.initial.tiles, states):
             _, _, nodes = minimin_decide(State(tiles, 3), GOAL3, 2)
             total += nodes
         assert total == out.time_units

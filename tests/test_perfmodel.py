@@ -26,6 +26,7 @@ from eusearch.perfmodel import (
 from eusearch.puzzle import ProblemInstance, State, apply_op, goal_state, legal_ops
 from eusearch.seeds import subseed
 from oracles import markov_predict_oracle
+from replay import tile_pairs
 
 
 def simple_params(p=0.75, levels=(1, 2, 3, 4), max_len=1000):
@@ -251,7 +252,12 @@ class TestFitMarkov:
         rng = np.random.default_rng(subseed(seed, "fit-markov"))
         raw, sizes = [], []
         for level in levels:
-            pool = [State(tiles, width) for inst in training for tiles, _ in minimin_trace(inst, level)[1]]
+            pool = []
+            for inst in training:
+                trace = minimin_trace(inst, level)[1]
+                if width <= 3:
+                    trace = tile_pairs(inst.initial.tiles, trace)
+                pool += [State(tiles, width) for tiles, _ in trace]
             assert len(pool) > cap
             idx = rng.choice(len(pool), size=cap, replace=False)
             pool = [pool[i] for i in sorted(idx.tolist())]
@@ -266,7 +272,7 @@ class TestFitMarkov:
 
     def test_equals_decision_accuracy_on_its_sample(self):
         # At width 3 the fit scores state keys, and decision_accuracy reruns from the
-        # tiles that minimin_trace replays from the keys' blank moves.
+        # tiles that the replay script's tile_pairs decodes from the keys' blank moves.
         self.assert_fit_equals_decision_accuracy(3, (6, 10, 14), (1, 2, 3, 5, 7), 25, 11)
 
     def test_equals_decision_accuracy_on_its_sample_at_width_4(self):
