@@ -15,6 +15,7 @@ from .exact import DEFAULT_NODE_BUDGET, bfs_optimal, idastar, instance_of_depth
 from .experiment import (
     ExperimentConfig,
     load_experiment_config,
+    load_utility_model,
     read_report_csv,
     run_experiment,
     summarize,
@@ -28,7 +29,7 @@ from .perfmodel import MarkovParams, fit_empirical, fit_markov, load_model, save
 from .puzzle import ProblemInstance, goal_state, parse_state
 from .seeds import subseed
 from .selector import select_lookahead
-from .utility import joint_utility, load_utility_model
+from .utility import joint_utility
 
 
 class _Parser(argparse.ArgumentParser):

@@ -20,12 +20,11 @@ from typing import Callable, Mapping, Sequence
 from .exact import instance_of_depth
 from .minimin import Outcome, ResourceLimits, check_level, check_types, minimin_run
 from .perfmodel import MAX_SAMPLES, EmpiricalTable, MarkovParams, fit_empirical, fit_markov
+from .perfmodel import load_yaml_mapping
 from .puzzle import ProblemInstance
 from .seeds import subseed
 from .selector import SelectionReport, select_lookahead
-# ``default_utility_model`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
-from .utility import joint_utility, load_utility_model
-from .utility import default_utility_model  # noqa: F401
+from .utility import UtilityModel, default_utility_model, joint_utility, utility_model_from_dict
 
 # Most evaluation processes; a forking pool starts all at once, once per depth.
 MAX_WORKERS = 64
@@ -79,7 +78,7 @@ class ExperimentConfig:
     instances_per_depth: int = 100
     levels: tuple[int, ...] = tuple(range(1, 13))
     seed: int = 0
-    limits: ResourceLimits = ResourceLimits(max_moves=100, node_budget=200_000)
+    limits: ResourceLimits = ResourceLimits()
     model_kind: str = "markov"
     gens_per_minute: float = 20_000.0
     nodes_per_megabyte: float = 10_000.0
@@ -131,10 +130,12 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    import yaml
+    return config_from_dict(load_yaml_mapping(path))
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(yaml.safe_load(fh))
+
+def load_utility_model(path: str | None) -> UtilityModel:
+    """The model in the YAML config at ``path``, or the default model when no path is given."""
+    return utility_model_from_dict(load_yaml_mapping(path)) if path else default_utility_model()
 
 
 @dataclass(frozen=True)

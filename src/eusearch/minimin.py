@@ -35,10 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-# ``idastar`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
-from .exact import _TABLE_MAX_WIDTH, _distance_table, _state_index, _tile_orders
-from .exact import exact_distance
-from .exact import idastar  # noqa: F401
+from .exact import _TABLE_MAX_WIDTH, _distance_table, _state_index, _tile_orders, idastar
 from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, delta_moves
 from .puzzle import dist_table, manhattan, moves_after, moves_table
 
@@ -91,12 +88,6 @@ class Outcome:
             object.__setattr__(self, "extra", tuple(sorted(self.extra.items())))
         if not (self.path_length >= 0 and self.time_units >= 0 and self.space_units >= 0):
             raise ValueError("outcome attributes must be nonnegative and not NaN")
-
-    def extra_value(self, name: str) -> float | None:
-        for key, value in self.extra:
-            if key == name:
-                return value
-        return None
 
 
 def _is_int(value) -> bool:
@@ -589,9 +580,9 @@ def _hit_rate(
 
     ``decision_accuracy``'s and the fit's scorer, of at least one decision.
     At width <= 3 both states are keys and their distances are read from
-    ``exact._distance_table``; wider states are tiles, solved by
-    ``exact_distance`` and kept in ``dstar_cache``, which may be shared to
-    amortize the solves across calls.
+    ``exact._distance_table``; wider states are tiles, solved by ``idastar``
+    and kept in ``dstar_cache``, which may be shared to amortize the solves
+    across calls.
     """
     if goal.width <= _TABLE_MAX_WIDTH:
         rows, _ = _distance_table(goal.width, goal.tiles)
@@ -604,7 +595,7 @@ def _hit_rate(
         def dstar(tiles: tuple[int, ...]) -> int:
             hit = cache.get(tiles)
             if hit is None:
-                hit = cache[tiles] = exact_distance(State(tiles, goal.width), goal)
+                hit = cache[tiles] = idastar(ProblemInstance(State(tiles, goal.width), goal)).length
             return hit
 
     hits = 0

@@ -416,8 +416,16 @@ def save_model(model: MarkovParams | EmpiricalTable, path: str) -> None:
         yaml.safe_dump(model_to_dict(model), fh, sort_keys=False)
 
 
-def load_model(path: str) -> MarkovParams | EmpiricalTable:
+def load_yaml_mapping(path: str) -> Mapping:
+    """The mapping a YAML file holds; ValueError naming the file if it holds anything else."""
     import yaml
 
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(yaml.safe_load(fh))
+        data = yaml.safe_load(fh)
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{path} must hold a YAML mapping, got {type(data).__name__}")
+    return data
+
+
+def load_model(path: str) -> MarkovParams | EmpiricalTable:
+    return model_from_dict(load_yaml_mapping(path))

@@ -39,13 +39,6 @@ class Op(IntEnum):
     def inverse(self) -> "Op":
         return Op(_INVERSE[self])
 
-    @classmethod
-    def from_letter(cls, letter: str) -> "Op":
-        idx = "UDLR".find(letter.upper())
-        if idx < 0:
-            raise ValueError(f"unknown operator letter {letter!r}")
-        return cls(idx)
-
 
 _INVERSE = (1, 0, 3, 2)
 _ROW_DELTA = (-1, 1, 0, 0)

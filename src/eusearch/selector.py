@@ -1,4 +1,5 @@
-"""Expected-utility selection of lookahead levels and whole algorithms."""
+"""Expected-utility selection of lookahead levels; whole algorithms are chosen
+the same way, by ``utility.choose_max_eu`` over their outcome lotteries."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from typing import Callable, Mapping, Sequence
 
 from .minimin import Outcome
 from .perfmodel import EmpiricalTable, MarkovParams, predict
-from .utility import Lottery, UtilityModel, choose_max_eu, expected_utility
+from .utility import Lottery, UtilityModel, expected_utility
 
 
 @dataclass(frozen=True)
@@ -52,19 +53,3 @@ def select_lookahead(
         eu_by_level[level] = expected_utility(lottery, u)
     chosen = max(eu_by_level, key=eu_by_level.get)
     return SelectionReport(chosen_level=chosen, eu_by_level=eu_by_level)
-
-
-def compare_algorithms(
-    candidates: Sequence[tuple[str, Lottery]],
-    u: UtilityModel,
-) -> tuple[str, list[tuple[str, float]]]:
-    """Choose among whole algorithms by the expected utility of their outcomes.
-
-    Returns the winning label (first-listed wins ties) and the full EU table
-    in input order.
-    """
-    if not candidates:
-        raise ValueError("compare_algorithms needs at least one candidate")
-    labels = [label for label, _ in candidates]
-    best, eus = choose_max_eu([lottery for _, lottery in candidates], u)
-    return labels[best], list(zip(labels, eus))

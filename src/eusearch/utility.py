@@ -219,10 +219,10 @@ def attribute_value(outcome: Outcome, name: str) -> float:
     """Look up an attribute on an outcome, checking ``extra`` for custom ones."""
     if name in ("path_length", "time_units", "space_units"):
         return getattr(outcome, name)
-    value = outcome.extra_value(name)
-    if value is None:
-        raise AttributeMissing(f"outcome has no attribute {name!r}")
-    return value
+    for key, value in outcome.extra:
+        if key == name:
+            return value
+    raise AttributeMissing(f"outcome has no attribute {name!r}")
 
 
 def joint_utility(o: Outcome, m: UtilityModel) -> float:
@@ -485,16 +485,3 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
         interactions=interactions,  # type: ignore[arg-type]
         tag=str(data.get("tag", "")),
     )
-
-
-def load_utility_config(path: str) -> UtilityModel:
-    """Load a utility model from a YAML config file."""
-    import yaml
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return utility_model_from_dict(yaml.safe_load(fh))
-
-
-def load_utility_model(path: str | None) -> UtilityModel:
-    """The model in the YAML config at ``path``, or the default model when no path is given."""
-    return load_utility_config(path) if path else default_utility_model()

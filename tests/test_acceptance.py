@@ -508,12 +508,28 @@ def test_benchmark_tracer_names_resolve(tracing):
 def test_benchmark_tracer_sees_every_fit_run(tracing):
     # The fit's runs go through ``minimin_trace``, so the tracer gives each one
     # a span; a fit that traced by another path would hide them in
-    # ``perfmodel.fit_markov``'s self time.
+    # ``perfmodel.fit_markov``'s self time.  Likewise a 4x4 fit's d* solves go
+    # through minimin's ``idastar`` (not generation's), and the experiment's
+    # default utility model through its own ``default_utility_model``.
+    def span_names(run) -> list[str]:
+        rec = tracing.Recorder()
+        with tracing.installed(rec, tracing.TRACE_WRAPS):
+            run()
+        return [span.name for span in rec.spans]
+
     training = [instance_of_depth(8, 3, seed=seed) for seed in range(3)]
-    rec = tracing.Recorder()
-    with tracing.installed(rec, tracing.TRACE_WRAPS):
-        fit_markov(training, (1, 2))
-    assert sum(span.name == "minimin.minimin_trace" for span in rec.spans) == 3 * 2
+    names = span_names(lambda: fit_markov(training, (1, 2)))
+    assert names.count("minimin.minimin_trace") == 3 * 2
+
+    training4 = [instance_of_depth(8, 4, seed) for seed in range(2)]  # its IDA* runs untraced
+    limits = ResourceLimits(30, 20_000)
+    names = span_names(lambda: fit_markov(training4, (1, 2), limits, max_states_per_level=10))
+    assert names.count("exact.idastar.dstar") > 0 and "exact.idastar.gen" not in names
+
+    cfg = ExperimentConfig(
+        depths=(4,), instances_per_depth=2, levels=(1, 2), train_instances_per_depth=2
+    )
+    assert span_names(lambda: run_experiment(cfg)).count("utility.default_utility_model") == 1
 
 
 def test_criterion_7_invariant_suites():

@@ -276,6 +276,24 @@ class TestUnitRates:
         assert fits == [(list(depths), tuple(range(1, 13)), limits, {"seed": 0})]
 
 
+@pytest.mark.parametrize("text, held", [("", "NoneType"), ("- 4\n", "list")], ids=["empty", "list"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("experiment", "--quiet", "--config"),
+        ("select", "--depth", "4", "--model"),
+        ("minimin", "--instance", "1 2 3 4 5 6 0 7 8", "--lookahead", "2", "--utility"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_yaml_file_without_a_mapping_fails_with_one_line(capsys, tmp_path, argv, text, held):
+    path = tmp_path / "file.yaml"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"eusearch: ValueError: {path} must hold a YAML mapping, got {held}\n"
+
+
 class TestAccuracy:
     def test_small_table(self, capsys):
         code, out, _ = run_cli(

@@ -34,6 +34,7 @@ from eusearch.puzzle import (
     manhattan,
     random_walk,
 )
+from eusearch.utility import AttributeMissing, attribute_value
 from oracles import bfs_distances, exhaustive_lookahead, minimin_run_oracle
 from replay import tile_pairs
 
@@ -66,8 +67,9 @@ class TestOutcome:
     def test_extra_dict_normalized(self):
         o = Outcome(1, 2, 3, extra={"cost": 5.0})
         assert o.extra == (("cost", 5.0),)
-        assert o.extra_value("cost") == 5.0
-        assert o.extra_value("nope") is None
+        assert attribute_value(o, "cost") == 5.0
+        with pytest.raises(AttributeMissing):
+            attribute_value(o, "nope")
 
     def test_limits_validation(self):
         with pytest.raises(ValueError):

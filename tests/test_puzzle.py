@@ -110,9 +110,6 @@ class TestOps:
 
     def test_op_letters(self):
         assert [o.letter for o in Op] == ["U", "D", "L", "R"]
-        assert Op.from_letter("d") is Op.DOWN
-        with pytest.raises(ValueError):
-            Op.from_letter("X")
 
 
 class TestManhattan:

@@ -3,12 +3,13 @@ import pytest
 from eusearch.experiment import to_user_units
 from eusearch.minimin import Outcome
 from eusearch.perfmodel import EmpiricalTable, MarkovParams
-from eusearch.selector import SelectionReport, compare_algorithms, select_lookahead
+from eusearch.selector import SelectionReport, select_lookahead
 from eusearch.utility import (
     AttributeMissing,
     AttributeUtility,
     Lottery,
     UtilityModel,
+    choose_max_eu,
     default_utility_model,
     expected_utility,
 )
@@ -125,27 +126,26 @@ class TestCompareAlgorithms:
         )
         x = Lottery.certain(Outcome(0, 35.0, 0, extra={"cost_dollars": 7500.0}))
         y = Lottery.certain(Outcome(0, 20160.0, 0, extra={"cost_dollars": 1250.0}))
-        label, table = compare_algorithms([("X", x), ("Y", y)], u)
-        assert label == "X"
-        eus = dict(table)
-        assert eus["Y"] == 0.0  # exceeds the one-day computation bound
-        assert eus["X"] == pytest.approx(0.5 * (1 - 35 / 1440) + 0.5 * 0.25)
+        best, eus = choose_max_eu([x, y], u)
+        assert best == 0
+        assert eus[1] == 0.0  # Y exceeds the one-day computation bound
+        assert eus[0] == pytest.approx(0.5 * (1 - 35 / 1440) + 0.5 * 0.25)
 
     def test_identical_candidates_first_wins(self):
         u = default_utility_model()
         lot = Lottery.certain(Outcome(30, 2.0, 1.0))
-        label, _ = compare_algorithms([("first", lot), ("second", lot)], u)
-        assert label == "first"
+        best, _ = choose_max_eu([lot, lot], u)
+        assert best == 0
 
     def test_hand_computed_order(self):
         curve = AttributeUtility.linear("path_length", 0.0, 100.0)
         u = UtilityModel((curve,), "additive", (1.0,))
         a = Lottery.certain(Outcome(60, 0, 0))  # utility 0.4
         b = Lottery.certain(Outcome(10, 0, 0))  # utility 0.9
-        label, table = compare_algorithms([("a", a), ("b", b)], u)
-        assert label == "b"
-        assert dict(table)["a"] == pytest.approx(0.4)
-        assert dict(table)["b"] == pytest.approx(0.9)
+        best, eus = choose_max_eu([a, b], u)
+        assert best == 1
+        assert eus[0] == pytest.approx(0.4)
+        assert eus[1] == pytest.approx(0.9)
 
     def test_attribute_missing_propagates(self):
         u = UtilityModel(
@@ -155,11 +155,11 @@ class TestCompareAlgorithms:
         )
         lot = Lottery.certain(Outcome(1, 1, 1))
         with pytest.raises(AttributeMissing):
-            compare_algorithms([("x", lot)], u)
+            choose_max_eu([lot], u)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compare_algorithms([], default_utility_model())
+            choose_max_eu([], default_utility_model())
 
 
 class TestSharedWalkSelection:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eusearch.experiment import load_utility_model
 from eusearch.minimin import Outcome
 from eusearch.utility import (
     DEFAULT_BOUNDS,
@@ -21,7 +22,6 @@ from eusearch.utility import (
     expected_utility,
     expected_value,
     joint_utility,
-    load_utility_config,
     utility_model_from_dict,
 )
 
@@ -397,7 +397,7 @@ class TestConfig:
 
     def test_shipped_config_is_the_default_model(self):
         path = Path(__file__).parents[1] / "configs" / "utility_default.yaml"
-        assert load_utility_config(str(path)) == default_utility_model()
+        assert load_utility_model(str(path)) == default_utility_model()
 
     @pytest.mark.parametrize(
         "blocks",
@@ -440,5 +440,5 @@ class TestConfig:
             "weights": {"path_length": 1.0},
         }
         path.write_text(yaml.safe_dump(data))
-        m = load_utility_config(str(path))
+        m = load_utility_model(str(path))
         assert joint_utility(Outcome(25, 0, 0), m) == pytest.approx(0.75)
