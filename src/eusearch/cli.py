@@ -14,22 +14,22 @@ from typing import Sequence
 from .exact import DEFAULT_NODE_BUDGET, bfs_optimal, idastar, instance_of_depth
 from .experiment import (
     ExperimentConfig,
+    fit_model,
     load_experiment_config,
     load_utility_model,
     read_report_csv,
     run_experiment,
+    score,
+    select_level,
     summarize,
     summary_csv_text,
     summary_table,
-    to_user_units,
     training_suite,
 )
 from .minimin import ResourceLimits, check_level, decision_accuracy, minimin_run
-from .perfmodel import MarkovParams, fit_empirical, fit_markov, load_model, save_model
+from .perfmodel import MarkovParams, load_model, save_model
 from .puzzle import ProblemInstance, goal_state, parse_state
 from .seeds import subseed
-from .selector import select_lookahead
-from .utility import joint_utility
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,8 +105,7 @@ def cmd_minimin(args) -> int:
     print(f"space_units {int(outcome.space_units)}")
     print(f"solved {1 if outcome.solved else 0}")
     if model is not None:
-        converted = to_user_units(outcome, cfg.gens_per_minute, cfg.nodes_per_megabyte)
-        print(f"utility {joint_utility(converted, model)!r}")
+        print(f"utility {score(cfg, model, outcome)!r}")
     return 0
 
 
@@ -135,14 +134,7 @@ def cmd_fit(args) -> int:
         d: training_suite(d, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts)
         for d in cfg.depths
     }
-    if cfg.model_kind == "markov":
-        training = [inst for d in cfg.depths for inst in suites[d]]
-        model = fit_markov(training, cfg.levels, limits=cfg.limits, seed=cfg.seed)
-    else:
-        model = fit_empirical(
-            suites, cfg.levels, limits=cfg.limits, sample_meta={"seed": cfg.seed}
-        )
-    save_model(model, args.out)
+    save_model(fit_model(cfg, suites, cfg.seed), args.out)
     print(f"wrote {cfg.model_kind} model to {args.out}")
     return 0
 
@@ -153,16 +145,7 @@ def cmd_select(args) -> int:
         raise ValueError(f"depth must be >= 1, got {args.depth}")
     model = load_model(args.model)
     utility = load_utility_model(cfg.utility_config)
-    report = select_lookahead(
-        args.depth,
-        model,
-        utility,
-        cfg.levels,
-        samples=cfg.predict_samples,
-        seed=cfg.seed,
-        extrapolate=args.extrapolate,
-        convert=lambda o: to_user_units(o, cfg.gens_per_minute, cfg.nodes_per_megabyte),
-    )
+    report = select_level(cfg, model, utility, args.depth, cfg.seed, extrapolate=args.extrapolate)
     kind = "markov" if isinstance(model, MarkovParams) else "empirical"
     print(f"chosen_level {report.chosen_level}")
     print(f"model {kind}[levels {model.levels[0]}..{model.levels[-1]}]")
@@ -256,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attempts", type=int, dest="gen_attempts", metavar="ATTEMPTS")
     add_limits(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, accuracy_states_per_level=150)  # not experiment's 400
 
     p = sub.add_parser("select", help="select the best lookahead level")
     p.add_argument("--depth", type=int, required=True)

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 from .exact import instance_of_depth
 from .minimin import Outcome, ResourceLimits, check_level, check_types, minimin_run
 from .perfmodel import MAX_SAMPLES, EmpiricalTable, MarkovParams, fit_empirical, fit_markov
-from .perfmodel import load_yaml_mapping
+from .perfmodel import UnknownKey, read_yaml
 from .puzzle import ProblemInstance
 from .seeds import subseed
 from .selector import SelectionReport, select_lookahead
@@ -119,8 +119,14 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: Mapping) -> ExperimentConfig:
-    """Rebuild a config from ``dataclasses.asdict`` data, ``limits`` as a mapping."""
+    """Rebuild a config from ``dataclasses.asdict`` data, ``limits`` as a mapping.
+
+    A key that names no field raises UnknownKey.
+    """
     kwargs = dict(data)
+    for given, cls in ((kwargs, ExperimentConfig), (kwargs.get("limits"), ResourceLimits)):
+        if isinstance(given, Mapping) and (unknown := [k for k in given if k not in cls.__dataclass_fields__]):
+            raise UnknownKey(unknown[0])
     if "limits" in kwargs and isinstance(kwargs["limits"], Mapping):
         kwargs["limits"] = ResourceLimits(**kwargs["limits"])
     for key in ("depths", "levels"):
@@ -130,12 +136,12 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    return config_from_dict(load_yaml_mapping(path))
+    return read_yaml(path, config_from_dict)
 
 
 def load_utility_model(path: str | None) -> UtilityModel:
     """The model in the YAML config at ``path``, or the default model when no path is given."""
-    return utility_model_from_dict(load_yaml_mapping(path)) if path else default_utility_model()
+    return read_yaml(path, utility_model_from_dict) if path else default_utility_model()
 
 
 @dataclass(frozen=True)
@@ -171,25 +177,45 @@ def training_suite(depth: int, width: int, seed: int, count: int, attempts: int)
     ]
 
 
-def _fit_model(
-    cfg: ExperimentConfig,
-    depth: int,
-    training: Sequence[ProblemInstance],
+def fit_model(
+    cfg: ExperimentConfig, suites: Mapping[int, Sequence[ProblemInstance]], seed: int
 ) -> MarkovParams | EmpiricalTable:
+    """The ``cfg.model_kind`` model of ``suites``, a depth -> instances mapping.
+
+    Markov: one fit over all the instances in order, scoring up to
+    ``cfg.accuracy_states_per_level`` decisions per level, its sample drawn
+    by ``seed``.  Empirical: one cell of outcomes per (depth, level).
+    """
     if cfg.model_kind == "markov":
         return fit_markov(
-            training,
+            [inst for instances in suites.values() for inst in instances],
             cfg.levels,
             limits=cfg.limits,
             max_states_per_level=cfg.accuracy_states_per_level,
-            seed=subseed(cfg.seed, "fit", depth),
+            seed=seed,
         )
-    return fit_empirical(
-        {depth: list(training)},
-        cfg.levels,
-        limits=cfg.limits,
-        sample_meta={"depth": depth, "seed": cfg.seed},
+    return fit_empirical(suites, cfg.levels, limits=cfg.limits, sample_meta={"seed": cfg.seed})
+
+
+def select_level(
+    cfg: ExperimentConfig,
+    model: MarkovParams | EmpiricalTable,
+    utility: UtilityModel,
+    depth: int,
+    seed: int,
+    extrapolate: bool = False,
+) -> SelectionReport:
+    """The level of ``cfg.levels`` with the highest expected utility at ``depth``,
+    from ``cfg.predict_samples`` predictions read in ``cfg``'s user units."""
+    return select_lookahead(
+        depth, model, utility, cfg.levels, samples=cfg.predict_samples, seed=seed, extrapolate=extrapolate,
+        convert=lambda o: to_user_units(o, cfg.gens_per_minute, cfg.nodes_per_megabyte),
     )
+
+
+def score(cfg: ExperimentConfig, utility: UtilityModel, outcome: Outcome) -> float:
+    """A run's joint utility, its outcome read in ``cfg``'s user units."""
+    return joint_utility(to_user_units(outcome, cfg.gens_per_minute, cfg.nodes_per_megabyte), utility)
 
 
 def run_experiment(
@@ -209,10 +235,6 @@ def run_experiment(
     say = progress or (lambda msg: None)
     utility = load_utility_model(cfg.utility_config)
     report = ExperimentReport(config=cfg)
-
-    def user_units(o: Outcome) -> Outcome:
-        return to_user_units(o, cfg.gens_per_minute, cfg.nodes_per_megabyte)
-
     with open(csv_path, "w", newline="", encoding="utf-8") if csv_path else nullcontext() as sink:
         writer = _report_writer(sink) if sink else None
         for depth in cfg.depths:
@@ -221,16 +243,8 @@ def run_experiment(
                 depth, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts
             )
             say(f"depth {depth}: fitting {cfg.model_kind} model")
-            model = _fit_model(cfg, depth, training)
-            selection = select_lookahead(
-                depth,
-                model,
-                utility,
-                cfg.levels,
-                samples=cfg.predict_samples,
-                seed=subseed(cfg.seed, "predict", depth),
-                convert=user_units,
-            )
+            model = fit_model(cfg, {depth: training}, subseed(cfg.seed, "fit", depth))
+            selection = select_level(cfg, model, utility, depth, subseed(cfg.seed, "predict", depth))
             chosen = selection.chosen_level
             report.selections[depth] = selection
             say(f"depth {depth}: selected level {chosen}; running instances")
@@ -243,7 +257,7 @@ def run_experiment(
                 runs = partial(pool.map, chunksize=4) if pool else map
                 for i, outcomes in enumerate(runs(_run_instance, tasks)):
                     rows = [
-                        ReportRow(depth, i, seeds[i], level, chosen, o, joint_utility(user_units(o), utility))
+                        ReportRow(depth, i, seeds[i], level, chosen, o, score(cfg, utility, o))
                         for level, o in zip(cfg.levels, outcomes)
                     ]
                     report.rows.extend(rows)
@@ -294,11 +308,15 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
 
     Without ``config`` the report gets the CSV's depths and levels.  The CSV
     has no width column, so the width is 3 unless a depth lies beyond the
-    3x3 diameter, then 4.  Raises IncompleteReport when the CSV has no rows.
+    3x3 diameter, then 4.  Raises IncompleteReport when the CSV has no rows,
+    and a ValueError naming the file when its header lacks a column.
     """
     rows: list[ReportRow] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in REPORT_COLUMNS if reader.fieldnames and c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{path} lacks column {missing[0]!r}")
         for rec in reader:
             outcome = Outcome(
                 path_length=float(rec["path_length"]),

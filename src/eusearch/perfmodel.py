@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -44,6 +44,10 @@ class MissingAccuracy(Exception):
 
 class OutOfRange(Exception):
     """A depth query fell outside the empirical table with extrapolation disabled."""
+
+
+class UnknownKey(KeyError):
+    """A file gives a key that its reader does not know."""
 
 
 @dataclass(frozen=True)
@@ -416,16 +420,35 @@ def save_model(model: MarkovParams | EmpiricalTable, path: str) -> None:
         yaml.safe_dump(model_to_dict(model), fh, sort_keys=False)
 
 
-def load_yaml_mapping(path: str) -> Mapping:
-    """The mapping a YAML file holds; ValueError naming the file if it holds anything else."""
+T = TypeVar("T")
+
+
+def read_yaml(path: str, build: Callable[[Mapping], T]) -> T:
+    """``build`` of the mapping the YAML file at ``path`` holds.
+
+    A file that does not parse, holds no mapping, lacks a key that ``build``
+    reads, or gives one that ``build`` rejects with UnknownKey, raises one
+    ValueError that names the file and the line or key at fault.
+    """
     import yaml
 
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            line = f" line {mark.line + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            raise ValueError(f"{path}{line}: {problem}") from None
     if not isinstance(data, Mapping):
         raise ValueError(f"{path} must hold a YAML mapping, got {type(data).__name__}")
-    return data
+    try:
+        return build(data)
+    except UnknownKey as exc:
+        raise ValueError(f"{path} has unknown key {exc.args[0]!r}") from None
+    except KeyError as exc:
+        raise ValueError(f"{path} lacks key {exc.args[0]!r}") from None
 
 
 def load_model(path: str) -> MarkovParams | EmpiricalTable:
-    return model_from_dict(load_yaml_mapping(path))
+    return read_yaml(path, model_from_dict)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import eusearch.cli as cli
 from eusearch.exact import _distance_table, bfs_optimal, idastar, instance_of_depth
 from eusearch.experiment import (
     ExperimentConfig,
@@ -442,15 +443,19 @@ def test_reduced_full_runs_csv_fingerprint():
     assert csv_sha256(run_experiment(cfg)) == REDUCED_FULL_FINGERPRINT
 
 
-# Two of ``scripts/replay_decisions.py``'s digests: ``exact:`` over IDA* on
-# seeded walks at widths 2-4, ``search:`` over traced width-4 Minimin runs.
+# Three of ``scripts/replay_decisions.py``'s digests: ``exact:`` over IDA* on
+# seeded walks at widths 2-4, ``search:`` over traced width-4 Minimin runs and
+# ``single decisions:`` over ``minimin_decide`` and ``decision_accuracy`` on
+# fixed samples, unreachable 3x3 states, an empty sample and the goal included.
 REPLAY_EXACT_DIGEST = "b83730c2ca7b20086ce3e13a3f7589cdf445ff97a4de5668d90ae8d1109c39fa"
 REPLAY_SEARCH_DIGEST = "4c10c00da1ff14d300761f427f4a4cb756847410448cc2f76b06a8ed9ff107b7"
+REPLAY_SINGLE_DIGEST = "41bb6b15844a1ce012929b0f0b617dc3a217008d14a02899668c199c274b05e6"
 
 
 def test_replay_script_exact_and_search_digests():
     assert replay_decisions.solver_samples(idastar, replay_decisions.SOLVER_SIZES)[1] == REPLAY_EXACT_DIGEST
     assert replay_decisions.search_runs()[1] == REPLAY_SEARCH_DIGEST
+    assert replay_decisions.single_decisions()[1] == REPLAY_SINGLE_DIGEST
 
 
 def test_replay_script_tile_pairs_decode_traced_runs():
@@ -505,12 +510,13 @@ def test_benchmark_tracer_names_resolve(tracing):
     assert wraps and missing == []
 
 
-def test_benchmark_tracer_sees_every_fit_run(tracing):
+def test_benchmark_tracer_sees_every_fit_run(tracing, tmp_path, capsys):
     # The fit's runs go through ``minimin_trace``, so the tracer gives each one
     # a span; a fit that traced by another path would hide them in
     # ``perfmodel.fit_markov``'s self time.  Likewise a 4x4 fit's d* solves go
-    # through minimin's ``idastar`` (not generation's), and the experiment's
-    # default utility model through its own ``default_utility_model``.
+    # through minimin's ``idastar`` (not generation's), the experiment's
+    # default utility model through its own ``default_utility_model``, and the
+    # CLI's fit and selection through the experiment's steps.
     def span_names(run) -> list[str]:
         rec = tracing.Recorder()
         with tracing.installed(rec, tracing.TRACE_WRAPS):
@@ -530,6 +536,13 @@ def test_benchmark_tracer_sees_every_fit_run(tracing):
         depths=(4,), instances_per_depth=2, levels=(1, 2), train_instances_per_depth=2
     )
     assert span_names(lambda: run_experiment(cfg)).count("utility.default_utility_model") == 1
+
+    model = str(tmp_path / "m.yaml")
+    fit = ["fit", "--depths", "4,8", "--train-per-depth", "5", "--levels", "1-4", "--out", model]
+    assert span_names(lambda: cli.main(fit)).count("perfmodel.fit_markov") == 1
+    select = ["select", "--depth", "6", "--model", model, "--levels", "1-4"]
+    assert span_names(lambda: cli.main(select)).count("selector.select_lookahead") == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_criterion_7_invariant_suites():

@@ -264,7 +264,7 @@ class TestUnitRates:
             fits.append((sorted(suite), levels, limits, sample_meta))
             raise _Stop
 
-        monkeypatch.setattr(cli, "fit_empirical", fake_fit_empirical)
+        monkeypatch.setattr(experiment, "fit_empirical", fake_fit_empirical)
         code, out, err = run_cli(
             capsys, "fit", "--kind", "empirical", "--train-per-depth", "5",
             "--attempts", "13", "--max-moves", "17", "--out", "m.yaml",
@@ -276,22 +276,55 @@ class TestUnitRates:
         assert fits == [(list(depths), tuple(range(1, 13)), limits, {"seed": 0})]
 
 
+CONFIG = ("experiment", "--quiet", "--config")
+MODEL = ("select", "--depth", "4", "--model")
+UTILITY = ("minimin", "--instance", "1 2 3 4 5 6 0 7 8", "--lookahead", "2", "--utility")
+
+
 @pytest.mark.parametrize("text, held", [("", "NoneType"), ("- 4\n", "list")], ids=["empty", "list"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("experiment", "--quiet", "--config"),
-        ("select", "--depth", "4", "--model"),
-        ("minimin", "--instance", "1 2 3 4 5 6 0 7 8", "--lookahead", "2", "--utility"),
-    ],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", [CONFIG, MODEL, UTILITY], ids=lambda argv: argv[0])
 def test_yaml_file_without_a_mapping_fails_with_one_line(capsys, tmp_path, argv, text, held):
     path = tmp_path / "file.yaml"
     path.write_text(text)
     code, out, err = run_cli(capsys, *argv, str(path))
     assert (code, out) == (2, "")
     assert err == f"eusearch: ValueError: {path} must hold a YAML mapping, got {held}\n"
+
+
+HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, fault",
+    [
+        (CONFIG, "depths: [4, 8\n", "line 2: expected ',' or ']', but got '<stream end>'"),
+        (CONFIG, "foo: 1\n", "has unknown key 'foo'"),
+        (CONFIG, "limits: {foo: 1}\n", "has unknown key 'foo'"),
+        (MODEL, "kind: markov\naccuracy: {1: 0.9}\n", "lacks key 'branching'"),
+        (MODEL, "kind: empirical\ncells:\n- {depth: 4, level: 1}\n", "lacks key 'outcomes'"),
+        (
+            MODEL,
+            "kind: empirical\ncells:\n- {depth: 4, level: 1, outcomes: [{path_length: 4, time_units: 12}]}\n",
+            "lacks key 'space_units'",
+        ),
+        (UTILITY, "attributes:\n  path_length: {best: 0}\n", "lacks key 'bound'"),
+        (
+            UTILITY,
+            "equivalence_rows:\n  - {path_length: 20}\n  - {path_length: 68, time_units: 6}\n",
+            "lacks key 'time_units'",
+        ),
+        (("summarize", "--report"), HEADER_WITHOUT_UTILITY + "4,0,1,1,1,4,12,7,1\n", "lacks column 'utility'"),
+    ],
+    ids=[
+        "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
+        "outcome-space", "utility-bound", "row-time", "report-utility",
+    ],
+)
+def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):
+    path = tmp_path / "file"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out, err) == (2, "", f"eusearch: ValueError: {path} {fault}\n")
 
 
 class TestAccuracy:
@@ -457,20 +490,37 @@ class TestFitSelect:
         assert err == "eusearch: ValueError: predict_samples must be in 1..1000000\n"
 
     def test_fit_model_and_select_csv_bytes_are_pinned(self, capsys, tmp_path):
-        # SHA-256 of a small markov model file and of the selection CSV made from it.
-        model_path, csv_path = tmp_path / "m.yaml", tmp_path / "select.csv"
-        code, _, _ = run_cli(
-            capsys, "fit", "--depths", "4,8", "--train-per-depth", "5", "--levels", "1-4",
-            "--out", str(model_path),
+        # SHA-256 of a small model file of each kind and of the selection CSV
+        # made from it, then a scored run's output.
+        pins = {
+            "markov": (
+                "bb26cfd0245178c9db585ab07d1d35d5baf8f84a4992a71ffce56f19be507de3",
+                "6534c9e78d5ac33664d4243d3c67b56d93a33594a3b418c61b68c352d4b88883",
+            ),
+            "empirical": (
+                "808f70dd7a4a9727774b25f5b46866db030f3acbd4dcea17ee9d321170a76c9b",
+                "473628c73f599a4e9b4a7280697ddb1e8c6ce7a1fa80e29c09c7a097507ea0ef",
+            ),
+        }
+        for kind, (model_sha, csv_sha) in pins.items():
+            model_path, csv_path = tmp_path / f"{kind}.yaml", tmp_path / f"{kind}.csv"
+            code, _, _ = run_cli(
+                capsys, "fit", "--kind", kind, "--depths", "4,8", "--train-per-depth", "5",
+                "--levels", "1-4", "--out", str(model_path),
+            )
+            assert code == 0
+            code, _, _ = run_cli(
+                capsys, "select", "--depth", "6", "--model", str(model_path), "--levels", "1-4",
+                "--csv", str(csv_path),
+            )
+            assert code == 0
+            assert (sha256(model_path), sha256(csv_path)) == (model_sha, csv_sha)
+        code, out, _ = run_cli(
+            capsys, "minimin", "--instance", "1 3 0 4 8 2 7 5 6", "--lookahead", "6", "--score"
         )
-        assert code == 0
-        code, _, _ = run_cli(
-            capsys, "select", "--depth", "6", "--model", str(model_path), "--levels", "1-4",
-            "--csv", str(csv_path),
+        assert (code, out) == (
+            0, "path_length 32\ntime_units 3305\nspace_units 30\nsolved 1\nutility 0.7863803952042627\n"
         )
-        assert code == 0
-        assert sha256(model_path) == "bb26cfd0245178c9db585ab07d1d35d5baf8f84a4992a71ffce56f19be507de3"
-        assert sha256(csv_path) == "6534c9e78d5ac33664d4243d3c67b56d93a33594a3b418c61b68c352d4b88883"
 
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_select_rejects_a_bad_depth_before_reading_the_model(self, capsys, monkeypatch, depth):

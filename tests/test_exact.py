@@ -249,6 +249,10 @@ class TestExactDistance:
 
 
 class TestInstanceOfDepth:
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            instance_of_depth(-1)
+
     def test_depth_zero(self):
         inst = instance_of_depth(0, width=3, seed=0)
         assert inst.initial == inst.goal

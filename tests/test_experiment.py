@@ -9,6 +9,7 @@ from eusearch.experiment import (
     ExperimentReport,
     IncompleteReport,
     config_from_dict,
+    fit_model,
     load_experiment_config,
     read_report_csv,
     report_csv_text,
@@ -17,11 +18,11 @@ from eusearch.experiment import (
     summary_csv_text,
     summary_table,
     to_user_units,
-    _fit_model,
     training_suite,
 )
 from eusearch.minimin import Outcome, _value_table
 from eusearch.perfmodel import load_model
+from eusearch.seeds import subseed
 from eusearch.utility import default_utility_model, joint_utility
 from reports import make_report
 
@@ -105,7 +106,8 @@ class TestRunExperiment:
             training = training_suite(
                 depth, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts
             )
-            assert _fit_model(cfg, depth, training) == load_model(str(data / f"markov_d{depth}.yaml"))
+            model = fit_model(cfg, {depth: training}, subseed(cfg.seed, "fit", depth))
+            assert model == load_model(str(data / f"markov_d{depth}.yaml"))
 
     def test_deterministic_csv(self):
         a = run_experiment(SMALL)
@@ -235,6 +237,17 @@ class TestSummarize:
         report = make_report(layout_data)
         report.rows.pop()
         with pytest.raises(IncompleteReport):
+            summarize(report)
+
+    @pytest.mark.parametrize(
+        "chosen, message",
+        [((1, 2), "has conflicting chosen levels"), ((5, 5), "lacks its chosen level 5")],
+        ids=["two-chosen", "chosen-row-missing"],
+    )
+    def test_inconsistent_chosen_level_rejected(self, chosen, message):
+        report = make_report({(4, 0): (chosen[0], {1: 0.9, 2: 0.5, 3: 0.4})})
+        report.rows[-1] = replace(report.rows[-1], chosen=chosen[1])
+        with pytest.raises(IncompleteReport, match=message):
             summarize(report)
 
     def test_empty_report_rejected(self):

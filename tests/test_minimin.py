@@ -830,3 +830,19 @@ class TestDecisionAccuracy:
         states = sample_states(25, 16, seed=12)
         p = decision_accuracy(1, states, GOAL3)
         assert 0.0 <= p <= 1.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: minimin_decide(goal_state(2), goal_state(3), 2), "different widths"),
+        (
+            lambda: decision_accuracy(2, [random_walk(goal_state(3), 6, 1), goal_state(3)], goal_state(3)),
+            "sample contains the goal",
+        ),
+    ],
+    ids=["decide-2x2-state-3x3-goal", "accuracy-sample-holds-goal"],
+)
+def test_decision_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -8,7 +8,9 @@ from eusearch.minimin import EmptySample, Outcome, decision_accuracy, minimin_tr
 from eusearch.perfmodel import (
     _ACCURACY_FLOOR,
     _first_passage,
+    _geometric,
     _isotonic,
+    _solve_branching,
     EmpiricalTable,
     MarkovParams,
     MissingAccuracy,
@@ -366,7 +368,13 @@ class TestSerialization:
 
     def test_empirical_round_trip(self, tmp_path):
         table = EmpiricalTable(
-            cells={(4, 1): (Outcome(4, 12, 6), Outcome(6, 18, 7, solved=False))},
+            cells={
+                (4, 1): (
+                    Outcome(4, 12, 6),
+                    Outcome(6, 18, 7, solved=False),
+                    Outcome(4, 14, 6, extra={"cost": 2.5}),
+                )
+            },
             sample_meta={"seed": 3},
         )
         path = str(tmp_path / "table.yaml")
@@ -382,3 +390,33 @@ class TestSerialization:
     def test_dict_round_trip(self):
         params = simple_params()
         assert model_from_dict(model_to_dict(params)) == params
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MarkovParams({}, {}), ValueError, "accuracy map must not be empty"),
+        (lambda: MarkovParams({1: 0.9, 2: 0.9}, {1: 2.0}), ValueError, "branching factor missing for level 2"),
+        (lambda: MarkovParams({1: 0.9}, {1: 2.0}, max_len=0), ValueError, "max_len must be positive"),
+        (lambda: markov_predict(simple_params(), 0, 1), ValueError, "depth must be >= 1"),
+        (lambda: markov_predict(simple_params(), 4, 1, samples=0), ValueError, "samples must be in 1..1000000"),
+        (
+            lambda: fit_markov([ProblemInstance(goal_state(3), goal_state(3))], (1, 2)),
+            EmptySample,
+            "no decisions observed at level 1",
+        ),
+    ],
+    ids=["no-accuracy", "no-branching", "max-len-0", "predict-d-0", "predict-samples-0", "goal-only-fit"],
+)
+def test_bad_model_input_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "mean, level, branching",
+    [(2.0, 3, 1.0 + 1e-9), (3.0, 3, 1.0 + 1e-9), (_geometric(10.0, 2), 2, 10.0), (_geometric(5.5, 3), 3, 5.5)],
+)
+def test_solve_branching_clamps_low_means_and_widens_for_high_ones(mean, level, branching):
+    # Means above _geometric(4, level) need the upper bracket doubled first.
+    assert _solve_branching(mean, level) == pytest.approx(branching, rel=1e-9)

@@ -264,3 +264,17 @@ class TestReplay:
             ops.append(op)
             cur = apply_op(cur, op)
         assert replay(s, ops) == cur
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: manhattan(goal_state(2), goal_state(3)),
+        lambda: is_reachable(goal_state(2), goal_state(3)),
+        lambda: ProblemInstance(goal_state(3), goal_state(2)),
+    ],
+    ids=["manhattan", "is_reachable", "ProblemInstance"],
+)
+def test_states_of_different_widths_are_rejected(call):
+    with pytest.raises(ValueError, match="different widths"):
+        call()

@@ -16,6 +16,7 @@ from eusearch.utility import (
     Lottery,
     MalformedModel,
     UtilityModel,
+    _calibration_curves,
     calibrate_multiplicative,
     choose_max_eu,
     default_utility_model,
@@ -95,6 +96,11 @@ class TestExpectedUtility:
 
     def test_degenerate_equals_curve(self):
         assert expected_utility(Lottery.certain(30), RISK_AVERSE) == RISK_AVERSE.evaluate(30)
+
+    def test_attribute_curve_scores_its_attribute_of_outcomes(self):
+        curve = AttributeUtility.linear("path_length", 0.0, 100.0)
+        lot = Lottery.of([(Outcome(25, 9, 9), 0.5), (Outcome(75, 0, 0), 0.5)])
+        assert expected_utility(lot, curve) == pytest.approx(0.5)
 
     @given(
         values=st.lists(st.floats(0, 100), min_size=1, max_size=5),
@@ -442,3 +448,59 @@ class TestConfig:
         path.write_text(yaml.safe_dump(data))
         m = load_utility_model(str(path))
         assert joint_utility(Outcome(25, 0, 0), m) == pytest.approx(0.75)
+
+
+PATH = AttributeUtility.linear("path_length", 0.0, 100.0)
+TIME = AttributeUtility.linear("time_units", 0.0, 10.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Lottery.uniform([]), InvalidLottery, "uniform lottery over no values"),
+        (lambda: AttributeUtility("path_length", (), 100.0), MalformedModel, "at least one knot"),
+        (lambda: AttributeUtility("path_length", ((5.0, 1.0),), 5.0), MalformedModel, "bound must exceed"),
+        (lambda: UtilityModel((PATH,), form="bogus", weights=(1.0,)), MalformedModel, "unknown combination form"),
+        (lambda: UtilityModel((), weights=()), MalformedModel, "at least one attribute"),
+        (lambda: UtilityModel((PATH, PATH), weights=(0.5, 0.5)), MalformedModel, "duplicate attribute names"),
+        (lambda: UtilityModel((PATH, TIME), weights=(1.0,)), MalformedModel, "one weight per attribute"),
+        (lambda: UtilityModel((PATH, TIME), weights=(1.5, -0.5)), MalformedModel, "weights must be nonnegative"),
+        (
+            lambda: UtilityModel((PATH, TIME), form="multiplicative", weights=(0.5, 0.5), k=-1.0),
+            MalformedModel,
+            "K > -1, K != 0",
+        ),
+        (
+            lambda: UtilityModel((PATH, TIME), form="multiplicative", weights=(0.5, 0.5), k=0.0),
+            MalformedModel,
+            "K > -1, K != 0",
+        ),
+        (
+            lambda: UtilityModel(
+                (PATH, TIME), form="multilinear", weights=(0.5, 0.5),
+                interactions=((("path_length", "space_units"), 0.0),),
+            ),
+            MalformedModel,
+            "bad interaction pair",
+        ),
+        (lambda: expected_utility(Lottery.certain(3.0), default_utility_model()), TypeError, "scores Outcomes"),
+        (
+            lambda: _calibration_curves({"path_length": 100.0, "time_units": 10.0}),
+            ValueError,
+            "bounds must include 'space_units'",
+        ),
+        (
+            lambda: utility_model_from_dict({"attributes": {"path_length": {"bound": 100, "curve": "cubic"}}}),
+            MalformedModel,
+            "unknown curve kind 'cubic'",
+        ),
+    ],
+    ids=[
+        "uniform-empty", "no-knots", "bound-at-best", "unknown-form", "no-attributes", "duplicate-names",
+        "weight-count", "negative-weight", "K-minus-one", "K-zero", "bad-pair", "model-over-scalars",
+        "calibration-without-bound", "unknown-curve",
+    ],
+)
+def test_malformed_utility_input_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
