@@ -11,7 +11,7 @@ import sys
 from dataclasses import fields, replace
 from typing import Sequence
 
-from .exact import DEFAULT_NODE_BUDGET, bfs_optimal, idastar, instance_of_depth
+from .exact import DEFAULT_NODE_BUDGET, bfs_optimal, idastar
 from .experiment import (
     ExperimentConfig,
     fit_model,
@@ -29,7 +29,6 @@ from .experiment import (
 from .minimin import ResourceLimits, check_level, decision_accuracy, minimin_run
 from .perfmodel import MarkovParams, load_model, save_model
 from .puzzle import ProblemInstance, goal_state, parse_state
-from .seeds import subseed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,12 +111,8 @@ def cmd_minimin(args) -> int:
 def cmd_accuracy(args) -> int:
     cfg = _settings(args, ExperimentConfig(), depths=(args.depth,))
     goal = goal_state(cfg.width)
-    states = [
-        instance_of_depth(
-            args.depth, cfg.width, subseed(cfg.seed, "acc", i), attempts=cfg.gen_attempts
-        ).initial
-        for i in range(args.samples)
-    ]
+    suite = training_suite(args.depth, cfg.width, cfg.seed, args.samples, cfg.gen_attempts)
+    states = [inst.initial for inst in suite]
     cache: dict = {}
     # Every level is scored before the header, so a failure prints nothing.
     rows = [
@@ -134,7 +129,7 @@ def cmd_fit(args) -> int:
         d: training_suite(d, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts)
         for d in cfg.depths
     }
-    save_model(fit_model(cfg, suites, cfg.seed), args.out)
+    save_model(fit_model(cfg, suites), args.out)
     print(f"wrote {cfg.model_kind} model to {args.out}")
     return 0
 
@@ -145,7 +140,7 @@ def cmd_select(args) -> int:
         raise ValueError(f"depth must be >= 1, got {args.depth}")
     model = load_model(args.model)
     utility = load_utility_model(cfg.utility_config)
-    report = select_level(cfg, model, utility, args.depth, cfg.seed, extrapolate=args.extrapolate)
+    report = select_level(cfg, model, utility, args.depth, extrapolate=args.extrapolate)
     kind = "markov" if isinstance(model, MarkovParams) else "empirical"
     print(f"chosen_level {report.chosen_level}")
     print(f"model {kind}[levels {model.levels[0]}..{model.levels[-1]}]")
@@ -218,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_minimin)
 
     p = sub.add_parser("accuracy", help="estimate per-level decision accuracy")
-    p.add_argument("--levels", default="1-4")
+    p.add_argument("--levels")
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--width", type=int)
     p.add_argument("--samples", type=int, default=50)
@@ -230,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("markov", "empirical"), dest="model_kind")
     p.add_argument("--depths")
     p.add_argument(
-        "--train-per-depth", type=int, dest="train_instances_per_depth", metavar="TRAIN_PER_DEPTH",
-        default=20,
+        "--train-per-depth", type=int, dest="train_instances_per_depth", metavar="TRAIN_PER_DEPTH"
     )
     p.add_argument("--levels")
     p.add_argument("--width", type=int)
@@ -239,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attempts", type=int, dest="gen_attempts", metavar="ATTEMPTS")
     add_limits(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit, accuracy_states_per_level=150)  # not experiment's 400
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("select", help="select the best lookahead level")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--model", required=True, help="model YAML from `fit`")
     p.add_argument("--levels")
     p.add_argument("--utility", dest="utility_config", metavar="UTILITY")
-    p.add_argument("--samples", type=int, dest="predict_samples", metavar="SAMPLES", default=10_000)
+    p.add_argument("--samples", type=int, dest="predict_samples", metavar="SAMPLES")
     p.add_argument("--seed", type=int)
     p.add_argument("--extrapolate", action="store_true")
     add_units(p)

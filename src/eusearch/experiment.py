@@ -19,12 +19,12 @@ from typing import Callable, Mapping, Sequence
 
 from .exact import instance_of_depth
 from .minimin import Outcome, ResourceLimits, check_level, check_types, minimin_run
-from .perfmodel import MAX_SAMPLES, EmpiricalTable, MarkovParams, fit_empirical, fit_markov
-from .perfmodel import UnknownKey, read_yaml
+from .perfmodel import MAX_SAMPLES, EmpiricalTable, MarkovParams, fit_empirical, fit_markov, read_yaml
 from .puzzle import ProblemInstance
 from .seeds import subseed
 from .selector import SelectionReport, select_lookahead
-from .utility import UtilityModel, default_utility_model, joint_utility, utility_model_from_dict
+from .utility import UtilityModel, check_keys, default_utility_model, joint_utility
+from .utility import utility_model_from_dict
 
 # Most evaluation processes; a forking pool starts all at once, once per depth.
 MAX_WORKERS = 64
@@ -124,10 +124,9 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     A key that names no field raises UnknownKey.
     """
     kwargs = dict(data)
-    for given, cls in ((kwargs, ExperimentConfig), (kwargs.get("limits"), ResourceLimits)):
-        if isinstance(given, Mapping) and (unknown := [k for k in given if k not in cls.__dataclass_fields__]):
-            raise UnknownKey(unknown[0])
-    if "limits" in kwargs and isinstance(kwargs["limits"], Mapping):
+    check_keys(kwargs, ExperimentConfig.__dataclass_fields__)
+    if isinstance(kwargs.get("limits"), Mapping):
+        check_keys(kwargs["limits"], ResourceLimits.__dataclass_fields__)
         kwargs["limits"] = ResourceLimits(**kwargs["limits"])
     for key in ("depths", "levels"):
         if isinstance(kwargs.get(key), list):
@@ -178,13 +177,14 @@ def training_suite(depth: int, width: int, seed: int, count: int, attempts: int)
 
 
 def fit_model(
-    cfg: ExperimentConfig, suites: Mapping[int, Sequence[ProblemInstance]], seed: int
+    cfg: ExperimentConfig, suites: Mapping[int, Sequence[ProblemInstance]]
 ) -> MarkovParams | EmpiricalTable:
     """The ``cfg.model_kind`` model of ``suites``, a depth -> instances mapping.
 
     Markov: one fit over all the instances in order, scoring up to
     ``cfg.accuracy_states_per_level`` decisions per level, its sample drawn
-    by ``seed``.  Empirical: one cell of outcomes per (depth, level).
+    by ``subseed(cfg.seed, "fit", *suites)``.  Empirical: one cell of
+    outcomes per (depth, level).
     """
     if cfg.model_kind == "markov":
         return fit_markov(
@@ -192,7 +192,7 @@ def fit_model(
             cfg.levels,
             limits=cfg.limits,
             max_states_per_level=cfg.accuracy_states_per_level,
-            seed=seed,
+            seed=subseed(cfg.seed, "fit", *suites),
         )
     return fit_empirical(suites, cfg.levels, limits=cfg.limits, sample_meta={"seed": cfg.seed})
 
@@ -202,13 +202,14 @@ def select_level(
     model: MarkovParams | EmpiricalTable,
     utility: UtilityModel,
     depth: int,
-    seed: int,
     extrapolate: bool = False,
 ) -> SelectionReport:
-    """The level of ``cfg.levels`` with the highest expected utility at ``depth``,
-    from ``cfg.predict_samples`` predictions read in ``cfg``'s user units."""
+    """The level of ``cfg.levels`` with the highest expected utility at ``depth``, from
+    ``cfg.predict_samples`` predictions seeded by ``subseed(cfg.seed, "predict", depth)``
+    and read in ``cfg``'s user units."""
     return select_lookahead(
-        depth, model, utility, cfg.levels, samples=cfg.predict_samples, seed=seed, extrapolate=extrapolate,
+        depth, model, utility, cfg.levels, samples=cfg.predict_samples,
+        seed=subseed(cfg.seed, "predict", depth), extrapolate=extrapolate,
         convert=lambda o: to_user_units(o, cfg.gens_per_minute, cfg.nodes_per_megabyte),
     )
 
@@ -243,8 +244,8 @@ def run_experiment(
                 depth, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts
             )
             say(f"depth {depth}: fitting {cfg.model_kind} model")
-            model = fit_model(cfg, {depth: training}, subseed(cfg.seed, "fit", depth))
-            selection = select_level(cfg, model, utility, depth, subseed(cfg.seed, "predict", depth))
+            model = fit_model(cfg, {depth: training})
+            selection = select_level(cfg, model, utility, depth)
             chosen = selection.chosen_level
             report.selections[depth] = selection
             say(f"depth {depth}: selected level {chosen}; running instances")
@@ -309,7 +310,8 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
     Without ``config`` the report gets the CSV's depths and levels.  The CSV
     has no width column, so the width is 3 unless a depth lies beyond the
     3x3 diameter, then 4.  Raises IncompleteReport when the CSV has no rows,
-    and a ValueError naming the file when its header lacks a column.
+    and a ValueError naming the file when its header lacks a column, or
+    naming the file and the line when a row is short or a cell is no number.
     """
     rows: list[ReportRow] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -318,23 +320,28 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
         if missing:
             raise ValueError(f"{path} lacks column {missing[0]!r}")
         for rec in reader:
-            outcome = Outcome(
-                path_length=float(rec["path_length"]),
-                time_units=float(rec["time_units"]),
-                space_units=float(rec["space_units"]),
-                solved=rec["solved"] in ("1", "True", "true"),
-            )
-            rows.append(
-                ReportRow(
-                    depth=int(rec["depth"]),
-                    instance_id=int(rec["instance_id"]),
-                    seed=int(rec["seed"]),
-                    level=int(rec["level"]),
-                    chosen=int(rec["chosen"]),
-                    outcome=outcome,
-                    utility=float(rec["utility"]),
+            try:
+                if None in rec.values():  # DictReader fills a short row's missing cells with None
+                    raise ValueError("row has fewer cells than the header")
+                outcome = Outcome(
+                    path_length=float(rec["path_length"]),
+                    time_units=float(rec["time_units"]),
+                    space_units=float(rec["space_units"]),
+                    solved=rec["solved"] in ("1", "True", "true"),
                 )
-            )
+                rows.append(
+                    ReportRow(
+                        depth=int(rec["depth"]),
+                        instance_id=int(rec["instance_id"]),
+                        seed=int(rec["seed"]),
+                        level=int(rec["level"]),
+                        chosen=int(rec["chosen"]),
+                        outcome=outcome,
+                        utility=float(rec["utility"]),
+                    )
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise IncompleteReport("report has no rows")
     depths = tuple(sorted({r.depth for r in rows}))

@@ -31,7 +31,7 @@ from .minimin import (  # noqa: F401
 )
 from .puzzle import ProblemInstance
 from .seeds import subseed
-from .utility import Lottery
+from .utility import Lottery, UnknownKey, check_keys
 
 DEFAULT_MAX_LEN = 1000
 MAX_SAMPLES = 1_000_000  # ``_first_passage`` holds 8 bytes per sample and accuracy
@@ -44,10 +44,6 @@ class MissingAccuracy(Exception):
 
 class OutOfRange(Exception):
     """A depth query fell outside the empirical table with extrapolation disabled."""
-
-
-class UnknownKey(KeyError):
-    """A file gives a key that its reader does not know."""
 
 
 @dataclass(frozen=True)
@@ -359,7 +355,7 @@ def _outcome_from_dict(data: Mapping) -> Outcome:
         time_units=data["time_units"],
         space_units=data["space_units"],
         solved=bool(data.get("solved", True)),
-        extra=dict(data.get("extra", {})),
+        extra=dict(_mapping(data.get("extra", {}), "extra")),
     )
 
 
@@ -390,25 +386,39 @@ def model_to_dict(model: MarkovParams | EmpiricalTable) -> dict:
     }
 
 
+def _mapping(value, name: str) -> Mapping:
+    """``value``, or a TypeError naming ``name`` when it is not a mapping."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{name} must be a mapping, got {type(value).__name__}")
+    return value
+
+
+def _by_level(value, name: str, cast: Callable[[object], float]) -> dict[int, float]:
+    return {int(l): cast(v) for l, v in _mapping(value, name).items()}
+
+
 def model_from_dict(data: Mapping) -> MarkovParams | EmpiricalTable:
+    """The model ``data`` describes; UnknownKey for a top-level key its kind does not
+    know, TypeError for a field that is not a mapping where one is read."""
     kind = data.get("kind")
     if kind == "markov":
+        check_keys(data, ("kind", "accuracy", "branching", "max_len", "sample_sizes"))
         return MarkovParams(
-            accuracy={int(l): float(p) for l, p in data["accuracy"].items()},
-            branching={int(l): float(b) for l, b in data["branching"].items()},
+            accuracy=_by_level(data["accuracy"], "accuracy", float),
+            branching=_by_level(data["branching"], "branching", float),
             max_len=int(data.get("max_len", DEFAULT_MAX_LEN)),
-            sample_sizes={
-                int(l): int(n) for l, n in data.get("sample_sizes", {}).items()
-            },
+            sample_sizes=_by_level(data.get("sample_sizes", {}), "sample_sizes", int),
         )
     if kind == "empirical":
+        check_keys(data, ("kind", "cells", "sample_meta"))
         cells = {
             (int(cell["depth"]), int(cell["level"])): tuple(
                 _outcome_from_dict(o) for o in cell["outcomes"]
             )
             for cell in data["cells"]
         }
-        return EmpiricalTable(cells=cells, sample_meta=dict(data.get("sample_meta", {})))
+        sample_meta = _mapping(data.get("sample_meta", {}), "sample_meta")
+        return EmpiricalTable(cells=cells, sample_meta=dict(sample_meta))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -427,8 +437,9 @@ def read_yaml(path: str, build: Callable[[Mapping], T]) -> T:
     """``build`` of the mapping the YAML file at ``path`` holds.
 
     A file that does not parse, holds no mapping, lacks a key that ``build``
-    reads, or gives one that ``build`` rejects with UnknownKey, raises one
-    ValueError that names the file and the line or key at fault.
+    reads, gives one that ``build`` rejects with UnknownKey, or holds a value
+    of a shape that ``build`` cannot read (a TypeError), raises one
+    ValueError that names the file and the line, key or fault.
     """
     import yaml
 
@@ -448,6 +459,8 @@ def read_yaml(path: str, build: Callable[[Mapping], T]) -> T:
         raise ValueError(f"{path} has unknown key {exc.args[0]!r}") from None
     except KeyError as exc:
         raise ValueError(f"{path} lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path} {exc}") from None
 
 
 def load_model(path: str) -> MarkovParams | EmpiricalTable:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Container, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +35,17 @@ class MalformedModel(Exception):
 
 class CalibrationFailed(Exception):
     """No multiplicative model makes the given rows equal in utility."""
+
+
+class UnknownKey(KeyError):
+    """A file gives a key that its reader does not know."""
+
+
+def check_keys(data: Mapping, known: Container[str]) -> None:
+    """UnknownKey for the first key of ``data`` that is not in ``known``."""
+    for key in data:
+        if key not in known:
+            raise UnknownKey(key)
 
 
 @dataclass(frozen=True)
@@ -443,8 +454,11 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
     is calibrated from them and any weights in the file are ignored; the
     blocks then give only bounds, and any other setting must match the
     calibration's curves (linear from 0 for path and time, free for space),
-    else MalformedModel.
+    else MalformedModel.  Any other top-level key raises UnknownKey.
     """
+    check_keys(
+        data, ("attributes", "equivalence_rows", "form", "weights", "master_k", "interactions", "tag")
+    )
     blocks = data.get("attributes", {})
     rows = data.get("equivalence_rows")
     if rows:

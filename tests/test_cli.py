@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import io
 import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -195,7 +197,7 @@ class TestUnitRates:
         def no_work(*args, **kwargs):
             pytest.fail("a run, model read, suite or walk started")
 
-        for name in ("minimin_run", "load_model", "run_experiment", "training_suite", "instance_of_depth"):
+        for name in ("minimin_run", "load_model", "run_experiment", "training_suite"):
             monkeypatch.setattr(cli, name, no_work)
         monkeypatch.chdir(tmp_path)
 
@@ -276,6 +278,21 @@ class TestUnitRates:
         assert fits == [(list(depths), tuple(range(1, 13)), limits, {"seed": 0})]
 
 
+def test_flags_of_shared_settings_default_to_the_config():
+    # An unset flag must leave its ExperimentConfig or ResourceLimits field as
+    # it is (see _settings).  solve's --node-budget is IDA*'s own budget.
+    names = {f.name for cls in (ExperimentConfig, ResourceLimits) for f in fields(cls)}
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shadowed = [
+        (command, name)
+        for command, parser in commands.choices.items()
+        if command != "solve"
+        for name in sorted(names)
+        if parser.get_default(name) is not None
+    ]
+    assert shadowed == []
+
+
 CONFIG = ("experiment", "--quiet", "--config")
 MODEL = ("select", "--depth", "4", "--model")
 UTILITY = ("minimin", "--instance", "1 2 3 4 5 6 0 7 8", "--lookahead", "2", "--utility")
@@ -291,6 +308,7 @@ def test_yaml_file_without_a_mapping_fails_with_one_line(capsys, tmp_path, argv,
     assert err == f"eusearch: ValueError: {path} must hold a YAML mapping, got {held}\n"
 
 
+HEADER = ",".join(experiment.REPORT_COLUMNS) + "\n"
 HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
 
 
@@ -313,11 +331,18 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
             "equivalence_rows:\n  - {path_length: 20}\n  - {path_length: 68, time_units: 6}\n",
             "lacks key 'time_units'",
         ),
+        (MODEL, "kind: markov\naccuracy: [0.9]\nbranching: {1: 2}\n", "accuracy must be a mapping, got list"),
+        (MODEL, "kind: markov\naccuracy: {1: 0.9}\nbranching: {1: 2}\nfoo: 3\n", "has unknown key 'foo'"),
+        (UTILITY, "tag: mine\nfoo: 3\n", "has unknown key 'foo'"),
         (("summarize", "--report"), HEADER_WITHOUT_UTILITY + "4,0,1,1,1,4,12,7,1\n", "lacks column 'utility'"),
+        (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,1,0.5\n4,0,1,2,1,4,x,7,1,0.5\n",
+         "line 3: could not convert string to float: 'x'"),
+        (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,1\n", "line 2: row has fewer cells than the header"),
     ],
     ids=[
         "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
-        "outcome-space", "utility-bound", "row-time", "report-utility",
+        "outcome-space", "utility-bound", "row-time", "markov-shape", "markov-unknown", "utility-unknown",
+        "report-utility", "report-cell", "report-short",
     ],
 )
 def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):
@@ -356,7 +381,7 @@ class TestAccuracy:
     )
     def test_failure_prints_no_header(self, capsys, monkeypatch, flags, error):
         walks = []
-        monkeypatch.setattr(cli, "instance_of_depth", lambda *a, **k: walks.append(a))
+        monkeypatch.setattr(experiment, "instance_of_depth", lambda *a, **k: walks.append(a))
         code, out, err = run_cli(capsys, "accuracy", "--levels", "1,2", *flags)
         assert code == 2
         assert out == ""
@@ -491,11 +516,14 @@ class TestFitSelect:
 
     def test_fit_model_and_select_csv_bytes_are_pinned(self, capsys, tmp_path):
         # SHA-256 of a small model file of each kind and of the selection CSV
-        # made from it, then a scored run's output.
+        # made from it, then a scored run's output.  The markov pair holds for
+        # a fit that scores up to ``accuracy_states_per_level`` (400) decisions
+        # per level drawn by the per-depth "fit" subseed, and a selection of
+        # ``predict_samples`` (8,000) walks seeded by the "predict" subseed.
         pins = {
             "markov": (
-                "bb26cfd0245178c9db585ab07d1d35d5baf8f84a4992a71ffce56f19be507de3",
-                "6534c9e78d5ac33664d4243d3c67b56d93a33594a3b418c61b68c352d4b88883",
+                "da3b11534f7c0c0e1c5213b885b558f260a3cb091c346ae36083ed5d1fadcb0a",
+                "625a8bc40d33eba80db693d273d8e790051fb84b868048116c198f74533b71c9",
             ),
             "empirical": (
                 "808f70dd7a4a9727774b25f5b46866db030f3acbd4dcea17ee9d321170a76c9b",
@@ -521,6 +549,22 @@ class TestFitSelect:
         assert (code, out) == (
             0, "path_length 32\ntime_units 3305\nspace_units 30\nsolved 1\nutility 0.7863803952042627\n"
         )
+
+    def test_fit_then_select_reproduce_a_desk_depths_selection(self, capsys, tmp_path):
+        # With every other flag at its default, fit and select take the
+        # experiment's settings and per-depth seeds.
+        model_path, csv_path = tmp_path / "m.yaml", tmp_path / "eu.csv"
+        assert run_cli(capsys, "fit", "--depths", "16", "--out", str(model_path))[0] == 0
+        code, _, _ = run_cli(
+            capsys, "select", "--depth", "16", "--model", str(model_path), "--csv", str(csv_path)
+        )
+        assert code == 0
+        desk = experiment.run_experiment(ExperimentConfig(depths=(16,), instances_per_depth=1))
+        selection = desk.selections[16]
+        assert selection.chosen_level == 10
+        assert csv_path.read_text().splitlines()[1:] == [
+            f"{level},{eu!r},{int(level == 10)}" for level, eu in sorted(selection.eu_by_level.items())
+        ]
 
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_select_rejects_a_bad_depth_before_reading_the_model(self, capsys, monkeypatch, depth):

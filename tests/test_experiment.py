@@ -22,7 +22,6 @@ from eusearch.experiment import (
 )
 from eusearch.minimin import Outcome, _value_table
 from eusearch.perfmodel import load_model
-from eusearch.seeds import subseed
 from eusearch.utility import default_utility_model, joint_utility
 from reports import make_report
 
@@ -106,7 +105,7 @@ class TestRunExperiment:
             training = training_suite(
                 depth, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts
             )
-            model = fit_model(cfg, {depth: training}, subseed(cfg.seed, "fit", depth))
+            model = fit_model(cfg, {depth: training})
             assert model == load_model(str(data / f"markov_d{depth}.yaml"))
 
     def test_deterministic_csv(self):
