@@ -33,10 +33,14 @@ widths 2-3.  The last line, ``search:``, digests width-4 ``minimin_trace``
 runs from seeded-walk scrambles at levels 1-10, each on the desk's limits and
 on a budget of 3,000 nodes that stops some of them: the initial tiles, level,
 limits, ``Outcome`` and every (tiles, top-ranked child tiles) decision pair.
+The line ``utility:`` digests what ``calibrate_multiplicative`` returns (the
+weights and K) or raises on the seeded row sets of ``utility_row_sets``, and
+the default model's ``joint_utility`` of seeded outcomes.
 It calls only public functions, so it runs on any checkout that has them.
 """
 
 import hashlib
+import random
 import sys
 import time
 from dataclasses import replace
@@ -48,7 +52,14 @@ sys.path.insert(0, str(ROOT / "src"))
 from eusearch import minimin  # noqa: E402
 from eusearch.exact import bfs_optimal, idastar  # noqa: E402
 from eusearch.experiment import ExperimentConfig, load_experiment_config, run_experiment  # noqa: E402
+from eusearch.minimin import Outcome  # noqa: E402
 from eusearch.puzzle import ProblemInstance, State, goal_state, random_walk  # noqa: E402
+from eusearch.utility import (  # noqa: E402
+    DEFAULT_BOUNDS,
+    calibrate_multiplicative,
+    default_utility_model,
+    joint_utility,
+)
 
 
 def width4_runs() -> None:
@@ -154,6 +165,52 @@ def search_runs() -> tuple[int, str]:
     return runs, digest.hexdigest()
 
 
+def utility_row_sets(count: int = 300):
+    """``count`` seeded sets of 2-6 rows below the default bounds.
+
+    Even seeds draw each row uniformly, so most such sets admit no
+    multiplicative model.  Odd seeds draw rows on one indifference curve of a
+    random multiplicative model, with weights in (0.05, 0.95) and K of either
+    sign, so most such sets calibrate.
+    """
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        if seed % 2 == 0:
+            yield tuple(Outcome(100 * rng.random(), 10 * rng.random(), 10 * rng.random()) for _ in range(n))
+            continue
+        kp, kt, level = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), rng.uniform(0.2, 0.8)
+        k = (1 - kp - kt) / (kp * kt)
+        rows = []
+        while len(rows) < n:  # path utility u, then the time utility v that keeps the level
+            u = rng.random()
+            v = ((1 + k * level) / (1 + k * kp * u) - 1) / (k * kt)
+            if u > 0 and 0 < v <= 1:
+                rows.append(Outcome(100 * (1 - u), 10 * (1 - v), 10 * rng.random()))
+        yield tuple(rows)
+
+
+def utility_samples() -> tuple[int, str]:
+    """The number of calls made and a SHA-256 over what each returned or raised."""
+    digest = hashlib.sha256()
+    calls = 0
+    for rows in utility_row_sets():
+        try:
+            m = calibrate_multiplicative(rows, DEFAULT_BOUNDS)
+            result = (m.weights, m.k)
+        except Exception as exc:  # the error type is part of the behaviour digested
+            result = type(exc).__name__
+        digest.update(repr((rows, result)).encode())
+        calls += 1
+    model = default_utility_model()
+    rng = random.Random(0)
+    for _ in range(2_000):
+        o = Outcome(110 * rng.random(), 11 * rng.random(), 11 * rng.random(), solved=rng.random() < 0.9)
+        digest.update(repr((o, joint_utility(o, model))).encode())
+        calls += 1
+    return calls, digest.hexdigest()
+
+
 def tile_pairs(tiles, trace):
     """A trace of state keys, one per move from ``tiles``, as (tiles, child tiles) pairs."""
 
@@ -211,6 +268,9 @@ def main() -> None:
     start = time.perf_counter()
     runs, digest = search_runs()
     print(f"search: {runs} runs in {time.perf_counter() - start:.2f} s, sha256 {digest}")
+    start = time.perf_counter()
+    calls, digest = utility_samples()
+    print(f"utility: {calls} calls in {time.perf_counter() - start:.2f} s, sha256 {digest}")
 
 
 if __name__ == "__main__":

@@ -121,7 +121,7 @@ class ExperimentConfig:
 def config_from_dict(data: Mapping) -> ExperimentConfig:
     """Rebuild a config from ``dataclasses.asdict`` data, ``limits`` as a mapping.
 
-    A key that names no field raises UnknownKey.
+    A key that names no field raises ValueError.
     """
     kwargs = dict(data)
     check_keys(kwargs, ExperimentConfig.__dataclass_fields__)
@@ -310,8 +310,9 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
     Without ``config`` the report gets the CSV's depths and levels.  The CSV
     has no width column, so the width is 3 unless a depth lies beyond the
     3x3 diameter, then 4.  Raises IncompleteReport when the CSV has no rows,
-    and a ValueError naming the file when its header lacks a column, or
-    naming the file and the line when a row is short or a cell is no number.
+    and a ValueError naming the file when its header lacks a column or the
+    inferred config fails its checks, or naming the file and the line when a
+    row is short, a cell is no number or a utility lies outside [0, 1].
     """
     rows: list[ReportRow] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -329,6 +330,9 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
                     space_units=float(rec["space_units"]),
                     solved=rec["solved"] in ("1", "True", "true"),
                 )
+                utility = float(rec["utility"])
+                if not 0.0 <= utility <= 1.0:  # NaN included
+                    raise ValueError(f"utility must lie in [0, 1], got {utility!r}")
                 rows.append(
                     ReportRow(
                         depth=int(rec["depth"]),
@@ -337,7 +341,7 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
                         level=int(rec["level"]),
                         chosen=int(rec["chosen"]),
                         outcome=outcome,
-                        utility=float(rec["utility"]),
+                        utility=utility,
                     )
                 )
             except ValueError as exc:
@@ -345,11 +349,14 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
     if not rows:
         raise IncompleteReport("report has no rows")
     depths = tuple(sorted({r.depth for r in rows}))
-    cfg = config or ExperimentConfig(
-        width=3 if all(d <= _max_depth(3) for d in depths) else 4,
-        depths=depths,
-        levels=tuple(sorted({r.level for r in rows})),
-    )
+    try:
+        cfg = config or ExperimentConfig(
+            width=3 if all(d <= _max_depth(3) for d in depths) else 4,
+            depths=depths,
+            levels=tuple(sorted({r.level for r in rows})),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path} {exc}") from None
     return ExperimentReport(config=cfg, rows=rows)
 
 

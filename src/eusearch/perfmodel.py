@@ -31,7 +31,7 @@ from .minimin import (  # noqa: F401
 )
 from .puzzle import ProblemInstance
 from .seeds import subseed
-from .utility import Lottery, UnknownKey, check_keys
+from .utility import Lottery, check_keys
 
 DEFAULT_MAX_LEN = 1000
 MAX_SAMPLES = 1_000_000  # ``_first_passage`` holds 8 bytes per sample and accuracy
@@ -398,7 +398,7 @@ def _by_level(value, name: str, cast: Callable[[object], float]) -> dict[int, fl
 
 
 def model_from_dict(data: Mapping) -> MarkovParams | EmpiricalTable:
-    """The model ``data`` describes; UnknownKey for a top-level key its kind does not
+    """The model ``data`` describes; ValueError for a top-level key its kind does not
     know, TypeError for a field that is not a mapping where one is read."""
     kind = data.get("kind")
     if kind == "markov":
@@ -437,8 +437,7 @@ def read_yaml(path: str, build: Callable[[Mapping], T]) -> T:
     """``build`` of the mapping the YAML file at ``path`` holds.
 
     A file that does not parse, holds no mapping, lacks a key that ``build``
-    reads, gives one that ``build`` rejects with UnknownKey, or holds a value
-    of a shape that ``build`` cannot read (a TypeError), raises one
+    reads, or holds anything else that ``build`` raises on, raises one
     ValueError that names the file and the line, key or fault.
     """
     import yaml
@@ -455,11 +454,9 @@ def read_yaml(path: str, build: Callable[[Mapping], T]) -> T:
         raise ValueError(f"{path} must hold a YAML mapping, got {type(data).__name__}")
     try:
         return build(data)
-    except UnknownKey as exc:
-        raise ValueError(f"{path} has unknown key {exc.args[0]!r}") from None
     except KeyError as exc:
         raise ValueError(f"{path} lacks key {exc.args[0]!r}") from None
-    except TypeError as exc:
+    except Exception as exc:
         raise ValueError(f"{path} {exc}") from None
 
 

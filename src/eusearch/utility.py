@@ -9,6 +9,7 @@ judges equivalent.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Container, Iterable, Mapping, Sequence, Union
@@ -37,15 +38,11 @@ class CalibrationFailed(Exception):
     """No multiplicative model makes the given rows equal in utility."""
 
 
-class UnknownKey(KeyError):
-    """A file gives a key that its reader does not know."""
-
-
 def check_keys(data: Mapping, known: Container[str]) -> None:
-    """UnknownKey for the first key of ``data`` that is not in ``known``."""
+    """ValueError for the first key of ``data`` that is not in ``known``."""
     for key in data:
         if key not in known:
-            raise UnknownKey(key)
+            raise ValueError(f"has unknown key {key!r}")
 
 
 @dataclass(frozen=True)
@@ -316,6 +313,11 @@ def _calibration_curves(bounds: Mapping[str, float]) -> tuple[AttributeUtility, 
 # A calibrated model is a solution when its utilities of the rows vary by less.
 _VARIANCE_FLOOR = 1e-12
 
+# K's domain and its bisection's cells; K = 0, the degenerate additive root, is excluded.
+_K_GRID: tuple[float, ...] = tuple(
+    k for k in sorted(-(10.0 ** (-4 + 4 * i / 80)) for i in range(81)) if k > -0.999
+) + tuple(10.0 ** (-4 + 8 * i / 160) for i in range(161))
+
 
 def calibrate_multiplicative(
     equivalence_rows: Sequence[Outcome],
@@ -327,8 +329,10 @@ def calibrate_multiplicative(
     space is free but bounded (weight 0).  Solves for k_path, k_time, and the
     master constant K: for a trial K, the row-equality equations plus the
     consistency constraint are linear in (A, B, C) = (K*k_p, K*k_t, K^2*k_p*k_t)
-    and solved by least squares; the leftover coupling residual A*B - C is
-    driven to zero by bisection on K.
+    and solved by least squares, which is linear in the right-hand side.  So
+    the coupling residual A*B - C is K*(K*a*b - c) for the solution (a, b, c)
+    at K = 1, with one nonzero root c/(a*b), which bisection refines in its
+    cell of the K grid.
     """
     if len(equivalence_rows) < 2:
         raise ValueError("calibration needs at least two equivalence rows")
@@ -367,52 +371,42 @@ def calibrate_multiplicative(
             return None
         # Re-derive K from the recovered weights so the consistency invariant
         # holds to machine precision: 1 + K = (1 + K*k_p)(1 + K*k_t) gives
-        # K = (1 - k_p - k_t) / (k_p * k_t).
-        k_exact = (1.0 - k_path - k_time) / (k_path * k_time)
-        if k_exact <= -1.0 or k_exact == 0.0:
-            return None
+        # K = (1 - k_p - k_t) / (k_p * k_t).  The model checks K > -1, K != 0.
         try:
-            return UtilityModel(
+            model = UtilityModel(
                 attributes=curves,
                 form="multiplicative",
                 weights=(k_path, k_time, 0.0),
-                k=k_exact,
+                k=(1.0 - k_path - k_time) / (k_path * k_time),
                 tag="multiplicative-calibrated",
             )
         except MalformedModel:
             return None
-
-    def row_variance(model: UtilityModel) -> float:
         scores = [joint_utility(row, model) for row in equivalence_rows]
-        return float(np.var(scores))
+        return model if np.var(scores) < _VARIANCE_FLOOR else None
 
-    # Bracket sign changes of the coupling residual on both sides of K = 0
-    # (K = 0 itself is the degenerate additive root and is excluded).
-    negatives = sorted(-(10.0 ** (-4 + 4 * i / 80)) for i in range(81))
-    grid: list[float] = [k for k in negatives if k > -0.999]
-    grid += [10.0 ** (-4 + 8 * i / 160) for i in range(161)]
-    points = [(k, coupling(k)) for k in grid]
-
-    solutions: list[tuple[float, float, UtilityModel]] = []
-    for (k0, s0), (k1, s1) in zip(points, points[1:]):
-        if k0 * k1 <= 0 or not (s0 == 0.0 or s0 * s1 < 0):
-            continue
-        model = candidate(k0 if s0 == 0.0 else _bisect(coupling, k0, k1, s0))
-        if model is not None and (var := row_variance(model)) < _VARIANCE_FLOOR:
-            solutions.append((var, abs(model.k), model))
-
-    if not solutions:
+    a, b, c = solve_for(1.0).tolist()
+    i = bisect.bisect_left(_K_GRID, c / (a * b)) if a * b else 0
+    model = None
+    if 0 < i < len(_K_GRID) and _K_GRID[i - 1] * _K_GRID[i] > 0:
+        lo, hi = _K_GRID[i - 1], _K_GRID[i]
+        s0 = coupling(lo)
+        if s0 == 0.0 or s0 * coupling(hi) < 0:
+            model = candidate(lo if s0 == 0.0 else _bisect(coupling, lo, hi, s0))
+    if model is None:
         raise CalibrationFailed(
             "rows are inconsistent with a multiplicative utility "
             f"(no solution reached variance < {_VARIANCE_FLOOR})"
         )
-    return min(solutions, key=lambda item: item[:2])[2]
+    return model
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
     """A root of ``f`` between ``lo`` and ``hi``; ``f(lo) = flo`` and ``f(hi)`` differ in sign."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: no later step would move lo or hi
+            return mid
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -454,7 +448,7 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
     is calibrated from them and any weights in the file are ignored; the
     blocks then give only bounds, and any other setting must match the
     calibration's curves (linear from 0 for path and time, free for space),
-    else MalformedModel.  Any other top-level key raises UnknownKey.
+    else MalformedModel.  Any other top-level key raises ValueError.
     """
     check_keys(
         data, ("attributes", "equivalence_rows", "form", "weights", "master_k", "interactions", "tag")

@@ -12,7 +12,20 @@ from collections import deque
 from functools import lru_cache
 from itertools import permutations
 
+import numpy as np
+
+from eusearch.minimin import Outcome
 from eusearch.puzzle import Op, State, apply_op, legal_ops
+from eusearch.utility import (
+    _VARIANCE_FLOOR,
+    DEFAULT_BOUNDS,
+    CalibrationFailed,
+    MalformedModel,
+    UtilityModel,
+    _calibration_curves,
+    attribute_value,
+    joint_utility,
+)
 
 
 def manhattan_tally(s: State, goal: State) -> int:
@@ -258,9 +271,6 @@ def markov_predict_oracle(params, d: int, level: int, samples: int, seed: int):
     generator and stops when its own walks are all absorbed or ``max_len``
     steps have passed; a draw below p_level moves a walk one step closer.
     """
-    import numpy as np
-
-    from eusearch.minimin import Outcome
     from eusearch.perfmodel import nodes_per_decision
     from eusearch.utility import Lottery
 
@@ -301,3 +311,113 @@ def markov_predict_oracle(params, d: int, level: int, samples: int, seed: int):
         )
         entries.append((outcome, truncated / samples))
     return Lottery.of(entries)
+
+
+# ``utility.calibrate_multiplicative`` as it was before it solved for its root:
+# it evaluates the coupling residual at every point of the K grid, bisects every
+# bracket of a sign change, and ranks the valid candidates by row variance,
+# then by |K|.
+def calibrate_multiplicative_oracle(
+    equivalence_rows: Sequence[Outcome],
+    bounds: Mapping[str, float] = DEFAULT_BOUNDS,
+) -> UtilityModel:
+    """Fit a multiplicative model that scores the given rows equally.
+
+    Attribute curves are linear from best value to bound for moves and time;
+    space is free but bounded (weight 0).  Solves for k_path, k_time, and the
+    master constant K: for a trial K, the row-equality equations plus the
+    consistency constraint are linear in (A, B, C) = (K*k_p, K*k_t, K^2*k_p*k_t)
+    and solved by least squares; the leftover coupling residual A*B - C is
+    driven to zero by bisection on K.
+    """
+    if len(equivalence_rows) < 2:
+        raise ValueError("calibration needs at least two equivalence rows")
+    curves = _calibration_curves(bounds)
+    for row in equivalence_rows:
+        for curve in curves:
+            if attribute_value(row, curve.attribute) >= curve.bound:
+                raise CalibrationFailed(
+                    f"row {row} violates the {curve.attribute} bound"
+                )
+    up = [curves[0].evaluate(row.path_length) for row in equivalence_rows]
+    ut = [curves[1].evaluate(row.time_units) for row in equivalence_rows]
+    # Row-equality differences, then the consistency row; the unknowns are (A, B, C).
+    matrix = np.array(
+        [
+            [up[j] - up[j + 1], ut[j] - ut[j + 1], up[j] * ut[j] - up[j + 1] * ut[j + 1]]
+            for j in range(len(up) - 1)
+        ]
+        + [[1.0, 1.0, 1.0]]
+    )
+
+    def solve_for(k: float) -> np.ndarray:
+        rhs = np.zeros(len(matrix))
+        rhs[-1] = k
+        solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+        return solution
+
+    def coupling(k: float) -> float:
+        a, b, c = solve_for(k)
+        return a * b - c
+
+    def candidate(k: float) -> UtilityModel | None:
+        a, b, _ = solve_for(k)
+        k_path, k_time = float(a / k), float(b / k)
+        if not (0.0 < k_path <= 1.0 and 0.0 < k_time <= 1.0):
+            return None
+        # Re-derive K from the recovered weights so the consistency invariant
+        # holds to machine precision: 1 + K = (1 + K*k_p)(1 + K*k_t) gives
+        # K = (1 - k_p - k_t) / (k_p * k_t).
+        k_exact = (1.0 - k_path - k_time) / (k_path * k_time)
+        if k_exact <= -1.0 or k_exact == 0.0:
+            return None
+        try:
+            return UtilityModel(
+                attributes=curves,
+                form="multiplicative",
+                weights=(k_path, k_time, 0.0),
+                k=k_exact,
+                tag="multiplicative-calibrated",
+            )
+        except MalformedModel:
+            return None
+
+    def row_variance(model: UtilityModel) -> float:
+        scores = [joint_utility(row, model) for row in equivalence_rows]
+        return float(np.var(scores))
+
+    # Bracket sign changes of the coupling residual on both sides of K = 0
+    # (K = 0 itself is the degenerate additive root and is excluded).
+    negatives = sorted(-(10.0 ** (-4 + 4 * i / 80)) for i in range(81))
+    grid: list[float] = [k for k in negatives if k > -0.999]
+    grid += [10.0 ** (-4 + 8 * i / 160) for i in range(161)]
+    points = [(k, coupling(k)) for k in grid]
+
+    solutions: list[tuple[float, float, UtilityModel]] = []
+    for (k0, s0), (k1, s1) in zip(points, points[1:]):
+        if k0 * k1 <= 0 or not (s0 == 0.0 or s0 * s1 < 0):
+            continue
+        model = candidate(k0 if s0 == 0.0 else _bisect(coupling, k0, k1, s0))
+        if model is not None and (var := row_variance(model)) < _VARIANCE_FLOOR:
+            solutions.append((var, abs(model.k), model))
+
+    if not solutions:
+        raise CalibrationFailed(
+            "rows are inconsistent with a multiplicative utility "
+            f"(no solution reached variance < {_VARIANCE_FLOOR})"
+        )
+    return min(solutions, key=lambda item: item[:2])[2]
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
+    """A root of ``f`` between ``lo`` and ``hi``; ``f(lo) = flo`` and ``f(hi)`` differ in sign."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if flo * fm < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)

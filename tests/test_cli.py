@@ -131,7 +131,7 @@ class TestMinimin:
         )
         assert code == 2
         assert out == ""  # the model is read before the run
-        assert "MalformedModel: path_length" in err
+        assert err.startswith(f"eusearch: ValueError: {bad} path_length: with equivalence_rows")
 
     def test_deep_width4_lookahead_finishes(self, capsys):
         start = time.perf_counter()
@@ -256,7 +256,7 @@ class TestUnitRates:
     def test_config_value_of_a_wrong_type_fails_before_any_run(self, capsys, tmp_path, text, message):
         (tmp_path / "cfg.yaml").write_text(text + "\n")
         code, out, err = run_cli(capsys, "experiment", "--config", "cfg.yaml", "--quiet")
-        assert (code, out, err) == (2, "", f"eusearch: ValueError: {message}\n")
+        assert (code, out, err) == (2, "", f"eusearch: ValueError: cfg.yaml {message}\n")
 
     def test_fit_flags_reach_the_suite_and_the_fit(self, capsys, monkeypatch):
         suites, fits = [], []
@@ -338,11 +338,31 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
         (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,1,0.5\n4,0,1,2,1,4,x,7,1,0.5\n",
          "line 3: could not convert string to float: 'x'"),
         (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,1\n", "line 2: row has fewer cells than the header"),
+        (UTILITY, "attributes: [1]\n", "'list' object has no attribute 'items'"),
+        (UTILITY, "attributes:\n  path_length: {bound: 100}\nweights: [1]\n", "'list' object has no attribute 'get'"),
+        (MODEL, "kind: markov\naccuracy: {x: 0.9}\nbranching: {1: 2}\n", "invalid literal for int() with base 10: 'x'"),
+        (MODEL, "kind: markov\naccuracy: {1: 0.3}\nbranching: {1: 2}\n", "accuracy p_1=0.3 outside (0.5, 1]"),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100}\n"
+            "equivalence_rows:\n  - {path_length: 20, time_units: 8}\n  - {path_length: 68, time_units: 6}\n",
+            "bounds must include 'time_units'",
+        ),
+        (
+            UTILITY,
+            "equivalence_rows:\n  - {path_length: 10, time_units: 1}\n  - {path_length: 10, time_units: 9}\n",
+            "rows are inconsistent with a multiplicative utility (no solution reached variance < 1e-12)",
+        ),
+        (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,1,nan\n", "line 2: utility must lie in [0, 1], got nan"),
+        (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,1,1.7\n", "line 2: utility must lie in [0, 1], got 1.7"),
+        (("summarize", "--report"), HEADER + "4,0,1,30,1,4,12,7,1,0.5\n", "lookahead level must be in 1..24, got 30"),
     ],
     ids=[
         "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
         "outcome-space", "utility-bound", "row-time", "markov-shape", "markov-unknown", "utility-unknown",
-        "report-utility", "report-cell", "report-short",
+        "report-utility", "report-cell", "report-short", "attributes-shape", "weights-shape", "markov-level",
+        "markov-accuracy", "utility-bounds", "utility-rows", "report-nan-utility", "report-utility-range",
+        "report-level",
     ],
 )
 def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):
@@ -661,7 +681,7 @@ class TestExperimentCommand:
         cfg_path.write_text("depths: [4]\nlevels: [1, 25]\n")
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path), "--quiet")
         assert code == 2
-        assert err.startswith("eusearch: ValueError: lookahead level")
+        assert err.startswith(f"eusearch: ValueError: {cfg_path} lookahead level")
         assert generated == []
 
     @pytest.mark.parametrize("flag", ["--predict-samples", "--accuracy-states"])
@@ -689,7 +709,7 @@ class TestExperimentCommand:
         cfg_path.write_text("depths: [4]\nlevels: [1, 1, 2]\n")
         code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert (code, out) == (2, "")
-        assert err == "eusearch: ValueError: levels must not repeat, got [1, 1, 2]\n"
+        assert err == f"eusearch: ValueError: {cfg_path} levels must not repeat, got [1, 1, 2]\n"
 
     def test_summarize_a_report_with_a_repeated_row(self, capsys, tmp_path):
         # Each (depth, instance, level) cell is one run; a second copy is not

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,12 @@ from eusearch.utility import (
     joint_utility,
     utility_model_from_dict,
 )
+
+from oracles import calibrate_multiplicative_oracle
+from replay import replay_decisions
+
+# Rows that calibrate with K < 0.
+PINNED_ROWS = (Outcome(10, 9, 2), Outcome(50, 5, 2), Outcome(90, 1.5, 2))
 
 COIN_FLIP = Lottery.of([(10, 0.5), (90, 0.5)])
 CERTAIN_55 = Lottery.certain(55)
@@ -315,10 +322,31 @@ class TestCalibration:
         m = default_utility_model()
         assert repr(m.weights) == "(0.11989342806394335, 0.36944937833037317, 0.0)"
         assert repr(m.k) == "11.528668091168061"
-        rows = (Outcome(10, 9, 2), Outcome(50, 5, 2), Outcome(90, 1.5, 2))
-        m = calibrate_multiplicative(rows, DEFAULT_BOUNDS)
+        m = calibrate_multiplicative(PINNED_ROWS, DEFAULT_BOUNDS)
         assert repr(m.weights) == "(0.5258620689655179, 0.5603448275862076, 0.0)"
         assert repr(m.k) == "-0.29255989911728014"
+
+    def test_equals_the_grid_scan_oracle(self):
+        # Bisecting only the cell that holds the root gives what scanning the
+        # whole K grid gave: the weights and K by repr, or the error type.
+        sets = [*replay_decisions.utility_row_sets(300), DEFAULT_EQUIVALENCE_ROWS, PINNED_ROWS]
+
+        def result(calibrate, rows):
+            try:
+                m = calibrate(rows, DEFAULT_BOUNDS)
+            except Exception as exc:
+                return type(exc).__name__
+            return repr((m.weights, m.k))
+
+        got = [result(calibrate_multiplicative, rows) for rows in sets]
+        assert got == [result(calibrate_multiplicative_oracle, rows) for rows in sets]
+        assert 100 < sum(r != "CalibrationFailed" for r in got) < len(sets) - 100
+
+    def test_default_model_makes_at_most_60_least_squares_solves(self, monkeypatch):
+        lstsq, calls = np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+        default_utility_model()
+        assert 0 < len(calls) <= 60
 
     def test_model_invariants_hold(self):
         m = calibrate_multiplicative(DEFAULT_EQUIVALENCE_ROWS, DEFAULT_BOUNDS)
