@@ -14,6 +14,7 @@ from typing import Sequence
 from .exact import DEFAULT_NODE_BUDGET, bfs_optimal, idastar
 from .experiment import (
     ExperimentConfig,
+    csv_writer,
     fit_model,
     load_experiment_config,
     load_utility_model,
@@ -116,10 +117,10 @@ def cmd_accuracy(args) -> int:
     cache: dict = {}
     # Every level is scored before the header, so a failure prints nothing.
     rows = [
-        f"{level},{decision_accuracy(level, states, goal, dstar_cache=cache)!r},{len(states)}"
+        (level, repr(decision_accuracy(level, states, goal, dstar_cache=cache)), len(states))
         for level in cfg.levels
     ]
-    print("level,accuracy,n", *rows, sep="\n")
+    csv_writer(sys.stdout, ("level", "accuracy", "n")).writerows(rows)
     return 0
 
 
@@ -145,15 +146,12 @@ def cmd_select(args) -> int:
     print(f"chosen_level {report.chosen_level}")
     print(f"model {kind}[levels {model.levels[0]}..{model.levels[-1]}]")
     print(f"utility {utility.tag or utility.form}")
-    print("level,expected_utility")
-    for level in sorted(report.eu_by_level):
-        print(f"{level},{report.eu_by_level[level]!r}")
+    eus = [(level, repr(report.eu_by_level[level])) for level in sorted(report.eu_by_level)]
+    csv_writer(sys.stdout, ("level", "expected_utility")).writerows(eus)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("level,expected_utility,chosen\n")
-            for level in sorted(report.eu_by_level):
-                chosen = 1 if level == report.chosen_level else 0
-                fh.write(f"{level},{report.eu_by_level[level]!r},{chosen}\n")
+        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+            rows = [(level, eu, int(level == report.chosen_level)) for level, eu in eus]
+            csv_writer(fh, ("level", "expected_utility", "chosen")).writerows(rows)
     return 0
 
 

@@ -163,22 +163,25 @@ def _state_index(width: int, goal: tuple[int, ...]):
     tile order; only orders of parity ``parity[b]``, the one that
     ``is_reachable`` asks of blank cell b, reach the goal.  Ranks 2k and
     2k + 1 differ by a swap of the last two tiles, so state (b, k) has the
-    order in row k of ``_tile_orders(width * width)[parity[b]]``.  A
-    horizontal move keeps the order and so k; a vertical move carries one
-    tile past width - 1 others, and ``ranks[b, op][k]`` is the child's k.
+    order in row k of ``_tile_orders(width * width)[parity[b]]``.  Read-only
+    ``ranks[b, op][k]`` is the child's k for every move: a vertical one carries
+    a tile past width - 1 others; all horizontal ones share one identity map.
     Returns (parity, ranks); the orders are not kept.
     """
     cells = width * width
     parity = tuple(_reachable_parity(goal, b) for b in range(cells))
     orders = _tile_orders(cells)
     ranks = {}
+    same = np.arange(len(orders[0]), dtype=np.uint16)
     for b, moves in enumerate(moves_table(width)):
         order = orders[parity[b]]
         for op, j in moves:
+            ranks[b, op] = same
             if abs(j - b) > 1:
                 src = j - (j > b)
                 moved = np.insert(np.delete(order, src, axis=1), b - (b > j), order[:, src], axis=1)
                 ranks[b, op] = (_lehmer_ranks(moved) >> 1).astype(np.uint16)
+            ranks[b, op].flags.writeable = False
     return parity, ranks
 
 
@@ -200,8 +203,8 @@ def _distance_table(width: int, goal: tuple[int, ...]):
         depth += 1
         reached = np.zeros_like(frontier)
         for b, moves in enumerate(moves_table(width)):
-            for op, j in moves:  # a horizontal move keeps k
-                reached[j, ranks[b, op][frontier[b]] if (b, op) in ranks else frontier[b]] = True
+            for op, j in moves:
+                reached[j, ranks[b, op][frontier[b]]] = True
         frontier = reached & (dist == _UNREACHED)
         dist[frontier] = depth
     dist.flags.writeable = False

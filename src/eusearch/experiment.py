@@ -237,7 +237,7 @@ def run_experiment(
     utility = load_utility_model(cfg.utility_config)
     report = ExperimentReport(config=cfg)
     with open(csv_path, "w", newline="", encoding="utf-8") if csv_path else nullcontext() as sink:
-        writer = _report_writer(sink) if sink else None
+        writer = csv_writer(sink, REPORT_COLUMNS) if sink else None
         for depth in cfg.depths:
             say(f"depth {depth}: generating training suite")
             training = training_suite(
@@ -288,17 +288,17 @@ def _num(x: float):
     return int(x) if float(x).is_integer() else repr(float(x))
 
 
-def _report_writer(fh):
-    """A runs-CSV writer on ``fh`` that has already written and flushed the header row."""
+def csv_writer(fh, header: Sequence[str]):
+    """A CSV writer on ``fh`` that has already written and flushed ``header``."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
+    writer.writerow(header)
     fh.flush()
     return writer
 
 
 def report_csv_text(report: ExperimentReport) -> str:
     buf = io.StringIO()
-    writer = _report_writer(buf)
+    writer = csv_writer(buf, REPORT_COLUMNS)
     for row in report.rows:
         writer.writerow(_row_to_csv(row))
     return buf.getvalue()
@@ -505,8 +505,7 @@ def summary_csv_text(summary: Summary) -> str:
     """
     names = [f.name for f in fields(DepthSummary)]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scope", *names])
+    writer = csv_writer(buf, ["scope", *names])
     writer.writerow(["overall", *(getattr(summary, name, "") for name in names)])
     for d in summary.per_depth:
         writer.writerow(["depth", *(getattr(d, name) for name in names)])

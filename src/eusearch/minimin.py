@@ -271,9 +271,9 @@ def _value_table(width: int, goal: tuple[int, ...]):
     records which: W_l = h + 2 * popcount(word & (2**l - 1)), for every level
     up to ``MAX_LOOKAHEAD``.  Returns (rows, h, size, counted):
     ``rows[b][last]`` lists ``puzzle.moves_after``'s moves from cell ``b``
-    as (op, new blank, words, ranks), with the child's words by
-    its k in ``_state_index`` and the move's map of k (a range where k is
-    kept); ``h[b][k]`` is state (b, k)'s h; ``size`` is ``_tree_sizes``'.
+    as (op, new blank, words, ranks), with the child's words by its k in
+    ``_state_index`` and the move's map of k; ``h[b][k]`` is state (b, k)'s
+    h; ``size`` is ``_tree_sizes``'.
     ``counted[level]`` starts empty and maps ``b << 16 | k`` to the
     (nodes, stack peak) that ``_goal_counts`` gave state (b, k) at
     ``level``; it lives and dies with this (width, goal)'s table.  A tree is
@@ -299,7 +299,7 @@ def _value_table(width: int, goal: tuple[int, ...]):
     for bit in range(MAX_LOOKAHEAD - 1):
         values, below = below, values
         for b in range(cells):
-            via = 1 + np.stack([below[block[j, op]][ranks.get((b, op), slice(None))] for op, j in moves[b]])
+            via = 1 + np.stack([below[block[j, op]].take(ranks[b, op]) for op, j in moves[b]])
             for i, (op, _) in enumerate(moves[b]):  # arrived from the cell this op returns to
                 np.min(np.delete(via, i, axis=0), axis=0, out=values[block[b, _INVERSE[op]]])
         values[at_goal, goal_k] = 0
@@ -311,9 +311,8 @@ def _value_table(width: int, goal: tuple[int, ...]):
     words.flags.writeable = False
     views = [memoryview(row) for row in words]
     maps = {a: memoryview(m) for a, m in ranks.items()}
-    keep = range(len(h[0]))  # a horizontal move keeps k
     rows = tuple(tuple(
-        tuple((op, j, views[block[j, op]], maps.get((b, op), keep)) for op, j in row) for row in after
+        tuple((op, j, views[block[j, op]], maps[b, op]) for op, j in row) for row in after
     ) for b, after in enumerate(moves_after(width)))
     for row in h:
         row.flags.writeable = False

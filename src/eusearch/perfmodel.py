@@ -31,7 +31,7 @@ from .minimin import (  # noqa: F401
 )
 from .puzzle import ProblemInstance
 from .seeds import subseed
-from .utility import Lottery, check_keys
+from .utility import Lottery, _mapping, check_keys
 
 DEFAULT_MAX_LEN = 1000
 MAX_SAMPLES = 1_000_000  # ``_first_passage`` holds 8 bytes per sample and accuracy
@@ -384,13 +384,6 @@ def model_to_dict(model: MarkovParams | EmpiricalTable) -> dict:
             for (d, l), outcomes in sorted(model.cells.items())
         ],
     }
-
-
-def _mapping(value, name: str) -> Mapping:
-    """``value``, or a TypeError naming ``name`` when it is not a mapping."""
-    if not isinstance(value, Mapping):
-        raise TypeError(f"{name} must be a mapping, got {type(value).__name__}")
-    return value
 
 
 def _by_level(value, name: str, cast: Callable[[object], float]) -> dict[int, float]:

@@ -45,6 +45,13 @@ def check_keys(data: Mapping, known: Container[str]) -> None:
             raise ValueError(f"has unknown key {key!r}")
 
 
+def _mapping(value, name: str) -> Mapping:
+    """``value``, or a TypeError naming ``name`` when it is not a mapping."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{name} must be a mapping, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Lottery:
     """A finite probability distribution over outcomes or scalar values."""
@@ -332,7 +339,10 @@ def calibrate_multiplicative(
     and solved by least squares, which is linear in the right-hand side.  So
     the coupling residual A*B - C is K*(K*a*b - c) for the solution (a, b, c)
     at K = 1, with one nonzero root c/(a*b), which bisection refines in its
-    cell of the K grid.
+    cell of the K grid.  Rows that share a path utility but not a time
+    utility, or the reverse, are equal only at a zero weight, which the model
+    refuses: they raise CalibrationFailed before any solve, since a solve
+    would answer from rounding noise.
     """
     if len(equivalence_rows) < 2:
         raise ValueError("calibration needs at least two equivalence rows")
@@ -345,6 +355,12 @@ def calibrate_multiplicative(
                 )
     up = [curves[0].evaluate(row.path_length) for row in equivalence_rows]
     ut = [curves[1].evaluate(row.time_units) for row in equivalence_rows]
+    inconsistent = CalibrationFailed(
+        "rows are inconsistent with a multiplicative utility "
+        f"(no solution reached variance < {_VARIANCE_FLOOR})"
+    )
+    if (len(set(up)) == 1) != (len(set(ut)) == 1):
+        raise inconsistent
     # Row-equality differences, then the consistency row; the unknowns are (A, B, C).
     matrix = np.array(
         [
@@ -394,10 +410,7 @@ def calibrate_multiplicative(
         if s0 == 0.0 or s0 * coupling(hi) < 0:
             model = candidate(lo if s0 == 0.0 else _bisect(coupling, lo, hi, s0))
     if model is None:
-        raise CalibrationFailed(
-            "rows are inconsistent with a multiplicative utility "
-            f"(no solution reached variance < {_VARIANCE_FLOOR})"
-        )
+        raise inconsistent
     return model
 
 
@@ -453,7 +466,10 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
     check_keys(
         data, ("attributes", "equivalence_rows", "form", "weights", "master_k", "interactions", "tag")
     )
-    blocks = data.get("attributes", {})
+    blocks = {
+        name: _mapping(block, name)
+        for name, block in _mapping(data.get("attributes", {}), "attributes").items()
+    }
     rows = data.get("equivalence_rows")
     if rows:
         bounds = {
@@ -473,17 +489,17 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
                 time_units=float(r["time_units"]),
                 space_units=float(r.get("space_units", 0.0)),
             )
-            for r in rows
+            for r in [_mapping(r, "equivalence_rows entry") for r in rows]
         ]
         return calibrate_multiplicative(outcomes, bounds)
 
     attributes = [_attribute_from_block(name, block) for name, block in blocks.items()]
     names = [a.attribute for a in attributes]
-    weight_map = data.get("weights", {})
+    weight_map = _mapping(data.get("weights", {}), "weights")
     weights = tuple(float(weight_map.get(n, 0.0)) for n in names)
     interactions = tuple(
         (tuple(key.split("*", 1)), float(v))
-        for key, v in data.get("interactions", {}).items()
+        for key, v in _mapping(data.get("interactions", {}), "interactions").items()
     )
     return UtilityModel(
         attributes=tuple(attributes),

@@ -443,19 +443,26 @@ def test_reduced_full_runs_csv_fingerprint():
     assert csv_sha256(run_experiment(cfg)) == REDUCED_FULL_FINGERPRINT
 
 
-# Three of ``scripts/replay_decisions.py``'s digests: ``exact:`` over IDA* on
-# seeded walks at widths 2-4, ``search:`` over traced width-4 Minimin runs and
-# ``single decisions:`` over ``minimin_decide`` and ``decision_accuracy`` on
-# fixed samples, unreachable 3x3 states, an empty sample and the goal included.
+# Five of ``scripts/replay_decisions.py``'s six digests, all but ``all:``:
+# ``exact:`` over IDA* on seeded walks at widths 2-4, ``bfs:`` over
+# ``bfs_optimal`` on those at widths 2-3, ``search:`` over traced width-4
+# Minimin runs, ``single decisions:`` over ``minimin_decide`` and
+# ``decision_accuracy`` on fixed samples, unreachable 3x3 states, an empty
+# sample and the goal included, and ``utility:`` over calibrations of seeded
+# row sets and the default model's ``joint_utility``.
 REPLAY_EXACT_DIGEST = "b83730c2ca7b20086ce3e13a3f7589cdf445ff97a4de5668d90ae8d1109c39fa"
 REPLAY_SEARCH_DIGEST = "4c10c00da1ff14d300761f427f4a4cb756847410448cc2f76b06a8ed9ff107b7"
 REPLAY_SINGLE_DIGEST = "41bb6b15844a1ce012929b0f0b617dc3a217008d14a02899668c199c274b05e6"
+REPLAY_BFS_DIGEST = "a39d555f30841c9ea268f145aacf032f6613154976d2ffc3d8386607cf26ca63"
+REPLAY_UTILITY_DIGEST = "f49fa1d0722021f4e737958e23843e9e6c260f7daa21fe182ed413ed21f9934d"
 
 
 def test_replay_script_exact_and_search_digests():
     assert replay_decisions.solver_samples(idastar, replay_decisions.SOLVER_SIZES)[1] == REPLAY_EXACT_DIGEST
     assert replay_decisions.search_runs()[1] == REPLAY_SEARCH_DIGEST
     assert replay_decisions.single_decisions()[1] == REPLAY_SINGLE_DIGEST
+    assert replay_decisions.solver_samples(bfs_optimal, replay_decisions.SOLVER_SIZES[:2])[1] == REPLAY_BFS_DIGEST
+    assert replay_decisions.utility_samples()[1] == REPLAY_UTILITY_DIGEST
 
 
 def test_replay_script_tile_pairs_decode_traced_runs():

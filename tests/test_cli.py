@@ -338,8 +338,8 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
         (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,1,0.5\n4,0,1,2,1,4,x,7,1,0.5\n",
          "line 3: could not convert string to float: 'x'"),
         (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,1\n", "line 2: row has fewer cells than the header"),
-        (UTILITY, "attributes: [1]\n", "'list' object has no attribute 'items'"),
-        (UTILITY, "attributes:\n  path_length: {bound: 100}\nweights: [1]\n", "'list' object has no attribute 'get'"),
+        (UTILITY, "attributes: [1]\n", "attributes must be a mapping, got list"),
+        (UTILITY, "attributes:\n  path_length: {bound: 100}\nweights: [1]\n", "weights must be a mapping, got list"),
         (MODEL, "kind: markov\naccuracy: {x: 0.9}\nbranching: {1: 2}\n", "invalid literal for int() with base 10: 'x'"),
         (MODEL, "kind: markov\naccuracy: {1: 0.3}\nbranching: {1: 2}\n", "accuracy p_1=0.3 outside (0.5, 1]"),
         (
@@ -356,13 +356,20 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
         (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,1,nan\n", "line 2: utility must lie in [0, 1], got nan"),
         (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,1,1.7\n", "line 2: utility must lie in [0, 1], got 1.7"),
         (("summarize", "--report"), HEADER + "4,0,1,30,1,4,12,7,1,0.5\n", "lookahead level must be in 1..24, got 30"),
+        (UTILITY, "attributes: {path_length: 5}\n", "path_length must be a mapping, got int"),
+        (UTILITY, "equivalence_rows: [1, 2]\n", "equivalence_rows entry must be a mapping, got int"),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100}\nform: multilinear\ninteractions: [1]\n",
+            "interactions must be a mapping, got list",
+        ),
     ],
     ids=[
         "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
         "outcome-space", "utility-bound", "row-time", "markov-shape", "markov-unknown", "utility-unknown",
         "report-utility", "report-cell", "report-short", "attributes-shape", "weights-shape", "markov-level",
         "markov-accuracy", "utility-bounds", "utility-rows", "report-nan-utility", "report-utility-range",
-        "report-level",
+        "report-level", "block-shape", "row-shape", "interactions-shape",
     ],
 )
 def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):

@@ -28,6 +28,7 @@ from eusearch.puzzle import (
     goal_state,
     make_state,
     manhattan,
+    moves_table,
     random_walk,
     replay,
 )
@@ -303,20 +304,25 @@ class TestStateKey:
 
 class TestStateIndex:
     @pytest.mark.parametrize("width", [2, 3])
-    def test_vertical_moves_map_k_to_the_childs(self, width, distances3):
+    def test_every_move_maps_k_to_the_childs(self, width, distances3):
         goal = goal_state(width)
         states = distances3 if width == 3 else bfs_distances(goal)
         _, ranks = _state_index(width, goal.tiles)
-        checked = set()
+        assert set(ranks) == {(b, op) for b, moves in enumerate(moves_table(width)) for op, _ in moves}
+        k = {tiles: oracle_key(tiles)[1] for tiles in states}
+        steps = ((Op.UP, -1, 0), (Op.DOWN, 1, 0), (Op.LEFT, 0, -1), (Op.RIGHT, 0, 1))
         for tiles in states:
             b = tiles.index(0)
-            for op, j in ((Op.UP, b - width), (Op.DOWN, b + width)):
-                if 0 <= j < width * width:
+            r, c = divmod(b, width)
+            for op, dr, dc in steps:
+                if 0 <= r + dr < width and 0 <= c + dc < width:
                     child = list(tiles)
+                    j = b + dr * width + dc
                     child[b], child[j] = child[j], 0
-                    assert ranks[b, op][oracle_key(tiles)[1]] == oracle_key(child)[1]
-                    checked.add((b, op))
-        assert checked == set(ranks)
+                    assert ranks[b, op][k[tiles]] == k[tuple(child)]
+        assert not any(m.flags.writeable for m in ranks.values())
+        horizontal = {id(m) for (_, op), m in ranks.items() if op in (Op.LEFT, Op.RIGHT)}
+        assert len(horizontal) == 1
         assert all(len(m) == len(states) // width**2 for m in ranks.values())
 
     def test_generation_builds_no_value_table(self):

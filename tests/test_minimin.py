@@ -408,12 +408,10 @@ def other_class(s):
 def table_bytes(table):
     """Bytes held by a value table's profile words, rank maps and h rows."""
     rows, h = table[:2]
-    # Each move is a root move once; a range map holds no bytes.
-    return sum(
-        words.nbytes + (ranks.nbytes if isinstance(ranks, memoryview) else 0)
-        for row in rows
-        for *_, words, ranks in row[minimin._ROOT]
-    ) + sum(row.nbytes for row in h)
+    # Each move is a root move once; moves that share a map's array count it once.
+    moves = [move for row in rows for move in row[minimin._ROOT]]
+    maps = {id(ranks.obj): ranks.nbytes for *_, ranks in moves}
+    return sum(words.nbytes for *_, words, _ in moves) + sum(maps.values()) + sum(row.nbytes for row in h)
 
 
 class TestValueTable:

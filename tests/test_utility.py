@@ -1,3 +1,4 @@
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,17 @@ class TestCalibration:
         rows = (Outcome(10, 1, 1), Outcome(10, 9, 1))
         with pytest.raises(CalibrationFailed):
             calibrate_multiplicative(rows, DEFAULT_BOUNDS)
+
+    def test_rows_that_share_one_attribute_utility_fail(self):
+        # Only a zero weight on the other attribute scores these rows
+        # equally; a solve once returned a model with weight ~1e-16.
+        sets = [(Outcome(0, 2, 0), Outcome(0, 4, 0), Outcome(0, 0, 0))]
+        for a, b in combinations(range(10), 2):
+            sets += [(Outcome(shared, a, 0), Outcome(shared, b, 0)) for shared in (0, 50)]
+            sets += [(Outcome(10 * a, shared, 0), Outcome(10 * b, shared, 0)) for shared in (0, 5)]
+        for rows in sets:
+            with pytest.raises(CalibrationFailed):
+                calibrate_multiplicative(rows, DEFAULT_BOUNDS)
 
     def test_out_of_bound_row_fails(self):
         rows = (Outcome(120, 5, 1), Outcome(10, 5, 1))
