@@ -296,12 +296,8 @@ def csv_writer(fh, header: Sequence[str]):
     return writer
 
 
-def report_csv_text(report: ExperimentReport) -> str:
-    buf = io.StringIO()
-    writer = csv_writer(buf, REPORT_COLUMNS)
-    for row in report.rows:
-        writer.writerow(_row_to_csv(row))
-    return buf.getvalue()
+# A runs CSV's solved cells: 0 and 1 as written; True, true, False and false are read too.
+_SOLVED_CELLS = {"0": False, "1": True, "False": False, "True": True, "false": False, "true": True}
 
 
 def read_report_csv(path: str, config: ExperimentConfig | None = None) -> ExperimentReport:
@@ -312,7 +308,8 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
     3x3 diameter, then 4.  Raises IncompleteReport when the CSV has no rows,
     and a ValueError naming the file when its header lacks a column or the
     inferred config fails its checks, or naming the file and the line when a
-    row is short, a cell is no number or a utility lies outside [0, 1].
+    row is short, a cell is no number, a solved cell is no boolean or a
+    utility lies outside [0, 1].
     """
     rows: list[ReportRow] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -324,11 +321,13 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
             try:
                 if None in rec.values():  # DictReader fills a short row's missing cells with None
                     raise ValueError("row has fewer cells than the header")
+                if rec["solved"] not in _SOLVED_CELLS:
+                    raise ValueError(f"solved must be 0 or 1, got {rec['solved']!r}")
                 outcome = Outcome(
                     path_length=float(rec["path_length"]),
                     time_units=float(rec["time_units"]),
                     space_units=float(rec["space_units"]),
-                    solved=rec["solved"] in ("1", "True", "true"),
+                    solved=_SOLVED_CELLS[rec["solved"]],
                 )
                 utility = float(rec["utility"])
                 if not 0.0 <= utility <= 1.0:  # NaN included

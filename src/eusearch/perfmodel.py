@@ -31,7 +31,7 @@ from .minimin import (  # noqa: F401
 )
 from .puzzle import ProblemInstance
 from .seeds import subseed
-from .utility import Lottery, _mapping, check_keys
+from .utility import Lottery, _field, check_keys
 
 DEFAULT_MAX_LEN = 1000
 MAX_SAMPLES = 1_000_000  # ``_first_passage`` holds 8 bytes per sample and accuracy
@@ -350,12 +350,13 @@ def _outcome_to_dict(o: Outcome) -> dict:
 
 
 def _outcome_from_dict(data: Mapping) -> Outcome:
+    data = _field(data, "outcome", Mapping)
     return Outcome(
-        path_length=data["path_length"],
-        time_units=data["time_units"],
-        space_units=data["space_units"],
-        solved=bool(data.get("solved", True)),
-        extra=dict(_mapping(data.get("extra", {}), "extra")),
+        path_length=_field(data["path_length"], "path_length", float),
+        time_units=_field(data["time_units"], "time_units", float),
+        space_units=_field(data["space_units"], "space_units", float),
+        solved=_field(data.get("solved", True), "solved", bool),
+        extra=dict(_field(data.get("extra", {}), "extra", Mapping)),
     )
 
 
@@ -387,12 +388,12 @@ def model_to_dict(model: MarkovParams | EmpiricalTable) -> dict:
 
 
 def _by_level(value, name: str, cast: Callable[[object], float]) -> dict[int, float]:
-    return {int(l): cast(v) for l, v in _mapping(value, name).items()}
+    return {int(l): cast(v) for l, v in _field(value, name, Mapping).items()}
 
 
 def model_from_dict(data: Mapping) -> MarkovParams | EmpiricalTable:
     """The model ``data`` describes; ValueError for a top-level key its kind does not
-    know, TypeError for a field that is not a mapping where one is read."""
+    know, TypeError naming a field that does not hold the kind it is read as."""
     kind = data.get("kind")
     if kind == "markov":
         check_keys(data, ("kind", "accuracy", "branching", "max_len", "sample_sizes"))
@@ -406,11 +407,11 @@ def model_from_dict(data: Mapping) -> MarkovParams | EmpiricalTable:
         check_keys(data, ("kind", "cells", "sample_meta"))
         cells = {
             (int(cell["depth"]), int(cell["level"])): tuple(
-                _outcome_from_dict(o) for o in cell["outcomes"]
+                map(_outcome_from_dict, _field(cell["outcomes"], "outcomes", list))
             )
-            for cell in data["cells"]
+            for cell in (_field(c, "cell", Mapping) for c in _field(data["cells"], "cells", list))
         }
-        sample_meta = _mapping(data.get("sample_meta", {}), "sample_meta")
+        sample_meta = _field(data.get("sample_meta", {}), "sample_meta", Mapping)
         return EmpiricalTable(cells=cells, sample_meta=dict(sample_meta))
     raise ValueError(f"unknown model kind {kind!r}")
 

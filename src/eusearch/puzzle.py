@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Sequence
-
-
-class IllegalMove(Exception):
-    """An operator was applied to a state that does not admit it."""
+from typing import Sequence
 
 
 class Op(IntEnum):
@@ -34,10 +30,6 @@ class Op(IntEnum):
     @property
     def letter(self) -> str:
         return "UDLR"[self]
-
-    @property
-    def inverse(self) -> "Op":
-        return Op(_INVERSE[self])
 
 
 _INVERSE = (1, 0, 3, 2)
@@ -126,22 +118,6 @@ def parse_state(text: str) -> State:
 
 def format_state(s: State) -> str:
     return " ".join(str(t) for t in s.tiles)
-
-
-def legal_ops(s: State) -> tuple[Op, ...]:
-    """The operators applicable in ``s`` (2, 3, or 4 of them), in op order."""
-    return tuple(Op(op) for op, _ in moves_table(s.width)[s.blank])
-
-
-def apply_op(s: State, op: Op) -> State:
-    """Apply a blank move; raises IllegalMove if the blank cannot go there."""
-    blank = s.blank
-    for o, j in moves_table(s.width)[blank]:
-        if o == op:
-            tiles = list(s.tiles)
-            tiles[blank], tiles[j] = tiles[j], tiles[blank]
-            return State(tuple(tiles), s.width)
-    raise IllegalMove(f"operator {Op(op).name} not legal in state {s}")
 
 
 @lru_cache(maxsize=128)
@@ -263,14 +239,6 @@ class SolutionPath:
     @property
     def letters(self) -> str:
         return "".join(op.letter for op in self.moves)
-
-
-def replay(start: State, moves: Iterable[Op]) -> State:
-    """Apply a move sequence from ``start``; raises IllegalMove on a bad step."""
-    s = start
-    for op in moves:
-        s = apply_op(s, op)
-    return s
 
 
 def random_walk(goal: State, steps: int, seed: int) -> State:

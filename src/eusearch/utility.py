@@ -45,11 +45,21 @@ def check_keys(data: Mapping, known: Container[str]) -> None:
             raise ValueError(f"has unknown key {key!r}")
 
 
-def _mapping(value, name: str) -> Mapping:
-    """``value``, or a TypeError naming ``name`` when it is not a mapping."""
-    if not isinstance(value, Mapping):
-        raise TypeError(f"{name} must be a mapping, got {type(value).__name__}")
-    return value
+# What a file field read as each kind must hold.
+_KINDS = {Mapping: "a mapping", list: "a list", str: "a string", bool: "a boolean", float: "a number"}
+
+
+def _field(value, name: str, kind: type):
+    """``value`` read as ``kind``, one of ``_KINDS``, or a TypeError naming ``name``.
+
+    A number is an int or a float, not a bool, and reads as a float.
+    """
+    if kind is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif isinstance(value, kind):
+        return value
+    raise TypeError(f"{name} must be {_KINDS[kind]}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -72,10 +82,6 @@ class Lottery:
     @classmethod
     def of(cls, pairs: Iterable[tuple[object, float]]) -> "Lottery":
         return cls(tuple((v, float(p)) for v, p in pairs))
-
-    @classmethod
-    def certain(cls, value: object) -> "Lottery":
-        return cls(((value, 1.0),))
 
     @classmethod
     def uniform(cls, values: Sequence[object]) -> "Lottery":
@@ -440,15 +446,17 @@ def default_utility_model() -> UtilityModel:
 
 def _attribute_from_block(name: str, block: Mapping) -> AttributeUtility:
     """The curve of one ``attributes`` block of a config."""
-    bound = float(block["bound"])
+    bound = _field(block["bound"], f"{name} bound", float)
     curve = block.get("curve", "linear")
     if "points" in block:
-        pts = tuple((float(x), float(y)) for x, y in block["points"])
+        knots = [_field(knot, f"{name} knot", list) for knot in _field(block["points"], f"{name} points", list)]
+        pts = tuple((_field(x, f"{name} knot", float), _field(y, f"{name} knot", float)) for x, y in knots)
         return AttributeUtility(name, pts, bound)
+    best = _field(block.get("best", 0.0), f"{name} best", float)
     if curve == "free":
-        return AttributeUtility.free(name, bound, best=float(block.get("best", 0.0)))
+        return AttributeUtility.free(name, bound, best=best)
     if curve == "linear":
-        return AttributeUtility.linear(name, float(block.get("best", 0.0)), bound)
+        return AttributeUtility.linear(name, best, bound)
     raise MalformedModel(f"unknown curve kind {curve!r} for {name}")
 
 
@@ -467,13 +475,13 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
         data, ("attributes", "equivalence_rows", "form", "weights", "master_k", "interactions", "tag")
     )
     blocks = {
-        name: _mapping(block, name)
-        for name, block in _mapping(data.get("attributes", {}), "attributes").items()
+        name: _field(block, name, Mapping)
+        for name, block in _field(data.get("attributes", {}), "attributes", Mapping).items()
     }
-    rows = data.get("equivalence_rows")
+    rows = _field(data.get("equivalence_rows") or [], "equivalence_rows", list)
     if rows:
         bounds = {
-            name: float(block["bound"]) for name, block in blocks.items()
+            name: _field(block["bound"], f"{name} bound", float) for name, block in blocks.items()
         } or dict(DEFAULT_BOUNDS)
         curves = {c.attribute: c for c in _calibration_curves(bounds)}
         for name, block in blocks.items():
@@ -484,28 +492,27 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
                     "path_length, time_units (linear from 0) and space_units (free)"
                 )
         outcomes = [
-            Outcome(
-                path_length=float(r["path_length"]),
-                time_units=float(r["time_units"]),
-                space_units=float(r.get("space_units", 0.0)),
-            )
-            for r in [_mapping(r, "equivalence_rows entry") for r in rows]
+            Outcome(*(
+                _field(r[key], f"equivalence_rows {key}", float)
+                for key in ("path_length", "time_units", "space_units")
+            ))
+            for r in [{"space_units": 0.0, **_field(r, "equivalence_rows entry", Mapping)} for r in rows]
         ]
         return calibrate_multiplicative(outcomes, bounds)
 
     attributes = [_attribute_from_block(name, block) for name, block in blocks.items()]
     names = [a.attribute for a in attributes]
-    weight_map = _mapping(data.get("weights", {}), "weights")
-    weights = tuple(float(weight_map.get(n, 0.0)) for n in names)
+    weight_map = _field(data.get("weights", {}), "weights", Mapping)
+    weights = tuple(_field(weight_map.get(n, 0.0), f"weights {n}", float) for n in names)
     interactions = tuple(
-        (tuple(key.split("*", 1)), float(v))
-        for key, v in _mapping(data.get("interactions", {}), "interactions").items()
+        (tuple(_field(key, "interactions key", str).split("*", 1)), _field(v, f"interactions {key}", float))
+        for key, v in _field(data.get("interactions", {}), "interactions", Mapping).items()
     )
     return UtilityModel(
         attributes=tuple(attributes),
         form=data.get("form", "additive"),
         weights=weights,
-        k=float(data["master_k"]) if "master_k" in data else None,
+        k=_field(data["master_k"], "master_k", float) if "master_k" in data else None,
         interactions=interactions,  # type: ignore[arg-type]
         tag=str(data.get("tag", "")),
     )

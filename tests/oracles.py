@@ -1,6 +1,13 @@
 """Independent brute-force oracles used only by tests.
 
-These deliberately share no search code with the package: plain State-level
+From ``eusearch`` they import data types (``Op``, ``State``, ``Outcome``,
+``Lottery``, ``UtilityModel``), exceptions, and the utility and performance
+model pieces that the calibration and prediction oracles score with.  They
+import no move table and no heuristic: the blank's moves, their inverses and
+the Manhattan h are worked out here from row and column arithmetic.  Every
+search of the package is built on ``puzzle.moves_table`` and ``dist_table``,
+so an oracle built on them too would agree with a fault in them.  Beyond that
+the oracles share no search code with the package: plain State-level
 enumeration, fresh BFS, per-tile tallies, permutation ranks and parities by
 enumeration and cycle counting, and an IDA* that walks tiles tuples.
 """
@@ -14,8 +21,9 @@ from itertools import permutations
 
 import numpy as np
 
+from eusearch.exact import BudgetExhausted
 from eusearch.minimin import Outcome
-from eusearch.puzzle import Op, State, apply_op, legal_ops
+from eusearch.puzzle import Op, State
 from eusearch.utility import (
     _VARIANCE_FLOOR,
     DEFAULT_BOUNDS,
@@ -27,16 +35,69 @@ from eusearch.utility import (
     joint_utility,
 )
 
+# The blank's (row, column) step under each op, in op order.
+_STEPS = {Op.UP: (-1, 0), Op.DOWN: (1, 0), Op.LEFT: (0, -1), Op.RIGHT: (0, 1)}
+
+
+@lru_cache(maxsize=None)
+def cell_moves(width: int, cell: int) -> tuple[tuple[Op, int], ...]:
+    """The (op, new blank cell) pairs of a blank at ``cell``, in op order."""
+    r, c = divmod(cell, width)
+    return tuple(
+        (op, (r + dr) * width + c + dc)
+        for op, (dr, dc) in _STEPS.items()
+        if 0 <= r + dr < width and 0 <= c + dc < width
+    )
+
+
+def inverse(op: Op) -> Op:
+    """The op whose step undoes ``op``'s."""
+    dr, dc = _STEPS[op]
+    return next(o for o, step in _STEPS.items() if step == (-dr, -dc))
+
+
+def legal_ops(s: State) -> tuple[Op, ...]:
+    """The ops that keep the blank on the board, in op order."""
+    return tuple(op for op, _ in cell_moves(s.width, s.blank))
+
+
+def apply_op(s: State, op: Op) -> State:
+    """``s`` with the blank moved by ``op``; ValueError if that leaves the board."""
+    for o, j in cell_moves(s.width, s.blank):
+        if o == op:
+            tiles = list(s.tiles)
+            tiles[s.blank], tiles[j] = tiles[j], tiles[s.blank]
+            return State(tuple(tiles), s.width)
+    raise ValueError(f"{Op(op).name} moves the blank off the board in {s}")
+
+
+def replay(start: State, moves) -> State:
+    """``start`` after ``moves``, each applied by ``apply_op``."""
+    for op in moves:
+        start = apply_op(start, op)
+    return start
+
+
+@lru_cache(maxsize=None)
+def _goal_cells(goal: State) -> dict[int, tuple[int, int]]:
+    return {t: divmod(i, goal.width) for i, t in enumerate(goal.tiles)}
+
+
+def tile_distance(goal: State, tile: int, cell: int) -> int:
+    """|row delta| + |col delta| from ``cell`` to ``tile``'s cell in ``goal``."""
+    r, c = divmod(cell, goal.width)
+    gr, gc = _goal_cells(goal)[tile]
+    return abs(r - gr) + abs(c - gc)
+
 
 def manhattan_tally(s: State, goal: State) -> int:
-    """Per-tile |row delta| + |col delta| summed with explicit searches."""
+    """``tile_distance`` summed over the non-blank tiles, with the goal's cell map read once."""
+    cells = _goal_cells(goal)
     total = 0
-    for tile in range(1, s.width * s.width):
-        i = s.tiles.index(tile)
-        j = goal.tiles.index(tile)
-        r1, c1 = divmod(i, s.width)
-        r2, c2 = divmod(j, s.width)
-        total += abs(r1 - r2) + abs(c1 - c2)
+    for i, t in enumerate(s.tiles):
+        if t:
+            gr, gc = cells[t]
+            total += abs(i // s.width - gr) + abs(i % s.width - gc)
     return total
 
 
@@ -98,7 +159,7 @@ def random_walk_oracle(goal: State, steps: int, seed: int) -> State:
     rng = random.Random(seed)
     s, last = goal, None
     for _ in range(steps):
-        last = rng.choice([op for op in legal_ops(s) if last is None or op != last.inverse])
+        last = rng.choice([op for op in legal_ops(s) if last is None or op != inverse(last)])
         s = apply_op(s, last)
     return s
 
@@ -109,14 +170,13 @@ def exhaustive_lookahead(
     """Enumerate every root-to-leaf operator sequence of the lookahead tree.
 
     Sequences never immediately backtrack and stop early at the goal (scored
-    f = depth); full-length leaves score f = depth + manhattan.  Returns the
-    operator of the best first step (ties by Up < Down < Left < Right), its
-    backed-up value, the per-first-step value table, the number of nodes the
-    tree generates (every node but the root, goal and frontier nodes
-    included), and its peak stack: the root plus the deepest node's depth.
+    f = depth); full-length leaves score f = depth + ``manhattan_tally``.
+    Returns the operator of the best first step (ties by Up < Down < Left <
+    Right), its backed-up value, the per-first-step value table, the number
+    of nodes the tree generates (every node but the root, goal and frontier
+    nodes included), and its peak stack: the root plus the deepest node's
+    depth.
     """
-    from eusearch.puzzle import manhattan
-
     generated = 0
     deepest = 0
 
@@ -127,10 +187,10 @@ def exhaustive_lookahead(
         if state.tiles == goal.tiles:
             return depth
         if depth == level:
-            return depth + manhattan(state, goal)
+            return depth + manhattan_tally(state, goal)
         best = None
         for op in legal_ops(state):
-            if last is not None and op == last.inverse:
+            if last is not None and op == inverse(last):
                 continue
             value = paths_min(apply_op(state, op), depth + 1, op)
             if best is None or value < best:
@@ -172,22 +232,18 @@ def minimin_run_oracle(s: State, goal: State, level: int, max_moves: int, node_b
 def idastar_oracle(p, node_budget: int) -> tuple[int, int, int, str]:
     """IDA* on Manhattan distance that builds a tiles tuple for every node it generates.
 
-    The goal test compares tiles with the goal, each child's h is worked out
-    from ``dist_table`` for the tile it slides, and each next bound is the
-    least f seen above the last.  Returns (length, nodes generated, peak
-    stored, path letters); raises ``BudgetExhausted`` on the generation that
-    exceeds ``node_budget``.
+    Each node's children are ``cell_moves`` but the inverse of the op it was
+    reached by, the goal test compares tiles with the goal, each child's h is
+    worked out from ``tile_distance`` for the tile it slides, and each next
+    bound is the least f seen above the last.  Returns (length, nodes
+    generated, peak stored, path letters); raises ``BudgetExhausted`` on the
+    generation that exceeds ``node_budget``.
     """
-    from eusearch.exact import BudgetExhausted
-    from eusearch.puzzle import _ROOT, dist_table, moves_after
-
     start = p.initial.tiles
     goal = p.goal.tiles
-    after = moves_after(p.width)
-    dists = dist_table(p.width, goal)
     generated = 0
     peak_depth = 0
-    path_ops: list[int] = []
+    path_ops: list[Op] = []
     found = False
     inf = float("inf")
 
@@ -200,7 +256,9 @@ def idastar_oracle(p, node_budget: int) -> tuple[int, int, int, str]:
             found = True
             return f
         next_bound = inf
-        for op, j in after[blank][last_op]:
+        for op, j in cell_moves(p.width, blank):
+            if last_op is not None and op == inverse(last_op):
+                continue
             generated += 1
             if generated > node_budget:
                 raise BudgetExhausted(f"idastar exceeded node budget of {node_budget}")
@@ -209,18 +267,19 @@ def idastar_oracle(p, node_budget: int) -> tuple[int, int, int, str]:
             moved = tiles[j]
             peak_depth = max(peak_depth, g + 1)
             path_ops.append(op)
-            t = dfs(tuple(child), j, g + 1, hval + dists[moved][blank] - dists[moved][j], bound, op)
+            step = tile_distance(p.goal, moved, blank) - tile_distance(p.goal, moved, j)
+            t = dfs(tuple(child), j, g + 1, hval + step, bound, op)
             if found:
                 return t
             path_ops.pop()
             next_bound = min(next_bound, t)
         return next_bound
 
-    h0 = bound = sum(dists[t][i] for i, t in enumerate(start) if t)
+    h0 = bound = manhattan_tally(p.initial, p.goal)
     while True:
-        t = dfs(start, start.index(0), 0, h0, bound, _ROOT)
+        t = dfs(start, start.index(0), 0, h0, bound, None)
         if found:
-            return len(path_ops), generated, peak_depth + 1, "".join(Op(o).letter for o in path_ops)
+            return len(path_ops), generated, peak_depth + 1, "".join(op.letter for op in path_ops)
         if t == inf:
             raise BudgetExhausted("no solution within any bound")
         bound = int(t)

@@ -1,9 +1,20 @@
-"""Hand-built experiment reports for tests of the summary statistics."""
+"""Experiment reports for tests: hand-built ones for the summary statistics,
+and any report's runs CSV as text."""
 
 from __future__ import annotations
 
-from eusearch.experiment import ExperimentConfig, ExperimentReport, ReportRow
+import io
+
+from eusearch.experiment import REPORT_COLUMNS, ExperimentConfig, ExperimentReport, ReportRow
+from eusearch.experiment import _row_to_csv, csv_writer
 from eusearch.minimin import Outcome
+
+
+def report_csv_text(report: ExperimentReport) -> str:
+    """The runs CSV of ``report``, as ``eusearch experiment --out`` writes it."""
+    buf = io.StringIO()
+    csv_writer(buf, REPORT_COLUMNS).writerows(map(_row_to_csv, report.rows))
+    return buf.getvalue()
 
 
 def make_report(layout, levels=(1, 2, 3)):

@@ -363,13 +363,34 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
             "attributes:\n  path_length: {bound: 100}\nform: multilinear\ninteractions: [1]\n",
             "interactions must be a mapping, got list",
         ),
+        (UTILITY, "equivalence_rows: 5\n", "equivalence_rows must be a list, got int"),
+        (UTILITY, "equivalence_rows: {a: 1, b: 2}\n", "equivalence_rows must be a list, got dict"),
+        (UTILITY, "attributes:\n  path_length: {bound: 100}\nmaster_k: [1]\n", "master_k must be a number, got list"),
+        (UTILITY, "attributes:\n  path_length: {bound: x}\n", "path_length bound must be a number, got str"),
+        (MODEL, "kind: empirical\ncells: 7\n", "cells must be a list, got int"),
+        (MODEL, "kind: empirical\ncells:\n- {depth: 4, level: 1, outcomes: [5]}\n", "outcome must be a mapping, got int"),
+        (
+            MODEL,
+            "kind: empirical\ncells:\n"
+            "- {depth: 4, level: 1, outcomes: [{path_length: '4', time_units: 12, space_units: 7}]}\n",
+            "path_length must be a number, got str",
+        ),
+        (
+            MODEL,
+            "kind: empirical\ncells:\n"
+            "- {depth: 4, level: 1, outcomes: [{path_length: 4, time_units: 12, space_units: 7, solved: 'false'}]}\n",
+            "solved must be a boolean, got str",
+        ),
+        (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,x,0.5\n", "line 2: solved must be 0 or 1, got 'x'"),
     ],
     ids=[
         "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
         "outcome-space", "utility-bound", "row-time", "markov-shape", "markov-unknown", "utility-unknown",
         "report-utility", "report-cell", "report-short", "attributes-shape", "weights-shape", "markov-level",
         "markov-accuracy", "utility-bounds", "utility-rows", "report-nan-utility", "report-utility-range",
-        "report-level", "block-shape", "row-shape", "interactions-shape",
+        "report-level", "block-shape", "row-shape", "interactions-shape", "rows-number", "rows-mapping",
+        "master-k", "bound-text", "cells-number", "outcome-shape", "outcome-text", "outcome-solved",
+        "report-solved",
     ],
 )
 def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):

@@ -24,15 +24,20 @@ from eusearch.puzzle import (
     ProblemInstance,
     State,
     _state_key,
-    apply_op,
     goal_state,
     make_state,
-    manhattan,
-    moves_table,
     random_walk,
+)
+from oracles import (
+    apply_op,
+    bfs_distances,
+    cell_moves,
+    cycle_parity,
+    idastar_oracle,
+    lehmer_rank,
+    manhattan_tally,
     replay,
 )
-from oracles import bfs_distances, cycle_parity, idastar_oracle, lehmer_rank
 
 GOAL2 = goal_state(2)
 GOAL3 = goal_state(3)
@@ -260,7 +265,7 @@ class TestInstanceOfDepth:
 
     def test_depth_one(self):
         inst = instance_of_depth(1, width=3, seed=0)
-        assert manhattan(inst.initial, GOAL3) == 1
+        assert manhattan_tally(inst.initial, GOAL3) == 1
 
     def test_depth_verified_exactly(self):
         for d in (5, 10, 19):
@@ -308,18 +313,14 @@ class TestStateIndex:
         goal = goal_state(width)
         states = distances3 if width == 3 else bfs_distances(goal)
         _, ranks = _state_index(width, goal.tiles)
-        assert set(ranks) == {(b, op) for b, moves in enumerate(moves_table(width)) for op, _ in moves}
+        assert set(ranks) == {(b, op) for b in range(width * width) for op, _ in cell_moves(width, b)}
         k = {tiles: oracle_key(tiles)[1] for tiles in states}
-        steps = ((Op.UP, -1, 0), (Op.DOWN, 1, 0), (Op.LEFT, 0, -1), (Op.RIGHT, 0, 1))
         for tiles in states:
             b = tiles.index(0)
-            r, c = divmod(b, width)
-            for op, dr, dc in steps:
-                if 0 <= r + dr < width and 0 <= c + dc < width:
-                    child = list(tiles)
-                    j = b + dr * width + dc
-                    child[b], child[j] = child[j], 0
-                    assert ranks[b, op][k[tiles]] == k[tuple(child)]
+            for op, j in cell_moves(width, b):
+                child = list(tiles)
+                child[b], child[j] = child[j], 0
+                assert ranks[b, op][k[tiles]] == k[tuple(child)]
         assert not any(m.flags.writeable for m in ranks.values())
         horizontal = {id(m) for (_, op), m in ranks.items() if op in (Op.LEFT, Op.RIGHT)}
         assert len(horizontal) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from eusearch.experiment import (
     MAX_WORKERS,
+    REPORT_COLUMNS,
     ExperimentConfig,
     ExperimentReport,
     IncompleteReport,
@@ -12,7 +13,6 @@ from eusearch.experiment import (
     fit_model,
     load_experiment_config,
     read_report_csv,
-    report_csv_text,
     run_experiment,
     summarize,
     summary_csv_text,
@@ -23,7 +23,7 @@ from eusearch.experiment import (
 from eusearch.minimin import Outcome, _value_table
 from eusearch.perfmodel import load_model
 from eusearch.utility import default_utility_model, joint_utility
-from reports import make_report
+from reports import make_report, report_csv_text
 
 SMALL = ExperimentConfig(
     depths=(4, 6),
@@ -158,6 +158,13 @@ class TestRunExperiment:
                     utility,
                 )
                 assert rescored == float(rec["utility"])
+
+    def test_read_report_reads_each_solved_spelling(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        cells = ["1", "True", "true", "0", "False", "false"]
+        rows = "".join(f"4,{i},1,1,1,4,12,7,{cell},0.5\n" for i, cell in enumerate(cells))
+        path.write_text(",".join(REPORT_COLUMNS) + "\n" + rows)
+        assert [row.outcome.solved for row in read_report_csv(str(path)).rows] == [True] * 3 + [False] * 3
 
     def test_read_report_round_trip(self, tmp_path):
         path = str(tmp_path / "runs.csv")

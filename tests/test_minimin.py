@@ -27,15 +27,20 @@ from eusearch.puzzle import (
     ProblemInstance,
     State,
     _state_key,
-    apply_op,
     delta_moves,
     goal_state,
-    legal_ops,
-    manhattan,
     random_walk,
 )
 from eusearch.utility import AttributeMissing, attribute_value
-from oracles import bfs_distances, exhaustive_lookahead, minimin_run_oracle
+from oracles import (
+    apply_op,
+    bfs_distances,
+    exhaustive_lookahead,
+    inverse,
+    legal_ops,
+    manhattan_tally,
+    minimin_run_oracle,
+)
 from replay import tile_pairs
 
 GOAL3 = goal_state(3)
@@ -89,7 +94,7 @@ class TestDecide:
         for s in sample_states(30, 20, seed=1):
             op, value, _ = minimin_decide(s, GOAL3, 1)
             best = min(
-                (1 + manhattan(apply_op(s, o), GOAL3), int(o)) for o in legal_ops(s)
+                (1 + manhattan_tally(apply_op(s, o), GOAL3), int(o)) for o in legal_ops(s)
             )
             assert (value, int(op)) == best
 
@@ -126,7 +131,7 @@ def searched_decision(tiles, blank, goal, width, level):
     The kernel searches the board in place; it must hand it back unchanged.
     """
     board = list(tiles)
-    h0 = manhattan(State(tiles, width), State(goal, width))
+    h0 = manhattan_tally(State(tiles, width), State(goal, width))
     result = _ranked_decisions(board, blank, h0, delta_moves(width, goal), minimin._tree_sizes(width), level)
     assert board == list(tiles)
     return result
@@ -144,7 +149,7 @@ def assert_kernel_matches_oracle(s, goal, level, kernel=searched_decision):
     for _, op, child_blank, child_h in ranked:
         child = apply_op(s, Op(op))
         assert State(_child(s.tiles, s.blank, child_blank), s.width) == child
-        assert child_h == manhattan(child, goal)
+        assert child_h == manhattan_tally(child, goal)
     assert (nodes, peak) == (oracle_nodes, oracle_peak)
     assert minimin_decide(s, goal, level) == (oracle_op, oracle_value, oracle_nodes)
 
@@ -217,7 +222,7 @@ class TestKernelOracle:
             size = minimin._tree_sizes(goal.width)
             for seed in range(4):
                 s = walked_state(goal, steps, seed)
-                for level in range(1, min(manhattan(s, goal), MAX_LOOKAHEAD) + 1):
+                for level in range(1, min(manhattan_tally(s, goal), MAX_LOOKAHEAD) + 1):
                     _, nodes, peak = searched_decision(
                         s.tiles, s.blank, goal.tiles, s.width, level
                     )
@@ -291,12 +296,12 @@ def nodes_with_h_below_moves_left(s, goal, level):
     found = []
 
     def visit(state, depth, last):
-        h = manhattan(state, goal)
+        h = manhattan_tally(state, goal)
         if not 0 < h < level - depth:
             return
         found.append((depth, state.tiles, level - depth))
         for op in legal_ops(state):
-            if last is None or op != last.inverse:
+            if last is None or op != inverse(last):
                 visit(apply_op(state, op), depth + 1, op)
 
     visit(s, 0, None)
@@ -308,7 +313,7 @@ def nodes_with_a_goal_above_the_frontier(s, goal, level):
     has a goal strictly above the frontier below it, by enumerating the tree."""
 
     def children(state, last):
-        return [(apply_op(state, op), op) for op in legal_ops(state) if last is None or op != last.inverse]
+        return [(apply_op(state, op), op) for op in legal_ops(state) if last is None or op != inverse(last)]
 
     def goal_within(state, moves, last):
         # Whether the goal lies at most ``moves`` moves down this node's tree.

@@ -25,9 +25,9 @@ from eusearch.perfmodel import (
     predict,
     save_model,
 )
-from eusearch.puzzle import ProblemInstance, State, apply_op, goal_state, legal_ops
+from eusearch.puzzle import ProblemInstance, State, goal_state
 from eusearch.seeds import subseed
-from oracles import markov_predict_oracle
+from oracles import apply_op, legal_ops, markov_predict_oracle
 from replay import tile_pairs
 
 

@@ -124,8 +124,8 @@ class TestCompareAlgorithms:
             form="additive",
             weights=(0.5, 0.5),
         )
-        x = Lottery.certain(Outcome(0, 35.0, 0, extra={"cost_dollars": 7500.0}))
-        y = Lottery.certain(Outcome(0, 20160.0, 0, extra={"cost_dollars": 1250.0}))
+        x = Lottery.of([(Outcome(0, 35.0, 0, extra={"cost_dollars": 7500.0}), 1.0)])
+        y = Lottery.of([(Outcome(0, 20160.0, 0, extra={"cost_dollars": 1250.0}), 1.0)])
         best, eus = choose_max_eu([x, y], u)
         assert best == 0
         assert eus[1] == 0.0  # Y exceeds the one-day computation bound
@@ -133,15 +133,15 @@ class TestCompareAlgorithms:
 
     def test_identical_candidates_first_wins(self):
         u = default_utility_model()
-        lot = Lottery.certain(Outcome(30, 2.0, 1.0))
+        lot = Lottery.of([(Outcome(30, 2.0, 1.0), 1.0)])
         best, _ = choose_max_eu([lot, lot], u)
         assert best == 0
 
     def test_hand_computed_order(self):
         curve = AttributeUtility.linear("path_length", 0.0, 100.0)
         u = UtilityModel((curve,), "additive", (1.0,))
-        a = Lottery.certain(Outcome(60, 0, 0))  # utility 0.4
-        b = Lottery.certain(Outcome(10, 0, 0))  # utility 0.9
+        a = Lottery.of([(Outcome(60, 0, 0), 1.0)])  # utility 0.4
+        b = Lottery.of([(Outcome(10, 0, 0), 1.0)])  # utility 0.9
         best, eus = choose_max_eu([a, b], u)
         assert best == 1
         assert eus[0] == pytest.approx(0.4)
@@ -153,7 +153,7 @@ class TestCompareAlgorithms:
             "additive",
             (1.0,),
         )
-        lot = Lottery.certain(Outcome(1, 1, 1))
+        lot = Lottery.of([(Outcome(1, 1, 1), 1.0)])
         with pytest.raises(AttributeMissing):
             choose_max_eu([lot], u)
 

@@ -35,7 +35,7 @@ from replay import replay_decisions
 PINNED_ROWS = (Outcome(10, 9, 2), Outcome(50, 5, 2), Outcome(90, 1.5, 2))
 
 COIN_FLIP = Lottery.of([(10, 0.5), (90, 0.5)])
-CERTAIN_55 = Lottery.certain(55)
+CERTAIN_55 = Lottery.of([(55, 1.0)])
 
 RISK_AVERSE = AttributeUtility(
     "path_length", ((10.0, 1.0), (55.0, 0.6), (90.0, 0.0)), 90.0
@@ -82,7 +82,7 @@ class TestExpectedValue:
         assert expected_value(lot) == 60.5
 
     def test_rejects_non_scalar(self):
-        lot = Lottery.certain(Outcome(1, 1, 1))
+        lot = Lottery.of([(Outcome(1, 1, 1), 1.0)])
         with pytest.raises(TypeError):
             expected_value(lot)
 
@@ -103,7 +103,7 @@ class TestExpectedUtility:
         assert eu_gamble > eu_certain
 
     def test_degenerate_equals_curve(self):
-        assert expected_utility(Lottery.certain(30), RISK_AVERSE) == RISK_AVERSE.evaluate(30)
+        assert expected_utility(Lottery.of([(30, 1.0)]), RISK_AVERSE) == RISK_AVERSE.evaluate(30)
 
     def test_attribute_curve_scores_its_attribute_of_outcomes(self):
         curve = AttributeUtility.linear("path_length", 0.0, 100.0)
@@ -118,7 +118,7 @@ class TestExpectedUtility:
     def test_mixture_linearity(self, values, alpha):
         curve = AttributeUtility.linear("path_length", 0.0, 120.0)
         l1 = Lottery.uniform(values)
-        l2 = Lottery.certain(50)
+        l2 = Lottery.of([(50, 1.0)])
         mixture = Lottery.of(
             [(v, alpha * p) for v, p in l1.entries]
             + [(v, (1 - alpha) * p) for v, p in l2.entries]
@@ -142,7 +142,7 @@ class TestChooseMaxEu:
 
     def test_tie_breaks_to_lowest_index(self):
         curve = AttributeUtility.linear("path_length", 0.0, 100.0)
-        choices = [Lottery.certain(70), Lottery.certain(30), Lottery.certain(30)]
+        choices = [Lottery.of([(70, 1.0)]), Lottery.of([(30, 1.0)]), Lottery.of([(30, 1.0)])]
         idx, eus = choose_max_eu(choices, curve)
         assert eus == [pytest.approx(0.3), pytest.approx(0.7), pytest.approx(0.7)]
         assert idx == 1
@@ -523,7 +523,7 @@ TIME = AttributeUtility.linear("time_units", 0.0, 10.0)
             MalformedModel,
             "bad interaction pair",
         ),
-        (lambda: expected_utility(Lottery.certain(3.0), default_utility_model()), TypeError, "scores Outcomes"),
+        (lambda: expected_utility(Lottery.of([(3.0, 1.0)]), default_utility_model()), TypeError, "scores Outcomes"),
         (
             lambda: _calibration_curves({"path_length": 100.0, "time_units": 10.0}),
             ValueError,
