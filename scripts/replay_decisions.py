@@ -52,10 +52,10 @@ sys.path.insert(0, str(ROOT / "src"))
 from eusearch import minimin  # noqa: E402
 from eusearch.exact import bfs_optimal, idastar  # noqa: E402
 from eusearch.experiment import ExperimentConfig, load_experiment_config, run_experiment  # noqa: E402
-from eusearch.minimin import Outcome  # noqa: E402
 from eusearch.puzzle import ProblemInstance, State, goal_state, random_walk  # noqa: E402
 from eusearch.utility import (  # noqa: E402
     DEFAULT_BOUNDS,
+    Outcome,
     calibrate_multiplicative,
     default_utility_model,
     joint_utility,

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Print the calibrated default utility model and its equivalence-row scores."""
 
-from eusearch.minimin import Outcome
 from eusearch.utility import (
     DEFAULT_EQUIVALENCE_ROWS,
+    Outcome,
     default_utility_model,
     joint_utility,
 )

@@ -30,6 +30,7 @@ from .experiment import (
 from .minimin import ResourceLimits, check_level, decision_accuracy, minimin_run
 from .perfmodel import MarkovParams, load_model, save_model
 from .puzzle import ProblemInstance, goal_state, parse_state
+from .utility import OUTCOME_ATTRIBUTES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,9 +101,8 @@ def cmd_minimin(args) -> int:
     # The utility model is loaded before the run, so a bad file prints nothing.
     model = load_utility_model(cfg.utility_config) if cfg.utility_config or args.score else None
     outcome = minimin_run(instance, args.lookahead, cfg.limits)
-    print(f"path_length {int(outcome.path_length)}")
-    print(f"time_units {int(outcome.time_units)}")
-    print(f"space_units {int(outcome.space_units)}")
+    for name in OUTCOME_ATTRIBUTES:
+        print(f"{name} {int(getattr(outcome, name))}")
     print(f"solved {1 if outcome.solved else 0}")
     if model is not None:
         print(f"utility {score(cfg, model, outcome)!r}")

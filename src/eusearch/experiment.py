@@ -18,13 +18,13 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .exact import instance_of_depth
-from .minimin import Outcome, ResourceLimits, check_level, check_types, minimin_run
+from .minimin import ResourceLimits, check_level, check_types, minimin_run
 from .perfmodel import MAX_SAMPLES, EmpiricalTable, MarkovParams, fit_empirical, fit_markov, read_yaml
 from .puzzle import ProblemInstance
 from .seeds import subseed
 from .selector import SelectionReport, select_lookahead
-from .utility import UtilityModel, check_keys, default_utility_model, joint_utility
-from .utility import utility_model_from_dict
+from .utility import OUTCOME_ATTRIBUTES, Outcome, UtilityModel, check_keys, default_utility_model
+from .utility import joint_utility, utility_model_from_dict
 
 # Most evaluation processes; a forking pool starts all at once, once per depth.
 MAX_WORKERS = 64
@@ -43,9 +43,7 @@ REPORT_COLUMNS = (
     "seed",
     "level",
     "chosen",
-    "path_length",
-    "time_units",
-    "space_units",
+    *OUTCOME_ATTRIBUTES,
     "solved",
     "utility",
 )
@@ -276,9 +274,7 @@ def _row_to_csv(row: ReportRow) -> list:
         row.seed,
         row.level,
         row.chosen,
-        _num(o.path_length),
-        _num(o.time_units),
-        _num(o.space_units),
+        *(_num(getattr(o, name)) for name in OUTCOME_ATTRIBUTES),
         1 if o.solved else 0,
         repr(row.utility),
     ]
@@ -324,10 +320,7 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
                 if rec["solved"] not in _SOLVED_CELLS:
                     raise ValueError(f"solved must be 0 or 1, got {rec['solved']!r}")
                 outcome = Outcome(
-                    path_length=float(rec["path_length"]),
-                    time_units=float(rec["time_units"]),
-                    space_units=float(rec["space_units"]),
-                    solved=_SOLVED_CELLS[rec["solved"]],
+                    *(float(rec[name]) for name in OUTCOME_ATTRIBUTES), solved=_SOLVED_CELLS[rec["solved"]]
                 )
                 utility = float(rec["utility"])
                 if not 0.0 <= utility <= 1.0:  # NaN included

@@ -4,10 +4,10 @@ Each decision scores a depth-limited, full-width lookahead tree (the goal
 ends a branch, and ``puzzle.moves_after`` leaves out the inverse of the arc
 just taken) by f = g + manhattan at its frontier, backs the minimum up to
 the root, and commits to one move.
-Runs record node generations (time), peak stored nodes (space), and executed
-moves, counted as if the whole tree were walked.  The kernel walks only part
-of it: the counts come from a table of tree sizes plus a walk of the subtrees
-the goal cuts.  There are two kernels.  A run on a board of width <= 3
+A run ends in a ``utility.Outcome``: executed moves, node generations
+(time) and peak stored nodes (space), counted as if the whole tree were
+walked.  The kernel walks only part of it: the counts come from a table of
+tree sizes plus a walk of the subtrees the goal cuts.  There are two kernels.  A run on a board of width <= 3
 starts in its goal's parity class (``ProblemInstance`` admits no other
 state) and never leaves it, so it carries its state as (blank cell, k) in
 ``exact._state_index`` and reads h and each first move's value from a
@@ -38,6 +38,7 @@ import numpy as np
 from .exact import _TABLE_MAX_WIDTH, _distance_table, _state_index, _tile_orders, idastar
 from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, delta_moves
 from .puzzle import dist_table, manhattan, moves_after, moves_table
+from .utility import Outcome
 
 MAX_LOOKAHEAD = 24
 # A traced decision: the state it was made at and its top-ranked child, as
@@ -65,29 +66,6 @@ class ResourceLimits:
         check_types(self)
         if self.max_moves <= 0 or self.node_budget <= 0:
             raise ValueError("resource limits must be positive")
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """The attribute tuple of one run: moves, computation, peak space.
-
-    ``time_units`` counts node generations and ``space_units`` peak stored
-    nodes for real runs; converted outcomes (minutes, megabytes) use the same
-    fields.  ``extra`` holds optional additional attributes (e.g. monetary
-    cost) as a name -> value mapping.
-    """
-
-    path_length: float
-    time_units: float
-    space_units: float
-    solved: bool = True
-    extra: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        if isinstance(self.extra, dict):
-            object.__setattr__(self, "extra", tuple(sorted(self.extra.items())))
-        if not (self.path_length >= 0 and self.time_units >= 0 and self.space_units >= 0):
-            raise ValueError("outcome attributes must be nonnegative and not NaN")
 
 
 def _is_int(value) -> bool:

@@ -21,7 +21,6 @@ import numpy as np
 from .minimin import (  # noqa: F401
     Decision,
     EmptySample,
-    Outcome,
     ResourceLimits,
     _hit_rate,
     check_level,
@@ -31,7 +30,7 @@ from .minimin import (  # noqa: F401
 )
 from .puzzle import ProblemInstance
 from .seeds import subseed
-from .utility import Lottery, _field, check_keys
+from .utility import OUTCOME_ATTRIBUTES, Lottery, Outcome, _field, check_keys
 
 DEFAULT_MAX_LEN = 1000
 MAX_SAMPLES = 1_000_000  # ``_first_passage`` holds 8 bytes per sample and accuracy
@@ -338,12 +337,7 @@ def predict(
 
 
 def _outcome_to_dict(o: Outcome) -> dict:
-    data = {
-        "path_length": o.path_length,
-        "time_units": o.time_units,
-        "space_units": o.space_units,
-        "solved": o.solved,
-    }
+    data = {name: getattr(o, name) for name in (*OUTCOME_ATTRIBUTES, "solved")}
     if o.extra:
         data["extra"] = dict(o.extra)
     return data
@@ -351,12 +345,12 @@ def _outcome_to_dict(o: Outcome) -> dict:
 
 def _outcome_from_dict(data: Mapping) -> Outcome:
     data = _field(data, "outcome", Mapping)
+    check_keys(data, (*OUTCOME_ATTRIBUTES, "solved", "extra"))
+    extra = _field(data.get("extra", {}), "extra", Mapping)
     return Outcome(
-        path_length=_field(data["path_length"], "path_length", float),
-        time_units=_field(data["time_units"], "time_units", float),
-        space_units=_field(data["space_units"], "space_units", float),
+        *(_field(data[name], name, float) for name in OUTCOME_ATTRIBUTES),
         solved=_field(data.get("solved", True), "solved", bool),
-        extra=dict(_field(data.get("extra", {}), "extra", Mapping)),
+        extra={key: _field(value, f"extra {key}", float) for key, value in extra.items()},
     )
 
 
@@ -387,8 +381,9 @@ def model_to_dict(model: MarkovParams | EmpiricalTable) -> dict:
     }
 
 
-def _by_level(value, name: str, cast: Callable[[object], float]) -> dict[int, float]:
-    return {int(l): cast(v) for l, v in _field(value, name, Mapping).items()}
+def _by_level(value, name: str, kind: type) -> dict[int, float]:
+    pairs = _field(value, name, Mapping).items()
+    return {_field(l, f"{name} level", int): _field(v, f"{name} {l}", kind) for l, v in pairs}
 
 
 def model_from_dict(data: Mapping) -> MarkovParams | EmpiricalTable:
@@ -400,13 +395,13 @@ def model_from_dict(data: Mapping) -> MarkovParams | EmpiricalTable:
         return MarkovParams(
             accuracy=_by_level(data["accuracy"], "accuracy", float),
             branching=_by_level(data["branching"], "branching", float),
-            max_len=int(data.get("max_len", DEFAULT_MAX_LEN)),
+            max_len=_field(data.get("max_len", DEFAULT_MAX_LEN), "max_len", int),
             sample_sizes=_by_level(data.get("sample_sizes", {}), "sample_sizes", int),
         )
     if kind == "empirical":
         check_keys(data, ("kind", "cells", "sample_meta"))
         cells = {
-            (int(cell["depth"]), int(cell["level"])): tuple(
+            (_field(cell["depth"], "depth", int), _field(cell["level"], "level", int)): tuple(
                 map(_outcome_from_dict, _field(cell["outcomes"], "outcomes", list))
             )
             for cell in (_field(c, "cell", Mapping) for c in _field(data["cells"], "cells", list))

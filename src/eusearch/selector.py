@@ -6,9 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .minimin import Outcome
 from .perfmodel import EmpiricalTable, MarkovParams, predict
-from .utility import Lottery, UtilityModel, expected_utility
+from .utility import Lottery, Outcome, UtilityModel, expected_utility
 
 
 @dataclass(frozen=True)

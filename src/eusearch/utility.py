@@ -1,5 +1,7 @@
-"""Multiattribute utility: lotteries, attribute curves, joint utility, calibration.
+"""Multiattribute utility: outcomes, lotteries, attribute curves, joint utility, calibration.
 
+An ``Outcome`` is the attribute tuple of one run; every file form of an outcome
+lays out its built-in attributes as ``OUTCOME_ATTRIBUTES`` lists them.
 Outcomes are scored per attribute on nonincreasing piecewise-linear curves
 (utility 1 at the best value, 0 at a hard bound) and combined additively,
 multiplicatively, or multilinearly.  ``calibrate_multiplicative``
@@ -15,8 +17,6 @@ from functools import cached_property
 from typing import Callable, Container, Iterable, Mapping, Sequence, Union
 
 import numpy as np
-
-from .minimin import Outcome
 
 PROB_TOLERANCE = 1e-9
 _CONSISTENCY_TOL = 1e-7
@@ -46,19 +46,21 @@ def check_keys(data: Mapping, known: Container[str]) -> None:
 
 
 # What a file field read as each kind must hold.
-_KINDS = {Mapping: "a mapping", list: "a list", str: "a string", bool: "a boolean", float: "a number"}
+_KINDS = {
+    Mapping: "a mapping", list: "a list", str: "a string", bool: "a boolean", float: "a number", int: "an integer"
+}
 
 
 def _field(value, name: str, kind: type):
     """``value`` read as ``kind``, one of ``_KINDS``, or a TypeError naming ``name``.
 
-    A number is an int or a float, not a bool, and reads as a float.
+    A number is an int or a float, read as a float; an integer is an int; neither is a bool.
     """
-    if kind is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind is bool or not isinstance(value, bool):
+        if kind is float and isinstance(value, int):
             return float(value)
-    elif isinstance(value, kind):
-        return value
+        if isinstance(value, kind):
+            return value
     raise TypeError(f"{name} must be {_KINDS[kind]}, got {type(value).__name__}")
 
 
@@ -236,9 +238,36 @@ class UtilityModel:
         return min(1.0, max(0.0, value))
 
 
+# ``Outcome``'s built-in attributes, in field order.
+OUTCOME_ATTRIBUTES = ("path_length", "time_units", "space_units")
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """The attribute tuple of one run: moves, computation, peak space.
+
+    ``time_units`` counts node generations and ``space_units`` peak stored
+    nodes for real runs; converted outcomes (minutes, megabytes) use the same
+    fields.  ``extra`` holds optional additional attributes (e.g. monetary
+    cost) as a name -> value mapping.
+    """
+
+    path_length: float
+    time_units: float
+    space_units: float
+    solved: bool = True
+    extra: tuple[tuple[str, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if isinstance(self.extra, dict):
+            object.__setattr__(self, "extra", tuple(sorted(self.extra.items())))
+        if not (self.path_length >= 0 and self.time_units >= 0 and self.space_units >= 0):
+            raise ValueError("outcome attributes must be nonnegative and not NaN")
+
+
 def attribute_value(outcome: Outcome, name: str) -> float:
     """Look up an attribute on an outcome, checking ``extra`` for custom ones."""
-    if name in ("path_length", "time_units", "space_units"):
+    if name in OUTCOME_ATTRIBUTES:
         return getattr(outcome, name)
     for key, value in outcome.extra:
         if key == name:
@@ -450,6 +479,9 @@ def _attribute_from_block(name: str, block: Mapping) -> AttributeUtility:
     curve = block.get("curve", "linear")
     if "points" in block:
         knots = [_field(knot, f"{name} knot", list) for knot in _field(block["points"], f"{name} points", list)]
+        for knot in knots:
+            if len(knot) != 2:
+                raise MalformedModel(f"{name} knot must be a [value, utility] pair, got {knot}")
         pts = tuple((_field(x, f"{name} knot", float), _field(y, f"{name} knot", float)) for x, y in knots)
         return AttributeUtility(name, pts, bound)
     best = _field(block.get("best", 0.0), f"{name} best", float)
@@ -492,10 +524,7 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
                     "path_length, time_units (linear from 0) and space_units (free)"
                 )
         outcomes = [
-            Outcome(*(
-                _field(r[key], f"equivalence_rows {key}", float)
-                for key in ("path_length", "time_units", "space_units")
-            ))
+            Outcome(*(_field(r[key], f"equivalence_rows {key}", float) for key in OUTCOME_ATTRIBUTES))
             for r in [{"space_units": 0.0, **_field(r, "equivalence_rows entry", Mapping)} for r in rows]
         ]
         return calibrate_multiplicative(outcomes, bounds)

@@ -22,13 +22,13 @@ from itertools import permutations
 import numpy as np
 
 from eusearch.exact import BudgetExhausted
-from eusearch.minimin import Outcome
 from eusearch.puzzle import Op, State
 from eusearch.utility import (
     _VARIANCE_FLOOR,
     DEFAULT_BOUNDS,
     CalibrationFailed,
     MalformedModel,
+    Outcome,
     UtilityModel,
     _calibration_curves,
     attribute_value,

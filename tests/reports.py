@@ -7,7 +7,7 @@ import io
 
 from eusearch.experiment import REPORT_COLUMNS, ExperimentConfig, ExperimentReport, ReportRow
 from eusearch.experiment import _row_to_csv, csv_writer
-from eusearch.minimin import Outcome
+from eusearch.utility import Outcome
 
 
 def report_csv_text(report: ExperimentReport) -> str:

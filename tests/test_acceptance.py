@@ -15,14 +15,16 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 import eusearch.cli as cli
 from eusearch.exact import _distance_table, bfs_optimal, idastar, instance_of_depth
 from eusearch.experiment import (
+    REPORT_COLUMNS,
     ExperimentConfig,
     load_experiment_config,
     run_experiment,
@@ -31,14 +33,13 @@ from eusearch.experiment import (
     summary_table,
 )
 from eusearch.minimin import (
-    Outcome,
     ResourceLimits,
     _search_loop,
     _value_table,
     minimin_decide,
     minimin_trace,
 )
-from eusearch.perfmodel import MarkovParams, fit_markov, markov_predict
+from eusearch.perfmodel import EmpiricalTable, MarkovParams, fit_markov, markov_predict, save_model
 from eusearch.puzzle import (
     ProblemInstance,
     State,
@@ -49,8 +50,10 @@ from eusearch.puzzle import (
 from eusearch.utility import (
     DEFAULT_BOUNDS,
     DEFAULT_EQUIVALENCE_ROWS,
+    OUTCOME_ATTRIBUTES,
     AttributeUtility,
     Lottery,
+    Outcome,
     calibrate_multiplicative,
     choose_max_eu,
     expected_utility,
@@ -563,6 +566,30 @@ def test_every_public_name_has_a_reader_outside_the_tests():
         if not name.startswith("_") and name not in readers
     }
     assert unread == {"choose_max_eu", "expected_value"}
+
+
+def test_utility_imports_no_other_eusearch_module():
+    # ``utility`` owns the outcome and the utility that scores it; every other
+    # module builds on it, so it is a leaf of the import graph.
+    tree = ast.parse((Path(__file__).parents[1] / "src" / "eusearch" / "utility.py").read_text())
+    imports = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "eusearch")
+        or isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "eusearch" for a in node.names)
+    ]
+    assert imports == []
+
+
+def test_outcome_file_forms_follow_outcome_attributes(tmp_path):
+    # The runs CSV and model files lay out an outcome's attributes in the order
+    # ``OUTCOME_ATTRIBUTES`` gives, which is ``Outcome``'s field order.
+    path = tmp_path / "m.yaml"
+    save_model(EmpiricalTable(cells={(4, 1): (Outcome(4, 12, 6, extra={"cost": 2.5}),)}), str(path))
+    keys = list(yaml.safe_load(path.read_text())["cells"][0]["outcomes"][0])
+    assert tuple(f.name for f in fields(Outcome))[:3] == OUTCOME_ATTRIBUTES
+    assert REPORT_COLUMNS[5:8] == OUTCOME_ATTRIBUTES
+    assert tuple(keys[: keys.index("solved")]) == OUTCOME_ATTRIBUTES
 
 
 def test_benchmark_tracer_sees_every_fit_run(tracing, tmp_path, capsys):

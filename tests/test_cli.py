@@ -340,7 +340,7 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
         (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,1\n", "line 2: row has fewer cells than the header"),
         (UTILITY, "attributes: [1]\n", "attributes must be a mapping, got list"),
         (UTILITY, "attributes:\n  path_length: {bound: 100}\nweights: [1]\n", "weights must be a mapping, got list"),
-        (MODEL, "kind: markov\naccuracy: {x: 0.9}\nbranching: {1: 2}\n", "invalid literal for int() with base 10: 'x'"),
+        (MODEL, "kind: markov\naccuracy: {x: 0.9}\nbranching: {1: 2}\n", "accuracy level must be an integer, got str"),
         (MODEL, "kind: markov\naccuracy: {1: 0.3}\nbranching: {1: 2}\n", "accuracy p_1=0.3 outside (0.5, 1]"),
         (
             UTILITY,
@@ -382,6 +382,59 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
             "solved must be a boolean, got str",
         ),
         (("summarize", "--report"), HEADER + "4,0,1,1,1,4,12,7,x,0.5\n", "line 2: solved must be 0 or 1, got 'x'"),
+        (MODEL, "kind: markov\naccuracy: {1: '0.9'}\nbranching: {1: 2}\n", "accuracy 1 must be a number, got str"),
+        (MODEL, "kind: markov\naccuracy: {1: x}\nbranching: {1: 2}\n", "accuracy 1 must be a number, got str"),
+        (MODEL, "kind: markov\naccuracy: {1: true}\nbranching: {1: 2}\n", "accuracy 1 must be a number, got bool"),
+        (
+            MODEL,
+            "kind: markov\naccuracy: {1.5: 0.9}\nbranching: {1: 2}\n",
+            "accuracy level must be an integer, got float",
+        ),
+        (MODEL, "kind: markov\naccuracy: {1: 0.9}\nbranching: {1: x}\n", "branching 1 must be a number, got str"),
+        (
+            MODEL,
+            "kind: markov\naccuracy: {1: 0.9}\nbranching: {1: 2}\nsample_sizes: {1: 2.5}\n",
+            "sample_sizes 1 must be an integer, got float",
+        ),
+        (
+            MODEL,
+            "kind: markov\naccuracy: {1: 0.9}\nbranching: {1: 2}\nmax_len: true\n",
+            "max_len must be an integer, got bool",
+        ),
+        (
+            MODEL,
+            "kind: markov\naccuracy: {1: 0.9}\nbranching: {1: 2}\nmax_len: 2.5\n",
+            "max_len must be an integer, got float",
+        ),
+        (
+            MODEL,
+            "kind: empirical\ncells:\n"
+            "- {depth: 4, level: 1.5, outcomes: [{path_length: 4, time_units: 12, space_units: 7}]}\n",
+            "level must be an integer, got float",
+        ),
+        (
+            MODEL,
+            "kind: empirical\ncells:\n"
+            "- {depth: x, level: 1, outcomes: [{path_length: 4, time_units: 12, space_units: 7}]}\n",
+            "depth must be an integer, got str",
+        ),
+        (
+            MODEL,
+            "kind: empirical\ncells:\n"
+            "- {depth: 4, level: 1, outcomes: [{path_length: 4, time_units: 10, space_units: 5, solvd: false}]}\n",
+            "has unknown key 'solvd'",
+        ),
+        (
+            MODEL,
+            "kind: empirical\ncells:\n"
+            "- {depth: 4, level: 1, outcomes: [{path_length: 4, time_units: 10, space_units: 5, extra: {cost: x}}]}\n",
+            "extra cost must be a number, got str",
+        ),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100, points: [[0, 1, 2]]}\n",
+            "path_length knot must be a [value, utility] pair, got [0, 1, 2]",
+        ),
     ],
     ids=[
         "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
@@ -390,7 +443,9 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
         "markov-accuracy", "utility-bounds", "utility-rows", "report-nan-utility", "report-utility-range",
         "report-level", "block-shape", "row-shape", "interactions-shape", "rows-number", "rows-mapping",
         "master-k", "bound-text", "cells-number", "outcome-shape", "outcome-text", "outcome-solved",
-        "report-solved",
+        "report-solved", "accuracy-quoted", "accuracy-text", "accuracy-bool", "level-float", "branching-text",
+        "sample-sizes-float", "max-len-bool", "max-len-float", "cell-level", "cell-depth", "outcome-unknown",
+        "outcome-extra", "knot-pair",
     ],
 )
 def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):

@@ -20,9 +20,9 @@ from eusearch.experiment import (
     to_user_units,
     training_suite,
 )
-from eusearch.minimin import Outcome, _value_table
+from eusearch.minimin import _value_table
 from eusearch.perfmodel import load_model
-from eusearch.utility import default_utility_model, joint_utility
+from eusearch.utility import Outcome, default_utility_model, joint_utility
 from reports import make_report, report_csv_text
 
 SMALL = ExperimentConfig(

@@ -12,7 +12,6 @@ from eusearch.experiment import ExperimentConfig, run_experiment
 from eusearch.minimin import (
     MAX_LOOKAHEAD,
     EmptySample,
-    Outcome,
     ResourceLimits,
     decision_accuracy,
     minimin_decide,
@@ -31,7 +30,7 @@ from eusearch.puzzle import (
     goal_state,
     random_walk,
 )
-from eusearch.utility import AttributeMissing, attribute_value
+from eusearch.utility import AttributeMissing, Outcome, attribute_value
 from oracles import (
     apply_op,
     bfs_distances,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eusearch.exact import instance_of_depth
-from eusearch.minimin import EmptySample, Outcome, decision_accuracy, minimin_trace
+from eusearch.minimin import EmptySample, decision_accuracy, minimin_trace
 from eusearch.perfmodel import (
     _ACCURACY_FLOOR,
     _first_passage,
@@ -27,6 +27,7 @@ from eusearch.perfmodel import (
 )
 from eusearch.puzzle import ProblemInstance, State, goal_state
 from eusearch.seeds import subseed
+from eusearch.utility import Outcome
 from oracles import apply_op, legal_ops, markov_predict_oracle
 from replay import tile_pairs
 

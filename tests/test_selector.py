@@ -1,13 +1,13 @@
 import pytest
 
 from eusearch.experiment import to_user_units
-from eusearch.minimin import Outcome
 from eusearch.perfmodel import EmpiricalTable, MarkovParams
 from eusearch.selector import SelectionReport, select_lookahead
 from eusearch.utility import (
     AttributeMissing,
     AttributeUtility,
     Lottery,
+    Outcome,
     UtilityModel,
     choose_max_eu,
     default_utility_model,

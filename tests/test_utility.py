@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eusearch.experiment import load_utility_model
-from eusearch.minimin import Outcome
 from eusearch.utility import (
     DEFAULT_BOUNDS,
     DEFAULT_EQUIVALENCE_ROWS,
@@ -17,6 +16,7 @@ from eusearch.utility import (
     InvalidLottery,
     Lottery,
     MalformedModel,
+    Outcome,
     UtilityModel,
     _calibration_curves,
     calibrate_multiplicative,
