@@ -12,7 +12,10 @@ starts in its goal's parity class (``ProblemInstance`` admits no other
 state) and never leaves it, so it carries its state as (blank cell, k) in
 ``exact._state_index`` and reads h and each first move's value from a
 per-goal table of every state's backed-up values; the table also tells the
-walk exactly which subtrees hold a goal above the frontier.  A walked
+walk exactly which subtrees hold a goal above the frontier.  From those
+values each level a run uses gets one byte per state, built once beside
+the table: the top-ranked first move and whether its tree is full size, so
+a decision reads one entry and ranks the moves only to avoid a loop.  A walked
 tree's counts are kept with the table, per (level, state), so each is walked
 once per process: only states with 0 < d* < level are walked, which bounds
 the memo by the d* balls around the goal.  A traced 2x2 or 3x3 run records
@@ -247,7 +250,7 @@ def _value_table(width: int, goal: tuple[int, ...]):
     one undoing the arrival op.  Manhattan distance is consistent, so W rises
     by 0 or 2 per level (else the build raises); bit l - 1 of a profile word
     records which: W_l = h + 2 * popcount(word & (2**l - 1)), for every level
-    up to ``MAX_LOOKAHEAD``.  Returns (rows, h, size, counted):
+    up to ``MAX_LOOKAHEAD``.  Returns (rows, h, size, counted, policies):
     ``rows[b][last]`` lists ``puzzle.moves_after``'s moves from cell ``b``
     as (op, new blank, words, ranks), with the child's words by its k in
     ``_state_index`` and the move's map of k; ``h[b][k]`` is state (b, k)'s
@@ -258,7 +261,10 @@ def _value_table(width: int, goal: tuple[int, ...]):
     walked only when 0 < d* < level, so it holds at most the sum over the
     levels run of the d* ball sizes: 2,834 entries at levels 1-12, 19,600
     at 1-16 and 452,164 at 1-24 for the default 3x3 goal.
-    Only ``_table_loop`` and its count walk ``_goal_counts`` read it.
+    ``policies[level]`` starts None and holds ``_policy_table``'s bytes
+    once a run at ``level`` has built them: 9 * 20,160 bytes per 3x3 level.
+    Only ``_table_loop``, its count walk ``_goal_counts`` and its
+    ``_policy_table`` builds read it.
     """
     parity, ranks = _state_index(width, goal)
     moves = moves_table(width)
@@ -295,7 +301,30 @@ def _value_table(width: int, goal: tuple[int, ...]):
     for row in h:
         row.flags.writeable = False
     counted = tuple({} for _ in range(MAX_LOOKAHEAD + 1))
-    return rows, tuple(memoryview(row) for row in h), _tree_sizes(width), counted
+    return rows, tuple(memoryview(row) for row in h), _tree_sizes(width), counted, [None] * len(counted)
+
+
+def _policy_table(rows, h, level: int) -> tuple[bytes, ...]:
+    """Each state's depth-``level`` decision, ``policy[b][k]``, from a value table's rows and h.
+
+    An entry's low 2 bits are the index in ``rows[b][_ROOT]`` of the first
+    move of least value W = h + 2 * popcount(word & (2**(level - 1) - 1)),
+    in op order, and bit 2 is set iff W + 1 >= level: the tree holds no goal
+    above the frontier.  Each move's W * 4 + its index is taken in child
+    order, gathered to the parent's k by the move's ranks, and the least over
+    the moves kept.  That is done in uint16: a 3x3 table's W stays below 32,
+    but words of 23 bits and h up to 22 let W * 4 + 3 pass 255 at levels 22-24.
+    """
+    mask = np.uint32((1 << (level - 1)) - 1)
+    policy = []
+    for row in rows:
+        best = None
+        for i, (_, j, words, ranks) in enumerate(row[_ROOT]):
+            value = np.bitwise_count(np.asarray(words) & mask).astype(np.uint16) * 2 + np.asarray(h[j])
+            value = (value << 2 | i).take(np.asarray(ranks))
+            best = value if best is None else np.minimum(best, value, out=best)
+        policy.append((best & 3 | ((best >> 2) + 1 >= level) << 2).astype(np.uint8).tobytes())
+    return tuple(policy)
 
 
 def _goal_counts(rows, h, size, blank, k, level) -> tuple[int, int]:
@@ -381,17 +410,23 @@ def _table_loop(p, level, limits, trace) -> Outcome:
     """Minimin on a state carried as (blank, k), its h and values read from ``_value_table``.
 
     The top move is the first of least value in op order, as
-    ``_ranked_decisions`` ranks them.  Loop avoidance takes the first of
-    least value among the moves to states entered fewer than twice, if there
-    is one: the next in that ranking.  No run builds tiles: a traced one
-    records each decision as its state's key, blank << 16 | k, and its
-    top-ranked child's, taken before loop avoidance.  A root whose least
-    first-move value reaches ``level`` holds no goal above the frontier, so
-    its tree has the size in the table; any other tree is counted by
-    ``_goal_counts`` once, then read from the table's ``counted``.
+    ``_ranked_decisions`` ranks them: the level's ``_policy_table`` entry
+    names it, built on the run's first use of the level and kept in the
+    table's ``policies``.  Loop avoidance takes the first of least value
+    among the moves to states entered fewer than twice, if there is one: the
+    next in that ranking, which only then is computed from the words.  No
+    run builds tiles: a traced one records each decision as its state's key,
+    blank << 16 | k, and its top-ranked child's, taken before loop
+    avoidance.  A root whose least first-move value reaches ``level`` (the
+    entry's flag) holds no goal above the frontier, so its tree has the size
+    in the table; any other tree is counted by ``_goal_counts`` once, then
+    read from the table's ``counted``.
     """
-    rows, h, size, counted = _value_table(p.width, p.goal.tiles)
+    rows, h, size, counted, policies = _value_table(p.width, p.goal.tiles)
     known = counted[level]
+    policy = policies[level]
+    if policy is None:
+        policy = policies[level] = _policy_table(rows, h, level)
     blank, k, _ = _state_key(p.initial.tiles)
     mask = (1 << (level - 1)) - 1
     roots = [after[_ROOT] for after in rows]
@@ -405,13 +440,10 @@ def _table_loop(p, level, limits, trace) -> Outcome:
         if moves >= limits.max_moves or total_nodes >= limits.node_budget:
             return Outcome(limits.max_moves, total_nodes, peak_space, solved=False)
         row = roots[blank]
-        best = 1 << 30
-        for _, j, words, ranks in row:
-            child = ranks[k]
-            value = h[j][child] + 2 * (words[child] & mask).bit_count()
-            if value < best:
-                best, to, to_k = value, j, child
-        if best + 1 >= level:
+        entry = policy[blank][k]
+        _, to, _, ranks = row[entry & 3]
+        to_k = ranks[k]
+        if entry & 4:
             nodes, stack_peak = full[blank], level + 1
         else:
             counts = known.get(key)
@@ -419,18 +451,21 @@ def _table_loop(p, level, limits, trace) -> Outcome:
                 counts = known[key] = _goal_counts(rows, h, size, blank, k, level)
             nodes, stack_peak = counts
         total_nodes += nodes
+        child = to << 16 | to_k
         if trace is not None:
-            trace.append((key, to << 16 | to_k))
-        if visits.get(to << 16 | to_k, 0) >= 2:
+            trace.append((key, child))
+        entered = visits.get(child, 0)
+        if entered >= 2:
             best = 1 << 30
             for _, j, words, ranks in row:
-                child = ranks[k]
-                value = h[j][child] + 2 * (words[child] & mask).bit_count()
-                if value < best and visits.get(j << 16 | child, 0) < 2:
-                    best, to, to_k = value, j, child
-        blank, k = to, to_k
-        key = blank << 16 | k
-        visits[key] = visits.get(key, 0) + 1
+                other = ranks[k]
+                value = h[j][other] + 2 * (words[other] & mask).bit_count()
+                if value < best and visits.get(j << 16 | other, 0) < 2:
+                    best, to, to_k = value, j, other
+            child = to << 16 | to_k
+            entered = visits.get(child, 0)
+        blank, k, key = to, to_k, child
+        visits[key] = entered + 1
         moves += 1
         stored = stack_peak + len(visits)
         if stored > peak_space:

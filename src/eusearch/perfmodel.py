@@ -350,7 +350,7 @@ def _outcome_from_dict(data: Mapping) -> Outcome:
     return Outcome(
         *(_field(data[name], name, float) for name in OUTCOME_ATTRIBUTES),
         solved=_field(data.get("solved", True), "solved", bool),
-        extra={key: _field(value, f"extra {key}", float) for key, value in extra.items()},
+        extra={_field(k, "extra key", str): _field(v, f"extra {k}", float) for k, v in extra.items()},
     )
 
 
@@ -388,7 +388,8 @@ def _by_level(value, name: str, kind: type) -> dict[int, float]:
 
 def model_from_dict(data: Mapping) -> MarkovParams | EmpiricalTable:
     """The model ``data`` describes; ValueError for a top-level key its kind does not
-    know, TypeError naming a field that does not hold the kind it is read as."""
+    know or a second cell at one (depth, level), TypeError naming a field that does
+    not hold the kind it is read as."""
     kind = data.get("kind")
     if kind == "markov":
         check_keys(data, ("kind", "accuracy", "branching", "max_len", "sample_sizes"))
@@ -400,12 +401,12 @@ def model_from_dict(data: Mapping) -> MarkovParams | EmpiricalTable:
         )
     if kind == "empirical":
         check_keys(data, ("kind", "cells", "sample_meta"))
-        cells = {
-            (_field(cell["depth"], "depth", int), _field(cell["level"], "level", int)): tuple(
-                map(_outcome_from_dict, _field(cell["outcomes"], "outcomes", list))
-            )
-            for cell in (_field(c, "cell", Mapping) for c in _field(data["cells"], "cells", list))
-        }
+        cells = {}
+        for cell in (_field(c, "cell", Mapping) for c in _field(data["cells"], "cells", list)):
+            depth, level = _field(cell["depth"], "depth", int), _field(cell["level"], "level", int)
+            if (depth, level) in cells:
+                raise ValueError(f"cells has two cells for depth {depth}, level {level}")
+            cells[depth, level] = tuple(map(_outcome_from_dict, _field(cell["outcomes"], "outcomes", list)))
         sample_meta = _field(data.get("sample_meta", {}), "sample_meta", Mapping)
         return EmpiricalTable(cells=cells, sample_meta=dict(sample_meta))
     raise ValueError(f"unknown model kind {kind!r}")

@@ -435,6 +435,25 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
             "attributes:\n  path_length: {bound: 100, points: [[0, 1, 2]]}\n",
             "path_length knot must be a [value, utility] pair, got [0, 1, 2]",
         ),
+        (
+            MODEL,
+            "kind: empirical\ncells:\n"
+            "- {depth: 4, level: 1, outcomes: [{path_length: 4, time_units: 10, space_units: 5}]}\n"
+            "- {depth: 4, level: 1, outcomes: [{path_length: 9, time_units: 30, space_units: 8}]}\n",
+            "cells has two cells for depth 4, level 1",
+        ),
+        (
+            MODEL,
+            "kind: empirical\ncells:\n"
+            "- {depth: 4, level: 1, outcomes: [{path_length: 4, time_units: 10, space_units: 5, extra: {1: 2}}]}\n",
+            "extra key must be a string, got int",
+        ),
+        (
+            MODEL,
+            "kind: empirical\ncells:\n- {depth: 4, level: 1, outcomes:\n"
+            "  [{path_length: 4, time_units: 10, space_units: 5, extra: {1: 2, cost: 3}}]}\n",
+            "extra key must be a string, got int",
+        ),
     ],
     ids=[
         "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
@@ -445,7 +464,7 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
         "master-k", "bound-text", "cells-number", "outcome-shape", "outcome-text", "outcome-solved",
         "report-solved", "accuracy-quoted", "accuracy-text", "accuracy-bool", "level-float", "branching-text",
         "sample-sizes-float", "max-len-bool", "max-len-float", "cell-level", "cell-depth", "outcome-unknown",
-        "outcome-extra", "knot-pair",
+        "outcome-extra", "knot-pair", "cells-twice", "extra-key", "extra-keys-mixed",
     ],
 )
 def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):

@@ -326,7 +326,8 @@ class TestStateIndex:
         assert len(horizontal) == 1
         assert all(len(m) == len(states) // width**2 for m in ranks.values())
 
-    def test_generation_builds_no_value_table(self):
+    def test_generation_builds_no_value_table(self, policy_builds):
         _value_table.cache_clear()
         instance_of_depth(20, 3, seed=1)
         assert _value_table.cache_info().currsize == 0
+        assert policy_builds == []

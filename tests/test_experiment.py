@@ -22,6 +22,7 @@ from eusearch.experiment import (
 )
 from eusearch.minimin import _value_table
 from eusearch.perfmodel import load_model
+from eusearch.puzzle import goal_state
 from eusearch.utility import Outcome, default_utility_model, joint_utility
 from reports import make_report, report_csv_text
 
@@ -119,13 +120,17 @@ class TestRunExperiment:
         parallel = run_experiment(parallel_cfg)
         assert report_csv_text(serial) == report_csv_text(parallel)
 
-    def test_table_state_does_not_change_the_report(self):
+    def test_table_state_does_not_change_the_report(self, policy_builds):
         cfg = replace(SMALL, levels=(2, 7, 9))
         _value_table.cache_clear()
         cold = run_experiment(cfg)
         assert _value_table.cache_info().currsize == 1
+        # The fit and the evaluation runs build each level's policy table once.
+        rows = _value_table(cfg.width, goal_state(cfg.width).tiles)[0]
+        assert sorted(policy_builds, key=lambda build: build[1]) == [(rows, 2), (rows, 7), (rows, 9)]
         warm = run_experiment(cfg)
         assert _value_table.cache_info().hits
+        assert len(policy_builds) == 3
         assert warm == cold
 
     def test_csv_flushed_to_disk(self, tmp_path):

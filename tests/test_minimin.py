@@ -2,6 +2,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from eusearch.minimin import (
     minimin_run,
     minimin_trace,
     _child,
+    _policy_table,
     _ranked_decisions,
     _value_table,
 )
@@ -530,15 +532,16 @@ class TestValueTable:
                 oracle_op, oracle_value, _, oracle_nodes, _ = exhaustive_lookahead(s, GOAL3, level)
                 assert minimin_decide(s, GOAL3, level) == (oracle_op, oracle_value, oracle_nodes)
 
-    def test_single_decisions_build_no_table(self):
+    def test_single_decisions_build_no_table(self, policy_builds):
         _value_table.cache_clear()
         s = walked_state(GOAL3, 12, 5)
         for state in (s, other_class(s)):
             for level in (1, 6, 18):
                 minimin_decide(state, GOAL3, level)
         assert _value_table.cache_info().misses == 0
+        assert policy_builds == []
 
-    def test_goals_never_share_a_table(self):
+    def test_goals_never_share_a_table(self, policy_builds):
         other = State((0, 1, 2, 3, 4, 5, 6, 7, 8), 3)
         _value_table.cache_clear()
         s = walked_state(GOAL3, 12, 5)
@@ -547,6 +550,10 @@ class TestValueTable:
         assert got == expected != expected_other == got_other
         assert _value_table.cache_info().currsize == 2
         assert _value_table(3, GOAL3.tiles) is not _value_table(3, other.tiles)
+        # Nor a policy table: each goal builds its own level 8 from its own rows.
+        tables = [_value_table(3, goal.tiles) for goal in (GOAL3, other)]
+        assert policy_builds == [(tables[0][0], 8), (tables[1][0], 8)]
+        assert tables[0][4] is not tables[1][4] and tables[0][4][8] != tables[1][4][8]
         # Nor a count memo: each holds its own goal's goal-cut trees, which a
         # 2x2 table's keys would alias, and keeps counting as the search.
         for goal in (GOAL3, other, GOAL2):
@@ -559,22 +566,28 @@ class TestValueTable:
         assert len({id(known) for counted in memos for known in counted}) == 3 * (MAX_LOOKAHEAD + 1)
         for goal in (GOAL3, other, GOAL2):
             assert assert_counted_only_goal_cut_trees(goal.width, goal) > 0
+        rows = [_value_table(goal.width, goal.tiles)[0] for goal in (GOAL3, other, GOAL2)]
+        assert sorted((rows.index(built), level) for built, level in policy_builds) == [
+            (0, 8), (0, 10), (1, 8), (1, 10), (2, 10)
+        ]
 
-    def test_width4_never_builds_a_table(self):
+    def test_width4_never_builds_a_table(self, policy_builds):
         _value_table.cache_clear()
         s = walked_state(GOAL4, 30, 1)
         for level in (1, 7):
             assert_kernel_matches_oracle(s, GOAL4, level)
         minimin_run(ProblemInstance(s, GOAL4), 3)
         assert _value_table.cache_info().misses == 0
+        assert policy_builds == []
 
-    def test_distance_queries_never_build_a_table(self):
+    def test_distance_queries_never_build_a_table(self, policy_builds):
         # Instance generation and d* lookups are all deep_generation and
         # select_sweep do; they must not pay for the build.
         _value_table.cache_clear()
         inst = instance_of_depth(20, 3, seed=1)
         assert exact_distance(inst.initial, inst.goal) == 20
         assert _value_table.cache_info().misses == 0
+        assert policy_builds == []
 
     def test_resident_size_is_bounded(self):
         assert table_bytes(_value_table(3, GOAL3.tiles)) <= 3 * 2**20
@@ -593,6 +606,96 @@ class TestValueTable:
         monkeypatch.setattr(minimin, "dist_table", lambda width, goal: doubled)
         with pytest.raises(RuntimeError):
             _value_table.__wrapped__(2, GOAL2.tiles)
+
+
+def ranked_entry(rows, h, blank, k, level):
+    """The policy entry of state (blank, k), ranked move by move from the value table: the
+    index of the first root move of least W = h + 2 * popcount(word & mask), plus 4 iff
+    W + 1 >= level."""
+    mask = (1 << (level - 1)) - 1
+    best = 1 << 30
+    for i, (_, j, words, ranks) in enumerate(rows[blank][minimin._ROOT]):
+        child = ranks[k]
+        value = h[j][child] + 2 * (words[child] & mask).bit_count()
+        if value < best:
+            best, top = value, i
+    return top | (best + 1 >= level) << 2
+
+
+def assert_policy_is_the_ranking(rows, h, level, states):
+    """``_policy_table(rows, h, level)`` holds ``ranked_entry`` at each (blank, k) in ``states``."""
+    policy = _policy_table(rows, h, level)
+    assert [(b, k) for b, k in states if policy[b][k] != ranked_entry(rows, h, b, k, level)] == []
+
+
+def sampled_keys(h, count, rng):
+    """``count`` (blank, k) pairs drawn uniformly over the blank cells, then over k."""
+    return [(b, rng.randrange(len(h[b]))) for b in (rng.randrange(len(h)) for _ in range(count))]
+
+
+class TestPolicyTable:
+    """Each entry of a level's policy table is the value table's ranking of the root moves."""
+
+    def test_every_3x3_state_at_levels_1_12_24(self):
+        rows, h = _value_table(3, GOAL3.tiles)[:2]
+        every = [(b, k) for b in range(9) for k in range(len(h[b]))]
+        assert len(every) == 181_440
+        for level in (1, 12, MAX_LOOKAHEAD):
+            assert_policy_is_the_ranking(rows, h, level, every)
+
+    def test_every_2x2_state_at_every_level(self):
+        rows, h = _value_table(2, GOAL2.tiles)[:2]
+        every = [(b, k) for b in range(4) for k in range(len(h[b]))]
+        for level in range(1, MAX_LOOKAHEAD + 1):
+            assert_policy_is_the_ranking(rows, h, level, every)
+
+    def test_sampled_3x3_states_at_every_level(self):
+        rows, h = _value_table(3, GOAL3.tiles)[:2]
+        rng = random.Random(33)
+        for level in range(1, MAX_LOOKAHEAD + 1):
+            assert_policy_is_the_ranking(rows, h, level, sampled_keys(h, 2000, rng))
+
+    def test_every_value_the_words_can_hold(self):
+        # A 3x3 table's values stay below 32, but its words hold up to 23
+        # bits and h up to 22, so W * 4 + 3 can pass 255 at levels 22-24.
+        # Words with nearly every bit set reach there.
+        rows, h = _value_table(3, GOAL3.tiles)[:2]
+        gen = np.random.default_rng(33)
+        full = (1 << (MAX_LOOKAHEAD - 1)) - 1
+
+        def dense(n):
+            words = full ^ (1 << gen.integers(0, MAX_LOOKAHEAD - 1, n)).astype(np.uint32)
+            return memoryview(np.where(gen.random(n) < 0.5, words, gen.integers(0, full + 1, n)).astype(np.uint32))
+
+        fake = {}
+        rows = tuple(tuple(
+            tuple((op, j, fake.setdefault(id(words), dense(len(words))), ranks) for op, j, words, ranks in after)
+            for after in row
+        ) for row in rows)
+        h = tuple(memoryview(gen.integers(0, 23, len(row)).astype(np.uint8)) for row in h)
+        rng = random.Random(34)
+        for level in range(1, MAX_LOOKAHEAD + 1):
+            assert_policy_is_the_ranking(rows, h, level, sampled_keys(h, 2000, rng))
+
+    def test_runs_keep_one_table_per_level_with_the_value_table(self, policy_builds):
+        _value_table.cache_clear()
+        p = ProblemInstance(walked_state(GOAL3, 30, 3), GOAL3)
+        minimin_run(p, 9)
+        rows, _, _, _, policies = _value_table(3, GOAL3.tiles)
+        assert [level for level, policy in enumerate(policies) if policy] == [9]
+        assert policy_builds == [(rows, 9)]
+        for level in range(1, MAX_LOOKAHEAD + 1):
+            minimin_run(p, level)
+            minimin_trace(p, level)
+        assert sorted(level for _, level in policy_builds) == list(range(1, MAX_LOOKAHEAD + 1))
+        assert policies[0] is None
+        for policy in policies[1:]:
+            assert [type(cell) for cell in policy] == [bytes] * 9
+            assert sum(map(len, policy)) == 9 * 20160
+        _value_table.cache_clear()
+        minimin_run(p, 9)
+        assert _value_table(3, GOAL3.tiles)[4] is not policies
+        assert len(policy_builds) == MAX_LOOKAHEAD + 1
 
 
 def assert_table_run_is_the_search(p, level, limits):
