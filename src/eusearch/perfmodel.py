@@ -33,7 +33,9 @@ from .seeds import subseed
 from .utility import OUTCOME_ATTRIBUTES, Lottery, Outcome, _field, check_keys
 
 DEFAULT_MAX_LEN = 1000
-MAX_SAMPLES = 1_000_000  # ``_first_passage`` holds 8 bytes per sample and accuracy
+# ``_first_passage`` holds 2 bytes per sample and accuracy, 3 when max_len > 255:
+# a down counter of ``np.min_scalar_type(max_len)`` and an alive flag.
+MAX_SAMPLES = 1_000_000
 _ACCURACY_FLOOR = 0.501
 
 
@@ -98,28 +100,34 @@ def nodes_per_decision(params: MarkovParams, level: int) -> float:
 def _first_passage(
     d: int, ps: tuple[float, ...], max_len: int, samples: int, seed: int
 ) -> np.ndarray:
-    """First absorption step of each walk from ``d``, one row per p in ``ps``.
+    """How many walks from ``d`` are first absorbed at each step, one row per p in ``ps``.
 
-    Every row reads the same uniform draws, so with ``ps`` ascending a higher
-    p's walk is never above a lower p's: once the lowest p's walks are all
-    absorbed, so are the rest.  Entry 0 means alive at ``max_len``.  A walk
-    is at 0 after k steps when (d + k) / 2 of them went down.  The array is
-    read-only because the cache shares it.
+    Entry k >= 1 counts the walks first at 0 after k steps, entry 0 those still
+    alive at ``max_len``, so each row sums to ``samples``.  Every row reads the
+    same uniform draws, so with ``ps`` ascending a higher p's walk is never
+    above a lower p's: once the lowest p's walks are all absorbed, so are the
+    rest, and the walk stops there.  The rows run to that step, not to
+    ``max_len``.  A walk is at 0 after k steps when (d + k) / 2 of them went
+    down.  The array is read-only because the cache shares it.
     """
     rng = np.random.default_rng(seed)
     column = np.array(ps)[:, None]
-    downs = np.zeros((len(ps), samples), dtype=np.int32)
-    first = np.zeros((len(ps), samples), dtype=np.int32)
+    downs = np.zeros((len(ps), samples), dtype=np.min_scalar_type(max_len))
+    alive = np.ones((len(ps), samples), dtype=bool)
+    left = [np.full(len(ps), samples)]  # walks alive after steps 0, 1, ...
     for step in range(1, max_len + 1):
         downs += rng.random(samples) < column
-        if (d + step) % 2 == 0:
-            hit = downs == (d + step) // 2
-            first[hit] = step
-            downs[hit] = -max_len - 1  # an absorbed walk never matches again
-            if first[0].all():
-                break
-    first.flags.writeable = False
-    return first
+        if (d + step) % 2:
+            left.append(left[-1])
+            continue
+        alive &= downs != (d + step) // 2
+        left.append(np.count_nonzero(alive, axis=1))
+        if not left[-1][0]:
+            break
+    left = np.column_stack(left)
+    counts = np.column_stack([left[:, -1], -np.diff(left)])
+    counts.flags.writeable = False
+    return counts
 
 
 def markov_predict(
@@ -134,9 +142,11 @@ def markov_predict(
     Per move the remaining distance drops by 1 with probability p_level, else
     rises by 1; absorption at 0 ends the walk.  Entries are solved outcomes
     by length, then one unsolved outcome of length ``max_len`` for the walks
-    still alive there.  Deterministic given ``seed``.  One cached walk serves
-    every level: each step's row of uniform draws moves the walks of all of
-    ``params``' accuracies, coupling them sample by sample.
+    still alive there, each with probability count / ``samples``.
+    Deterministic given ``seed``.  One cached walk serves every level: each
+    step's row of uniform draws moves the walks of all of ``params``'
+    accuracies, coupling them sample by sample, and the walk keeps only how
+    many of each accuracy's walks end at each step.
     """
     if d < 1:
         raise ValueError("depth must be >= 1")
@@ -145,22 +155,21 @@ def markov_predict(
     if level not in params.accuracy:
         raise MissingAccuracy(f"no accuracy estimate for level {level}")
     ps = tuple(sorted(set(params.accuracy.values())))
-    first = _first_passage(d, ps, params.max_len, samples, seed)
-    lengths = first[ps.index(params.accuracy[level])]
+    counts = _first_passage(d, ps, params.max_len, samples, seed)
+    counts = counts[ps.index(params.accuracy[level])].tolist()
     npd = nodes_per_decision(params, level)
-    # A walk alive at max_len (entry 0) sorts after those absorbed there.
-    keys = np.where(lengths > 0, lengths, params.max_len + 1)
-    unique, counts = np.unique(keys, return_counts=True)
+    # Walks alive at max_len (entry 0) come after those absorbed there.
+    ends = [k for k in range(1, len(counts)) if counts[k]] + [0] * (counts[0] > 0)
     entries: list[tuple[Outcome, float]] = []
-    for key, count in zip(unique.tolist(), counts.tolist()):
-        length = min(key, params.max_len)
+    for k in ends:
+        length = k or params.max_len
         outcome = Outcome(
             path_length=float(length),
             time_units=float(length) * npd,
             space_units=float(level + 1) + float(length + 1),
-            solved=key <= params.max_len,
+            solved=k > 0,
         )
-        entries.append((outcome, count / samples))
+        entries.append((outcome, counts[k] / samples))
     return Lottery.of(entries)
 
 

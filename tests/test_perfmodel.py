@@ -208,6 +208,56 @@ class TestSharedWalk:
         with pytest.raises(ValueError):
             first[0, 0] = 1
 
+    @pytest.mark.parametrize(
+        "accuracies",
+        [
+            (0.543, 0.543, 0.615, 1.0),
+            (0.6, 0.6, 0.75, 0.75, 0.9),
+            (0.501, 0.55, 0.55, 0.7625, 0.999, 1.0),
+            (0.543, 0.615, 0.615, 0.74375, 0.74375, 0.7625, 1.0),
+        ],
+    )
+    def test_matches_oracle_at_desk_scale(self, accuracies):
+        # The desk's regime: 8,000 samples, the 100-move cap, deep depths.
+        levels = range(1, len(accuracies) + 1)
+        params = MarkovParams(
+            accuracy=dict(zip(levels, accuracies)),
+            branching={l: 1.5 for l in levels},
+            max_len=100,
+        )
+        for d in (16, 20, 31):
+            for level in levels:
+                got = markov_predict(params, d, level, samples=8000, seed=d)
+                want = markov_predict_oracle(params, d, level, 8000, d)
+                assert got.entries == want.entries
+
+    @pytest.mark.parametrize("max_len", [1, 127, 128, 255, 256, 1000])
+    def test_counter_dtype_edges_match_oracle(self, max_len):
+        # Depths past the cap absorb nothing; from depth 300 the absorbing
+        # count (d + step) // 2 is above 255, whatever the counter's dtype.
+        params = MarkovParams(
+            accuracy={1: 0.501, 2: 0.6, 3: 0.6, 4: 1.0},
+            branching={l: 1.5 for l in range(1, 5)},
+            max_len=max_len,
+        )
+        ps = (0.501, 0.6, 1.0)
+        for d in sorted({1, max_len - 1 or 1, max_len, max_len + 1, 300, 700}):
+            for level in params.levels:
+                got = markov_predict(params, d, level, samples=300, seed=max_len)
+                want = markov_predict_oracle(params, d, level, 300, max_len)
+                assert got.entries == want.entries
+            counts = _first_passage(d, ps, max_len, 300, max_len)
+            assert counts.sum(axis=1).tolist() == [300] * len(ps)
+            solved = 300 - counts[:, 0]
+            assert (np.diff(solved) >= 0).all()
+            assert counts.shape[1] <= max_len + 1
+
+    def test_counts_are_sized_by_the_steps_walked(self):
+        params = MarkovParams(accuracy={1: 1.0}, branching={1: 1.5}, max_len=10**6)
+        lot = markov_predict(params, 31, 1, samples=1000, seed=0)
+        assert [(o.path_length, o.solved, p) for o, p in lot.entries] == [(31.0, True, 1.0)]
+        assert _first_passage(31, (1.0,), 10**6, 1000, 0).shape == (1, 32)
+
 
 class TestFitMarkov:
     def test_goal_adjacent_training_is_perfect(self):
