@@ -28,7 +28,7 @@ from .experiment import (
     training_suite,
 )
 from .minimin import ResourceLimits, check_level, decision_accuracy, minimin_run
-from .perfmodel import MarkovParams, load_model, save_model
+from .perfmodel import MODEL_KINDS, MarkovParams, load_model, save_model
 from .puzzle import ProblemInstance, goal_state, parse_state
 from .utility import OUTCOME_ATTRIBUTES
 
@@ -56,7 +56,10 @@ def _parse_levels(text: str) -> tuple[int, ...]:
 
 
 def _parse_depths(text: str) -> tuple[int, ...]:
-    return tuple(int(d) for d in text.split(","))
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise ValueError(f"depths must be integers, got {text!r}") from None
 
 
 def _instance_from_args(args) -> ProblemInstance:
@@ -82,6 +85,33 @@ def _settings(args, base: ExperimentConfig, **fixed) -> ExperimentConfig:
 
     limits = replace(base.limits, **overrides(ResourceLimits))
     return replace(base, **overrides(ExperimentConfig), limits=limits)
+
+
+# Settings flags spelled other than as their field's name with hyphens.
+_SPELLINGS = {
+    "instances_per_depth": ("--instances",),
+    "train_instances_per_depth": ("--train-per-depth",),
+    "accuracy_states_per_level": ("--accuracy-states",),
+    "utility_config": ("--utility",),
+    "model_kind": ("--model-kind", "--kind"),
+    "gen_attempts": ("--gen-attempts", "--attempts"),
+    "predict_samples": ("--predict-samples", "--samples"),
+}
+
+
+def _add_settings(parser, *names: str) -> None:
+    """One flag per named ``ExperimentConfig`` or ``ResourceLimits`` field, or per field
+    when none is named.  Its dest is the field, so ``_settings`` reads it, and it has no
+    default; its type follows the field's annotation text: ``int``, ``float``, else text
+    that ``_settings`` parses."""
+    for f in (*fields(ExperimentConfig), *fields(ResourceLimits)):
+        if f.name != "limits" and (not names or f.name in names):
+            parser.add_argument(
+                *_SPELLINGS.get(f.name, ("--" + f.name.replace("_", "-"),)),
+                dest=f.name,
+                type={"int": int, "float": float}.get(f.type, str),
+                choices=MODEL_KINDS if f.name == "model_kind" else None,
+            )
 
 
 def cmd_solve(args) -> int:
@@ -182,16 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tile-puzzle search with expected-utility lookahead selection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # A flag whose dest names an ExperimentConfig or ResourceLimits field sets it, and
-    # one left unset keeps the config's value (see _settings).
-
-    def add_limits(p):
-        p.add_argument("--max-moves", type=int)
-        p.add_argument("--node-budget", type=int)
-
-    def add_units(p):
-        p.add_argument("--gens-per-minute", type=float)
-        p.add_argument("--nodes-per-megabyte", type=float)
 
     p = sub.add_parser("solve", help="exact shortest-path solve")
     p.add_argument("--instance", required=True, help="row-major tiles, 0 = blank")
@@ -204,70 +224,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--goal", default=None)
     p.add_argument("--lookahead", type=int, required=True)
-    add_limits(p)
     p.add_argument("--score", action="store_true", help="also print joint utility")
-    p.add_argument("--utility", dest="utility_config", metavar="UTILITY", help="utility config YAML")
-    add_units(p)
+    _add_settings(p, "max_moves", "node_budget", "utility_config", "gens_per_minute", "nodes_per_megabyte")
     p.set_defaults(func=cmd_minimin)
 
     p = sub.add_parser("accuracy", help="estimate per-level decision accuracy")
-    p.add_argument("--levels")
     p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--width", type=int)
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--attempts", type=int, dest="gen_attempts", metavar="ATTEMPTS")
+    _add_settings(p, "levels", "width", "seed", "gen_attempts")
     p.set_defaults(func=cmd_accuracy)
 
     p = sub.add_parser("fit", help="fit a performance model and save it")
-    p.add_argument("--kind", choices=("markov", "empirical"), dest="model_kind")
-    p.add_argument("--depths")
-    p.add_argument(
-        "--train-per-depth", type=int, dest="train_instances_per_depth", metavar="TRAIN_PER_DEPTH"
-    )
-    p.add_argument("--levels")
-    p.add_argument("--width", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--attempts", type=int, dest="gen_attempts", metavar="ATTEMPTS")
-    add_limits(p)
     p.add_argument("--out", required=True)
+    _add_settings(
+        p, "model_kind", "depths", "train_instances_per_depth", "accuracy_states_per_level",
+        "levels", "width", "seed", "gen_attempts", "max_moves", "node_budget",
+    )
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("select", help="select the best lookahead level")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--model", required=True, help="model YAML from `fit`")
-    p.add_argument("--levels")
-    p.add_argument("--utility", dest="utility_config", metavar="UTILITY")
-    p.add_argument("--samples", type=int, dest="predict_samples", metavar="SAMPLES")
-    p.add_argument("--seed", type=int)
     p.add_argument("--extrapolate", action="store_true")
-    add_units(p)
     p.add_argument("--csv", default=None)
+    _add_settings(
+        p, "levels", "utility_config", "predict_samples", "seed", "gens_per_minute", "nodes_per_megabyte"
+    )
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("experiment", help="run the full selection experiment")
     p.add_argument("--config", default=None, help="experiment config YAML")
-    p.add_argument("--depths", default=None)
-    p.add_argument("--instances", type=int, dest="instances_per_depth", metavar="INSTANCES")
-    p.add_argument("--levels", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--model-kind", choices=("markov", "empirical"), default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--utility", dest="utility_config", metavar="UTILITY")
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument(
-        "--train-per-depth", type=int, dest="train_instances_per_depth", metavar="TRAIN_PER_DEPTH"
-    )
-    p.add_argument(
-        "--accuracy-states", type=int, dest="accuracy_states_per_level", metavar="ACCURACY_STATES"
-    )
-    p.add_argument("--predict-samples", type=int, default=None)
-    add_units(p)
-    p.add_argument("--gen-attempts", type=int, default=None)
-    add_limits(p)
     p.add_argument("--out", default=None, help="write per-run rows CSV here")
     p.add_argument("--summary-csv", default=None)
     p.add_argument("--quiet", action="store_true")
+    _add_settings(p)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("summarize", help="summary statistics from a report CSV")

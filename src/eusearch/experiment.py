@@ -19,7 +19,8 @@ from typing import Callable, Mapping, Sequence
 
 from .exact import instance_of_depth
 from .minimin import ResourceLimits, check_level, check_types, minimin_run
-from .perfmodel import MAX_SAMPLES, EmpiricalTable, MarkovParams, fit_empirical, fit_markov, read_yaml
+from .perfmodel import MAX_SAMPLES, MODEL_KINDS, EmpiricalTable, MarkovParams, fit_empirical, fit_markov
+from .perfmodel import read_yaml
 from .puzzle import ProblemInstance
 from .seeds import subseed
 from .selector import SelectionReport, select_lookahead
@@ -112,7 +113,7 @@ class ExperimentConfig:
             rate = getattr(self, name)  # NaN is neither finite nor > 0
             if not 0 < rate < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {rate!r}")
-        if self.model_kind not in ("markov", "empirical"):
+        if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
 
 

@@ -32,6 +32,8 @@ from .puzzle import ProblemInstance
 from .seeds import subseed
 from .utility import OUTCOME_ATTRIBUTES, Lottery, Outcome, _field, check_keys
 
+# The kinds of performance model, as a config's ``model_kind`` names them.
+MODEL_KINDS = ("markov", "empirical")
 DEFAULT_MAX_LEN = 1000
 # ``_first_passage`` holds 2 bytes per sample and accuracy, 3 when max_len > 255:
 # a down counter of ``np.min_scalar_type(max_len)`` and an alive flag.

@@ -293,6 +293,42 @@ def test_flags_of_shared_settings_default_to_the_config():
     assert shadowed == []
 
 
+@pytest.mark.parametrize(
+    "argv, name, value",
+    [
+        (("fit", "--out", "m.yaml", "--kind", "empirical"), "model_kind", "empirical"),
+        (("fit", "--out", "m.yaml", "--model-kind", "empirical"), "model_kind", "empirical"),
+        (("fit", "--out", "m.yaml", "--attempts", "13"), "gen_attempts", 13),
+        (("fit", "--out", "m.yaml", "--gen-attempts", "13"), "gen_attempts", 13),
+        (("fit", "--out", "m.yaml", "--accuracy-states", "9"), "accuracy_states_per_level", 9),
+        (("accuracy", "--attempts", "13"), "gen_attempts", 13),
+        (("accuracy", "--gen-attempts", "13"), "gen_attempts", 13),
+        (("select", "--depth", "4", "--model", "m.yaml", "--samples", "11"), "predict_samples", 11),
+        (("select", "--depth", "4", "--model", "m.yaml", "--predict-samples", "11"), "predict_samples", 11),
+        (("select", "--depth", "4", "--model", "m.yaml", "--utility", "u.yaml"), "utility_config", "u.yaml"),
+        (("experiment", "--gen-attempts", "13"), "gen_attempts", 13),
+        (("experiment", "--attempts", "13"), "gen_attempts", 13),
+        (("experiment", "--predict-samples", "11"), "predict_samples", 11),
+        (("experiment", "--samples", "11"), "predict_samples", 11),
+        (("experiment", "--model-kind", "empirical"), "model_kind", "empirical"),
+        (("experiment", "--kind", "empirical"), "model_kind", "empirical"),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_each_spelling_of_a_setting_reaches_its_field(argv, name, value):
+    args = cli.build_parser().parse_args(argv)
+    assert getattr(cli._settings(args, ExperimentConfig()), name) == value
+
+
+def test_experiment_flags_set_every_config_field():
+    # A field added to ExperimentConfig or ResourceLimits gets its experiment flag unasked.
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in commands.choices["experiment"]._actions}
+    settings = dests - {"help", "config", "out", "summary_csv", "quiet"}
+    fields_ = {f.name for cls in (ExperimentConfig, ResourceLimits) for f in fields(cls)}
+    assert settings == fields_ - {"limits"}
+
+
 CONFIG = ("experiment", "--quiet", "--config")
 MODEL = ("select", "--depth", "4", "--model")
 UTILITY = ("minimin", "--instance", "1 2 3 4 5 6 0 7 8", "--lookahead", "2", "--utility")
@@ -688,6 +724,30 @@ class TestFitSelect:
             f"{level},{eu!r},{int(level == 10)}" for level, eu in sorted(selection.eu_by_level.items())
         ]
 
+    def test_fit_then_select_reproduce_a_non_default_selection(self, capsys, tmp_path):
+        # fit and select take any flag of a setting they read, accuracy_states_per_level
+        # included, so they remake the selection of the experiment so configured.
+        model_path, csv_path = tmp_path / "m.yaml", tmp_path / "eu.csv"
+        code, _, _ = run_cli(
+            capsys, "fit", "--depths", "16", "--train-per-depth", "10", "--accuracy-states", "150",
+            "--levels", "1-8", "--out", str(model_path),
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, "select", "--depth", "16", "--model", str(model_path), "--levels", "1-8",
+            "--samples", "2000", "--csv", str(csv_path),
+        )
+        assert code == 0
+        cfg = ExperimentConfig(
+            depths=(16,), instances_per_depth=1, levels=tuple(range(1, 9)),
+            train_instances_per_depth=10, accuracy_states_per_level=150, predict_samples=2000,
+        )
+        selection = experiment.run_experiment(cfg).selections[16]
+        assert selection.chosen_level == 6
+        assert csv_path.read_text().splitlines()[1:] == [
+            f"{level},{eu!r},{int(level == 6)}" for level, eu in sorted(selection.eu_by_level.items())
+        ]
+
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_select_rejects_a_bad_depth_before_reading_the_model(self, capsys, monkeypatch, depth):
         monkeypatch.setattr(cli, "load_model", lambda path: pytest.fail("the model was read"))
@@ -799,6 +859,7 @@ class TestExperimentCommand:
         [
             (("--depths", "4,4"), "depths must not repeat, got [4, 4]"),
             (("--depths", "0"), "depth 0 not in 1..31 at width 3"),
+            (("--depths", "4,,8"), "depths must be integers, got '4,,8'"),
         ],
     )
     def test_repeated_or_zero_depths_fail_before_any_suite(self, capsys, flags, message):
