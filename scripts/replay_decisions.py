@@ -144,7 +144,6 @@ RUNS = {
     "reduced-full": lambda: run_experiment(replace(
         load_experiment_config(str(ROOT / "configs" / "experiment_full.yaml")),
         instances_per_depth=10,
-        workers=1,
     )),
 }
 

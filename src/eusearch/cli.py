@@ -45,11 +45,12 @@ def _parse_levels(text: str) -> tuple[int, ...]:
     levels: set[int] = set()
     for part in text.split(","):
         part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            levels.update(range(check_level(int(lo)), check_level(int(hi)) + 1))
-        elif part:
-            levels.add(check_level(int(part)))
+        try:
+            ends = [int(end) for end in part.split("-", 1)] if part else []
+        except ValueError:
+            raise ValueError(f"levels must be integers, got {text!r}") from None
+        if ends:
+            levels.update(range(check_level(ends[0]), check_level(ends[-1]) + 1))
     if not levels:
         raise ValueError(f"no levels in {text!r}")
     return tuple(sorted(levels))

@@ -3,7 +3,7 @@ full minimin sweeps, CSV reports, and summary statistics.
 
 Everything is deterministic under the master seed: per-task seeds derive from
 it via ``seeds.subseed`` so any subset (one depth, one instance) can be rerun
-independently, and reports are byte-identical across reruns and worker counts.
+independently, and reports are byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .exact import instance_of_depth
@@ -26,9 +24,6 @@ from .seeds import subseed
 from .selector import SelectionReport, select_lookahead
 from .utility import OUTCOME_ATTRIBUTES, Outcome, UtilityModel, check_keys, default_utility_model
 from .utility import joint_utility, utility_model_from_dict
-
-# Most evaluation processes; a forking pool starts all at once, once per depth.
-MAX_WORKERS = 64
 
 # Published reference results for side-by-side comparison in summaries.
 REFERENCE_STATS: Mapping[str, float] = {
@@ -85,7 +80,6 @@ class ExperimentConfig:
     accuracy_states_per_level: int = 400
     predict_samples: int = 8000
     gen_attempts: int = 2000
-    workers: int = 1
     utility_config: str | None = None
 
     def __post_init__(self) -> None:
@@ -96,8 +90,6 @@ class ExperimentConfig:
             raise ValueError(f"predict_samples must be in 1..{MAX_SAMPLES}")
         if self.accuracy_states_per_level < 1:
             raise ValueError("accuracy_states_per_level must be >= 1")
-        if not 1 <= self.workers <= MAX_WORKERS:
-            raise ValueError(f"workers must be in 1..{MAX_WORKERS}")
         if not self.depths or not self.levels:
             raise ValueError("depths and levels must be nonempty")
         for name in ("depths", "levels"):
@@ -158,13 +150,6 @@ class ExperimentReport:
     config: ExperimentConfig
     rows: list[ReportRow] = field(default_factory=list)
     selections: dict[int, SelectionReport] = field(default_factory=dict)
-
-
-def _run_instance(
-    task: tuple[ProblemInstance, tuple[int, ...], ResourceLimits]
-) -> list[Outcome]:
-    instance, levels, limits = task
-    return [minimin_run(instance, level, limits) for level in levels]
 
 
 def training_suite(depth: int, width: int, seed: int, count: int, attempts: int) -> list[ProblemInstance]:
@@ -228,9 +213,9 @@ def run_experiment(
     Per depth: generate verified instances, fit the performance model on a
     separate training suite, select one lookahead level by expected utility,
     then run Minimin at every configured level on every instance and score
-    the actual outcomes with the utility model.  Each instance's rows are
-    scored and written as its runs arrive, from ``map`` with one worker or
-    from a pool forked for the depth with more.
+    the actual outcomes with the utility model.  A depth's evaluation
+    instances are all generated before its first run; each instance's rows
+    are scored and written as soon as its runs end.
     """
     say = progress or (lambda msg: None)
     utility = load_utility_model(cfg.utility_config)
@@ -249,21 +234,17 @@ def run_experiment(
             report.selections[depth] = selection
             say(f"depth {depth}: selected level {chosen}; running instances")
             seeds = [subseed(cfg.seed, "inst", depth, i) for i in range(cfg.instances_per_depth)]
-            tasks = [
-                (instance_of_depth(depth, cfg.width, s, attempts=cfg.gen_attempts), cfg.levels, cfg.limits)
-                for s in seeds
-            ]
-            with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
-                runs = partial(pool.map, chunksize=4) if pool else map
-                for i, outcomes in enumerate(runs(_run_instance, tasks)):
-                    rows = [
-                        ReportRow(depth, i, seeds[i], level, chosen, o, score(cfg, utility, o))
-                        for level, o in zip(cfg.levels, outcomes)
-                    ]
-                    report.rows.extend(rows)
-                    if writer:
-                        writer.writerows(map(_row_to_csv, rows))
-                        sink.flush()
+            instances = [instance_of_depth(depth, cfg.width, s, attempts=cfg.gen_attempts) for s in seeds]
+            for i, instance in enumerate(instances):
+                outcomes = [minimin_run(instance, level, cfg.limits) for level in cfg.levels]
+                rows = [
+                    ReportRow(depth, i, seeds[i], level, chosen, o, score(cfg, utility, o))
+                    for level, o in zip(cfg.levels, outcomes)
+                ]
+                report.rows.extend(rows)
+                if writer:
+                    writer.writerows(map(_row_to_csv, rows))
+                    sink.flush()
     return report
 
 

@@ -403,10 +403,6 @@ def test_desk_runs_csv_fingerprint(default_experiment):
     assert csv_sha256(report) == DESK_FINGERPRINT
 
 
-def test_desk_runs_csv_fingerprint_with_two_workers():
-    assert csv_sha256(run_experiment(ExperimentConfig(workers=2))) == DESK_FINGERPRINT
-
-
 # SHA-256 of the same run's summary CSV, as ``summary_csv_text`` renders it
 # and ``eusearch experiment --summary-csv`` writes it.
 DESK_SUMMARY_FINGERPRINT = "0dab042e0d18059acfb0a434320f12a6e2ca74d7feec1f2bdba6b8e6f4b1d71c"
@@ -433,14 +429,14 @@ def test_desk_count_memo_holds_only_goal_cut_trees(default_experiment):
 
 
 # SHA-256 of the runs CSV of ``configs/experiment_full.yaml`` cut to 10
-# instances per depth on one worker: the full protocol's depths, levels and
-# limits at a tier-1 size.
+# instances per depth: the full protocol's depths, levels and limits at a
+# tier-1 size.
 REDUCED_FULL_FINGERPRINT = "1e950d20fbb3c3d041b1265ed3b5570417c465b1161630199365247973b3c4e9"
 
 
 def test_reduced_full_runs_csv_fingerprint():
     path = Path(__file__).parents[1] / "configs" / "experiment_full.yaml"
-    cfg = replace(load_experiment_config(str(path)), instances_per_depth=10, workers=1)
+    cfg = replace(load_experiment_config(str(path)), instances_per_depth=10)
     assert csv_sha256(run_experiment(cfg)) == REDUCED_FULL_FINGERPRINT
 
 

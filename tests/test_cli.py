@@ -79,6 +79,10 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    def test_workers_flag_is_gone(self, capsys):
+        code, out, _ = run_cli(capsys, "experiment", "--workers", "2", "--instances", "1", "--quiet")
+        assert (code, out) == (1, "")
+
 
 class TestMinimin:
     def test_basic_run(self, capsys):
@@ -230,6 +234,14 @@ class TestUnitRates:
         assert (code, out, err) == (2, "", f"eusearch: ValueError: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("levels", ["1,x", "1-x", "x"])
+    @pytest.mark.parametrize("command", [ACCURACY, FIT, SELECT, EXPERIMENT], ids=lambda c: c[0])
+    def test_non_integer_levels_fail_before_any_run(self, capsys, tmp_path, command, levels):
+        code, out, err = run_cli(capsys, *command, "--levels", levels)
+        message = f"levels must be integers, got {levels!r}"
+        assert (code, out, err) == (2, "", f"eusearch: ValueError: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -239,7 +251,7 @@ class TestUnitRates:
             ("instances_per_depth: 2.5", "instances_per_depth must be an integer, got 2.5"),
             ("train_instances_per_depth: 2.5", "train_instances_per_depth must be an integer, got 2.5"),
             ("gen_attempts: 2.5", "gen_attempts must be an integer, got 2.5"),
-            ("workers: 2.5", "workers must be an integer, got 2.5"),
+            ("workers: 2", "has unknown key 'workers'"),
             ("seed: 0.5", "seed must be an integer, got 0.5"),
             ("width: true", "width must be an integer, got True"),
             ("limits: {max_moves: 2.5}", "max_moves must be an integer, got 2.5"),
@@ -884,18 +896,6 @@ class TestExperimentCommand:
         assert (code, out) == (2, "")
         assert err == "eusearch: IncompleteReport: instance (4, 0) repeats level 1\n"
 
-    @pytest.mark.parametrize("workers", ["0", "100000"])
-    def test_out_of_range_workers_fail_before_any_suite(self, capsys, monkeypatch, workers):
-        def no_pool(*args, **kwargs):
-            pytest.fail("a process pool was constructed")
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
-        code, out, err = run_cli(capsys, "experiment", "--workers", workers, "--instances", "1")
-        assert code == 2
-        assert out == ""
-        assert "generating training suite" not in err
-        assert err.startswith(f"eusearch: ValueError: workers must be in 1..{experiment.MAX_WORKERS}")
-
     def test_huge_predict_samples_fail_before_any_suite(self, capsys):
         code, out, err = run_cli(
             capsys, "experiment", "--predict-samples", "1000001", "--instances", "1"
@@ -960,7 +960,6 @@ class TestExperimentOverrides:
             "--levels", "1-3,5",
             "--seed", "7",
             "--model-kind", "empirical",
-            "--workers", "2",
             "--utility", "u.yaml",
             "--width", "3",
             "--train-per-depth", "5",
@@ -986,7 +985,6 @@ class TestExperimentOverrides:
             accuracy_states_per_level=9,
             predict_samples=11,
             gen_attempts=13,
-            workers=2,
             utility_config="u.yaml",
         )
 

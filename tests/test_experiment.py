@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from eusearch.experiment import (
-    MAX_WORKERS,
     REPORT_COLUMNS,
     ExperimentConfig,
     ExperimentReport,
@@ -54,11 +53,6 @@ class TestConfig:
             ExperimentConfig(model_kind="psychic")
         with pytest.raises(ValueError):
             ExperimentConfig(depths=(40,), width=3)
-
-    @pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1, 100_000])
-    def test_out_of_range_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers must be in"):
-            ExperimentConfig(workers=workers)
 
     @pytest.mark.parametrize("field", ["gens_per_minute", "nodes_per_megabyte"])
     @pytest.mark.parametrize("rate", [float("nan"), 0.0, -1.0, float("inf")])
@@ -113,12 +107,6 @@ class TestRunExperiment:
         a = run_experiment(SMALL)
         b = run_experiment(SMALL)
         assert report_csv_text(a) == report_csv_text(b)
-
-    def test_worker_count_does_not_change_csv(self):
-        serial = run_experiment(SMALL)
-        parallel_cfg = config_from_dict({**asdict(SMALL), "workers": 2})
-        parallel = run_experiment(parallel_cfg)
-        assert report_csv_text(serial) == report_csv_text(parallel)
 
     def test_table_state_does_not_change_the_report(self, policy_builds):
         cfg = replace(SMALL, levels=(2, 7, 9))
