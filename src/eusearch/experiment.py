@@ -16,14 +16,14 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 from .exact import instance_of_depth
-from .minimin import ResourceLimits, check_level, check_types, minimin_run
+from .minimin import ResourceLimits, check_level, minimin_run
 from .perfmodel import MAX_SAMPLES, MODEL_KINDS, EmpiricalTable, MarkovParams, fit_empirical, fit_markov
 from .perfmodel import read_yaml
 from .puzzle import ProblemInstance
 from .seeds import subseed
 from .selector import SelectionReport, select_lookahead
 from .utility import OUTCOME_ATTRIBUTES, Outcome, UtilityModel, check_keys, default_utility_model
-from .utility import joint_utility, utility_model_from_dict
+from .utility import check_types, joint_utility, left_sum, utility_model_from_dict
 
 # Published reference results for side-by-side comparison in summaries.
 REFERENCE_STATS: Mapping[str, float] = {
@@ -84,6 +84,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_types(self)
+        if not isinstance(self.limits, ResourceLimits):
+            raise ValueError(f"limits must be ResourceLimits, got {self.limits!r}")
         if self.instances_per_depth <= 0 or self.train_instances_per_depth <= 0:
             raise ValueError("instance counts must be positive")
         if not 1 <= self.predict_samples <= MAX_SAMPLES:
@@ -378,7 +380,7 @@ def _selection_stats(judged: Sequence[tuple[bool, int, float]]) -> dict:
         "fraction_highest": sum(highest) / len(judged),
         "within_one": sum(e <= 1 for e in errors) / len(judged),
         "max_level_error": max(errors),
-        "mean_utility_gap": sum(gaps) / len(judged),
+        "mean_utility_gap": left_sum(gaps) / len(judged),
     }
 
 
@@ -419,7 +421,7 @@ def summarize(report: ExperimentReport) -> Summary:
     per_depth: list[DepthSummary] = []
     for depth, runs in by_depth.items():
         n = len(runs)
-        means = {l: sum(u[l] for _, u in runs) / n for l in levels}
+        means = {l: left_sum(u[l] for _, u in runs) / n for l in levels}
         best_fixed = max(means, key=means.get)
         per_depth.append(
             DepthSummary(
@@ -427,7 +429,7 @@ def summarize(report: ExperimentReport) -> Summary:
                 n_instances=n,
                 chosen_level=runs[0][0],
                 **_selection_stats(judged[depth]),
-                mean_chosen_utility=sum(u[c] for c, u in runs) / n,
+                mean_chosen_utility=left_sum(u[c] for c, u in runs) / n,
                 best_fixed_level=best_fixed,
                 best_fixed_mean_utility=means[best_fixed],
             )

@@ -32,7 +32,7 @@ and is charged the same counts again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -41,7 +41,7 @@ import numpy as np
 from .exact import _TABLE_MAX_WIDTH, _distance_table, _state_index, _tile_orders, idastar
 from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, delta_moves
 from .puzzle import dist_table, manhattan, moves_after, moves_table
-from .utility import Outcome
+from .utility import Outcome, check_types
 
 MAX_LOOKAHEAD = 24
 # A traced decision: the state it was made at and its top-ranked child, as
@@ -69,30 +69,6 @@ class ResourceLimits:
         check_types(self)
         if self.max_moves <= 0 or self.node_budget <= 0:
             raise ValueError("resource limits must be positive")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# Annotation text -> (what a field so annotated must hold, the test of its value).
-_FIELD_TYPES = {
-    "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "tuple[int, ...]": ("integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
-    "str | None": ("a string or None", lambda v: v is None or isinstance(v, str)),
-    "ResourceLimits": ("ResourceLimits", lambda v: isinstance(v, ResourceLimits)),
-}
-
-
-def check_types(settings) -> None:
-    """ValueError naming the field unless each field of the dataclass ``settings`` holds what
-    its annotation, read as text, asks in ``_FIELD_TYPES``; other annotations are not checked."""
-    for f in fields(settings):
-        noun, holds = _FIELD_TYPES.get(f.type, ("", None))
-        value = getattr(settings, f.name)
-        if holds and not holds(value):
-            raise ValueError(f"{f.name} must be {noun}, got {value!r}")
 
 
 def check_level(level: int) -> int:

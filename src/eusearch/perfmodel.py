@@ -355,13 +355,13 @@ def _outcome_to_dict(o: Outcome) -> dict:
 
 
 def _outcome_from_dict(data: Mapping) -> Outcome:
-    data = _field(data, "outcome", Mapping)
+    data = _field(data, "outcome", "Mapping")
     check_keys(data, (*OUTCOME_ATTRIBUTES, "solved", "extra"))
-    extra = _field(data.get("extra", {}), "extra", Mapping)
+    extra = _field(data.get("extra", {}), "extra", "Mapping")
     return Outcome(
-        *(_field(data[name], name, float) for name in OUTCOME_ATTRIBUTES),
-        solved=_field(data.get("solved", True), "solved", bool),
-        extra={_field(k, "extra key", str): _field(v, f"extra {k}", float) for k, v in extra.items()},
+        *(_field(data[name], name, "float") for name in OUTCOME_ATTRIBUTES),
+        solved=_field(data.get("solved", True), "solved", "bool"),
+        extra={_field(k, "extra key", "str"): _field(v, f"extra {k}", "float") for k, v in extra.items()},
     )
 
 
@@ -392,9 +392,9 @@ def model_to_dict(model: MarkovParams | EmpiricalTable) -> dict:
     }
 
 
-def _by_level(value, name: str, kind: type) -> dict[int, float]:
-    pairs = _field(value, name, Mapping).items()
-    return {_field(l, f"{name} level", int): _field(v, f"{name} {l}", kind) for l, v in pairs}
+def _by_level(value, name: str, kind: str) -> dict[int, float]:
+    pairs = _field(value, name, "Mapping").items()
+    return {_field(l, f"{name} level", "int"): _field(v, f"{name} {l}", kind) for l, v in pairs}
 
 
 def model_from_dict(data: Mapping) -> MarkovParams | EmpiricalTable:
@@ -405,20 +405,21 @@ def model_from_dict(data: Mapping) -> MarkovParams | EmpiricalTable:
     if kind == "markov":
         check_keys(data, ("kind", "accuracy", "branching", "max_len", "sample_sizes"))
         return MarkovParams(
-            accuracy=_by_level(data["accuracy"], "accuracy", float),
-            branching=_by_level(data["branching"], "branching", float),
-            max_len=_field(data.get("max_len", DEFAULT_MAX_LEN), "max_len", int),
-            sample_sizes=_by_level(data.get("sample_sizes", {}), "sample_sizes", int),
+            accuracy=_by_level(data["accuracy"], "accuracy", "float"),
+            branching=_by_level(data["branching"], "branching", "float"),
+            max_len=_field(data.get("max_len", DEFAULT_MAX_LEN), "max_len", "int"),
+            sample_sizes=_by_level(data.get("sample_sizes", {}), "sample_sizes", "int"),
         )
     if kind == "empirical":
         check_keys(data, ("kind", "cells", "sample_meta"))
         cells = {}
-        for cell in (_field(c, "cell", Mapping) for c in _field(data["cells"], "cells", list)):
-            depth, level = _field(cell["depth"], "depth", int), _field(cell["level"], "level", int)
+        for cell in (_field(c, "cell", "Mapping") for c in _field(data["cells"], "cells", "list")):
+            check_keys(cell, ("depth", "level", "outcomes"))
+            depth, level = _field(cell["depth"], "depth", "int"), _field(cell["level"], "level", "int")
             if (depth, level) in cells:
                 raise ValueError(f"cells has two cells for depth {depth}, level {level}")
-            cells[depth, level] = tuple(map(_outcome_from_dict, _field(cell["outcomes"], "outcomes", list)))
-        sample_meta = _field(data.get("sample_meta", {}), "sample_meta", Mapping)
+            cells[depth, level] = tuple(map(_outcome_from_dict, _field(cell["outcomes"], "outcomes", "list")))
+        sample_meta = _field(data.get("sample_meta", {}), "sample_meta", "Mapping")
         return EmpiricalTable(cells=cells, sample_meta=dict(sample_meta))
     raise ValueError(f"unknown model kind {kind!r}")
 

@@ -12,7 +12,7 @@ judges equivalent.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Container, Iterable, Mapping, Sequence, Union
 
@@ -45,23 +45,39 @@ def check_keys(data: Mapping, known: Container[str]) -> None:
             raise ValueError(f"has unknown key {key!r}")
 
 
-# What a file field read as each kind must hold.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Annotation text -> (what a field or file value so annotated must hold, the test of its value).
 _KINDS = {
-    Mapping: "a mapping", list: "a list", str: "a string", bool: "a boolean", float: "a number", int: "an integer"
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "Mapping": ("a mapping", lambda v: isinstance(v, Mapping)),
+    "tuple[int, ...]": ("integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
+    "str | None": ("a string or None", lambda v: v is None or isinstance(v, str)),
 }
 
 
-def _field(value, name: str, kind: type):
-    """``value`` read as ``kind``, one of ``_KINDS``, or a TypeError naming ``name``.
+def _field(value, name: str, kind: str):
+    """``value`` read as ``_KINDS[kind]``, a number as a float, or a TypeError naming ``name`` and the type found."""
+    noun, holds = _KINDS[kind]
+    if not holds(value):
+        raise TypeError(f"{name} must be {noun}, got {type(value).__name__}")
+    return float(value) if kind == "float" else value
 
-    A number is an int or a float, read as a float; an integer is an int; neither is a bool.
-    """
-    if kind is bool or not isinstance(value, bool):
-        if kind is float and isinstance(value, int):
-            return float(value)
-        if isinstance(value, kind):
-            return value
-    raise TypeError(f"{name} must be {_KINDS[kind]}, got {type(value).__name__}")
+
+def check_types(settings) -> None:
+    """ValueError naming the field and the value found unless each field of the dataclass ``settings``
+    holds what its annotation, read as text, asks in ``_KINDS``; other annotations are not checked."""
+    for f in fields(settings):
+        noun, holds = _KINDS.get(f.type, ("", None))
+        value = getattr(settings, f.name)
+        if holds and not holds(value):
+            raise ValueError(f"{f.name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +107,14 @@ class Lottery:
             raise InvalidLottery("uniform lottery over no values")
         p = 1.0 / len(values)
         return cls(tuple((v, p) for v in values))
+
+
+def left_sum(terms: Iterable[float]) -> float:
+    """``terms`` added left to right: the float ``sum`` of CPython before 3.12, which compensates since."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 def expected_value(lot: Lottery) -> float:
@@ -215,14 +239,14 @@ class UtilityModel:
 
     def _raw(self, utilities: Sequence[float]) -> float:
         if self.form == "additive":
-            return sum(w * u for w, u in zip(self.weights, utilities))
+            return left_sum(w * u for w, u in zip(self.weights, utilities))
         if self.form == "multiplicative":
             prod = 1.0
             for w, u in zip(self.weights, utilities):
                 prod *= 1.0 + self.k * w * u
             return prod - 1.0
         by_name = dict(zip(self.attribute_names(), utilities))
-        total = sum(w * u for w, u in zip(self.weights, utilities))
+        total = left_sum(w * u for w, u in zip(self.weights, utilities))
         for (a, b), kij in self.interactions:
             total += kij * by_name[a] * by_name[b]
         return total
@@ -303,7 +327,7 @@ def _score(value: object, u: UtilityLike) -> float:
 
 def expected_utility(lot: Lottery, u: UtilityLike) -> float:
     """Probability-weighted utility of a lottery, in [0, 1]."""
-    return sum(prob * _score(value, u) for value, prob in lot.entries)
+    return left_sum(prob * _score(value, u) for value, prob in lot.entries)
 
 
 def choose_max_eu(
@@ -475,16 +499,17 @@ def default_utility_model() -> UtilityModel:
 
 def _attribute_from_block(name: str, block: Mapping) -> AttributeUtility:
     """The curve of one ``attributes`` block of a config."""
-    bound = _field(block["bound"], f"{name} bound", float)
+    check_keys(block, ("bound", "curve", "best", "points"))
+    bound = _field(block["bound"], f"{name} bound", "float")
     curve = block.get("curve", "linear")
     if "points" in block:
-        knots = [_field(knot, f"{name} knot", list) for knot in _field(block["points"], f"{name} points", list)]
+        knots = [_field(knot, f"{name} knot", "list") for knot in _field(block["points"], f"{name} points", "list")]
         for knot in knots:
             if len(knot) != 2:
                 raise MalformedModel(f"{name} knot must be a [value, utility] pair, got {knot}")
-        pts = tuple((_field(x, f"{name} knot", float), _field(y, f"{name} knot", float)) for x, y in knots)
+        pts = tuple((_field(x, f"{name} knot", "float"), _field(y, f"{name} knot", "float")) for x, y in knots)
         return AttributeUtility(name, pts, bound)
-    best = _field(block.get("best", 0.0), f"{name} best", float)
+    best = _field(block.get("best", 0.0), f"{name} best", "float")
     if curve == "free":
         return AttributeUtility.free(name, bound, best=best)
     if curve == "linear":
@@ -507,13 +532,13 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
         data, ("attributes", "equivalence_rows", "form", "weights", "master_k", "interactions", "tag")
     )
     blocks = {
-        name: _field(block, name, Mapping)
-        for name, block in _field(data.get("attributes", {}), "attributes", Mapping).items()
+        name: _field(block, name, "Mapping")
+        for name, block in _field(data.get("attributes", {}), "attributes", "Mapping").items()
     }
-    rows = _field(data.get("equivalence_rows") or [], "equivalence_rows", list)
+    rows = _field(data.get("equivalence_rows") or [], "equivalence_rows", "list")
     if rows:
         bounds = {
-            name: _field(block["bound"], f"{name} bound", float) for name, block in blocks.items()
+            name: _field(block["bound"], f"{name} bound", "float") for name, block in blocks.items()
         } or dict(DEFAULT_BOUNDS)
         curves = {c.attribute: c for c in _calibration_curves(bounds)}
         for name, block in blocks.items():
@@ -523,25 +548,27 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
                     f"{name}: with equivalence_rows, attributes give only the bounds of "
                     "path_length, time_units (linear from 0) and space_units (free)"
                 )
-        outcomes = [
-            Outcome(*(_field(r[key], f"equivalence_rows {key}", float) for key in OUTCOME_ATTRIBUTES))
-            for r in [{"space_units": 0.0, **_field(r, "equivalence_rows entry", Mapping)} for r in rows]
-        ]
+        outcomes = []
+        for row in rows:
+            row = {"space_units": 0.0, **_field(row, "equivalence_rows entry", "Mapping")}
+            check_keys(row, OUTCOME_ATTRIBUTES)
+            outcomes.append(Outcome(*(_field(row[k], f"equivalence_rows {k}", "float") for k in OUTCOME_ATTRIBUTES)))
         return calibrate_multiplicative(outcomes, bounds)
 
     attributes = [_attribute_from_block(name, block) for name, block in blocks.items()]
     names = [a.attribute for a in attributes]
-    weight_map = _field(data.get("weights", {}), "weights", Mapping)
-    weights = tuple(_field(weight_map.get(n, 0.0), f"weights {n}", float) for n in names)
+    weight_map = _field(data.get("weights", {}), "weights", "Mapping")
+    check_keys(weight_map, names)
+    weights = tuple(_field(weight_map.get(n, 0.0), f"weights {n}", "float") for n in names)
     interactions = tuple(
-        (tuple(_field(key, "interactions key", str).split("*", 1)), _field(v, f"interactions {key}", float))
-        for key, v in _field(data.get("interactions", {}), "interactions", Mapping).items()
+        (_field(key, "interactions key", "str").partition("*")[::2], _field(v, f"interactions {key}", "float"))
+        for key, v in _field(data.get("interactions", {}), "interactions", "Mapping").items()
     )
     return UtilityModel(
         attributes=tuple(attributes),
         form=data.get("form", "additive"),
         weights=weights,
-        k=_field(data["master_k"], "master_k", float) if "master_k" in data else None,
+        k=_field(data["master_k"], "master_k", "float") if "master_k" in data else None,
         interactions=interactions,  # type: ignore[arg-type]
-        tag=str(data.get("tag", "")),
+        tag=_field(data.get("tag", ""), "tag", "str"),
     )

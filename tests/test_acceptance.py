@@ -577,6 +577,19 @@ def test_utility_imports_no_other_eusearch_module():
     assert imports == []
 
 
+def test_field_kinds_are_defined_once_in_utility():
+    # What a settings field or a file value may hold has one owner: the kind
+    # table and its two checkers live in ``utility`` and nowhere else.
+    shared = {"_is_int", "_KINDS", "_field", "check_types"}
+    owners = sorted(
+        (qualified, path.name)
+        for path in (Path(__file__).parents[1] / "src" / "eusearch").glob("*.py")
+        for qualified, _ in definitions(ast.parse(path.read_text()))
+        if qualified in shared
+    )
+    assert owners == sorted((name, "utility.py") for name in shared)
+
+
 def test_outcome_file_forms_follow_outcome_attributes(tmp_path):
     # The runs CSV and model files lay out an outcome's attributes in the order
     # ``OUTCOME_ATTRIBUTES`` gives, which is ``Outcome``'s field order.

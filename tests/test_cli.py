@@ -502,6 +502,35 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
             "  [{path_length: 4, time_units: 10, space_units: 5, extra: {1: 2, cost: 3}}]}\n",
             "extra key must be a string, got int",
         ),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100}\n  time_units: {bound: 10}\n  space_units: {bound: 10}\n"
+            "weights: {path_length: 0.5, time_units: 0.5, spce_units: 3}\n",
+            "has unknown key 'spce_units'",
+        ),
+        (UTILITY, "attributes:\n  path_length: {bound: 100, bogus: 1}\n", "has unknown key 'bogus'"),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100}\nweights: {path_length: 1}\ntag: [1, 2]\n",
+            "tag must be a string, got list",
+        ),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100}\n  time_units: {bound: 10}\nform: multilinear\n"
+            "weights: {path_length: 0.5, time_units: 0.4}\ninteractions: {path_length: 0.1}\n",
+            "bad interaction pair (path_length, )",
+        ),
+        (
+            MODEL,
+            "kind: empirical\ncells:\n"
+            "- {depth: 4, level: 1, foo: 9, outcomes: [{path_length: 4, time_units: 12, space_units: 7}]}\n",
+            "has unknown key 'foo'",
+        ),
+        (
+            UTILITY,
+            "equivalence_rows:\n  - {path_length: 20, time_units: 8, bogus: 1}\n  - {path_length: 68, time_units: 6}\n",
+            "has unknown key 'bogus'",
+        ),
     ],
     ids=[
         "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
@@ -512,7 +541,8 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
         "master-k", "bound-text", "cells-number", "outcome-shape", "outcome-text", "outcome-solved",
         "report-solved", "accuracy-quoted", "accuracy-text", "accuracy-bool", "level-float", "branching-text",
         "sample-sizes-float", "max-len-bool", "max-len-float", "cell-level", "cell-depth", "outcome-unknown",
-        "outcome-extra", "knot-pair", "cells-twice", "extra-key", "extra-keys-mixed",
+        "outcome-extra", "knot-pair", "cells-twice", "extra-key", "extra-keys-mixed", "weights-unknown",
+        "block-unknown", "tag-list", "interactions-pair", "cell-unknown", "row-unknown",
     ],
 )
 def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):

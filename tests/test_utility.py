@@ -127,6 +127,13 @@ class TestExpectedUtility:
         rhs = alpha * expected_utility(l1, curve) + (1 - alpha) * expected_utility(l2, curve)
         assert abs(lhs - rhs) <= 1e-9
 
+    def test_terms_add_left_to_right_on_every_python(self):
+        # Ten terms of 0.1 add to 1 - 2**-53 left to right; CPython 3.12's
+        # compensated float ``sum`` gives 1.0, which would move the pinned files.
+        best = Outcome(0.0, 0.0, 0.0)
+        assert joint_utility(best, default_utility_model()) == 1.0
+        assert expected_utility(Lottery.uniform([best] * 10), default_utility_model()) == 0.9999999999999999
+
 
 class TestChooseMaxEu:
     def test_risk_attitude_flips_choice(self):
