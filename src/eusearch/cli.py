@@ -136,7 +136,7 @@ def cmd_minimin(args) -> int:
         print(f"{name} {int(getattr(outcome, name))}")
     print(f"solved {1 if outcome.solved else 0}")
     if model is not None:
-        print(f"utility {score(cfg, model, outcome)!r}")
+        print(f"utility {score(cfg, model, [outcome])[0]!r}")
     return 0
 
 

@@ -110,12 +110,15 @@ def _first_passage(
     above a lower p's: once the lowest p's walks are all absorbed, so are the
     rest, and the walk stops there.  The rows run to that step, not to
     ``max_len``.  A walk is at 0 after k steps when (d + k) / 2 of them went
-    down.  The array is read-only because the cache shares it.
+    down.  The alive flags are padded with False to whole 8-byte words, and a
+    row's survivors are the popcount of its words.  The array is read-only
+    because the cache shares it.
     """
     rng = np.random.default_rng(seed)
     column = np.array(ps)[:, None]
     downs = np.zeros((len(ps), samples), dtype=np.min_scalar_type(max_len))
-    alive = np.ones((len(ps), samples), dtype=bool)
+    words = np.pad(np.ones((len(ps), samples), dtype=bool), ((0, 0), (0, -samples % 8)))
+    alive = words[:, :samples]
     left = [np.full(len(ps), samples)]  # walks alive after steps 0, 1, ...
     for step in range(1, max_len + 1):
         downs += rng.random(samples) < column
@@ -123,7 +126,7 @@ def _first_passage(
             left.append(left[-1])
             continue
         alive &= downs != (d + step) // 2
-        left.append(np.count_nonzero(alive, axis=1))
+        left.append(np.bitwise_count(words.view(np.uint64)).sum(axis=1, dtype=np.intp))
         if not left[-1][0]:
             break
     left = np.column_stack(left)

@@ -7,7 +7,10 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .perfmodel import EmpiricalTable, MarkovParams, predict
-from .utility import Lottery, Outcome, UtilityModel, expected_utility
+from .utility import Lottery, Outcome, UtilityModel, choose_max_eu
+
+# ``expected_utility`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
+from .utility import expected_utility  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -42,13 +45,14 @@ def select_lookahead(
     """
     if not levels:
         raise ValueError("select_lookahead needs at least one level")
-    eu_by_level: dict[int, float] = {}
-    for level in sorted(levels):
+    levels = sorted(levels)
+    lotteries = []
+    for level in levels:
         lottery = predict(
             model, d, level, samples=samples, seed=seed, extrapolate=extrapolate
         )
         if convert is not None:
             lottery = Lottery.of((convert(o), p) for o, p in lottery.entries)
-        eu_by_level[level] = expected_utility(lottery, u)
-    chosen = max(eu_by_level, key=eu_by_level.get)
-    return SelectionReport(chosen_level=chosen, eu_by_level=eu_by_level)
+        lotteries.append(lottery)
+    best, eus = choose_max_eu(lotteries, u)
+    return SelectionReport(chosen_level=levels[best], eu_by_level=dict(zip(levels, eus)))

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, fields
-from functools import cached_property
+from itertools import accumulate
+from operator import attrgetter
 from typing import Callable, Container, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -165,18 +166,20 @@ class AttributeUtility:
         return cls(attribute, ((float(best), 1.0),), float(bound))
 
     def evaluate(self, value: float) -> float:
-        if value >= self.bound:
-            return 0.0
-        pts = self.points
-        if value <= pts[0][0]:
-            return pts[0][1]
-        if not value < pts[-1][0]:  # NaN included, so the loop below always returns
-            return pts[-1][1]
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if value == x1:  # exact knot values, no interpolation round-off
-                return y1
-            if value < x1:
-                return y0 + (y1 - y0) * (value - x0) / (x1 - x0)
+        """The curve's utility at ``value``: one read of ``utilities_of``."""
+        return float(utilities_of([value], self)[0])
+
+    def _at(self, values: np.ndarray) -> np.ndarray:
+        """The curve at each of ``values``: 0 at or above the bound, a knot value or one beyond
+        the end knots its knot's utility (NaN the last knot's), else the line between knots."""
+        (first, y_first), (_, y_last) = self.points[0], self.points[-1]
+        out = np.where(values <= first, float(y_first), float(y_last))
+        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
+            between = (x0 < values) & (values < x1)
+            out[between] = y0 + (y1 - y0) * (values[between] - x0) / (x1 - x0)
+            out[values == x1] = y1  # exact knot values, no interpolation round-off
+        out[values >= self.bound] = 0.0
+        return out
 
 
 _FORMS = ("additive", "multiplicative", "multilinear")
@@ -201,6 +204,8 @@ class UtilityModel:
     def __post_init__(self) -> None:
         if self.form not in _FORMS:
             raise MalformedModel(f"unknown combination form {self.form!r}")
+        if self.interactions and self.form != "multilinear":
+            raise MalformedModel(f"interactions need form multilinear, got {self.form}")
         if not self.attributes:
             raise MalformedModel("utility model needs at least one attribute")
         names = [a.attribute for a in self.attributes]
@@ -237,29 +242,21 @@ class UtilityModel:
     def attribute_names(self) -> tuple[str, ...]:
         return tuple(a.attribute for a in self.attributes)
 
-    def _raw(self, utilities: Sequence[float]) -> float:
-        if self.form == "additive":
-            return left_sum(w * u for w, u in zip(self.weights, utilities))
+    def _combine(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """The form's raw value of each row of per-attribute utility ``columns``: multiplicative
+        ``prod *= 1 + k*w*u`` from 1, else ``w*u`` added left to right, then the interactions."""
         if self.form == "multiplicative":
-            prod = 1.0
-            for w, u in zip(self.weights, utilities):
+            prod = np.ones_like(columns[0])
+            for w, u in zip(self.weights, columns):
                 prod *= 1.0 + self.k * w * u
             return prod - 1.0
-        by_name = dict(zip(self.attribute_names(), utilities))
-        total = left_sum(w * u for w, u in zip(self.weights, utilities))
+        total = np.zeros_like(columns[0])
+        for w, u in zip(self.weights, columns):
+            total += w * u
+        by_name = dict(zip(self.attribute_names(), columns))
         for (a, b), kij in self.interactions:
             total += kij * by_name[a] * by_name[b]
         return total
-
-    @cached_property
-    def _all_best(self) -> float:
-        """``_raw`` at the all-best corner, which ``combine`` divides by."""
-        return self._raw([1.0] * len(self.attributes))
-
-    def combine(self, utilities: Sequence[float]) -> float:
-        """Combine per-attribute utilities; exactly 1.0 at the all-best corner."""
-        value = self._raw(utilities) / self._all_best
-        return min(1.0, max(0.0, value))
 
 
 # ``Outcome``'s built-in attributes, in field order.
@@ -299,44 +296,57 @@ def attribute_value(outcome: Outcome, name: str) -> float:
     raise AttributeMissing(f"outcome has no attribute {name!r}")
 
 
-def joint_utility(o: Outcome, m: UtilityModel) -> float:
-    """Joint utility of an outcome: 0 if unsolved or any attribute hits its bound."""
-    if not o.solved:
-        return 0.0
-    utilities = []
-    for attr in m.attributes:
-        value = attribute_value(o, attr.attribute)
-        if value >= attr.bound:
-            return 0.0
-        utilities.append(attr.evaluate(value))
-    return m.combine(utilities)
+def _column(outcomes: Sequence[Outcome], name: str) -> np.ndarray:
+    """Each outcome's attribute ``name``; an unsolved outcome, which scores 0, need not hold an extra one."""
+    if name in OUTCOME_ATTRIBUTES:
+        return np.fromiter(map(attrgetter(name), outcomes), float, len(outcomes))
+    return np.array([attribute_value(o, name) if o.solved else 0.0 for o in outcomes], dtype=float)
 
 
 UtilityLike = Union[UtilityModel, AttributeUtility]
 
 
-def _score(value: object, u: UtilityLike) -> float:
-    if isinstance(u, UtilityModel):
+def utilities_of(values: Sequence[object], u: UtilityLike) -> np.ndarray:
+    """The utility of each of ``values`` under ``u``, in one array, each with the bits of
+    the scalar arithmetic: a ``UtilityModel`` scores outcomes (0 if unsolved or at a
+    bound), an ``AttributeUtility`` scalars or outcomes by its attribute."""
+    if isinstance(u, AttributeUtility):
+        return u._at(np.array([attribute_value(v, u.attribute) if isinstance(v, Outcome) else v for v in values], float))
+    for value in values:
         if not isinstance(value, Outcome):
             raise TypeError(f"UtilityModel scores Outcomes, got {value!r}")
-        return joint_utility(value, u)
-    if isinstance(value, Outcome):
-        return u.evaluate(attribute_value(value, u.attribute))
-    return u.evaluate(float(value))  # type: ignore[arg-type]
+    scored = np.fromiter(map(attrgetter("solved"), values), bool, len(values))
+    columns = []
+    for curve in u.attributes:
+        column = _column(values, curve.attribute)
+        scored &= ~(column >= curve.bound)  # NaN is below every bound
+        columns.append(curve._at(column))
+    value = u._combine(columns) / u._combine([np.ones(1)] * len(columns))  # 1 at the all-best corner
+    # min(1, max(0, value)) as Python reads it: NaN and -0.0 give 0.0.
+    return np.where(scored & (value > 0.0), np.where(value < 1.0, value, 1.0), 0.0)
+
+
+def joint_utility(o: Outcome, m: UtilityModel) -> float:
+    """Joint utility of an outcome: one read of ``utilities_of``."""
+    return float(utilities_of([o], m)[0])
 
 
 def expected_utility(lot: Lottery, u: UtilityLike) -> float:
     """Probability-weighted utility of a lottery, in [0, 1]."""
-    return left_sum(prob * _score(value, u) for value, prob in lot.entries)
+    return choose_max_eu([lot], u)[1][0]
 
 
 def choose_max_eu(
     choices: Sequence[Lottery], u: UtilityLike
 ) -> tuple[int, list[float]]:
-    """Index of the maximum-EU lottery (ties to the lowest index) plus all EUs."""
+    """Index of the maximum-EU lottery (ties to the lowest index) plus all EUs: one ``utilities_of``
+    call scores every entry, then each EU adds its lottery's terms left to right."""
     if not choices:
         raise ValueError("choose_max_eu needs at least one lottery")
-    eus = [expected_utility(lot, u) for lot in choices]
+    values, probs = zip(*(entry for lot in choices for entry in lot.entries))
+    terms = (np.array(probs) * utilities_of(values, u)).tolist()
+    ends = list(accumulate(len(lot.entries) for lot in choices))
+    eus = [left_sum(terms[start:end]) for start, end in zip([0, *ends], ends)]
     return max(range(len(eus)), key=eus.__getitem__), eus
 
 
@@ -412,8 +422,7 @@ def calibrate_multiplicative(
                 raise CalibrationFailed(
                     f"row {row} violates the {curve.attribute} bound"
                 )
-    up = [curves[0].evaluate(row.path_length) for row in equivalence_rows]
-    ut = [curves[1].evaluate(row.time_units) for row in equivalence_rows]
+    up, ut = (utilities_of(equivalence_rows, curve).tolist() for curve in curves[:2])
     inconsistent = CalibrationFailed(
         "rows are inconsistent with a multiplicative utility "
         f"(no solution reached variance < {_VARIANCE_FLOOR})"
@@ -457,8 +466,7 @@ def calibrate_multiplicative(
             )
         except MalformedModel:
             return None
-        scores = [joint_utility(row, model) for row in equivalence_rows]
-        return model if np.var(scores) < _VARIANCE_FLOOR else None
+        return model if np.var(utilities_of(equivalence_rows, model)) < _VARIANCE_FLOOR else None
 
     a, b, c = solve_for(1.0).tolist()
     i = bisect.bisect_left(_K_GRID, c / (a * b)) if a * b else 0
@@ -523,8 +531,9 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
     ``attributes`` maps attribute name to a block with ``bound`` plus either
     ``curve: linear`` (with ``best``) or ``curve: free``, or explicit
     ``points``.  If ``equivalence_rows`` is present the multiplicative model
-    is calibrated from them and any weights in the file are ignored; the
-    blocks then give only bounds, and any other setting must match the
+    is calibrated from them, so ``form``, ``weights``, ``master_k``,
+    ``interactions`` and ``tag`` beside them raise ValueError; the blocks
+    then give only bounds, and any other setting must match the
     calibration's curves (linear from 0 for path and time, free for space),
     else MalformedModel.  Any other top-level key raises ValueError.
     """
@@ -537,6 +546,9 @@ def utility_model_from_dict(data: Mapping) -> UtilityModel:
     }
     rows = _field(data.get("equivalence_rows") or [], "equivalence_rows", "list")
     if rows:
+        for key in ("form", "weights", "master_k", "interactions", "tag"):
+            if key in data:
+                raise ValueError(f"has {key!r} beside equivalence_rows, which calibrate the model")
         bounds = {
             name: _field(block["bound"], f"{name} bound", "float") for name, block in blocks.items()
         } or dict(DEFAULT_BOUNDS)

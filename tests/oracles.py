@@ -2,8 +2,9 @@
 
 From ``eusearch`` they import data types (``Op``, ``State``, ``Outcome``,
 ``Lottery``, ``UtilityModel``), exceptions, and the utility and performance
-model pieces that the calibration and prediction oracles score with.  They
-import no move table and no heuristic: the blank's moves, their inverses and
+model pieces that the calibration and prediction oracles score with; the
+utility oracles score one curve, outcome and lottery entry per Python call,
+as the package did before it scored arrays.  They import no move table and no heuristic: the blank's moves, their inverses and
 the Manhattan h are worked out here from row and column arithmetic.  Every
 search of the package is built on ``puzzle.moves_table`` and ``dist_table``,
 so an oracle built on them too would agree with a fault in them.  Beyond that
@@ -32,7 +33,7 @@ from eusearch.utility import (
     UtilityModel,
     _calibration_curves,
     attribute_value,
-    joint_utility,
+    left_sum,
 )
 
 # The blank's (row, column) step under each op, in op order.
@@ -372,6 +373,72 @@ def markov_predict_oracle(params, d: int, level: int, samples: int, seed: int):
     return Lottery.of(entries)
 
 
+# The scalar utility code that ``utility.utilities_of`` replaced: one Python
+# call per curve, outcome and lottery entry.  The array scorer must repeat its
+# arithmetic step for step, so every utility and EU has the same bits.
+def curve_oracle(curve, value: float) -> float:
+    """``curve`` (an ``AttributeUtility``) at ``value``, by a walk over its knots."""
+    if value >= curve.bound:
+        return 0.0
+    pts = curve.points
+    if value <= pts[0][0]:
+        return pts[0][1]
+    if not value < pts[-1][0]:  # NaN included, so the loop below always returns
+        return pts[-1][1]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if value == x1:  # exact knot values, no interpolation round-off
+            return y1
+        if value < x1:
+            return y0 + (y1 - y0) * (value - x0) / (x1 - x0)
+
+
+def _raw_oracle(m: UtilityModel, utilities) -> float:
+    if m.form == "additive":
+        return left_sum(w * u for w, u in zip(m.weights, utilities))
+    if m.form == "multiplicative":
+        prod = 1.0
+        for w, u in zip(m.weights, utilities):
+            prod *= 1.0 + m.k * w * u
+        return prod - 1.0
+    by_name = dict(zip(m.attribute_names(), utilities))
+    total = left_sum(w * u for w, u in zip(m.weights, utilities))
+    for (a, b), kij in m.interactions:
+        total += kij * by_name[a] * by_name[b]
+    return total
+
+
+def combine_oracle(m: UtilityModel, utilities) -> float:
+    """Per-attribute utilities combined by ``m``'s form; exactly 1.0 at the all-best corner."""
+    value = _raw_oracle(m, utilities) / _raw_oracle(m, [1.0] * len(m.attributes))
+    return min(1.0, max(0.0, value))
+
+
+def joint_utility_oracle(o: Outcome, m: UtilityModel) -> float:
+    """Joint utility of an outcome: 0 if unsolved or any attribute hits its bound."""
+    if not o.solved:
+        return 0.0
+    utilities = []
+    for attr in m.attributes:
+        value = attribute_value(o, attr.attribute)
+        if value >= attr.bound:
+            return 0.0
+        utilities.append(curve_oracle(attr, value))
+    return combine_oracle(m, utilities)
+
+
+def expected_utility_oracle(lot, u) -> float:
+    """Probability-weighted utility of a lottery, its terms added left to right."""
+
+    def score(value) -> float:
+        if isinstance(u, UtilityModel):
+            return joint_utility_oracle(value, u)
+        if isinstance(value, Outcome):
+            return curve_oracle(u, attribute_value(value, u.attribute))
+        return curve_oracle(u, float(value))
+
+    return left_sum(prob * score(value) for value, prob in lot.entries)
+
+
 # ``utility.calibrate_multiplicative`` as it was before it solved for its root:
 # it evaluates the coupling residual at every point of the K grid, bisects every
 # bracket of a sign change, and ranks the valid candidates by row variance,
@@ -398,8 +465,8 @@ def calibrate_multiplicative_oracle(
                 raise CalibrationFailed(
                     f"row {row} violates the {curve.attribute} bound"
                 )
-    up = [curves[0].evaluate(row.path_length) for row in equivalence_rows]
-    ut = [curves[1].evaluate(row.time_units) for row in equivalence_rows]
+    up = [curve_oracle(curves[0], row.path_length) for row in equivalence_rows]
+    ut = [curve_oracle(curves[1], row.time_units) for row in equivalence_rows]
     # Row-equality differences, then the consistency row; the unknowns are (A, B, C).
     matrix = np.array(
         [
@@ -442,7 +509,7 @@ def calibrate_multiplicative_oracle(
             return None
 
     def row_variance(model: UtilityModel) -> float:
-        scores = [joint_utility(row, model) for row in equivalence_rows]
+        scores = [joint_utility_oracle(row, model) for row in equivalence_rows]
         return float(np.var(scores))
 
     # Bracket sign changes of the coupling residual on both sides of K = 0

@@ -531,6 +531,54 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
             "equivalence_rows:\n  - {path_length: 20, time_units: 8, bogus: 1}\n  - {path_length: 68, time_units: 6}\n",
             "has unknown key 'bogus'",
         ),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100}\n  time_units: {bound: 10}\n"
+            "weights: {path_length: 0.5, time_units: 0.5}\ninteractions: {path_length*time_units: 0.1}\n",
+            "interactions need form multilinear, got additive",
+        ),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100}\nweights: {path_length: 1}\n"
+            "interactions: {path_length*time_units: 0.5}\n",
+            "interactions need form multilinear, got additive",
+        ),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100}\n  time_units: {bound: 10}\nform: multiplicative\n"
+            "weights: {path_length: 0.5, time_units: 0.5}\nmaster_k: 0.1\ninteractions: {path_length*time_units: 0.1}\n",
+            "interactions need form multilinear, got multiplicative",
+        ),
+        (
+            UTILITY,
+            "equivalence_rows:\n  - {path_length: 20, time_units: 8}\n  - {path_length: 68, time_units: 6}\n"
+            "form: multiplicative\n",
+            "has 'form' beside equivalence_rows, which calibrate the model",
+        ),
+        (
+            UTILITY,
+            "equivalence_rows:\n  - {path_length: 20, time_units: 8}\n  - {path_length: 68, time_units: 6}\n"
+            "weights: {path_length: 1}\n",
+            "has 'weights' beside equivalence_rows, which calibrate the model",
+        ),
+        (
+            UTILITY,
+            "equivalence_rows:\n  - {path_length: 20, time_units: 8}\n  - {path_length: 68, time_units: 6}\n"
+            "master_k: 0.5\n",
+            "has 'master_k' beside equivalence_rows, which calibrate the model",
+        ),
+        (
+            UTILITY,
+            "equivalence_rows:\n  - {path_length: 20, time_units: 8}\n  - {path_length: 68, time_units: 6}\n"
+            "interactions: {path_length*time_units: 0.1}\n",
+            "has 'interactions' beside equivalence_rows, which calibrate the model",
+        ),
+        (
+            UTILITY,
+            "equivalence_rows:\n  - {path_length: 20, time_units: 8}\n  - {path_length: 68, time_units: 6}\n"
+            "tag: mine\n",
+            "has 'tag' beside equivalence_rows, which calibrate the model",
+        ),
     ],
     ids=[
         "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
@@ -543,6 +591,8 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
         "sample-sizes-float", "max-len-bool", "max-len-float", "cell-level", "cell-depth", "outcome-unknown",
         "outcome-extra", "knot-pair", "cells-twice", "extra-key", "extra-keys-mixed", "weights-unknown",
         "block-unknown", "tag-list", "interactions-pair", "cell-unknown", "row-unknown",
+        "interactions-additive", "interactions-unknown-attribute", "interactions-multiplicative",
+        "rows-form", "rows-weights", "rows-master-k", "rows-interactions", "rows-tag",
     ],
 )
 def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):

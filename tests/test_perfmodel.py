@@ -252,6 +252,22 @@ class TestSharedWalk:
             assert (np.diff(solved) >= 0).all()
             assert counts.shape[1] <= max_len + 1
 
+    @pytest.mark.parametrize("samples", [1, 7, 9, 8000])
+    def test_padding_never_counts_as_a_live_walk(self, samples):
+        # The alive flags are padded to whole 8-byte words for the popcount.
+        params = MarkovParams(
+            accuracy={1: 0.501, 2: 0.75, 3: 1.0}, branching={l: 1.5 for l in (1, 2, 3)}, max_len=12
+        )
+        ps = (0.501, 0.75, 1.0)
+        for d in (1, 6, 11, 20):
+            for level in params.levels:
+                got = markov_predict(params, d, level, samples=samples, seed=d)
+                assert got.entries == markov_predict_oracle(params, d, level, samples, d).entries
+            counts = _first_passage(d, ps, params.max_len, samples, d)
+            assert (counts >= 0).all() and counts.sum(axis=1).tolist() == [samples] * 3
+        # From depth 20 no walk reaches 0 in 12 steps: every walk, and no more, is alive at the cap.
+        assert counts[:, 0].tolist() == [samples] * 3
+
     def test_counts_are_sized_by_the_steps_walked(self):
         params = MarkovParams(accuracy={1: 1.0}, branching={1: 1.5}, max_len=10**6)
         lot = markov_predict(params, 31, 1, samples=1000, seed=0)

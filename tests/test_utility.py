@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 from pathlib import Path
 
@@ -25,10 +26,17 @@ from eusearch.utility import (
     expected_utility,
     expected_value,
     joint_utility,
+    left_sum,
+    utilities_of,
     utility_model_from_dict,
 )
 
-from oracles import calibrate_multiplicative_oracle
+from oracles import (
+    calibrate_multiplicative_oracle,
+    curve_oracle,
+    expected_utility_oracle,
+    joint_utility_oracle,
+)
 from replay import replay_decisions
 
 # Rows that calibrate with K < 0.
@@ -410,6 +418,128 @@ class TestJointUtilityProperties:
         assert joint_utility(Outcome(0, 0, 0), m) == 1.0
         assert joint_utility(Outcome(0.5, 0, 0), m) < 1.0
         assert joint_utility(Outcome(0, 0.01, 0), m) < 1.0
+
+
+# Knot values and bounds on a grid, so that drawn outcomes land on them exactly.
+GRID = st.one_of(st.integers(0, 40).map(float), st.floats(0, 40))
+NAMES = ("path_length", "time_units", "space_units", "cost")
+
+
+@st.composite
+def curves(draw, name):
+    xs = sorted(draw(st.lists(GRID, min_size=1, max_size=4, unique=True)))
+    ys = sorted(
+        draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)), min_size=len(xs), max_size=len(xs))),
+        reverse=True,
+    )
+    bound = draw(st.one_of(st.sampled_from(xs[1:] or [xs[0] + 1]), GRID.map(lambda b: xs[0] + 0.5 + b)))
+    return AttributeUtility(name, tuple(zip(xs, ys)), bound)
+
+
+def _master_k(weights) -> float:
+    """The nonzero root K of 1 + K = prod(1 + K*k_i), by bisection."""
+    def excess(k):
+        return math.prod(1.0 + k * w for w in weights) - (1.0 + k)
+
+    lo, hi = (-1.0 + 1e-12, -1e-9) if sum(weights) > 1 else (1e-9, 1e6)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) * excess(lo) > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def utility_models(draw):
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
+    attributes = tuple(draw(curves(name)) for name in names)
+    form = draw(st.sampled_from(["additive", "multiplicative", "multilinear"]))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(names), max_size=len(names)))
+    if form == "multiplicative":
+        if len(names) == 1:
+            return UtilityModel(attributes, form, (1.0,), draw(st.sampled_from([-0.9, -0.3, 0.5, 4.0])))
+        weights = tuple(w * draw(st.sampled_from([0.3, 0.6, 0.9])) for w in raw)
+        if abs(sum(weights) - 1.0) < 0.05:
+            weights = (*weights[:-1], 0.0)
+        try:
+            return UtilityModel(attributes, form, weights, _master_k(weights))
+        except MalformedModel:  # a bisection that stopped short of the tolerance
+            return UtilityModel(attributes, "additive", tuple(w / sum(raw) for w in raw))
+    pairs = list(combinations(names, 2)) if form == "multilinear" else []
+    ks = draw(st.lists(st.floats(-0.2, 0.5), min_size=len(pairs), max_size=len(pairs)))
+    total = sum(raw) + sum(ks)
+    return UtilityModel(
+        attributes, form, tuple(w / total for w in raw), interactions=tuple((p, k / total) for p, k in zip(pairs, ks))
+    )
+
+
+@st.composite
+def outcomes_for(draw, model):
+    """Outcomes on the model's knots and bounds or off them, some unsolved, with extra attributes."""
+    points = [x for a in model.attributes for x, _ in a.points] + [a.bound for a in model.attributes]
+    value = st.one_of(st.sampled_from(points), GRID, st.floats(0, 1e3))
+    solved = draw(st.booleans())
+    extra = {"risk": draw(value)}  # scored by no model
+    if solved or draw(st.booleans()):  # an unsolved outcome scores 0 and need not hold ``cost``
+        extra["cost"] = draw(st.one_of(value, st.just(math.nan)))
+    return Outcome(draw(value), draw(value), draw(value), solved=solved, extra=extra)
+
+
+def lotteries(draw, values):
+    """``values`` cut into lotteries of different lengths with drawn probabilities."""
+    cuts = sorted(draw(st.sets(st.integers(1, len(values) - 1), max_size=4))) if len(values) > 1 else []
+    out = []
+    for start, end in zip([0, *cuts], [*cuts, len(values)]):
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=end - start, max_size=end - start))
+        out.append(Lottery.of((v, w / sum(weights)) for v, w in zip(values[start:end], weights)))
+    return out
+
+
+class TestArrayScorer:
+    """``utilities_of`` and its readers against the scalar oracles, bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scalar_oracle(self, data):
+        model = data.draw(utility_models())
+        outcomes = data.draw(st.lists(outcomes_for(model), min_size=1, max_size=30))
+        want = [joint_utility_oracle(o, model) for o in outcomes]
+        assert list(map(repr, utilities_of(outcomes, model).tolist())) == list(map(repr, want))
+        assert repr(joint_utility(outcomes[0], model)) == repr(want[0])
+
+        lots = lotteries(data.draw, outcomes)
+        eus = [expected_utility_oracle(lot, model) for lot in lots]
+        best, got = choose_max_eu(lots, model)
+        assert list(map(repr, got)) == list(map(repr, eus)) and best == eus.index(max(eus))
+        assert repr(expected_utility(lots[-1], model)) == repr(eus[-1])
+
+        for curve in model.attributes:
+            scalars = [attr for o in outcomes for attr in (o.path_length, o.time_units)] + [math.nan, curve.bound]
+            assert [repr(curve.evaluate(v)) for v in scalars] == [repr(float(curve_oracle(curve, v))) for v in scalars]
+            lots = lotteries(data.draw, scalars)
+            eus = [expected_utility_oracle(lot, curve) for lot in lots]
+            assert list(map(repr, choose_max_eu(lots, curve)[1])) == list(map(repr, eus))
+            if curve.attribute != "cost":  # an outcome lottery scored by one built-in attribute
+                lot = lotteries(data.draw, outcomes)[0]
+                assert repr(expected_utility(lot, curve)) == repr(expected_utility_oracle(lot, curve))
+
+    def test_oracle_sums_terms_left_to_right(self):
+        lot = Lottery.uniform([Outcome(0, 0, 0)] * 10)
+        assert expected_utility_oracle(lot, default_utility_model()) == left_sum([0.1] * 10)
+
+    def test_the_clamp_reads_minus_zero_as_zero(self):
+        # Under K < 0 the all-best corner is K, so a raw 0 divides to -0.0.
+        curve = AttributeUtility("path_length", ((0.0, 1.0), (10.0, 0.0)), 20.0)
+        model = UtilityModel((curve,), "multiplicative", (1.0,), -0.5)
+        worst = [Outcome(15, 0, 0)] * 9
+        assert list(map(repr, utilities_of(worst, model).tolist())) == [repr(joint_utility_oracle(worst[0], model))] * 9
+        assert repr(joint_utility_oracle(worst[0], model)) == "0.0"
+
+    def test_a_solved_outcome_without_a_scored_attribute_raises(self):
+        cost = AttributeUtility.linear("cost", 0.0, 10.0)
+        model = UtilityModel((PATH, cost), weights=(0.5, 0.5))
+        assert utilities_of([Outcome(1, 1, 1, solved=False)], model).tolist() == [0.0]
+        with pytest.raises(AttributeMissing, match="cost"):
+            utilities_of([Outcome(1, 1, 1, extra={"cost": 2.0}), Outcome(1, 1, 1)], model)
 
 
 class TestConfig:
