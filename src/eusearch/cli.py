@@ -7,26 +7,16 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import fields, replace
 from typing import Sequence
 
 from .exact import DEFAULT_NODE_BUDGET, bfs_optimal, idastar
-from .experiment import (
-    ExperimentConfig,
-    csv_writer,
-    fit_model,
-    load_experiment_config,
-    load_utility_model,
-    read_report_csv,
-    run_experiment,
-    score,
-    select_level,
-    summarize,
-    summary_csv_text,
-    summary_table,
-    training_suite,
-)
+from .experiment import ExperimentConfig, csv_writer, fit_model, load_experiment_config, load_utility_model
+from .experiment import read_report_csv, run_experiment, score, select_level, suite, summarize, summary_csv_text
+from .experiment import summary_table
 from .minimin import ResourceLimits, check_level, decision_accuracy, minimin_run
 from .perfmodel import MODEL_KINDS, MarkovParams, load_model, save_model
 from .puzzle import ProblemInstance, goal_state, parse_state
@@ -67,6 +57,16 @@ def _instance_from_args(args) -> ProblemInstance:
     initial = parse_state(args.instance)
     goal = parse_state(args.goal) if args.goal else goal_state(initial.width)
     return ProblemInstance(initial, goal)
+
+
+def _check_outputs(*paths: str | None) -> None:
+    """An output path in a missing directory, or naming a directory, fails here before any work, as ``open``
+    would fail after it."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _settings(args, base: ExperimentConfig, **fixed) -> ExperimentConfig:
@@ -143,8 +143,7 @@ def cmd_minimin(args) -> int:
 def cmd_accuracy(args) -> int:
     cfg = _settings(args, ExperimentConfig(), depths=(args.depth,))
     goal = goal_state(cfg.width)
-    suite = training_suite(args.depth, cfg.width, cfg.seed, args.samples, cfg.gen_attempts)
-    states = [inst.initial for inst in suite]
+    states = [inst.initial for inst in suite(cfg, "train", args.depth, args.samples)[1]]
     cache: dict = {}
     # Every level is scored before the header, so a failure prints nothing.
     rows = [
@@ -157,11 +156,8 @@ def cmd_accuracy(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _settings(args, ExperimentConfig())
-    suites = {
-        d: training_suite(d, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts)
-        for d in cfg.depths
-    }
-    save_model(fit_model(cfg, suites), args.out)
+    _check_outputs(args.out)
+    save_model(fit_model(cfg, cfg.depths), args.out)
     print(f"wrote {cfg.model_kind} model to {args.out}")
     return 0
 
@@ -170,6 +166,7 @@ def cmd_select(args) -> int:
     cfg = _settings(args, ExperimentConfig())
     if args.depth < 1:  # checked here, before the model read: select has no width to bound it above
         raise ValueError(f"depth must be >= 1, got {args.depth}")
+    _check_outputs(args.csv)
     model = load_model(args.model)
     utility = load_utility_model(cfg.utility_config)
     report = select_level(cfg, model, utility, args.depth, extrapolate=args.extrapolate)
@@ -198,12 +195,14 @@ def _print_summary(report, csv_path: str | None) -> int:
 def cmd_experiment(args) -> int:
     base = load_experiment_config(args.config) if args.config else ExperimentConfig()
     cfg = _settings(args, base)
+    _check_outputs(args.out, args.summary_csv)
     progress = (lambda msg: print(msg, file=sys.stderr)) if not args.quiet else None
     report = run_experiment(cfg, csv_path=args.out, progress=progress)
     return _print_summary(report, args.summary_csv)
 
 
 def cmd_summarize(args) -> int:
+    _check_outputs(args.csv)
     return _print_summary(read_report_csv(args.report), args.csv)
 
 

@@ -93,8 +93,9 @@ class ExperimentConfig:
             raise ValueError("instance counts must be positive")
         if not 1 <= self.predict_samples <= MAX_SAMPLES:
             raise ValueError(f"predict_samples must be in 1..{MAX_SAMPLES}")
-        if self.accuracy_states_per_level < 1:
-            raise ValueError("accuracy_states_per_level must be >= 1")
+        for name in ("accuracy_states_per_level", "gen_attempts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not self.depths or not self.levels:
             raise ValueError("depths and levels must be nonempty")
         for name in ("depths", "levels"):
@@ -157,31 +158,30 @@ class ExperimentReport:
     selections: dict[int, SelectionReport] = field(default_factory=dict)
 
 
-def training_suite(depth: int, width: int, seed: int, count: int, attempts: int) -> list[ProblemInstance]:
-    """The ``count`` verified instances of one depth that a model is fitted on."""
-    return [
-        instance_of_depth(depth, width, subseed(seed, "train", depth, i), attempts=attempts)
-        for i in range(count)
-    ]
+def suite(cfg: ExperimentConfig, label: str, depth: int, count: int) -> tuple[list[int], list[ProblemInstance]]:
+    """The seeds ``subseed(cfg.seed, label, depth, i)`` of the first ``count`` verified
+    instances of ``depth``, and the instances: label ``"train"`` gives the suite a model
+    is fitted on, ``"inst"`` the evaluation suite."""
+    seeds = [subseed(cfg.seed, label, depth, i) for i in range(count)]
+    return seeds, [instance_of_depth(depth, cfg.width, s, attempts=cfg.gen_attempts) for s in seeds]
 
 
-def fit_model(
-    cfg: ExperimentConfig, suites: Mapping[int, Sequence[ProblemInstance]]
-) -> MarkovParams | EmpiricalTable:
-    """The ``cfg.model_kind`` model of ``suites``, a depth -> instances mapping.
+def fit_model(cfg: ExperimentConfig, depths: Sequence[int]) -> MarkovParams | EmpiricalTable:
+    """The ``cfg.model_kind`` model of the training suites of ``depths``, drawn first.
 
     Markov: one fit over all the instances in order, scoring up to
     ``cfg.accuracy_states_per_level`` decisions per level, its sample drawn
-    by ``subseed(cfg.seed, "fit", *suites)``.  Empirical: one cell of
+    by ``subseed(cfg.seed, "fit", *depths)``.  Empirical: one cell of
     outcomes per (depth, level).
     """
+    suites = {d: suite(cfg, "train", d, cfg.train_instances_per_depth)[1] for d in depths}
     if cfg.model_kind == "markov":
         return fit_markov(
             [inst for instances in suites.values() for inst in instances],
             cfg.levels,
             limits=cfg.limits,
             max_states_per_level=cfg.accuracy_states_per_level,
-            seed=subseed(cfg.seed, "fit", *suites),
+            seed=subseed(cfg.seed, "fit", *depths),
         )
     return fit_empirical(suites, cfg.levels, limits=cfg.limits, sample_meta={"seed": cfg.seed})
 
@@ -210,6 +210,16 @@ def score(cfg: ExperimentConfig, utility: UtilityModel, outcomes: Sequence[Outco
     return utilities_of(units, utility).tolist()
 
 
+def evaluate(cfg: ExperimentConfig, utility: UtilityModel, depth: int, chosen: int) -> list[ReportRow]:
+    """The rows of ``depth``: its evaluation suite is generated first, then Minimin
+    runs every instance at every level of ``cfg.levels`` and the runs are scored in
+    one call after the last."""
+    seeds, instances = suite(cfg, "inst", depth, cfg.instances_per_depth)
+    runs = [(i, level, minimin_run(p, level, cfg.limits)) for i, p in enumerate(instances) for level in cfg.levels]
+    utilities = score(cfg, utility, [o for *_, o in runs])
+    return [ReportRow(depth, i, seeds[i], level, chosen, o, u) for (i, level, o), u in zip(runs, utilities)]
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     csv_path: str | None = None,
@@ -217,12 +227,10 @@ def run_experiment(
 ) -> ExperimentReport:
     """Execute the full protocol; flushes rows to ``csv_path`` as they are made.
 
-    Per depth: generate verified instances, fit the performance model on a
-    separate training suite, select one lookahead level by expected utility,
-    then run Minimin at every configured level on every instance and score
-    the actual outcomes with the utility model.  A depth's evaluation
-    instances are all generated before its first run; its rows are scored
-    in one call after its last run, then written and flushed.
+    Per depth, one stage after another: ``fit_model`` on the depth's training
+    suite, ``select_level`` by expected utility, then ``evaluate`` at every
+    configured level on the evaluation suite; the depth's rows are then
+    written and flushed.
     """
     say = progress or (lambda msg: None)
     utility = load_utility_model(cfg.utility_config)
@@ -230,25 +238,10 @@ def run_experiment(
     with open(csv_path, "w", newline="", encoding="utf-8") if csv_path else nullcontext() as sink:
         writer = csv_writer(sink, REPORT_COLUMNS) if sink else None
         for depth in cfg.depths:
-            say(f"depth {depth}: generating training suite")
-            training = training_suite(
-                depth, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts
-            )
-            say(f"depth {depth}: fitting {cfg.model_kind} model")
-            model = fit_model(cfg, {depth: training})
-            selection = select_level(cfg, model, utility, depth)
-            chosen = selection.chosen_level
-            report.selections[depth] = selection
-            say(f"depth {depth}: selected level {chosen}; running instances")
-            seeds = [subseed(cfg.seed, "inst", depth, i) for i in range(cfg.instances_per_depth)]
-            instances = [instance_of_depth(depth, cfg.width, s, attempts=cfg.gen_attempts) for s in seeds]
-            runs = [
-                (i, level, minimin_run(instance, level, cfg.limits))
-                for i, instance in enumerate(instances)
-                for level in cfg.levels
-            ]
-            utilities = score(cfg, utility, [o for *_, o in runs])
-            rows = [ReportRow(depth, i, seeds[i], level, chosen, o, u) for (i, level, o), u in zip(runs, utilities)]
+            say(f"depth {depth}: generating training suite, fitting {cfg.model_kind} model")
+            selection = report.selections[depth] = select_level(cfg, fit_model(cfg, (depth,)), utility, depth)
+            say(f"depth {depth}: selected level {selection.chosen_level}; running instances")
+            rows = evaluate(cfg, utility, depth, selection.chosen_level)
             report.rows.extend(rows)
             if writer:
                 writer.writerows(map(_row_to_csv, rows))

@@ -637,6 +637,33 @@ def test_benchmark_tracer_sees_every_fit_run(tracing, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_benchmark_tracer_sees_every_stage_of_each_depth(tracing):
+    # The benchmark's ``stage_times`` names each direct child of the
+    # run_experiment span by the function it calls, and its desk items are the
+    # ``minimin_run`` spans that are direct children.  So generation, the fit,
+    # the selection and the runs stay calls through ``experiment``'s globals
+    # with no wrapped call between them and the run, and each depth's
+    # evaluation suite comes after its selection and before its first run.
+    cfg = ExperimentConfig(
+        depths=(4, 6), instances_per_depth=2, levels=(1, 2), train_instances_per_depth=2, predict_samples=200
+    )
+    rec = tracing.Recorder()
+    with tracing.installed(rec, (*tracing.TRACE_WRAPS, tracing.DESK_ITEM_WRAP)):
+        with rec.span("experiment.run_experiment"):
+            run_experiment(cfg)
+    root = next(i for i, s in enumerate(rec.spans) if s.name == "experiment.run_experiment")
+    stages = tracing.stage_times(rec.spans, root)
+    assert all(stages[stage] > 0 for stage in ("gen_train", "fit", "select", "gen_eval", "evaluate"))
+    runs = [s for s in rec.spans[root + 1:] if s.name == "minimin.minimin_run"]
+    assert {s.parent for s in runs} == {root}
+    assert len(runs) == len(cfg.depths) * cfg.instances_per_depth * len(cfg.levels)
+    # The untraced benchmark run installs the item wrap alone.
+    rec = tracing.Recorder()
+    with tracing.installed(rec, (tracing.DESK_ITEM_WRAP,)):
+        run_experiment(cfg)
+    assert len(rec.spans) == len(runs)
+
+
 def test_criterion_7_invariant_suites():
     start = time.monotonic()
 

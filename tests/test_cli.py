@@ -4,7 +4,7 @@ import io
 import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,9 @@ import eusearch.experiment as experiment
 from eusearch.cli import main
 from eusearch.experiment import ExperimentConfig
 from eusearch.minimin import MAX_LOOKAHEAD, ResourceLimits, _value_table
+from eusearch.perfmodel import load_model
+from eusearch.seeds import subseed
+from eusearch.utility import default_utility_model
 
 
 def sha256(path) -> str:
@@ -201,8 +204,9 @@ class TestUnitRates:
         def no_work(*args, **kwargs):
             pytest.fail("a run, model read, suite or walk started")
 
-        for name in ("minimin_run", "load_model", "run_experiment", "training_suite"):
+        for name in ("minimin_run", "load_model", "run_experiment"):
             monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(experiment, "instance_of_depth", no_work)  # every suite's generator
         monkeypatch.chdir(tmp_path)
 
     @pytest.mark.parametrize("flag", ["--gens-per-minute", "--nodes-per-megabyte"])
@@ -270,9 +274,20 @@ class TestUnitRates:
         code, out, err = run_cli(capsys, "experiment", "--config", "cfg.yaml", "--quiet")
         assert (code, out, err) == (2, "", f"eusearch: ValueError: cfg.yaml {message}\n")
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", [ACCURACY, FIT, EXPERIMENT], ids=lambda c: c[0])
+    def test_nonpositive_gen_attempts_fail_before_any_suite(self, capsys, tmp_path, command, value):
+        code, out, err = run_cli(capsys, *command, "--gen-attempts", value)
+        assert (code, out, err) == (2, "", "eusearch: ValueError: gen_attempts must be >= 1\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_fit_flags_reach_the_suite_and_the_fit(self, capsys, monkeypatch):
-        suites, fits = [], []
-        monkeypatch.setattr(cli, "training_suite", lambda *a: suites.append(a) or [])
+        generated, fits = [], []
+
+        def fake_instance_of_depth(depth, width, seed, attempts):
+            generated.append((depth, width, seed, attempts))
+
+        monkeypatch.setattr(experiment, "instance_of_depth", fake_instance_of_depth)
 
         def fake_fit_empirical(suite, levels, limits, sample_meta):
             fits.append((sorted(suite), levels, limits, sample_meta))
@@ -285,9 +300,41 @@ class TestUnitRates:
         )
         assert (code, out) == (2, "") and err.startswith("eusearch: _Stop")
         depths = ExperimentConfig.depths
-        assert suites == [(d, 3, 0, 5, 13) for d in depths]
+        # Each depth's 5 training instances, at width 3 from seed 0, with 13 attempts each.
+        assert generated == [(d, 3, subseed(0, "train", d, i), 13) for d in depths for i in range(5)]
         limits = ResourceLimits(max_moves=17, node_budget=200_000)
         assert fits == [(list(depths), tuple(range(1, 13)), limits, {"seed": 0})]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("experiment", "--instances", "1", "--quiet", "--summary-csv"),
+        ("experiment", "--instances", "1", "--quiet", "--out"),
+        ("fit", "--out"),
+        ("select", "--depth", "4", "--model", "m.yaml", "--csv"),
+        ("summarize", "--report", "runs.csv", "--csv"),
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-1]}",
+)
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        ("missing/out.csv", "FileNotFoundError: [Errno 2] No such file or directory"),
+        ("", "IsADirectoryError: [Errno 21] Is a directory"),
+    ],
+    ids=["missing directory", "directory"],
+)
+def test_unwritable_output_path_fails_before_any_work(capsys, monkeypatch, tmp_path, argv, name, fault):
+    def no_work(*args, **kwargs):
+        pytest.fail("a suite, fit, model read, report read or run started")
+
+    for attr in ("run_experiment", "fit_model", "load_model", "read_report_csv"):
+        monkeypatch.setattr(cli, attr, no_work)
+    monkeypatch.setattr(experiment, "instance_of_depth", no_work)
+    path = str(tmp_path / name) if name else str(tmp_path)
+    code, out, err = run_cli(capsys, *argv, path)
+    assert (code, out, err) == (2, "", f"eusearch: {fault}: {path!r}\n")
 
 
 def test_flags_of_shared_settings_default_to_the_config():
@@ -748,7 +795,7 @@ class TestFitSelect:
     @staticmethod
     def _fit_fails_before_any_suite(capsys, tmp_path, monkeypatch, message, *flags):
         built = []
-        monkeypatch.setattr(cli, "training_suite", lambda *a: built.append(a) or [])
+        monkeypatch.setattr(experiment, "instance_of_depth", lambda *a, **k: built.append(a))
         model_path = tmp_path / "model.yaml"
         code, out, err = run_cli(capsys, "fit", *flags, "--levels", "1-2", "--out", str(model_path))
         assert (code, out, err) == (2, "", f"eusearch: ValueError: {message}\n")
@@ -839,6 +886,32 @@ class TestFitSelect:
         assert csv_path.read_text().splitlines()[1:] == [
             f"{level},{eu!r},{int(level == 6)}" for level, eu in sorted(selection.eu_by_level.items())
         ]
+
+    @pytest.mark.parametrize("kind", ["markov", "empirical"])
+    def test_stages_one_by_one_reproduce_each_depth_of_the_experiment(self, capsys, tmp_path, monkeypatch, kind):
+        # fit, select and the evaluation stage, called one after another as the
+        # CLI calls them, give run_experiment's model, selection and rows per depth.
+        cfg = ExperimentConfig(
+            depths=(4, 6), instances_per_depth=3, levels=(1, 2, 3), seed=11,
+            train_instances_per_depth=3, predict_samples=300, model_kind=kind,
+        )
+        fit, models = experiment.fit_model, {}
+        monkeypatch.setattr(experiment, "fit_model", lambda c, depths: models.setdefault(depths, fit(c, depths)))
+        report = experiment.run_experiment(cfg)
+        utility = default_utility_model()
+        for depth in cfg.depths:
+            model_path = tmp_path / f"{kind}{depth}.yaml"
+            code, _, _ = run_cli(
+                capsys, "fit", "--kind", kind, "--depths", str(depth), "--train-per-depth", "3",
+                "--levels", "1-3", "--seed", "11", "--out", str(model_path),
+            )
+            assert code == 0
+            model = load_model(str(model_path))
+            assert fit(cfg, (depth,)) == models[(depth,)] == model
+            selection = experiment.select_level(cfg, model, utility, depth)
+            assert selection == report.selections[depth]
+            rows = experiment.evaluate(cfg, utility, depth, selection.chosen_level)
+            assert rows == [row for row in report.rows if row.depth == depth]
 
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_select_rejects_a_bad_depth_before_reading_the_model(self, capsys, monkeypatch, depth):

@@ -17,7 +17,6 @@ from eusearch.experiment import (
     summary_csv_text,
     summary_table,
     to_user_units,
-    training_suite,
 )
 from eusearch.minimin import _value_table
 from eusearch.perfmodel import load_model
@@ -97,10 +96,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig()
         data = Path(__file__).parents[1] / "perfbench" / "data"
         for depth in cfg.depths:
-            training = training_suite(
-                depth, cfg.width, cfg.seed, cfg.train_instances_per_depth, cfg.gen_attempts
-            )
-            model = fit_model(cfg, {depth: training})
+            model = fit_model(cfg, (depth,))
             assert model == load_model(str(data / f"markov_d{depth}.yaml"))
 
     def test_deterministic_csv(self):
