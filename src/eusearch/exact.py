@@ -23,7 +23,7 @@ from math import factorial
 import numpy as np
 
 from .puzzle import _ROOT, Op, ProblemInstance, SolutionPath, State, _reachable_parity, _state_key
-from .puzzle import delta_moves, goal_state, manhattan, moves_table, random_walk
+from .puzzle import _INVERSE, delta_moves, goal_state, manhattan, moves_table, random_walk
 from .seeds import subseed
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -155,6 +155,14 @@ def _tile_orders(cells: int) -> tuple[np.ndarray, np.ndarray]:
     return orders[~odd], orders[odd]
 
 
+@lru_cache(maxsize=None)
+def _identity_map(n: int) -> np.ndarray:
+    """The read-only map of ``n`` keys to themselves; a build may skip gathering through it."""
+    same = np.arange(n, dtype=np.uint16)
+    same.flags.writeable = False
+    return same
+
+
 @lru_cache(maxsize=4)
 def _state_index(width: int, goal: tuple[int, ...]):
     """One index of every state that reaches ``goal``, for width <= 3.
@@ -164,24 +172,33 @@ def _state_index(width: int, goal: tuple[int, ...]):
     ``is_reachable`` asks of blank cell b, reach the goal.  Ranks 2k and
     2k + 1 differ by a swap of the last two tiles, so state (b, k) has the
     order in row k of ``_tile_orders(width * width)[parity[b]]``.  Read-only
-    ``ranks[b, op][k]`` is the child's k for every move: a vertical one carries
-    a tile past width - 1 others; all horizontal ones share one identity map.
-    Returns (parity, ranks); the orders are not kept.
+    ``ranks[b, op][k]`` is the child's k for every move.  A horizontal move
+    keeps the order, so it keeps k: all horizontal moves share one
+    ``_identity_map``.  A vertical move carries a tile past width - 1 others;
+    its map is ranked from the moved orders when the move back has no map
+    yet, else it is that map inverted.  Returns (parity, ranks); the orders
+    are not kept.
     """
     cells = width * width
     parity = tuple(_reachable_parity(goal, b) for b in range(cells))
     orders = _tile_orders(cells)
+    same = _identity_map(len(orders[0]))
     ranks = {}
-    same = np.arange(len(orders[0]), dtype=np.uint16)
     for b, moves in enumerate(moves_table(width)):
         order = orders[parity[b]]
         for op, j in moves:
-            ranks[b, op] = same
-            if abs(j - b) > 1:
+            back = ranks.get((j, _INVERSE[op]))
+            if abs(j - b) == 1:
+                m = same
+            elif back is not None:
+                m = np.empty_like(back)
+                m[back] = same
+            else:
                 src = j - (j > b)
                 moved = np.insert(np.delete(order, src, axis=1), b - (b > j), order[:, src], axis=1)
-                ranks[b, op] = (_lehmer_ranks(moved) >> 1).astype(np.uint16)
-            ranks[b, op].flags.writeable = False
+                m = (_lehmer_ranks(moved) >> 1).astype(np.uint16)
+            m.flags.writeable = False
+            ranks[b, op] = m
     return parity, ranks
 
 
@@ -190,12 +207,14 @@ def _distance_table(width: int, goal: tuple[int, ...]):
     """Distance to ``goal`` of every state in ``_state_index``.
 
     Built by breadth-first search, one level at a time, which reaches every
-    state of the goal's parity class.  Returns (rows, parity): ``rows[b][k]``
+    state of the goal's parity class; a move whose map is ``_identity_map``
+    carries its frontier row over as it is.  Returns (rows, parity): ``rows[b][k]``
     is state (b, k)'s distance, as a plain int from a read-only view.
     """
     parity, ranks = _state_index(width, goal)
     goal_blank, goal_k, _ = _state_key(goal)
     dist = np.full((width * width, factorial(width * width - 1) // 2), _UNREACHED, np.uint8)
+    same = _identity_map(dist.shape[1])
     dist[goal_blank, goal_k] = 0
     frontier = dist == 0
     depth = 0
@@ -203,10 +222,14 @@ def _distance_table(width: int, goal: tuple[int, ...]):
         depth += 1
         reached = np.zeros_like(frontier)
         for b, moves in enumerate(moves_table(width)):
+            at = np.flatnonzero(frontier[b])
             for op, j in moves:
-                reached[j, ranks[b, op][frontier[b]]] = True
+                if ranks[b, op] is same:
+                    reached[j] |= frontier[b]
+                else:
+                    reached[j, ranks[b, op][at]] = True
         frontier = reached & (dist == _UNREACHED)
-        dist[frontier] = depth
+        dist -= frontier * np.uint8(_UNREACHED - depth)  # the frontier held _UNREACHED
     dist.flags.writeable = False
     return tuple(memoryview(row) for row in dist), parity
 

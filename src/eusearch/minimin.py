@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import _TABLE_MAX_WIDTH, _distance_table, _state_index, _tile_orders, idastar
+from .exact import _TABLE_MAX_WIDTH, _distance_table, _identity_map, _state_index, _tile_orders, idastar
 from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, delta_moves
 from .puzzle import dist_table, manhattan, moves_after, moves_table
 from .utility import Outcome, check_types
@@ -226,7 +226,14 @@ def _value_table(width: int, goal: tuple[int, ...]):
     one undoing the arrival op.  Manhattan distance is consistent, so W rises
     by 0 or 2 per level (else the build raises); bit l - 1 of a profile word
     records which: W_l = h + 2 * popcount(word & (2**l - 1)), for every level
-    up to ``MAX_LOOKAHEAD``.  Returns (rows, h, size, counted, policies):
+    up to ``MAX_LOOKAHEAD``.  Each level lines up the children's W_{l-1} rows
+    by the parent's k: a horizontal child's row is read in place, as its map
+    is ``exact._identity_map``, and only a vertical one's is gathered through
+    its map.  Each arrival op then takes ``np.minimum`` over the other 1-3
+    children into its own row, and the 1 is added to every row at once: W
+    stays below 255, so the add commutes with the minimum.  h is summed tile
+    by tile for a blank in column 0 and stepped one cell right from there.
+    Returns (rows, h, size, counted, policies):
     ``rows[b][last]`` lists ``puzzle.moves_after``'s moves from cell ``b``
     as (op, new blank, words, ranks), with the child's words by its k in
     ``_state_index`` and the move's map of k; ``h[b][k]`` is state (b, k)'s
@@ -247,9 +254,14 @@ def _value_table(width: int, goal: tuple[int, ...]):
     cells = width * width
     orders = _tile_orders(cells)
     dists = np.array(dist_table(width, goal), np.uint8)
-    h = [dists[orders[p] + 1, [i + (i >= b) for i in range(cells - 1)]].sum(axis=1, dtype=np.uint8)
-         for b, p in enumerate(parity)]
+    h = []
+    for b, p in enumerate(parity):
+        if b % width:  # (b, k) is (b - 1, k) after the tile at cell b moves to b - 1
+            h.append(h[-1] + (dists[1:, b - 1] - dists[1:, b]).take(orders[p][:, b - 1]))
+        else:  # the tile at position i of the order sits in cell i + (i >= b)
+            h.append(sum(dists[1:, i + (i >= b)].take(orders[p][:, i]) for i in range(cells - 1)))
     del orders
+    same = _identity_map(len(h[0]))
     block = {a: i for i, a in enumerate((j, op) for b in range(cells) for op, j in moves[b])}
     words = np.zeros((len(block), len(h[0])), np.uint32)
     values = np.stack([h[j] for j, _ in block])  # W_0 by (cell, arrival op)
@@ -259,15 +271,22 @@ def _value_table(width: int, goal: tuple[int, ...]):
     for bit in range(MAX_LOOKAHEAD - 1):
         values, below = below, values
         for b in range(cells):
-            via = 1 + np.stack([below[block[j, op]].take(ranks[b, op]) for op, j in moves[b]])
+            via = [below[block[j, op]] for op, j in moves[b]]  # by the child's k
+            via = [w if ranks[b, op] is same else w.take(ranks[b, op]) for w, (op, _) in zip(via, moves[b])]
             for i, (op, _) in enumerate(moves[b]):  # arrived from the cell this op returns to
-                np.min(np.delete(via, i, axis=0), axis=0, out=values[block[b, _INVERSE[op]]])
+                out = values[block[b, _INVERSE[op]]]
+                others = via[:i] + via[i + 1 :]
+                np.minimum(others[0], others[-1], out=out)
+                for child in others[1:-1]:
+                    np.minimum(out, child, out=out)
+        values += 1
         values[at_goal, goal_k] = 0
         np.subtract(values, below, out=below)
         if (below & 0xFD).any():
             raise RuntimeError("a lookahead value rose by other than 0 or 2 in one level")
-        for row, step in zip(words, below):
-            row |= (step >> 1).astype(words.dtype) << bit
+        for row, step in zip(words, below):  # a step of 2 sets bit + 1, undone by one shift
+            np.bitwise_or(row, np.left_shift(step, bit, dtype=words.dtype), out=row)
+    words >>= 1
     words.flags.writeable = False
     views = [memoryview(row) for row in words]
     maps = {a: memoryview(m) for a, m in ranks.items()}
@@ -287,8 +306,9 @@ def _policy_table(rows, h, level: int) -> tuple[bytes, ...]:
     move of least value W = h + 2 * popcount(word & (2**(level - 1) - 1)),
     in op order, and bit 2 is set iff W + 1 >= level: the tree holds no goal
     above the frontier.  Each move's W * 4 + its index is taken in child
-    order, gathered to the parent's k by the move's ranks, and the least over
-    the moves kept.  That is done in uint16: a 3x3 table's W stays below 32,
+    order, gathered to the parent's k by the move's ranks unless they are
+    ``exact._identity_map`` (a horizontal move), and the least over the
+    moves kept.  That is done in uint16: a 3x3 table's W stays below 32,
     but words of 23 bits and h up to 22 let W * 4 + 3 pass 255 at levels 22-24.
     """
     mask = np.uint32((1 << (level - 1)) - 1)
@@ -297,7 +317,9 @@ def _policy_table(rows, h, level: int) -> tuple[bytes, ...]:
         best = None
         for i, (_, j, words, ranks) in enumerate(row[_ROOT]):
             value = np.bitwise_count(np.asarray(words) & mask).astype(np.uint16) * 2 + np.asarray(h[j])
-            value = (value << 2 | i).take(np.asarray(ranks))
+            value = value << 2 | i
+            if ranks.obj is not _identity_map(len(ranks)):
+                value = value.take(np.asarray(ranks))
             best = value if best is None else np.minimum(best, value, out=best)
         policy.append((best & 3 | ((best >> 2) + 1 >= level) << 2).astype(np.uint8).tobytes())
     return tuple(policy)

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from oracles import (
     cell_moves,
     cycle_parity,
     idastar_oracle,
+    inverse,
     lehmer_rank,
     manhattan_tally,
     replay,
@@ -325,6 +327,16 @@ class TestStateIndex:
         horizontal = {id(m) for (_, op), m in ranks.items() if op in (Op.LEFT, Op.RIGHT)}
         assert len(horizontal) == 1
         assert all(len(m) == len(states) // width**2 for m in ranks.values())
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_each_vertical_move_back_inverts_the_move(self, width):
+        goal = goal_state(width)
+        _, ranks = _state_index.__wrapped__(width, goal.tiles)
+        vertical = [(b, op, j) for b in range(width**2) for op, j in cell_moves(width, b) if abs(j - b) > 1]
+        assert len(vertical) == 2 * width * (width - 1)
+        for b, op, j in vertical:
+            there = ranks[b, op]
+            assert np.array_equal(ranks[j, inverse(op)][there], np.arange(len(there)))
 
     def test_generation_builds_no_value_table(self, policy_builds):
         _value_table.cache_clear()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import time
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eusearch.minimin as minimin
-from eusearch.exact import _distance_table, exact_distance, idastar, instance_of_depth
+from eusearch.exact import _distance_table, _state_index, exact_distance, idastar, instance_of_depth
 from eusearch.experiment import ExperimentConfig, run_experiment
 from eusearch.minimin import (
     MAX_LOOKAHEAD,
@@ -47,6 +48,7 @@ from replay import tile_pairs
 GOAL3 = goal_state(3)
 GOAL2 = goal_state(2)
 GOAL4 = goal_state(4)
+TABLE_FINGERPRINT = "7501450e7afac3cd102200413a80bff8930043f87bcf1f93b22a9189a4a6085a"
 
 
 def sample_states(count, max_steps, seed=0, width=3):
@@ -696,6 +698,38 @@ class TestPolicyTable:
         minimin_run(p, 9)
         assert _value_table(3, GOAL3.tiles)[4] is not policies
         assert len(policy_builds) == MAX_LOOKAHEAD + 1
+
+
+def table_digest(width, goal) -> bytes:
+    """SHA-256 over freshly built tables of one (width, goal): the state index's maps, the
+    d* rows and parity, the value table's words per ``rows[b][last]`` move and its h rows,
+    and the policy tables of levels 1-24."""
+    digest = hashlib.sha256()
+    parity, ranks = _state_index.__wrapped__(width, goal)
+    digest.update(bytes(parity))
+    for b, op in sorted(ranks):
+        digest.update(bytes((b, op)) + ranks[b, op].tobytes())
+    dist, dist_parity = _distance_table.__wrapped__(width, goal)
+    digest.update(bytes(dist_parity) + b"".join(map(bytes, dist)))
+    rows, h = _value_table.__wrapped__(width, goal)[:2]
+    for row in rows:
+        for moves in row:
+            for op, j, words, _ in moves:
+                digest.update(bytes((op, j)) + bytes(words))
+    digest.update(b"".join(map(bytes, h)))
+    for level in range(1, MAX_LOOKAHEAD + 1):
+        digest.update(b"".join(_policy_table(rows, h, level)))
+    return digest.digest()
+
+
+class TestTableBytes:
+    def test_tables_keep_their_bytes(self):
+        # Recorded from the tables' first builds; any faster build must keep every byte.
+        digest = hashlib.sha256()
+        for width in (2, 3):
+            for goal in (goal_state(width).tiles, tuple(range(width * width))):
+                digest.update(table_digest(width, goal))
+        assert digest.hexdigest() == TABLE_FINGERPRINT
 
 
 def assert_table_run_is_the_search(p, level, limits):
