@@ -5,8 +5,8 @@ solver (memory-linear, deterministic Up < Down < Left < Right expansion
 order).  ``exact_distance`` answers true-distance queries with ``idastar``
 for width 4, and for width <= 3 from a table of every state's distance by
 ``puzzle._state_key``'s (blank cell, k), in ``_state_index``, the one index
-of the states that reach a goal, which ``minimin``'s value table and traced
-runs share.
+of the states that reach a goal and of their h, which ``minimin``'s value
+table and traced runs share.
 ``instance_of_depth`` rejection-samples random walks until the verified
 optimal depth matches the target exactly.  Walks read ``puzzle.moves_after``;
 ``idastar`` walks one board over ``puzzle.delta_moves``, the same moves with
@@ -23,7 +23,7 @@ from math import factorial
 import numpy as np
 
 from .puzzle import _ROOT, Op, ProblemInstance, SolutionPath, State, _reachable_parity, _state_key
-from .puzzle import _INVERSE, delta_moves, goal_state, manhattan, moves_table, random_walk
+from .puzzle import _INVERSE, delta_moves, dist_table, goal_state, manhattan, moves_after, random_walk
 from .seeds import subseed
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -62,7 +62,7 @@ def bfs_optimal(p: ProblemInstance, node_budget: int = DEFAULT_NODE_BUDGET) -> E
     goal = p.goal.tiles
     if start == goal:
         return ExactResult(SolutionPath(()), 0, 1)
-    table = moves_table(p.width)
+    table = [moves[_ROOT] for moves in moves_after(p.width)]
     visited: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {start: (start, _ROOT)}
     frontier: deque[tuple[tuple[int, ...], int]] = deque([(start, start.index(0))])
     generated = 0
@@ -176,17 +176,25 @@ def _state_index(width: int, goal: tuple[int, ...]):
     keeps the order, so it keeps k: all horizontal moves share one
     ``_identity_map``.  A vertical move carries a tile past width - 1 others;
     its map is ranked from the moved orders when the move back has no map
-    yet, else it is that map inverted.  Returns (parity, ranks); the orders
-    are not kept.
+    yet, else it is that map inverted.  Read-only ``h[b][k]`` is state (b, k)'s
+    Manhattan distance to ``goal``: summed tile by tile for a blank in column
+    0 and stepped one cell right from there.  Returns (parity, ranks, h); the
+    orders are not kept.
     """
     cells = width * width
     parity = tuple(_reachable_parity(goal, b) for b in range(cells))
     orders = _tile_orders(cells)
+    dists = np.array(dist_table(width, goal), np.uint8)
     same = _identity_map(len(orders[0]))
-    ranks = {}
-    for b, moves in enumerate(moves_table(width)):
+    ranks, h = {}, []
+    for b, moves in enumerate(moves_after(width)):
         order = orders[parity[b]]
-        for op, j in moves:
+        if b % width:  # (b, k) is (b - 1, k) after the tile at cell b moves to b - 1
+            h.append(h[-1] + (dists[1:, b - 1] - dists[1:, b]).take(order[:, b - 1]))
+        else:  # the tile at position i of the order sits in cell i + (i >= b)
+            h.append(sum(dists[1:, i + (i >= b)].take(order[:, i]) for i in range(cells - 1)))
+        h[-1].flags.writeable = False
+        for op, j in moves[_ROOT]:
             back = ranks.get((j, _INVERSE[op]))
             if abs(j - b) == 1:
                 m = same
@@ -199,7 +207,7 @@ def _state_index(width: int, goal: tuple[int, ...]):
                 m = (_lehmer_ranks(moved) >> 1).astype(np.uint16)
             m.flags.writeable = False
             ranks[b, op] = m
-    return parity, ranks
+    return parity, ranks, tuple(h)
 
 
 @lru_cache(maxsize=4)
@@ -211,7 +219,7 @@ def _distance_table(width: int, goal: tuple[int, ...]):
     carries its frontier row over as it is.  Returns (rows, parity): ``rows[b][k]``
     is state (b, k)'s distance, as a plain int from a read-only view.
     """
-    parity, ranks = _state_index(width, goal)
+    parity, ranks, _ = _state_index(width, goal)
     goal_blank, goal_k, _ = _state_key(goal)
     dist = np.full((width * width, factorial(width * width - 1) // 2), _UNREACHED, np.uint8)
     same = _identity_map(dist.shape[1])
@@ -221,9 +229,9 @@ def _distance_table(width: int, goal: tuple[int, ...]):
     while frontier.any():
         depth += 1
         reached = np.zeros_like(frontier)
-        for b, moves in enumerate(moves_table(width)):
+        for b, moves in enumerate(moves_after(width)):
             at = np.flatnonzero(frontier[b])
-            for op, j in moves:
+            for op, j in moves[_ROOT]:
                 if ranks[b, op] is same:
                     reached[j] |= frontier[b]
                 else:
@@ -264,7 +272,8 @@ def instance_of_depth(
     Rejection-samples seeded random walks of length ``d`` (walks backtrack, so
     the walked distance is only an upper bound) and verifies each candidate
     with ``exact_distance`` until one matches: a table lookup for width <= 3,
-    an ``idastar`` solve for width 4.
+    an ``idastar`` solve for width 4.  A solve that runs out of its node budget
+    raises ``GenerationFailed`` naming the depth and the attempt.
     """
     if d < 0:
         raise ValueError("depth must be >= 0")
@@ -273,8 +282,13 @@ def instance_of_depth(
         return ProblemInstance(goal, goal)
     for k in range(attempts):
         s = random_walk(goal, d, subseed(seed, "walk", k))
-        if exact_distance(s, goal) == d:
-            return ProblemInstance(s, goal)
+        try:
+            if exact_distance(s, goal) == d:
+                return ProblemInstance(s, goal)
+        except BudgetExhausted as exc:
+            raise GenerationFailed(
+                f"depth-{d} attempt {k} could not be verified (width {width}, seed {seed}): {exc}"
+            ) from exc
     raise GenerationFailed(
         f"no depth-{d} instance found in {attempts} attempts (width {width}, seed {seed})"
     )

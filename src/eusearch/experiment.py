@@ -61,9 +61,8 @@ def to_user_units(
     return Outcome(outcome.path_length, t, s, outcome.solved, outcome.extra)
 
 
-def _max_depth(width: int) -> int:
-    """The deepest instance depth a config may ask for: the 2x2 and 3x3 diameters, else 80."""
-    return {2: 6, 3: 31}.get(width, 80)
+# The deepest instance depth a config may ask for at each width it accepts: the board's diameter.
+_MAX_DEPTH = {2: 6, 3: 31, 4: 80}
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_types(self)
+        if self.width not in _MAX_DEPTH:
+            raise ValueError(f"width must be 2, 3 or 4, got {self.width}")
         if not isinstance(self.limits, ResourceLimits):
             raise ValueError(f"limits must be ResourceLimits, got {self.limits!r}")
         if self.instances_per_depth <= 0 or self.train_instances_per_depth <= 0:
@@ -103,8 +104,8 @@ class ExperimentConfig:
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat, got {list(values)}")
         for d in self.depths:
-            if not 1 <= d <= _max_depth(self.width):
-                raise ValueError(f"depth {d} not in 1..{_max_depth(self.width)} at width {self.width}")
+            if not 1 <= d <= _MAX_DEPTH[self.width]:
+                raise ValueError(f"depth {d} not in 1..{_MAX_DEPTH[self.width]} at width {self.width}")
         for level in self.levels:
             check_level(level)
         for name in ("gens_per_minute", "nodes_per_megabyte"):
@@ -326,7 +327,7 @@ def read_report_csv(path: str, config: ExperimentConfig | None = None) -> Experi
     depths = tuple(sorted({r.depth for r in rows}))
     try:
         cfg = config or ExperimentConfig(
-            width=3 if all(d <= _max_depth(3) for d in depths) else 4,
+            width=3 if all(d <= _MAX_DEPTH[3] for d in depths) else 4,
             depths=depths,
             levels=tuple(sorted({r.level for r in rows})),
         )

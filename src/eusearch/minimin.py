@@ -38,9 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import _TABLE_MAX_WIDTH, _distance_table, _identity_map, _state_index, _tile_orders, idastar
-from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, delta_moves
-from .puzzle import dist_table, manhattan, moves_after, moves_table
+from .exact import _TABLE_MAX_WIDTH, _distance_table, _identity_map, _state_index, idastar
+from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, delta_moves, manhattan, moves_after
 from .utility import Outcome, check_types
 
 MAX_LOOKAHEAD = 24
@@ -231,9 +230,8 @@ def _value_table(width: int, goal: tuple[int, ...]):
     is ``exact._identity_map``, and only a vertical one's is gathered through
     its map.  Each arrival op then takes ``np.minimum`` over the other 1-3
     children into its own row, and the 1 is added to every row at once: W
-    stays below 255, so the add commutes with the minimum.  h is summed tile
-    by tile for a blank in column 0 and stepped one cell right from there.
-    Returns (rows, h, size, counted, policies):
+    stays below 255, so the add commutes with the minimum.  h is
+    ``_state_index``'s.  Returns (rows, h, size, counted, policies):
     ``rows[b][last]`` lists ``puzzle.moves_after``'s moves from cell ``b``
     as (op, new blank, words, ranks), with the child's words by its k in
     ``_state_index`` and the move's map of k; ``h[b][k]`` is state (b, k)'s
@@ -249,20 +247,10 @@ def _value_table(width: int, goal: tuple[int, ...]):
     Only ``_table_loop``, its count walk ``_goal_counts`` and its
     ``_policy_table`` builds read it.
     """
-    parity, ranks = _state_index(width, goal)
-    moves = moves_table(width)
-    cells = width * width
-    orders = _tile_orders(cells)
-    dists = np.array(dist_table(width, goal), np.uint8)
-    h = []
-    for b, p in enumerate(parity):
-        if b % width:  # (b, k) is (b - 1, k) after the tile at cell b moves to b - 1
-            h.append(h[-1] + (dists[1:, b - 1] - dists[1:, b]).take(orders[p][:, b - 1]))
-        else:  # the tile at position i of the order sits in cell i + (i >= b)
-            h.append(sum(dists[1:, i + (i >= b)].take(orders[p][:, i]) for i in range(cells - 1)))
-    del orders
+    _, ranks, h = _state_index(width, goal)
+    moves = [after[_ROOT] for after in moves_after(width)]
     same = _identity_map(len(h[0]))
-    block = {a: i for i, a in enumerate((j, op) for b in range(cells) for op, j in moves[b])}
+    block = {a: i for i, a in enumerate((j, op) for legal in moves for op, j in legal)}
     words = np.zeros((len(block), len(h[0])), np.uint32)
     values = np.stack([h[j] for j, _ in block])  # W_0 by (cell, arrival op)
     below = np.empty_like(values)
@@ -270,10 +258,10 @@ def _value_table(width: int, goal: tuple[int, ...]):
     at_goal = [block[goal_blank, _INVERSE[op]] for op, _ in moves[goal_blank]]
     for bit in range(MAX_LOOKAHEAD - 1):
         values, below = below, values
-        for b in range(cells):
-            via = [below[block[j, op]] for op, j in moves[b]]  # by the child's k
-            via = [w if ranks[b, op] is same else w.take(ranks[b, op]) for w, (op, _) in zip(via, moves[b])]
-            for i, (op, _) in enumerate(moves[b]):  # arrived from the cell this op returns to
+        for b, legal in enumerate(moves):
+            via = [below[block[j, op]] for op, j in legal]  # by the child's k
+            via = [w if ranks[b, op] is same else w.take(ranks[b, op]) for w, (op, _) in zip(via, legal)]
+            for i, (op, _) in enumerate(legal):  # arrived from the cell this op returns to
                 out = values[block[b, _INVERSE[op]]]
                 others = via[:i] + via[i + 1 :]
                 np.minimum(others[0], others[-1], out=out)
@@ -293,8 +281,6 @@ def _value_table(width: int, goal: tuple[int, ...]):
     rows = tuple(tuple(
         tuple((op, j, views[block[j, op]], maps[b, op]) for op, j in row) for row in after
     ) for b, after in enumerate(moves_after(width)))
-    for row in h:
-        row.flags.writeable = False
     counted = tuple({} for _ in range(MAX_LOOKAHEAD + 1))
     return rows, tuple(memoryview(row) for row in h), _tree_sizes(width), counted, [None] * len(counted)
 

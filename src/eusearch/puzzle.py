@@ -3,9 +3,11 @@
 States are row-major tile permutations with 0 as the blank.  Operators move
 the blank (Up/Down/Left/Right); all moves cost 1, so path cost equals path
 length.  The 3x3 (Eight) and 4x4 (Fifteen) boards are the shipped domains;
-the 2x2 board is supported for exhaustive testing.  ``moves_after`` owns the
-rule that random walks, IDA* and Minimin's lookahead trees share: never undo
-the move just made; ``delta_moves`` owns the h step of every search over tiles.
+the 2x2 board is supported for exhaustive testing.  ``moves_after`` is the one
+move table: its ``_ROOT`` row lists every legal move from a cell, and its other
+rows hold the rule that random walks, IDA* and Minimin's lookahead trees share:
+never undo the move just made.  ``delta_moves`` owns the h step of every search
+over tiles.
 """
 
 from __future__ import annotations
@@ -35,35 +37,24 @@ class Op(IntEnum):
 _INVERSE = (1, 0, 3, 2)
 _ROW_DELTA = (-1, 1, 0, 0)
 _COL_DELTA = (0, 0, -1, 1)
-
-
-@lru_cache(maxsize=None)
-def moves_table(width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per blank index: the legal (op, new blank index) pairs, in op order."""
-    table = []
-    for idx in range(width * width):
-        r, c = divmod(idx, width)
-        entries = []
-        for op in range(4):
-            nr, nc = r + _ROW_DELTA[op], c + _COL_DELTA[op]
-            if 0 <= nr < width and 0 <= nc < width:
-                entries.append((op, nr * width + nc))
-        table.append(tuple(entries))
-    return tuple(table)
-
-
 _ROOT = 4  # the arrival index of a first move in ``moves_after``: no move to leave out
 
 
 @lru_cache(maxsize=None)
 def moves_after(width: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
     """``[b][last]``: the (op, new blank) moves from blank cell ``b``, in op order,
-    but the one undoing ``last``, the op the blank arrived by (all of them for ``_ROOT``).
+    but the one undoing ``last``, the op the blank arrived by; ``[b][_ROOT]`` is every move.
     """
-    return tuple(tuple(
-        tuple((op, j) for op, j in moves if last == _ROOT or op != _INVERSE[last])
-        for last in range(_ROOT + 1)
-    ) for moves in moves_table(width))
+    table = []
+    for b in range(width * width):
+        r, c = divmod(b, width)
+        moves = [(op, b + _ROW_DELTA[op] * width + _COL_DELTA[op]) for op in range(4)
+                 if 0 <= r + _ROW_DELTA[op] < width and 0 <= c + _COL_DELTA[op] < width]
+        table.append(tuple(
+            tuple((op, j) for op, j in moves if last == _ROOT or op != _INVERSE[last])
+            for last in range(_ROOT + 1)
+        ))
+    return tuple(table)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ model pieces that the calibration and prediction oracles score with; the
 utility oracles score one curve, outcome and lottery entry per Python call,
 as the package did before it scored arrays.  They import no move table and no heuristic: the blank's moves, their inverses and
 the Manhattan h are worked out here from row and column arithmetic.  Every
-search of the package is built on ``puzzle.moves_table`` and ``dist_table``,
+search of the package is built on ``puzzle.moves_after`` and ``dist_table``,
 so an oracle built on them too would agree with a fault in them.  Beyond that
 the oracles share no search code with the package: plain State-level
 enumeration, fresh BFS, per-tile tallies, permutation ranks and parities by

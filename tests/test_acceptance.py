@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
 experiment's summary table.  On a 2-core x86 machine the experiment
-criterion takes about 3.5 s, the two-worker fingerprint check about 2 s and
-the reduced-full fingerprint check about 6 s.
+criterion takes about 3.5 s, and the desk fingerprint checks reuse its one
+serial run; the reduced-full fingerprint check takes about 6 s.
 """
 
 import ast
@@ -589,6 +589,23 @@ def test_field_kinds_are_defined_once_in_utility():
         if qualified in shared
     )
     assert owners == sorted((name, "utility.py") for name in shared)
+
+
+def test_each_board_table_has_one_builder():
+    # The board's geometry has one reader: ``puzzle.moves_after`` is the one
+    # move table, its ``_ROOT`` row every move from a cell.  The tile orders
+    # have one too: ``exact._state_index`` builds them and sums h beside its
+    # maps, so ``minimin`` reads neither the orders nor the tile distances.
+    src = Path(__file__).parents[1] / "src" / "eusearch"
+    puzzle = ast.parse((src / "puzzle.py").read_text())
+    geometry = [
+        node.name
+        for node in puzzle.body
+        if isinstance(node, ast.FunctionDef) and {"_ROW_DELTA", "_COL_DELTA"} & set(read_identifiers(node))
+    ]
+    assert geometry == ["moves_after"]
+    assert "moves_table" not in {name for _, name in definitions(puzzle)}
+    assert not {"_tile_orders", "dist_table"} & set(read_identifiers(ast.parse((src / "minimin.py").read_text())))
 
 
 def test_outcome_file_forms_follow_outcome_attributes(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eusearch.cli as cli
+import eusearch.exact as exact
 import eusearch.experiment as experiment
 from eusearch.cli import main
 from eusearch.experiment import ExperimentConfig
@@ -225,6 +226,13 @@ class TestUnitRates:
         assert (code, out, err) == (2, "", "eusearch: ValueError: resource limits must be positive\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("width", ["5", "1"])
+    @pytest.mark.parametrize("command", [ACCURACY, FIT, EXPERIMENT], ids=lambda c: c[0])
+    def test_width_other_than_2_3_or_4_fails_before_any_suite(self, capsys, tmp_path, command, width):
+        code, out, err = run_cli(capsys, *command, "--width", width)
+        assert (code, out, err) == (2, "", f"eusearch: ValueError: width must be 2, 3 or 4, got {width}\n")
+        assert list(tmp_path.iterdir()) == []
+
     # minimin takes one level, as --lookahead.
     @pytest.mark.parametrize(
         "argv",
@@ -258,6 +266,8 @@ class TestUnitRates:
             ("workers: 2", "has unknown key 'workers'"),
             ("seed: 0.5", "seed must be an integer, got 0.5"),
             ("width: true", "width must be an integer, got True"),
+            ("width: 5", "width must be 2, 3 or 4, got 5"),
+            ("width: 1", "width must be 2, 3 or 4, got 1"),
             ("limits: {max_moves: 2.5}", "max_moves must be an integer, got 2.5"),
             ("limits: {node_budget: '5'}", "node_budget must be an integer, got '5'"),
             ("depths: 4", "depths must be integers, got 4"),
@@ -996,6 +1006,18 @@ class TestExperimentCommand:
             )
         code, out, _ = run_cli(capsys, "experiment", "--config", cfg_path, "--quiet")
         assert code == 0
+
+    def test_width4_verification_out_of_budget_names_the_depth(self, capsys, monkeypatch):
+        def out_of_budget(p, node_budget=exact.DEFAULT_NODE_BUDGET):
+            raise exact.BudgetExhausted(f"idastar exceeded node budget of {node_budget}")
+
+        monkeypatch.setattr(exact, "idastar", out_of_budget)
+        code, out, err = run_cli(capsys, "experiment", "--width", "4", "--depths", "8", "--instances", "1", "--quiet")
+        assert (code, out) == (2, "")
+        assert err == (
+            "eusearch: GenerationFailed: depth-8 attempt 0 could not be verified "
+            f"(width 4, seed {subseed(0, 'train', 8, 0)}): idastar exceeded node budget of 50000000\n"
+        )
 
     def test_config_file_level_out_of_range_fails_before_any_suite(
         self, capsys, tmp_path, monkeypatch

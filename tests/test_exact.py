@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eusearch.exact as exact
+import eusearch.minimin as minimin
 from eusearch.exact import (
     BudgetExhausted,
     ExactResult,
@@ -287,6 +289,17 @@ class TestInstanceOfDepth:
         inst = instance_of_depth(8, width=4, seed=3)
         assert idastar(inst).length == 8
 
+    def test_width_4_verification_out_of_budget_names_the_depth(self, monkeypatch):
+        def out_of_budget(p, node_budget=exact.DEFAULT_NODE_BUDGET):
+            raise BudgetExhausted(f"idastar exceeded node budget of {node_budget}")
+
+        monkeypatch.setattr(exact, "idastar", out_of_budget)
+        message = "depth-8 attempt 0 could not be verified (width 4, seed 3): idastar exceeded node budget of 50000000"
+        with pytest.raises(GenerationFailed) as failed:
+            instance_of_depth(8, width=4, seed=3)
+        assert str(failed.value) == message
+        assert isinstance(failed.value.__cause__, BudgetExhausted)
+
 
 def oracle_key(tiles):
     """A state's (blank, k, parity) from the oracles: k is its tile order's rank >> 1."""
@@ -314,16 +327,17 @@ class TestStateIndex:
     def test_every_move_maps_k_to_the_childs(self, width, distances3):
         goal = goal_state(width)
         states = distances3 if width == 3 else bfs_distances(goal)
-        _, ranks = _state_index(width, goal.tiles)
+        _, ranks, h = _state_index(width, goal.tiles)
         assert set(ranks) == {(b, op) for b in range(width * width) for op, _ in cell_moves(width, b)}
         k = {tiles: oracle_key(tiles)[1] for tiles in states}
         for tiles in states:
             b = tiles.index(0)
+            assert h[b][k[tiles]] == manhattan_tally(State(tiles, width), goal)
             for op, j in cell_moves(width, b):
                 child = list(tiles)
                 child[b], child[j] = child[j], 0
                 assert ranks[b, op][k[tiles]] == k[tuple(child)]
-        assert not any(m.flags.writeable for m in ranks.values())
+        assert not any(m.flags.writeable for m in (*ranks.values(), *h))
         horizontal = {id(m) for (_, op), m in ranks.items() if op in (Op.LEFT, Op.RIGHT)}
         assert len(horizontal) == 1
         assert all(len(m) == len(states) // width**2 for m in ranks.values())
@@ -331,12 +345,29 @@ class TestStateIndex:
     @pytest.mark.parametrize("width", [2, 3])
     def test_each_vertical_move_back_inverts_the_move(self, width):
         goal = goal_state(width)
-        _, ranks = _state_index.__wrapped__(width, goal.tiles)
+        _, ranks, _ = _state_index.__wrapped__(width, goal.tiles)
         vertical = [(b, op, j) for b in range(width**2) for op, j in cell_moves(width, b) if abs(j - b) > 1]
         assert len(vertical) == 2 * width * (width - 1)
         for b, op, j in vertical:
             there = ranks[b, op]
             assert np.array_equal(ranks[j, inverse(op)][there], np.arange(len(there)))
+
+    def test_the_tile_orders_are_built_once_per_goal(self, monkeypatch):
+        # The index sums h beside its maps, so the value table builds no orders of its own.
+        builds = []
+        build = exact._tile_orders
+
+        def spy(cells):
+            builds.append(cells)
+            return build(cells)
+
+        monkeypatch.setattr(exact, "_tile_orders", spy)
+        monkeypatch.setattr(minimin, "_tile_orders", spy, raising=False)  # should minimin import it again
+        for table in (_state_index, _distance_table, _value_table):
+            table.cache_clear()
+        _distance_table(3, GOAL3.tiles)
+        _value_table(3, GOAL3.tiles)
+        assert builds == [9]
 
     def test_generation_builds_no_value_table(self, policy_builds):
         _value_table.cache_clear()

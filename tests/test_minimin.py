@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eusearch.exact as exact
 import eusearch.minimin as minimin
 from eusearch.exact import _distance_table, _state_index, exact_distance, idastar, instance_of_depth
 from eusearch.experiment import ExperimentConfig, run_experiment
@@ -604,8 +605,9 @@ class TestValueTable:
                 assert got == expected
 
     def test_build_raises_on_an_inconsistent_heuristic(self, monkeypatch):
-        doubled = tuple(tuple(2 * d for d in row) for row in minimin.dist_table(2, GOAL2.tiles))
-        monkeypatch.setattr(minimin, "dist_table", lambda width, goal: doubled)
+        doubled = tuple(tuple(2 * d for d in row) for row in exact.dist_table(2, GOAL2.tiles))
+        monkeypatch.setattr(exact, "dist_table", lambda width, goal: doubled)
+        monkeypatch.setattr(minimin, "_state_index", exact._state_index.__wrapped__)  # h from the doubled table
         with pytest.raises(RuntimeError):
             _value_table.__wrapped__(2, GOAL2.tiles)
 
@@ -705,7 +707,7 @@ def table_digest(width, goal) -> bytes:
     d* rows and parity, the value table's words per ``rows[b][last]`` move and its h rows,
     and the policy tables of levels 1-24."""
     digest = hashlib.sha256()
-    parity, ranks = _state_index.__wrapped__(width, goal)
+    parity, ranks, _ = _state_index.__wrapped__(width, goal)
     digest.update(bytes(parity))
     for b, op in sorted(ranks):
         digest.update(bytes((b, op)) + ranks[b, op].tobytes())
