@@ -14,8 +14,9 @@ state) and never leaves it, so it carries its state as (blank cell, k) in
 per-goal table of every state's backed-up values; the table also tells the
 walk exactly which subtrees hold a goal above the frontier.  From those
 values each level a run uses gets one byte per state, built once beside
-the table: the top-ranked first move and whether its tree is full size, so
-a decision reads one entry and ranks the moves only to avoid a loop.  A walked
+the table: the whole ranking of its first moves and whether the top one's
+tree is full size, so a decision reads one entry and loop avoidance reads
+the same entry for the next move in the ranking.  A walked
 tree's counts are kept with the table, per (level, state), so each is walked
 once per process: only states with 0 < d* < level are walked, which bounds
 the memo by the d* balls around the goal.  A traced 2x2 or 3x3 run records
@@ -43,6 +44,8 @@ from .puzzle import _INVERSE, _ROOT, Op, ProblemInstance, State, _state_key, del
 from .utility import Outcome, check_types
 
 MAX_LOOKAHEAD = 24
+# Compare-exchange pairs that sort 2, 3 or 4 arrays elementwise, least first.
+_SORTING_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
 # A traced decision: the state it was made at and its top-ranked child, as
 # ``exact`` state keys (blank << 16 | k) at width <= 3 and as tiles on wider boards.
 Decision = tuple[int, int] | tuple[tuple[int, ...], tuple[int, ...]]
@@ -243,7 +246,8 @@ def _value_table(width: int, goal: tuple[int, ...]):
     levels run of the d* ball sizes: 2,834 entries at levels 1-12, 19,600
     at 1-16 and 452,164 at 1-24 for the default 3x3 goal.
     ``policies[level]`` starts None and holds ``_policy_table``'s bytes
-    once a run at ``level`` has built them: 9 * 20,160 bytes per 3x3 level.
+    once a run at ``level`` has built them, each state's whole ranking of
+    its root moves in one byte: 9 * 20,160 bytes per 3x3 level.
     Only ``_table_loop``, its count walk ``_goal_counts`` and its
     ``_policy_table`` builds read it.
     """
@@ -286,28 +290,36 @@ def _value_table(width: int, goal: tuple[int, ...]):
 
 
 def _policy_table(rows, h, level: int) -> tuple[bytes, ...]:
-    """Each state's depth-``level`` decision, ``policy[b][k]``, from a value table's rows and h.
+    """Each state's depth-``level`` ranking of its root moves, ``policy[b][k]``, from a value table.
 
-    An entry's low 2 bits are the index in ``rows[b][_ROOT]`` of the first
-    move of least value W = h + 2 * popcount(word & (2**(level - 1) - 1)),
-    in op order, and bit 2 is set iff W + 1 >= level: the tree holds no goal
-    above the frontier.  Each move's W * 4 + its index is taken in child
-    order, gathered to the parent's k by the move's ranks unless they are
-    ``exact._identity_map`` (a horizontal move), and the least over the
-    moves kept.  That is done in uint16: a 3x3 table's W stays below 32,
-    but words of 23 bits and h up to 22 let W * 4 + 3 pass 255 at levels 22-24.
+    A move's value is W = h + 2 * popcount(word & (2**(level - 1) - 1)),
+    and the moves rank by (W, index in ``rows[b][_ROOT]``).  An entry's bits
+    0-1 are the top move's index, bit 2 is set iff its W + 1 >= level (the
+    tree holds no goal above the frontier), bits 3-4 are the second move's
+    index and bits 5-6 the third's; a fourth move is the index left over,
+    which ``_table_loop`` reads as the XOR of the other three.  Each move's
+    W * 4 + its index is taken in child order, gathered to the parent's k by
+    the move's ranks unless they are ``exact._identity_map`` (a horizontal
+    move), and the 2-4 arrays are ordered by a fixed min/max sorting
+    network.  That is done in uint16: a 3x3 table's W stays below 32, but
+    words of 23 bits and h up to 22 let W * 4 + 3 pass 255 at levels 22-24.
     """
     mask = np.uint32((1 << (level - 1)) - 1)
     policy = []
     for row in rows:
-        best = None
+        ranked = []
         for i, (_, j, words, ranks) in enumerate(row[_ROOT]):
             value = np.bitwise_count(np.asarray(words) & mask).astype(np.uint16) * 2 + np.asarray(h[j])
             value = value << 2 | i
             if ranks.obj is not _identity_map(len(ranks)):
                 value = value.take(np.asarray(ranks))
-            best = value if best is None else np.minimum(best, value, out=best)
-        policy.append((best & 3 | ((best >> 2) + 1 >= level) << 2).astype(np.uint8).tobytes())
+            ranked.append(value)
+        for a, b in _SORTING_NETWORKS[len(ranked)]:
+            ranked[a], ranked[b] = np.minimum(ranked[a], ranked[b]), np.maximum(ranked[a], ranked[b], out=ranked[b])
+        entry = (ranked[0] >= 4 * (level - 1)).astype(np.uint8) << 2  # W + 1 >= level
+        for shift, value in zip((0, 3, 5), ranked[:3]):
+            entry |= (value.astype(np.uint8) & 3) << shift
+        policy.append(entry.tobytes())
     return tuple(policy)
 
 
@@ -393,18 +405,19 @@ def _run_loop(
 def _table_loop(p, level, limits, trace) -> Outcome:
     """Minimin on a state carried as (blank, k), its h and values read from ``_value_table``.
 
-    The top move is the first of least value in op order, as
-    ``_ranked_decisions`` ranks them: the level's ``_policy_table`` entry
-    names it, built on the run's first use of the level and kept in the
-    table's ``policies``.  Loop avoidance takes the first of least value
-    among the moves to states entered fewer than twice, if there is one: the
-    next in that ranking, which only then is computed from the words.  No
-    run builds tiles: a traced one records each decision as its state's key,
-    blank << 16 | k, and its top-ranked child's, taken before loop
-    avoidance.  A root whose least first-move value reaches ``level`` (the
-    entry's flag) holds no goal above the frontier, so its tree has the size
-    in the table; any other tree is counted by ``_goal_counts`` once, then
-    read from the table's ``counted``.
+    The moves rank by value, ties in op order, as ``_ranked_decisions``
+    ranks them: the level's ``_policy_table`` entry holds that whole
+    ranking, built on the run's first use of the level and kept in the
+    table's ``policies``.  The top move is the entry's low 2 bits.  Loop
+    avoidance walks the rest of the entry's ranking and takes the first
+    move to a state entered fewer than twice, or keeps the top move if
+    every move is blocked; it reads no value words.  No run builds tiles:
+    a traced one records each decision as its state's key, blank << 16 | k,
+    and its top-ranked child's, taken before loop avoidance.  A root whose
+    least first-move value reaches ``level`` (the entry's flag) holds no
+    goal above the frontier, so its tree has the size in the table; any
+    other tree is counted by ``_goal_counts`` once, then read from the
+    table's ``counted``.
     """
     rows, h, size, counted, policies = _value_table(p.width, p.goal.tiles)
     known = counted[level]
@@ -412,7 +425,6 @@ def _table_loop(p, level, limits, trace) -> Outcome:
     if policy is None:
         policy = policies[level] = _policy_table(rows, h, level)
     blank, k, _ = _state_key(p.initial.tiles)
-    mask = (1 << (level - 1)) - 1
     roots = [after[_ROOT] for after in rows]
     full = [tree[_ROOT] for tree in size[level]]
     key = blank << 16 | k  # k < 8!/2 < 2**16
@@ -440,14 +452,13 @@ def _table_loop(p, level, limits, trace) -> Outcome:
             trace.append((key, child))
         entered = visits.get(child, 0)
         if entered >= 2:
-            best = 1 << 30
-            for _, j, words, ranks in row:
+            for i in (entry >> 3 & 3, entry >> 5 & 3, (entry ^ entry >> 3 ^ entry >> 5) & 3)[: len(row) - 1]:
+                _, j, _, ranks = row[i]
                 other = ranks[k]
-                value = h[j][other] + 2 * (words[other] & mask).bit_count()
-                if value < best and visits.get(j << 16 | other, 0) < 2:
-                    best, to, to_k = value, j, other
-            child = to << 16 | to_k
-            entered = visits.get(child, 0)
+                seen = visits.get(j << 16 | other, 0)
+                if seen < 2:
+                    to, to_k, child, entered = j, other, j << 16 | other, seen
+                    break
         blank, k, key = to, to_k, child
         visits[key] = entered + 1
         moves += 1

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import random
 import sys
@@ -50,6 +51,7 @@ GOAL3 = goal_state(3)
 GOAL2 = goal_state(2)
 GOAL4 = goal_state(4)
 TABLE_FINGERPRINT = "7501450e7afac3cd102200413a80bff8930043f87bcf1f93b22a9189a4a6085a"
+RANKING_FINGERPRINT = "1385bf612a018cef81e4a4c0aa640c084cd3c84c85fe91809eaef4da1b0945b3"
 
 
 def sample_states(count, max_steps, seed=0, width=3):
@@ -612,18 +614,21 @@ class TestValueTable:
             _value_table.__wrapped__(2, GOAL2.tiles)
 
 
-def ranked_entry(rows, h, blank, k, level):
-    """The policy entry of state (blank, k), ranked move by move from the value table: the
-    index of the first root move of least W = h + 2 * popcount(word & mask), plus 4 iff
-    W + 1 >= level."""
+def ranked_moves(rows, h, blank, k, level):
+    """State (blank, k)'s root moves ranked from the value table: (W, index, child's key)
+    sorted by W = h + 2 * popcount(word & mask), then by index."""
     mask = (1 << (level - 1)) - 1
-    best = 1 << 30
-    for i, (_, j, words, ranks) in enumerate(rows[blank][minimin._ROOT]):
-        child = ranks[k]
-        value = h[j][child] + 2 * (words[child] & mask).bit_count()
-        if value < best:
-            best, top = value, i
-    return top | (best + 1 >= level) << 2
+    return sorted(
+        (h[j][ranks[k]] + 2 * (words[ranks[k]] & mask).bit_count(), i, j << 16 | ranks[k])
+        for i, (_, j, words, ranks) in enumerate(rows[blank][minimin._ROOT])
+    )
+
+
+def ranked_entry(rows, h, blank, k, level):
+    """The policy entry of state (blank, k), packed from ``ranked_moves``: the top move's
+    index plus 4 iff its W + 1 >= level, the second's index times 8 and the third's times 32."""
+    (best, top, _), *rest = ranked_moves(rows, h, blank, k, level)
+    return top | (best + 1 >= level) << 2 | sum(i << shift for (_, i, _), shift in zip(rest, (3, 5)))
 
 
 def assert_policy_is_the_ranking(rows, h, level, states):
@@ -681,6 +686,24 @@ class TestPolicyTable:
         for level in range(1, MAX_LOOKAHEAD + 1):
             assert_policy_is_the_ranking(rows, h, level, sampled_keys(h, 2000, rng))
 
+    def test_loop_avoidance_decodes_each_move_once(self):
+        # The order ``_table_loop`` walks when the top move is blocked, by its own
+        # expression: with the top move, every index of the cell's root moves once.
+        loop = next(
+            node for node in ast.walk(ast.parse(open(minimin.__file__).read()))
+            if isinstance(node, ast.FunctionDef) and node.name == "_table_loop"
+        )
+        (walk,) = [node.iter for node in ast.walk(loop) if isinstance(node, ast.For)]
+        rest = compile(ast.Expression(walk), "_table_loop", "eval")
+        for width, levels in ((2, range(1, MAX_LOOKAHEAD + 1)), (3, (1, 12, MAX_LOOKAHEAD))):
+            rows, h = _value_table(width, goal_state(width).tiles)[:2]
+            for level in levels:
+                for b, entries in enumerate(_policy_table(rows, h, level)):
+                    row = rows[b][minimin._ROOT]
+                    for entry in set(entries):
+                        order = [entry & 3, *eval(rest, {"entry": entry, "row": row})]
+                        assert sorted(order) == list(range(len(row))), (width, level, b, entry)
+
     def test_runs_keep_one_table_per_level_with_the_value_table(self, policy_builds):
         _value_table.cache_clear()
         p = ProblemInstance(walked_state(GOAL3, 30, 3), GOAL3)
@@ -702,10 +725,11 @@ class TestPolicyTable:
         assert len(policy_builds) == MAX_LOOKAHEAD + 1
 
 
-def table_digest(width, goal) -> bytes:
+def table_digest(width, goal) -> tuple[bytes, bytes]:
     """SHA-256 over freshly built tables of one (width, goal): the state index's maps, the
     d* rows and parity, the value table's words per ``rows[b][last]`` move and its h rows,
-    and the policy tables of levels 1-24."""
+    and bits 0-2 of the policy entries of levels 1-24 (the top move and the full-tree
+    flag); then SHA-256 over those whole entries, the ranking of every move."""
     digest = hashlib.sha256()
     parity, ranks, _ = _state_index.__wrapped__(width, goal)
     digest.update(bytes(parity))
@@ -719,19 +743,25 @@ def table_digest(width, goal) -> bytes:
             for op, j, words, _ in moves:
                 digest.update(bytes((op, j)) + bytes(words))
     digest.update(b"".join(map(bytes, h)))
-    for level in range(1, MAX_LOOKAHEAD + 1):
-        digest.update(b"".join(_policy_table(rows, h, level)))
-    return digest.digest()
+    entries = b"".join(b"".join(_policy_table(rows, h, level)) for level in range(1, MAX_LOOKAHEAD + 1))
+    digest.update(np.frombuffer(entries, np.uint8) & 7)
+    return digest.digest(), hashlib.sha256(entries).digest()
 
 
 class TestTableBytes:
     def test_tables_keep_their_bytes(self):
         # Recorded from the tables' first builds; any faster build must keep every byte.
-        digest = hashlib.sha256()
+        # The policy tables enter the first digest by their top move and flag, which
+        # were the whole entry before entries held the rest of the ranking; the second
+        # digest, recorded when they did, covers the whole entries.
+        digest, rankings = hashlib.sha256(), hashlib.sha256()
         for width in (2, 3):
             for goal in (goal_state(width).tiles, tuple(range(width * width))):
-                digest.update(table_digest(width, goal))
+                tables, entries = table_digest(width, goal)
+                digest.update(tables)
+                rankings.update(entries)
         assert digest.hexdigest() == TABLE_FINGERPRINT
+        assert rankings.hexdigest() == RANKING_FINGERPRINT
 
 
 def assert_table_run_is_the_search(p, level, limits):
@@ -779,6 +809,27 @@ class TestTableLoop:
                 taken += overrides(trace)
                 unsolved += not outcome.solved
         assert taken > 0 and unsolved > 0
+
+    def test_loop_avoidance_takes_the_third_and_fourth_ranked_moves(self):
+        # Most overrides take the second-ranked move; the first seeded runs that
+        # take the third and the fourth (read from the ranking, not the entry's
+        # bits) are run against the search loop.
+        rows, h = _value_table(3, GOAL3.tiles)[:2]
+        found = {}
+        for seed in range(40):
+            p = instance_of_depth(20, 3, seed=seed)
+            for level in range(1, 13):
+                _, trace = minimin_trace(p, level)
+                for (key, top), (after, _) in zip(trace, trace[1:]):
+                    if after != top:
+                        ranked = [child for *_, child in ranked_moves(rows, h, key >> 16, key & 0xFFFF, level)]
+                        found.setdefault(ranked.index(after) + 1, (p, level))
+            if 3 in found and 4 in found:
+                break
+        assert 3 in found and 4 in found
+        for rank in (3, 4):
+            p, level = found[rank]
+            assert_table_run_is_the_search(p, level, ResourceLimits())
 
     def test_node_budget_stops(self):
         for seed in range(3):
