@@ -35,7 +35,11 @@ on a budget of 3,000 nodes that stops some of them: the initial tiles, level,
 limits, ``Outcome`` and every (tiles, top-ranked child tiles) decision pair.
 The line ``utility:`` digests what ``calibrate_multiplicative`` returns (the
 weights and K) or raises on the seeded row sets of ``utility_row_sets``, and
-the default model's ``joint_utility`` of seeded outcomes.
+the default model's ``joint_utility`` of seeded outcomes.  The line
+``select:`` digests the chosen level and every EU, by ``repr``, of
+``select_lookahead`` as ``select_level`` calls it for the desk protocol, at
+depths 1-31 against each of the five models that
+``fit_model(ExperimentConfig(), (d,))`` fits for the desk's depths d.
 It calls only public functions, so it runs on any checkout that has them.
 """
 
@@ -51,7 +55,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from eusearch import minimin  # noqa: E402
 from eusearch.exact import bfs_optimal, idastar  # noqa: E402
-from eusearch.experiment import ExperimentConfig, load_experiment_config, run_experiment  # noqa: E402
+from eusearch.experiment import ExperimentConfig, fit_model, load_experiment_config  # noqa: E402
+from eusearch.experiment import run_experiment, select_level  # noqa: E402
 from eusearch.puzzle import ProblemInstance, State, goal_state, random_walk  # noqa: E402
 from eusearch.utility import (  # noqa: E402
     DEFAULT_BOUNDS,
@@ -210,6 +215,22 @@ def utility_samples() -> tuple[int, str]:
     return calls, digest.hexdigest()
 
 
+def selections() -> tuple[int, str]:
+    """The number of selections made and a SHA-256 over each one's chosen level and EUs."""
+    digest = hashlib.sha256()
+    calls = 0
+    cfg = ExperimentConfig()
+    u = default_utility_model()
+    for model_depth in cfg.depths:
+        model = fit_model(cfg, (model_depth,))
+        for depth in range(1, 32):
+            report = select_level(cfg, model, u, depth)
+            eus = [(level, repr(eu)) for level, eu in sorted(report.eu_by_level.items())]
+            digest.update(repr((model_depth, depth, report.chosen_level, eus)).encode())
+            calls += 1
+    return calls, digest.hexdigest()
+
+
 def tile_pairs(tiles, trace):
     """A trace of state keys, one per move from ``tiles``, as (tiles, child tiles) pairs."""
 
@@ -270,6 +291,9 @@ def main() -> None:
     start = time.perf_counter()
     calls, digest = utility_samples()
     print(f"utility: {calls} calls in {time.perf_counter() - start:.2f} s, sha256 {digest}")
+    start = time.perf_counter()
+    calls, digest = selections()
+    print(f"select: {calls} selections in {time.perf_counter() - start:.2f} s, sha256 {digest}")
 
 
 if __name__ == "__main__":

@@ -106,33 +106,62 @@ def _first_passage(
 
     Entry k >= 1 counts the walks first at 0 after k steps, entry 0 those still
     alive at ``max_len``, so each row sums to ``samples``.  Every row reads the
-    same uniform draws, so with ``ps`` ascending a higher p's walk is never
-    above a lower p's: once the lowest p's walks are all absorbed, so are the
-    rest, and the walk stops there.  The rows run to that step, not to
+    same uniform draws, ``samples`` per step, so with ``ps`` ascending a higher
+    p's walk is never above a lower p's: the rows empty from the last, only the
+    ``live`` rows not yet empty are moved and tested, and the walk stops when
+    the lowest p's row empties.  The rows run to that step, not to
     ``max_len``.  A walk is at 0 after k steps when (d + k) / 2 of them went
-    down.  The alive flags are padded with False to whole 8-byte words, and a
-    row's survivors are the popcount of its words.  The array is read-only
-    because the cache shares it.
+    down, so no step before ``d`` or of the other parity is tested.  The alive
+    flags are padded with False to whole 8-byte words, and a row's survivors,
+    0 once it is empty, are the popcount of its words.  The array is
+    read-only because the cache shares it.
     """
     rng = np.random.default_rng(seed)
     column = np.array(ps)[:, None]
     downs = np.zeros((len(ps), samples), dtype=np.min_scalar_type(max_len))
     words = np.pad(np.ones((len(ps), samples), dtype=bool), ((0, 0), (0, -samples % 8)))
     alive = words[:, :samples]
+    rows, flags, col = downs, alive, column  # the live rows: those still holding walks alive
     left = [np.full(len(ps), samples)]  # walks alive after steps 0, 1, ...
     for step in range(1, max_len + 1):
-        downs += rng.random(samples) < column
-        if (d + step) % 2:
+        rows += rng.random(samples) < col
+        if step < d or (d + step) % 2:
             left.append(left[-1])
             continue
-        alive &= downs != (d + step) // 2
+        flags &= rows != (d + step) // 2
         left.append(np.bitwise_count(words.view(np.uint64)).sum(axis=1, dtype=np.intp))
-        if not left[-1][0]:
+        live = np.count_nonzero(left[-1])  # the emptied rows are the last ones
+        if not live:
             break
+        rows, flags, col = downs[:live], alive[:live], column[:live]
     left = np.column_stack(left)
     counts = np.column_stack([left[:, -1], -np.diff(left)])
     counts.flags.writeable = False
     return counts
+
+
+def _markov_entries(
+    params: MarkovParams, d: int, level: int, samples: int, seed: int
+) -> list[tuple[Outcome, float]]:
+    """``markov_predict``'s lottery entries, in model units, after its argument checks."""
+    if d < 1:
+        raise ValueError("depth must be >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in 1..{MAX_SAMPLES}")
+    if level not in params.accuracy:
+        raise MissingAccuracy(f"no accuracy estimate for level {level}")
+    ps = tuple(sorted(set(params.accuracy.values())))
+    row = _first_passage(d, ps, params.max_len, samples, seed)[ps.index(params.accuracy[level])]
+    # Walks alive at max_len (entry 0) come after those absorbed there.
+    ends = (np.flatnonzero(row[1:]) + 1).tolist() + [0] * bool(row[0])
+    counts = row.tolist()
+    npd = nodes_per_decision(params, level)
+    entries = []
+    for k in ends:
+        length = float(k or params.max_len)
+        outcome = Outcome(length, length * npd, float(level + 1) + (length + 1.0), k > 0)
+        entries.append((outcome, counts[k] / samples))
+    return entries
 
 
 def markov_predict(
@@ -151,31 +180,10 @@ def markov_predict(
     Deterministic given ``seed``.  One cached walk serves every level: each
     step's row of uniform draws moves the walks of all of ``params``'
     accuracies, coupling them sample by sample, and the walk keeps only how
-    many of each accuracy's walks end at each step.
+    many of each accuracy's walks end at each step, which ``_markov_entries``
+    reads for ``selector.select_lookahead`` too.
     """
-    if d < 1:
-        raise ValueError("depth must be >= 1")
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must be in 1..{MAX_SAMPLES}")
-    if level not in params.accuracy:
-        raise MissingAccuracy(f"no accuracy estimate for level {level}")
-    ps = tuple(sorted(set(params.accuracy.values())))
-    counts = _first_passage(d, ps, params.max_len, samples, seed)
-    counts = counts[ps.index(params.accuracy[level])].tolist()
-    npd = nodes_per_decision(params, level)
-    # Walks alive at max_len (entry 0) come after those absorbed there.
-    ends = [k for k in range(1, len(counts)) if counts[k]] + [0] * (counts[0] > 0)
-    entries: list[tuple[Outcome, float]] = []
-    for k in ends:
-        length = k or params.max_len
-        outcome = Outcome(
-            path_length=float(length),
-            time_units=float(length) * npd,
-            space_units=float(level + 1) + float(length + 1),
-            solved=k > 0,
-        )
-        entries.append((outcome, counts[k] / samples))
-    return Lottery.of(entries)
+    return Lottery(tuple(_markov_entries(params, d, level, samples, seed)))
 
 
 def _solve_branching(mean_nodes: float, level: int) -> float:

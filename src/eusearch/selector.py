@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .perfmodel import EmpiricalTable, MarkovParams, predict
+from .perfmodel import EmpiricalTable, MarkovParams, _markov_entries, predict
 from .utility import Lottery, Outcome, UtilityModel, choose_max_eu
 
 # ``expected_utility`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
@@ -41,18 +41,20 @@ def select_lookahead(
     Ties break toward the smaller level (cheaper decisions at equal EU).  The
     same seed serves every level, so Markov predictions share one coupled walk.
     ``convert`` maps predicted outcomes into the utility model's units (e.g.
-    node generations to minutes) before scoring; default is identity.
+    node generations to minutes) before scoring; default is identity.  A Markov
+    level's entries (``markov_predict``'s) are converted once, into one ``Lottery``.
     """
     if not levels:
         raise ValueError("select_lookahead needs at least one level")
     levels = sorted(levels)
     lotteries = []
     for level in levels:
-        lottery = predict(
-            model, d, level, samples=samples, seed=seed, extrapolate=extrapolate
-        )
+        if isinstance(model, MarkovParams):
+            entries = _markov_entries(model, d, level, samples, seed)
+        else:
+            entries = predict(model, d, level, extrapolate=extrapolate).entries
         if convert is not None:
-            lottery = Lottery.of((convert(o), p) for o, p in lottery.entries)
-        lotteries.append(lottery)
+            entries = [(convert(o), p) for o, p in entries]
+        lotteries.append(Lottery(tuple(entries)))
     best, eus = choose_max_eu(lotteries, u)
     return SelectionReport(chosen_level=levels[best], eu_by_level=dict(zip(levels, eus)))

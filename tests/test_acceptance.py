@@ -440,18 +440,21 @@ def test_reduced_full_runs_csv_fingerprint():
     assert csv_sha256(run_experiment(cfg)) == REDUCED_FULL_FINGERPRINT
 
 
-# Five of ``scripts/replay_decisions.py``'s six digests, all but ``all:``:
+# Six of ``scripts/replay_decisions.py``'s seven digests, all but ``all:``:
 # ``exact:`` over IDA* on seeded walks at widths 2-4, ``bfs:`` over
 # ``bfs_optimal`` on those at widths 2-3, ``search:`` over traced width-4
 # Minimin runs, ``single decisions:`` over ``minimin_decide`` and
 # ``decision_accuracy`` on fixed samples, unreachable 3x3 states, an empty
-# sample and the goal included, and ``utility:`` over calibrations of seeded
-# row sets and the default model's ``joint_utility``.
+# sample and the goal included, ``utility:`` over calibrations of seeded
+# row sets and the default model's ``joint_utility``, and ``select:`` over the
+# chosen levels and EUs of the desk's selections at depths 1-31 against its
+# five seed-0 models.
 REPLAY_EXACT_DIGEST = "b83730c2ca7b20086ce3e13a3f7589cdf445ff97a4de5668d90ae8d1109c39fa"
 REPLAY_SEARCH_DIGEST = "4c10c00da1ff14d300761f427f4a4cb756847410448cc2f76b06a8ed9ff107b7"
 REPLAY_SINGLE_DIGEST = "41bb6b15844a1ce012929b0f0b617dc3a217008d14a02899668c199c274b05e6"
 REPLAY_BFS_DIGEST = "a39d555f30841c9ea268f145aacf032f6613154976d2ffc3d8386607cf26ca63"
 REPLAY_UTILITY_DIGEST = "f49fa1d0722021f4e737958e23843e9e6c260f7daa21fe182ed413ed21f9934d"
+REPLAY_SELECT_DIGEST = "dd85c8fcd3ffa909e448fbcef91631714ddccd41576116908810b0c12d81d648"
 
 
 def test_replay_script_exact_and_search_digests():
@@ -460,6 +463,10 @@ def test_replay_script_exact_and_search_digests():
     assert replay_decisions.single_decisions()[1] == REPLAY_SINGLE_DIGEST
     assert replay_decisions.solver_samples(bfs_optimal, replay_decisions.SOLVER_SIZES[:2])[1] == REPLAY_BFS_DIGEST
     assert replay_decisions.utility_samples()[1] == REPLAY_UTILITY_DIGEST
+
+
+def test_replay_script_select_digest():
+    assert replay_decisions.selections() == (155, REPLAY_SELECT_DIGEST)
 
 
 def test_replay_script_tile_pairs_decode_traced_runs():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,31 @@ class TestMarkovPredict:
 
         for t in range(0, 1001, 10):
             assert cdf(lot_high, t) >= cdf(lot_low, t) - 1e-12
+
+
+# The Markov models that the desk protocol fits at seed 0, one per depth, as the benchmark keeps them.
+DESK_MODELS = [Path(__file__).parents[1] / "perfbench" / "data" / f"markov_d{d}.yaml" for d in (4, 8, 12, 16, 20)]
+
+
+def oracle_counts(params, d, samples, seed):
+    """``_first_passage``'s counts from one ``markov_predict_oracle`` walk per accuracy.
+
+    Row i holds how many of the i-th lowest accuracy's walks are first at 0 after
+    k steps (entry k) or alive at ``max_len`` (entry 0), and every row is as long
+    as the lowest accuracy's walk.
+    """
+    rows = []
+    for p in sorted(set(params.accuracy.values())):
+        level = min(l for l, a in params.accuracy.items() if a == p)
+        row = {0: 0}
+        for o, prob in markov_predict_oracle(params, d, level, samples, seed).entries:
+            row[int(o.path_length) if o.solved else 0] = round(prob * samples)
+        rows.append(row)
+    counts = np.zeros((len(rows), 1 + (params.max_len if rows[0][0] else max(rows[0]))), dtype=np.intp)
+    for i, row in enumerate(rows):
+        for k, n in row.items():
+            counts[i, k] = n
+    return counts
 
 
 class TestSharedWalk:
@@ -267,6 +294,58 @@ class TestSharedWalk:
             assert (counts >= 0).all() and counts.sum(axis=1).tolist() == [samples] * 3
         # From depth 20 no walk reaches 0 in 12 steps: every walk, and no more, is alive at the cap.
         assert counts[:, 0].tolist() == [samples] * 3
+
+    @staticmethod
+    def walk_matches_oracle(params, d, samples, seed):
+        """Every level's entries and the walk's counts, shape included, against the oracle."""
+        for level in params.levels:
+            got = markov_predict(params, d, level, samples=samples, seed=seed)
+            assert got.entries == markov_predict_oracle(params, d, level, samples, seed).entries
+        ps = tuple(sorted(set(params.accuracy.values())))
+        counts = _first_passage(d, ps, params.max_len, samples, seed)
+        np.testing.assert_array_equal(counts, oracle_counts(params, d, samples, seed))
+        return counts
+
+    @pytest.mark.parametrize(
+        "seed, last_steps",
+        [(0, [49, 25, 19]), (116, [21, 21, 13]), (21, [33, 13, 13])],
+        ids=["each-row-its-own-step", "lowest-two-rows-together", "top-two-rows-together"],
+    )
+    def test_rows_that_empty_at_chosen_steps(self, seed, last_steps):
+        # The rows stop being walked as they empty: one at a time, or two at one step.
+        params = MarkovParams(
+            accuracy={1: 0.7, 2: 0.8, 3: 0.9}, branching={l: 1.5 for l in (1, 2, 3)}, max_len=1000
+        )
+        counts = self.walk_matches_oracle(params, 5, 20, seed)
+        assert [np.flatnonzero(row).max() for row in counts] == last_steps
+        assert counts[:, 0].tolist() == [0, 0, 0]
+
+    def test_certain_row_drops_at_depth_while_lower_rows_reach_the_cap(self):
+        params = MarkovParams(
+            accuracy={1: 0.501, 2: 0.6, 3: 1.0}, branching={l: 1.5 for l in (1, 2, 3)}, max_len=100
+        )
+        counts = self.walk_matches_oracle(params, 20, 500, 9)
+        assert counts.shape == (3, 101)
+        assert counts[2, 20] == 500 and counts[0, 0] > 0 and counts[1, 0] > 0
+
+    @pytest.mark.parametrize("max_len", [100, 1000])
+    def test_depth_at_and_past_the_cap(self, max_len):
+        # From d = max_len only the all-down walks reach 0, at the cap; past it none do.
+        params = MarkovParams(
+            accuracy={1: 0.501, 2: 0.75, 3: 1.0}, branching={l: 1.5 for l in (1, 2, 3)}, max_len=max_len
+        )
+        at_cap = self.walk_matches_oracle(params, max_len, 200, 3)
+        assert at_cap[:, 0].tolist() == [200, 200, 0] and at_cap[2, max_len] == 200
+        for d in (max_len + 1, max_len + 2):
+            past = self.walk_matches_oracle(params, d, 200, 3)
+            assert past.shape == (3, max_len + 1) and past[:, 0].tolist() == [200] * 3
+
+    @pytest.mark.parametrize("path", DESK_MODELS, ids=lambda path: path.stem)
+    def test_desk_models_match_oracle(self, path):
+        # The five seed-0 desk models, read-only, at the desk's samples and prediction seeds.
+        params = load_model(str(path))
+        for d in (1, 16, 31):
+            self.walk_matches_oracle(params, d, 8000, subseed(0, "predict", d))
 
     def test_counts_are_sized_by_the_steps_walked(self):
         params = MarkovParams(accuracy={1: 1.0}, branching={1: 1.5}, max_len=10**6)

@@ -1,7 +1,7 @@
 import pytest
 
 from eusearch.experiment import to_user_units
-from eusearch.perfmodel import EmpiricalTable, MarkovParams
+from eusearch.perfmodel import EmpiricalTable, MarkovParams, markov_predict, predict
 from eusearch.selector import SelectionReport, select_lookahead
 from eusearch.utility import (
     AttributeMissing,
@@ -102,6 +102,49 @@ class TestSelectLookahead:
         report = select_lookahead(10, EmpiricalTable(cells=cells), u, [1, 3, 5])
         transformed = {l: 0.25 * eu + 0.1 for l, eu in report.eu_by_level.items()}
         assert max(transformed, key=transformed.get) == report.chosen_level
+
+    def test_markov_levels_convert_each_entry_once_into_one_lottery(self, monkeypatch):
+        params = MarkovParams(
+            accuracy={1: 0.6, 2: 0.8, 3: 1.0}, branching={1: 2.7, 2: 2.4, 3: 2.2}, max_len=100
+        )
+        levels = [1, 2, 3]
+        sizes = [len(markov_predict(params, 12, l, samples=500, seed=5).entries) for l in levels]
+        converted, built = [], []
+        post_init = Lottery.__post_init__
+
+        def counted(lottery):
+            built.append(lottery)
+            post_init(lottery)
+
+        def convert(o):
+            converted.append(o)
+            return to_user_units(o, 20_000.0, 10_000.0)
+
+        def no_repass(pairs):
+            raise AssertionError("Lottery.of re-passes built entries")
+
+        monkeypatch.setattr(Lottery, "__post_init__", counted)
+        monkeypatch.setattr(Lottery, "of", no_repass)
+        select_lookahead(12, params, default_utility_model(), levels, samples=500, seed=5, convert=convert)
+        assert len(converted) == sum(sizes)
+        assert [len(lottery.entries) for lottery in built] == sizes
+        assert [o for lottery in built for o, _ in lottery.entries] == [
+            to_user_units(o, 20_000.0, 10_000.0) for o in converted
+        ]
+
+    def test_empirical_levels_score_their_converted_predictions(self):
+        u = default_utility_model()
+        cells = {(d, l): (Outcome(40 + d, 2e4 * l, 3e4), Outcome(50 + d, 1e4 * l, 2e4)) for d in (8, 16) for l in (1, 2)}
+        table = EmpiricalTable(cells=cells)
+
+        def convert(o):
+            return to_user_units(o, 20_000.0, 10_000.0)
+
+        for d in (8, 11, 16):
+            report = select_lookahead(d, table, u, [1, 2], convert=convert)
+            for level in (1, 2):
+                lottery = Lottery.of((convert(o), p) for o, p in predict(table, d, level).entries)
+                assert repr(report.eu_by_level[level]) == repr(expected_utility(lottery, u))
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):
