@@ -26,9 +26,11 @@ wider board carries one board and its h through all its decisions and
 searches it in place over ``puzzle.delta_moves``, as ``exact.idastar`` does,
 and so does each single decision of ``minimin_decide``: a branch and bound
 on f gives each first move's value and child h, and the walk enters every
-node whose h is below its moves left.  Such a run searches each distinct
-state once and keeps that decision until the run ends; a revisit reuses it
-and is charged the same counts again.
+node whose h is below its moves left.  Such a run keys each state by one
+integer, tile t at cell c adding ``t << bits * c`` (``_search_loop``), and
+builds tile tuples only for a traced run's decisions.  It searches each
+distinct state once and keeps that decision until the run ends; a revisit
+reuses it and is charged the same counts again.
 """
 
 from __future__ import annotations
@@ -106,15 +108,13 @@ def _tree_counts(after, size, board, blank, h0, level) -> tuple[int, int]:
     with h < moves left.  Below any other node no goal can be expanded, so
     its subtree is the full one in ``size``.
     """
-    if h0 >= level:
-        return size[level][blank][_ROOT], level + 1
     nodes = 0
     deepest = 0  # depth of the deepest expanded node
 
-    def walk(b: int, hval: int, g: int, left: int, last: int) -> None:
+    def walk(b: int, hval: int, g: int, left: int, last: int, board=board, after=after, size=size) -> None:
         # Count the nodes generated below a node with hval < left moves
         # remaining, whose tree the goal may cut; a child with h >= its moves
-        # left is counted whole from ``size``.
+        # left is counted whole from ``size``.  The defaults make the tables locals.
         nonlocal nodes, deepest
         if g > deepest:
             deepest = g
@@ -153,10 +153,10 @@ def _ranked_decisions(board, blank, h0, after, size, level) -> tuple[list, int, 
     caps its branch at f = g.
     """
 
-    def bound(b: int, hval: int, g: int, left: int, last: int, best: int) -> int:
+    def bound(b: int, hval: int, f: int, left: int, last: int, best: int, board=board, after=after) -> int:
         # The least frontier f below this node (0 < hval, left >= 1 moves
-        # remain, g + hval < best) if that is below ``best``, else ``best``.
-        f = g + hval
+        # remain, its own f = g + hval < best) if that is below ``best``, else
+        # ``best``.  The defaults make the board and the move rows locals.
         moves = after[b][last]
         for op, j, delta in moves:
             t = board[j]
@@ -173,7 +173,7 @@ def _ranked_decisions(board, blank, h0, after, size, level) -> tuple[list, int, 
                     continue
                 board[b] = t
                 board[j] = 0
-                value = bound(j, hval - 1, g + 1, left - 1, op, best)
+                value = bound(j, hval - 1, f, left - 1, op, best)
                 board[j] = t
                 board[b] = 0
                 if value < best:
@@ -196,7 +196,7 @@ def _ranked_decisions(board, blank, h0, after, size, level) -> tuple[list, int, 
                     continue
                 board[b] = t
                 board[j] = 0
-                value = bound(j, hval + 1, g + 1, left - 1, op, best)
+                value = bound(j, hval + 1, f + 2, left - 1, op, best)
                 board[j] = t
                 board[b] = 0
                 if value < best:
@@ -211,11 +211,13 @@ def _ranked_decisions(board, blank, h0, after, size, level) -> tuple[list, int, 
         board[blank] = t
         board[j] = 0
         child_h = h0 + delta[t]
-        value = 1 + child_h if level == 1 or not child_h else bound(j, child_h, 1, level - 1, op, 1 << 30)
+        value = 1 + child_h if level == 1 or not child_h else bound(j, child_h, 1 + child_h, level - 1, op, 1 << 30)
         ranked.append((value, op, j, child_h))
         board[j] = t
         board[blank] = 0
     ranked.sort()
+    if h0 >= level:  # no goal is expanded: the whole tree
+        return ranked, size[level][blank][_ROOT], level + 1
     return ranked, *_tree_counts(after, size, board, blank, h0, level)
 
 
@@ -359,14 +361,6 @@ def _goal_counts(rows, h, size, blank, k, level) -> tuple[int, int]:
     return nodes, deepest + 2
 
 
-def _child(tiles: tuple[int, ...], blank: int, j: int) -> tuple[int, ...]:
-    """``tiles`` after the blank at ``blank`` moves to cell ``j``."""
-    board = list(tiles)
-    board[blank] = board[j]
-    board[j] = 0
-    return tuple(board)
-
-
 def minimin_decide(s: State, goal: State, level: int) -> tuple[Op, int, int]:
     """One Minimin decision: depth-``level`` lookahead from ``s``.
 
@@ -469,47 +463,59 @@ def _table_loop(p, level, limits, trace) -> Outcome:
 
 
 def _search_loop(p, level, limits, trace) -> Outcome:
-    """Minimin on one board carried with its blank and h, each decision by ``_ranked_decisions``.
+    """Minimin on one board carried with its blank, h and key, each decision by ``_ranked_decisions``.
 
-    A move takes its h from its ranked entry; h == 0 is the goal.  A decision
-    depends only on the state, so each distinct state is searched once per
-    run: ``decided`` keeps its ranked moves and counts, and a revisit charges
-    the same nodes and stack peak as the search did.
+    A state's key is one integer: tile t at cell c adds ``t << bits * c``,
+    with ``bits = (cells - 1).bit_length()`` (4 at width 4, 5 at width 5), so
+    a move XORs in two terms and no tuple is built or hashed.  A move takes
+    its h from its ranked entry; h == 0 is the goal.  A decision depends only
+    on the state, so each distinct state is searched once per run:
+    ``decided`` keeps its ranked moves and counts by key, and a revisit
+    charges the same nodes and stack peak as the search did.  Tile tuples
+    appear only in a traced run's ``Decision``s.
     """
     after = delta_moves(p.width, p.goal.tiles)
     size = _tree_sizes(p.width)
-    tiles = p.initial.tiles
-    board = list(tiles)
+    board = list(p.initial.tiles)
+    bits = (len(board) - 1).bit_length()
+    shift = [bits * c for c in range(len(board))]
     blank = p.initial.blank
     hval = manhattan(p.initial, p.goal)
-    visits = {tiles: 1}
-    decided = {}  # tiles -> (ranked, nodes, stack peak); never more entries than ``visits``
+    key = sum(t << at for t, at in zip(board, shift))
+    visits = {key: 1}
+    decided = {}  # key -> (ranked, nodes, stack peak); never more entries than ``visits``
     moves = 0
     total_nodes = 0
     peak_space = 0
     while hval:
         if moves >= limits.max_moves or total_nodes >= limits.node_budget:
             return Outcome(limits.max_moves, total_nodes, peak_space, solved=False)
-        decision = decided.get(tiles)
+        decision = decided.get(key)
         if decision is None:
-            decision = decided[tiles] = _ranked_decisions(board, blank, hval, after, size, level)
+            decision = decided[key] = _ranked_decisions(board, blank, hval, after, size, level)
         ranked, nodes, stack_peak = decision
         total_nodes += nodes
         _, _, to, child_h = ranked[0]
+        at = shift[blank]
+        t = board[to]
+        child = key ^ t << shift[to] ^ t << at
+        if trace is not None:
+            top = board.copy()
+            top[blank], top[to] = t, 0
+            trace.append((tuple(board), tuple(top)))
+        entered = visits.get(child, 0)
+        if entered >= 2:
+            for _, _, j, h in ranked[1:]:
+                t = board[j]
+                other = key ^ t << shift[j] ^ t << at
+                seen = visits.get(other, 0)
+                if seen < 2:
+                    to, child, child_h, entered = j, other, h, seen
+                    break
         board[blank] = board[to]
         board[to] = 0
-        child = tuple(board)
-        if trace is not None:
-            trace.append((tiles, child))
-        if visits.get(child, 0) >= 2:
-            for _, _, j, h in ranked[1:]:
-                other = _child(tiles, blank, j)
-                if visits.get(other, 0) < 2:
-                    board[:] = other
-                    to, child, child_h = j, other, h
-                    break
-        tiles, blank, hval = child, to, child_h
-        visits[tiles] = visits.get(tiles, 0) + 1
+        blank, key, hval = to, child, child_h
+        visits[key] = entered + 1
         moves += 1
         stored = stack_peak + len(visits)
         if stored > peak_space:

@@ -21,7 +21,6 @@ from eusearch.minimin import (
     minimin_decide,
     minimin_run,
     minimin_trace,
-    _child,
     _policy_table,
     _ranked_decisions,
     _value_table,
@@ -154,7 +153,7 @@ def assert_kernel_matches_oracle(s, goal, level, kernel=searched_decision):
     )
     for _, op, child_blank, child_h in ranked:
         child = apply_op(s, Op(op))
-        assert State(_child(s.tiles, s.blank, child_blank), s.width) == child
+        assert child.blank == child_blank
         assert child_h == manhattan_tally(child, goal)
     assert (nodes, peak) == (oracle_nodes, oracle_peak)
     assert minimin_decide(s, goal, level) == (oracle_op, oracle_value, oracle_nodes)
@@ -367,7 +366,7 @@ def table_decisions(s, goal, levels):
         )
         trace = []
         outcome = minimin._table_loop(p, level, ResourceLimits(1, 1), trace)
-        assert trace == [(state_key(s.tiles), state_key(_child(s.tiles, s.blank, ranked[0][2])))]
+        assert trace == [(state_key(s.tiles), state_key(apply_op(s, Op(ranked[0][1])).tiles))]
         # After one move the run stores its stack peak and the two states entered.
         decisions.append((ranked, outcome.time_units, outcome.space_units - 2))
     return decisions
@@ -955,6 +954,58 @@ class TestRun:
         outcome, trace = minimin_trace(ProblemInstance(s, GOAL4), level, ResourceLimits(max_moves, node_budget))
         got = (outcome.path_length, outcome.time_units, outcome.space_units, outcome.solved)
         assert (got, trace) == minimin_run_oracle(s, GOAL4, level, max_moves, node_budget)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        steps=st.integers(1, 60),
+        seed=st.integers(0, 2**30),
+        level=st.integers(5, 7),
+        max_moves=st.integers(1, 12),
+        node_budget=st.integers(1, 200_000),
+    )
+    def test_width4_runs_at_the_benchmark_levels_equal_the_oracle(self, steps, seed, level, max_moves, node_budget):
+        # The levels of the benchmark's slower runs, with short move caps to
+        # keep the oracle's re-searches cheap.
+        s = walked_state(GOAL4, steps, seed)
+        outcome, trace = minimin_trace(ProblemInstance(s, GOAL4), level, ResourceLimits(max_moves, node_budget))
+        got = (outcome.path_length, outcome.time_units, outcome.space_units, outcome.solved)
+        assert (got, trace) == minimin_run_oracle(s, GOAL4, level, max_moves, node_budget)
+
+    def test_width5_runs_equal_the_oracle(self):
+        # A 5x5 run keys its states by 5 bits per cell, not 4.  One walk is
+        # solved and the other stops at the move cap; at levels 1 and 2 both
+        # runs override moves.
+        goal = goal_state(5)
+        limits = ResourceLimits(40, 10**6)
+        for steps, seed in ((14, 2), (16, 3)):
+            s = walked_state(goal, steps, seed)
+            for level in (1, 2, 3):
+                outcome, trace = minimin_trace(ProblemInstance(s, goal), level, limits)
+                got = (outcome.path_length, outcome.time_units, outcome.space_units, outcome.solved)
+                assert (got, trace) == minimin_run_oracle(s, goal, level, limits.max_moves, limits.node_budget)
+                assert overrides(trace) > 0 or level == 3
+
+    @pytest.mark.parametrize("width, bits, steps, seed, level", [(4, 4, 20, 4, 2), (5, 5, 14, 2, 2)])
+    def test_search_loop_keys_states_by_packed_tiles(self, width, bits, steps, seed, level):
+        # Tile t at cell c adds t << bits * c: every tile fits in its field,
+        # so no two states share a key.  These runs are solved after
+        # overrides, so they enter each decided state and the goal.
+        goal = goal_state(width)
+        s = walked_state(goal, steps, seed)
+        visits, trace = [], []
+
+        def hook(frame, event, arg):
+            if event == "return" and frame.f_code is minimin._search_loop.__code__:
+                visits.append(frame.f_locals["visits"])
+
+        sys.setprofile(hook)
+        try:
+            outcome = minimin._search_loop(ProblemInstance(s, goal), level, ResourceLimits(), trace)
+        finally:
+            sys.setprofile(None)
+        assert outcome.solved and overrides(trace) > 0
+        entered = {tiles for tiles, _ in trace} | {goal.tiles}
+        assert set(visits[0]) == {sum(t << bits * c for c, t in enumerate(tiles)) for tiles in entered}
 
     def test_width4_run_searches_each_state_once(self, monkeypatch):
         # A level-4 run that wanders to the move cap re-enters states.  It
