@@ -74,7 +74,7 @@ class MarkovParams:
         for level in sorted(self.accuracy):
             if level not in self.branching:
                 raise ValueError(f"branching factor missing for level {level}")
-            if self.branching[level] <= 1.0:
+            if not self.branching[level] > 1.0:
                 raise ValueError("effective branching must exceed 1")
         levels = sorted(self.accuracy)
         for a, b in zip(levels, levels[1:]):
@@ -140,30 +140,6 @@ def _first_passage(
     return counts
 
 
-def _markov_entries(
-    params: MarkovParams, d: int, level: int, samples: int, seed: int
-) -> list[tuple[Outcome, float]]:
-    """``markov_predict``'s lottery entries, in model units, after its argument checks."""
-    if d < 1:
-        raise ValueError("depth must be >= 1")
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must be in 1..{MAX_SAMPLES}")
-    if level not in params.accuracy:
-        raise MissingAccuracy(f"no accuracy estimate for level {level}")
-    ps = tuple(sorted(set(params.accuracy.values())))
-    row = _first_passage(d, ps, params.max_len, samples, seed)[ps.index(params.accuracy[level])]
-    # Walks alive at max_len (entry 0) come after those absorbed there.
-    ends = (np.flatnonzero(row[1:]) + 1).tolist() + [0] * bool(row[0])
-    counts = row.tolist()
-    npd = nodes_per_decision(params, level)
-    entries = []
-    for k in ends:
-        length = float(k or params.max_len)
-        outcome = Outcome(length, length * npd, float(level + 1) + (length + 1.0), k > 0)
-        entries.append((outcome, counts[k] / samples))
-    return entries
-
-
 def markov_predict(
     params: MarkovParams,
     d: int,
@@ -180,10 +156,9 @@ def markov_predict(
     Deterministic given ``seed``.  One cached walk serves every level: each
     step's row of uniform draws moves the walks of all of ``params``'
     accuracies, coupling them sample by sample, and the walk keeps only how
-    many of each accuracy's walks end at each step, which ``_markov_entries``
-    reads for ``selector.select_lookahead`` too.
+    many of each accuracy's walks end at each step, which ``_entries`` reads.
     """
-    return Lottery(tuple(_markov_entries(params, d, level, samples, seed)))
+    return predict(params, d, level, samples, seed)
 
 
 def _solve_branching(mean_nodes: float, level: int) -> float:
@@ -319,6 +294,52 @@ def fit_empirical(
     return EmpiricalTable(cells=cells, sample_meta=dict(sample_meta or {}))
 
 
+def _entries(
+    model: MarkovParams | EmpiricalTable, d: int, level: int, samples: int, seed: int, extrapolate: bool
+) -> list[tuple[Outcome, float]]:
+    """``predict``'s lottery entries, in model units, after its argument checks: the
+    Markov walk's, or an empirical table's cell at ``d``, the two cells around it mixed
+    linearly by distance, or with ``extrapolate`` the nearest cell beyond the table."""
+    if isinstance(model, MarkovParams):
+        if d < 1:
+            raise ValueError("depth must be >= 1")
+        if not 1 <= samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be in 1..{MAX_SAMPLES}")
+        if level not in model.accuracy:
+            raise MissingAccuracy(f"no accuracy estimate for level {level}")
+        ps = tuple(sorted(set(model.accuracy.values())))
+        row = _first_passage(d, ps, model.max_len, samples, seed)[ps.index(model.accuracy[level])]
+        # Walks alive at max_len (entry 0) come after those absorbed there.
+        ends = (np.flatnonzero(row[1:]) + 1).tolist() + [0] * bool(row[0])
+        counts = row.tolist()
+        npd = nodes_per_decision(model, level)
+        entries = []
+        for k in ends:
+            length = float(k or model.max_len)
+            outcome = Outcome(length, length * npd, float(level + 1) + (length + 1.0), k > 0)
+            entries.append((outcome, counts[k] / samples))
+        return entries
+
+    if level not in model.levels:
+        raise MissingAccuracy(f"empirical table has no level {level}")
+    depths = model.depths_for(level)
+    lower = [b for b in depths if b < d]
+    upper = [b for b in depths if b > d]
+    if d in depths:
+        bucket = d
+    elif lower and upper:
+        b1, b2 = lower[-1], upper[0]
+        w = (b2 - d) / (b2 - b1)
+        cell1, cell2 = model.cells[(b1, level)], model.cells[(b2, level)]
+        return [(o, w / len(cell1)) for o in cell1] + [(o, (1.0 - w) / len(cell2)) for o in cell2]
+    elif extrapolate:
+        bucket = depths[0] if not lower else depths[-1]
+    else:
+        raise OutOfRange(f"depth {d} outside empirical buckets {depths} for level {level}")
+    cell = model.cells[(bucket, level)]
+    return [(o, 1.0 / len(cell)) for o in cell]
+
+
 def predict(
     model: MarkovParams | EmpiricalTable,
     d: int,
@@ -328,31 +349,7 @@ def predict(
     extrapolate: bool = False,
 ) -> Lottery:
     """Unified prediction interface over both model kinds."""
-    if isinstance(model, MarkovParams):
-        return markov_predict(model, d, level, samples=samples, seed=seed)
-
-    if level not in model.levels:
-        raise MissingAccuracy(f"empirical table has no level {level}")
-    depths = model.depths_for(level)
-    if d in depths:
-        return Lottery.uniform(list(model.cells[(d, level)]))
-    lower = [b for b in depths if b < d]
-    upper = [b for b in depths if b > d]
-    if not lower or not upper:
-        if not extrapolate:
-            raise OutOfRange(
-                f"depth {d} outside empirical buckets {depths} for level {level}"
-            )
-        bucket = depths[0] if not lower else depths[-1]
-        return Lottery.uniform(list(model.cells[(bucket, level)]))
-    b1, b2 = lower[-1], upper[0]
-    w = (b2 - d) / (b2 - b1)
-    entries: list[tuple[Outcome, float]] = []
-    cell1 = model.cells[(b1, level)]
-    cell2 = model.cells[(b2, level)]
-    entries.extend((o, w / len(cell1)) for o in cell1)
-    entries.extend((o, (1.0 - w) / len(cell2)) for o in cell2)
-    return Lottery.of(entries)
+    return Lottery.of(_entries(model, d, level, samples, seed, extrapolate))
 
 
 # --- serialization ----------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .perfmodel import EmpiricalTable, MarkovParams, _markov_entries, predict
+from .perfmodel import EmpiricalTable, MarkovParams, _entries
 from .utility import Lottery, Outcome, UtilityModel, choose_max_eu
 
 # ``expected_utility`` is looked up here by the benchmark's tracer (perfbench/tracing.py).
@@ -41,18 +41,15 @@ def select_lookahead(
     Ties break toward the smaller level (cheaper decisions at equal EU).  The
     same seed serves every level, so Markov predictions share one coupled walk.
     ``convert`` maps predicted outcomes into the utility model's units (e.g.
-    node generations to minutes) before scoring; default is identity.  A Markov
-    level's entries (``markov_predict``'s) are converted once, into one ``Lottery``.
+    node generations to minutes) before scoring; default is identity.  Each
+    level's entries (``predict``'s) are converted once, into one ``Lottery``.
     """
     if not levels:
         raise ValueError("select_lookahead needs at least one level")
     levels = sorted(levels)
     lotteries = []
     for level in levels:
-        if isinstance(model, MarkovParams):
-            entries = _markov_entries(model, d, level, samples, seed)
-        else:
-            entries = predict(model, d, level, extrapolate=extrapolate).entries
+        entries = _entries(model, d, level, samples, seed, extrapolate)
         if convert is not None:
             entries = [(convert(o), p) for o, p in entries]
         lotteries.append(Lottery(tuple(entries)))

@@ -92,22 +92,15 @@ class Lottery:
             raise InvalidLottery("lottery has no entries")
         total = 0.0
         for _, prob in self.entries:
-            if prob <= 0.0:
+            if not prob > 0.0:
                 raise InvalidLottery(f"nonpositive probability {prob}")
             total += prob
-        if abs(total - 1.0) > PROB_TOLERANCE:
+        if not abs(total - 1.0) <= PROB_TOLERANCE:
             raise InvalidLottery(f"probabilities sum to {total}, not 1")
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[object, float]]) -> "Lottery":
         return cls(tuple((v, float(p)) for v, p in pairs))
-
-    @classmethod
-    def uniform(cls, values: Sequence[object]) -> "Lottery":
-        if not values:
-            raise InvalidLottery("uniform lottery over no values")
-        p = 1.0 / len(values)
-        return cls(tuple((v, p) for v in values))
 
 
 def left_sum(terms: Iterable[float]) -> float:
@@ -146,13 +139,13 @@ class AttributeUtility:
             raise MalformedModel(f"{self.attribute}: curve needs at least one knot")
         xs = [x for x, _ in self.points]
         ys = [y for _, y in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if not all(b > a for a, b in zip(xs, xs[1:])):
             raise MalformedModel(f"{self.attribute}: knot values must increase")
         if any(b > a for a, b in zip(ys, ys[1:])):
             raise MalformedModel(f"{self.attribute}: curve must be nonincreasing")
         if any(not 0.0 <= y <= 1.0 for y in ys):
             raise MalformedModel(f"{self.attribute}: utilities must lie in [0, 1]")
-        if self.bound <= xs[0]:
+        if not self.bound > xs[0]:
             raise MalformedModel(f"{self.attribute}: bound must exceed the best value")
 
     @classmethod
@@ -213,18 +206,18 @@ class UtilityModel:
             raise MalformedModel("duplicate attribute names")
         if len(self.weights) != len(self.attributes):
             raise MalformedModel("one weight per attribute required")
-        if any(w < 0 for w in self.weights):
+        if not all(w >= 0 for w in self.weights):
             raise MalformedModel("weights must be nonnegative")
         if self.form == "additive":
-            if abs(sum(self.weights) - 1.0) > _CONSISTENCY_TOL:
+            if not abs(sum(self.weights) - 1.0) <= _CONSISTENCY_TOL:
                 raise MalformedModel("additive weights must sum to 1")
         elif self.form == "multiplicative":
-            if self.k is None or self.k <= -1.0 or self.k == 0.0:
+            if self.k is None or not self.k > -1.0 or self.k == 0.0:
                 raise MalformedModel("multiplicative form needs K > -1, K != 0")
             prod = 1.0
             for w in self.weights:
                 prod *= 1.0 + self.k * w
-            if abs(prod - (1.0 + self.k)) > _CONSISTENCY_TOL * max(1.0, abs(self.k)):
+            if not abs(prod - (1.0 + self.k)) <= _CONSISTENCY_TOL * max(1.0, abs(self.k)):
                 raise MalformedModel(
                     "multiplicative weights violate 1 + K = prod(1 + K*k_i)"
                 )
@@ -234,7 +227,7 @@ class UtilityModel:
                 if a not in known or b not in known or a == b:
                     raise MalformedModel(f"bad interaction pair ({a}, {b})")
             total = sum(self.weights) + sum(k for _, k in self.interactions)
-            if abs(total - 1.0) > _CONSISTENCY_TOL:
+            if not abs(total - 1.0) <= _CONSISTENCY_TOL:
                 raise MalformedModel(
                     "multilinear weights plus interactions must sum to 1"
                 )

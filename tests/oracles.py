@@ -373,6 +373,42 @@ def markov_predict_oracle(params, d: int, level: int, samples: int, seed: int):
     return Lottery.of(entries)
 
 
+def empirical_predict_oracle(model, d: int, level: int, extrapolate: bool = False):
+    """``predict`` on an ``EmpiricalTable``, as its own branch once read: a uniform
+    lottery over the cell at ``d``, else over the nearest cell when ``extrapolate``
+    lets a depth beyond the table through, else the two cells around ``d`` weighted
+    by distance."""
+    from eusearch.perfmodel import MissingAccuracy, OutOfRange
+    from eusearch.utility import Lottery
+
+    def uniform(values):
+        p = 1.0 / len(values)
+        return Lottery(tuple((v, p) for v in values))
+
+    if level not in model.levels:
+        raise MissingAccuracy(f"empirical table has no level {level}")
+    depths = model.depths_for(level)
+    if d in depths:
+        return uniform(list(model.cells[(d, level)]))
+    lower = [b for b in depths if b < d]
+    upper = [b for b in depths if b > d]
+    if not lower or not upper:
+        if not extrapolate:
+            raise OutOfRange(
+                f"depth {d} outside empirical buckets {depths} for level {level}"
+            )
+        bucket = depths[0] if not lower else depths[-1]
+        return uniform(list(model.cells[(bucket, level)]))
+    b1, b2 = lower[-1], upper[0]
+    w = (b2 - d) / (b2 - b1)
+    entries = []
+    cell1 = model.cells[(b1, level)]
+    cell2 = model.cells[(b2, level)]
+    entries.extend((o, w / len(cell1)) for o in cell1)
+    entries.extend((o, (1.0 - w) / len(cell2)) for o in cell2)
+    return Lottery.of(entries)
+
+
 # The scalar utility code that ``utility.utilities_of`` replaced: one Python
 # call per curve, outcome and lottery entry.  The array scorer must repeat its
 # arithmetic step for step, so every utility and EU has the same bits.

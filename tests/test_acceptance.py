@@ -620,6 +620,19 @@ def test_each_board_table_has_one_builder():
     assert not {"bit_count", "words"} & named
 
 
+def test_a_models_lottery_has_one_reader():
+    # ``perfmodel._entries`` reads either kind of model, so ``predict`` and the
+    # selector share it and the selector does not branch on the model's kind.
+    src = Path(__file__).parents[1] / "src" / "eusearch"
+    selector = ast.parse((src / "selector.py").read_text())
+    calls = {ast.unparse(node.func) for node in ast.walk(selector) if isinstance(node, ast.Call)}
+    assert "isinstance" not in calls
+    imported = {alias.name for node in ast.walk(selector) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not {"predict", "_markov_entries"} & imported
+    perfmodel = ast.parse((src / "perfmodel.py").read_text())
+    assert "_markov_entries" not in {name for _, name in definitions(perfmodel)}
+
+
 def test_outcome_file_forms_follow_outcome_attributes(tmp_path):
     # The runs CSV and model files lay out an outcome's attributes in the order
     # ``OUTCOME_ATTRIBUTES`` gives, which is ``Outcome``'s field order.

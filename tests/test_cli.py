@@ -636,6 +636,30 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
             "tag: mine\n",
             "has 'tag' beside equivalence_rows, which calibrate the model",
         ),
+        (UTILITY, "attributes:\n  path_length: {bound: 100}\nweights: {path_length: .nan}\n", "weights must be nonnegative"),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: .nan, curve: free}\nweights: {path_length: 1}\n",
+            "path_length: bound must exceed the best value",
+        ),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100}\n  time_units: {bound: 10}\nform: multiplicative\n"
+            "weights: {path_length: 0.5, time_units: 0.5}\nmaster_k: .nan\n",
+            "multiplicative form needs K > -1, K != 0",
+        ),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100, points: [[0, 1], [.nan, 0.5]]}\nweights: {path_length: 1}\n",
+            "path_length: knot values must increase",
+        ),
+        (
+            UTILITY,
+            "attributes:\n  path_length: {bound: 100}\n  time_units: {bound: 10}\nform: multilinear\n"
+            "weights: {path_length: 0.5, time_units: 0.5}\ninteractions: {path_length*time_units: .nan}\n",
+            "multilinear weights plus interactions must sum to 1",
+        ),
+        (MODEL, "kind: markov\naccuracy: {1: 0.9}\nbranching: {1: .nan}\n", "effective branching must exceed 1"),
     ],
     ids=[
         "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
@@ -650,6 +674,7 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
         "block-unknown", "tag-list", "interactions-pair", "cell-unknown", "row-unknown",
         "interactions-additive", "interactions-unknown-attribute", "interactions-multiplicative",
         "rows-form", "rows-weights", "rows-master-k", "rows-interactions", "rows-tag",
+        "weights-nan", "bound-nan", "master-k-nan", "knot-nan", "interactions-nan", "branching-nan",
     ],
 )
 def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):

@@ -30,7 +30,7 @@ from eusearch.perfmodel import (
 from eusearch.puzzle import ProblemInstance, State, goal_state
 from eusearch.seeds import subseed
 from eusearch.utility import Outcome
-from oracles import apply_op, legal_ops, markov_predict_oracle
+from oracles import apply_op, empirical_predict_oracle, legal_ops, markov_predict_oracle
 from replay import tile_pairs
 
 
@@ -502,6 +502,36 @@ class TestPredict:
         table = EmpiricalTable(cells={(8, 1): (Outcome(10, 100, 10),)})
         with pytest.raises(MissingAccuracy):
             predict(table, d=8, level=3)
+
+    @given(
+        cells=st.dictionaries(
+            st.tuples(st.integers(1, 30), st.integers(1, 3)),
+            st.lists(
+                st.builds(Outcome, st.integers(0, 60), st.integers(0, 10**6), st.integers(0, 90), st.booleans()),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_empirical_matches_oracle_by_repr(self, cells):
+        # Depths below, at, between and above the cells, a level the table
+        # lacks, with and without extrapolation; errors compare by type and message.
+        table = EmpiricalTable(cells={key: tuple(outcomes) for key, outcomes in cells.items()})
+
+        def answer(call):
+            try:
+                return repr(call())
+            except (MissingAccuracy, OutOfRange) as exc:
+                return repr(exc)
+
+        for level in (1, 2, 3, 4):
+            for d in range(0, 33):
+                for extrapolate in (False, True):
+                    got = answer(lambda: predict(table, d, level, extrapolate=extrapolate))
+                    assert got == answer(lambda: empirical_predict_oracle(table, d, level, extrapolate))
 
 
 class TestSerialization:

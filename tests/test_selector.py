@@ -1,7 +1,7 @@
 import pytest
 
 from eusearch.experiment import to_user_units
-from eusearch.perfmodel import EmpiricalTable, MarkovParams, markov_predict, predict
+from eusearch.perfmodel import EmpiricalTable, MarkovParams, predict
 from eusearch.selector import SelectionReport, select_lookahead
 from eusearch.utility import (
     AttributeMissing,
@@ -24,6 +24,36 @@ def hand_joint(model, path, minutes):
     num = (1 + model.k * k_p * u_p) * (1 + model.k * k_t * u_t) - 1
     den = (1 + model.k * k_p) * (1 + model.k * k_t) - 1
     return num / den
+
+
+def assert_each_entry_converted_once_into_one_lottery(monkeypatch, model, d, **kwargs):
+    """``select_lookahead`` over levels 1-3 passes each of ``predict``'s entries
+    through ``convert`` once and builds one ``Lottery`` per level, none by ``Lottery.of``."""
+    levels = [1, 2, 3]
+    sizes = [len(predict(model, d, l, **kwargs).entries) for l in levels]
+    converted, built = [], []
+    post_init = Lottery.__post_init__
+
+    def counted(lottery):
+        built.append(lottery)
+        post_init(lottery)
+
+    def convert(o):
+        converted.append(o)
+        return to_user_units(o, 20_000.0, 10_000.0)
+
+    def no_repass(pairs):
+        raise AssertionError("Lottery.of re-passes built entries")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Lottery, "__post_init__", counted)
+        patch.setattr(Lottery, "of", no_repass)
+        select_lookahead(d, model, default_utility_model(), levels, convert=convert, **kwargs)
+    assert len(converted) == sum(sizes)
+    assert [len(lottery.entries) for lottery in built] == sizes
+    assert [o for lottery in built for o, _ in lottery.entries] == [
+        to_user_units(o, 20_000.0, 10_000.0) for o in converted
+    ]
 
 
 class TestSelectLookahead:
@@ -107,30 +137,13 @@ class TestSelectLookahead:
         params = MarkovParams(
             accuracy={1: 0.6, 2: 0.8, 3: 1.0}, branching={1: 2.7, 2: 2.4, 3: 2.2}, max_len=100
         )
-        levels = [1, 2, 3]
-        sizes = [len(markov_predict(params, 12, l, samples=500, seed=5).entries) for l in levels]
-        converted, built = [], []
-        post_init = Lottery.__post_init__
+        assert_each_entry_converted_once_into_one_lottery(monkeypatch, params, 12, samples=500, seed=5)
 
-        def counted(lottery):
-            built.append(lottery)
-            post_init(lottery)
-
-        def convert(o):
-            converted.append(o)
-            return to_user_units(o, 20_000.0, 10_000.0)
-
-        def no_repass(pairs):
-            raise AssertionError("Lottery.of re-passes built entries")
-
-        monkeypatch.setattr(Lottery, "__post_init__", counted)
-        monkeypatch.setattr(Lottery, "of", no_repass)
-        select_lookahead(12, params, default_utility_model(), levels, samples=500, seed=5, convert=convert)
-        assert len(converted) == sum(sizes)
-        assert [len(lottery.entries) for lottery in built] == sizes
-        assert [o for lottery in built for o, _ in lottery.entries] == [
-            to_user_units(o, 20_000.0, 10_000.0) for o in converted
-        ]
+    def test_empirical_levels_convert_each_entry_once_into_one_lottery(self, monkeypatch):
+        cells = {(d, l): (Outcome(40 + d, 2e4 * l, 3e4), Outcome(50 + d, 1e4 * l, 2e4)) for d in (8, 16) for l in (1, 2)}
+        cells[(16, 3)] = (Outcome(60, 9e4, 4e4),)
+        for d in (8, 11, 16, 20):  # at a cell, between two, beyond the table
+            assert_each_entry_converted_once_into_one_lottery(monkeypatch, EmpiricalTable(cells), d, extrapolate=True)
 
     def test_empirical_levels_score_their_converted_predictions(self):
         u = default_utility_model()

@@ -66,9 +66,10 @@ class TestLottery:
         with pytest.raises(InvalidLottery):
             Lottery(())
 
-    def test_uniform(self):
-        lot = Lottery.uniform([1, 2, 3, 4])
-        assert all(p == 0.25 for _, p in lot.entries)
+    @pytest.mark.parametrize("entries", [((1, math.nan),), ((1, 1.0), (2, math.nan)), ((1, math.nan), (2, 1.0))])
+    def test_nan_probability_rejected(self, entries):
+        with pytest.raises(InvalidLottery):
+            Lottery(entries)
 
     @given(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
@@ -125,7 +126,7 @@ class TestExpectedUtility:
     @settings(max_examples=50, deadline=None)
     def test_mixture_linearity(self, values, alpha):
         curve = AttributeUtility.linear("path_length", 0.0, 120.0)
-        l1 = Lottery.uniform(values)
+        l1 = Lottery.of((v, 1.0 / len(values)) for v in values)
         l2 = Lottery.of([(50, 1.0)])
         mixture = Lottery.of(
             [(v, alpha * p) for v, p in l1.entries]
@@ -140,7 +141,7 @@ class TestExpectedUtility:
         # compensated float ``sum`` gives 1.0, which would move the pinned files.
         best = Outcome(0.0, 0.0, 0.0)
         assert joint_utility(best, default_utility_model()) == 1.0
-        assert expected_utility(Lottery.uniform([best] * 10), default_utility_model()) == 0.9999999999999999
+        assert expected_utility(Lottery.of([(best, 1.0 / 10)] * 10), default_utility_model()) == 0.9999999999999999
 
 
 class TestChooseMaxEu:
@@ -523,7 +524,7 @@ class TestArrayScorer:
                 assert repr(expected_utility(lot, curve)) == repr(expected_utility_oracle(lot, curve))
 
     def test_oracle_sums_terms_left_to_right(self):
-        lot = Lottery.uniform([Outcome(0, 0, 0)] * 10)
+        lot = Lottery.of([(Outcome(0, 0, 0), 1.0 / 10)] * 10)
         assert expected_utility_oracle(lot, default_utility_model()) == left_sum([0.1] * 10)
 
     def test_the_clamp_reads_minus_zero_as_zero(self):
@@ -634,7 +635,6 @@ TIME = AttributeUtility.linear("time_units", 0.0, 10.0)
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: Lottery.uniform([]), InvalidLottery, "uniform lottery over no values"),
         (lambda: AttributeUtility("path_length", (), 100.0), MalformedModel, "at least one knot"),
         (lambda: AttributeUtility("path_length", ((5.0, 1.0),), 5.0), MalformedModel, "bound must exceed"),
         (lambda: UtilityModel((PATH,), form="bogus", weights=(1.0,)), MalformedModel, "unknown combination form"),
@@ -673,7 +673,7 @@ TIME = AttributeUtility.linear("time_units", 0.0, 10.0)
         ),
     ],
     ids=[
-        "uniform-empty", "no-knots", "bound-at-best", "unknown-form", "no-attributes", "duplicate-names",
+        "no-knots", "bound-at-best", "unknown-form", "no-attributes", "duplicate-names",
         "weight-count", "negative-weight", "K-minus-one", "K-zero", "bad-pair", "model-over-scalars",
         "calibration-without-bound", "unknown-curve",
     ],
