@@ -11,8 +11,8 @@ Two interchangeable predictors:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -76,6 +76,12 @@ class MarkovParams:
                 raise ValueError(f"branching factor missing for level {level}")
             if not self.branching[level] > 1.0:
                 raise ValueError("effective branching must exceed 1")
+            try:
+                finite = math.isfinite(nodes_per_decision(self, level))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"branching {level} gives no finite node count per decision")
         levels = sorted(self.accuracy)
         for a, b in zip(levels, levels[1:]):
             if self.accuracy[b] < self.accuracy[a] - 1e-12:
@@ -98,10 +104,7 @@ def nodes_per_decision(params: MarkovParams, level: int) -> float:
     return _geometric(params.branching[level], level)
 
 
-@lru_cache(maxsize=1)
-def _first_passage(
-    d: int, ps: tuple[float, ...], max_len: int, samples: int, seed: int
-) -> np.ndarray:
+def _first_passage(d: int, ps: Sequence[float], max_len: int, samples: int, seed: int) -> np.ndarray:
     """How many walks from ``d`` are first absorbed at each step, one row per p in ``ps``.
 
     Entry k >= 1 counts the walks first at 0 after k steps, entry 0 those still
@@ -113,8 +116,7 @@ def _first_passage(
     ``max_len``.  A walk is at 0 after k steps when (d + k) / 2 of them went
     down, so no step before ``d`` or of the other parity is tested.  The alive
     flags are padded with False to whole 8-byte words, and a row's survivors,
-    0 once it is empty, are the popcount of its words.  The array is
-    read-only because the cache shares it.
+    0 once it is empty, are the popcount of its words.
     """
     rng = np.random.default_rng(seed)
     column = np.array(ps)[:, None]
@@ -135,30 +137,7 @@ def _first_passage(
             break
         rows, flags, col = downs[:live], alive[:live], column[:live]
     left = np.column_stack(left)
-    counts = np.column_stack([left[:, -1], -np.diff(left)])
-    counts.flags.writeable = False
-    return counts
-
-
-def markov_predict(
-    params: MarkovParams,
-    d: int,
-    level: int,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> Lottery:
-    """Simulate the distance walk from depth ``d`` and return an outcome lottery.
-
-    Per move the remaining distance drops by 1 with probability p_level, else
-    rises by 1; absorption at 0 ends the walk.  Entries are solved outcomes
-    by length, then one unsolved outcome of length ``max_len`` for the walks
-    still alive there, each with probability count / ``samples``.
-    Deterministic given ``seed``.  One cached walk serves every level: each
-    step's row of uniform draws moves the walks of all of ``params``'
-    accuracies, coupling them sample by sample, and the walk keeps only how
-    many of each accuracy's walks end at each step, which ``_entries`` reads.
-    """
-    return predict(params, d, level, samples, seed)
+    return np.column_stack([left[:, -1], -np.diff(left)])
 
 
 def _solve_branching(mean_nodes: float, level: int) -> float:
@@ -295,49 +274,56 @@ def fit_empirical(
 
 
 def _entries(
-    model: MarkovParams | EmpiricalTable, d: int, level: int, samples: int, seed: int, extrapolate: bool
-) -> list[tuple[Outcome, float]]:
-    """``predict``'s lottery entries, in model units, after its argument checks: the
-    Markov walk's, or an empirical table's cell at ``d``, the two cells around it mixed
-    linearly by distance, or with ``extrapolate`` the nearest cell beyond the table."""
+    model: MarkovParams | EmpiricalTable, d: int, levels: Sequence[int], samples: int, seed: int, extrapolate: bool
+) -> list[list[tuple[Outcome, float]]]:
+    """Each of ``levels``' lottery entries, in model units, after ``predict``'s argument
+    checks: a Markov model's rows of one walk over those levels' accuracies, or per level
+    an empirical table's cell at ``d``, the two cells around it mixed linearly by
+    distance, or with ``extrapolate`` the nearest cell beyond the table."""
     if isinstance(model, MarkovParams):
         if d < 1:
             raise ValueError("depth must be >= 1")
         if not 1 <= samples <= MAX_SAMPLES:
             raise ValueError(f"samples must be in 1..{MAX_SAMPLES}")
-        if level not in model.accuracy:
-            raise MissingAccuracy(f"no accuracy estimate for level {level}")
-        ps = tuple(sorted(set(model.accuracy.values())))
-        row = _first_passage(d, ps, model.max_len, samples, seed)[ps.index(model.accuracy[level])]
-        # Walks alive at max_len (entry 0) come after those absorbed there.
-        ends = (np.flatnonzero(row[1:]) + 1).tolist() + [0] * bool(row[0])
-        counts = row.tolist()
-        npd = nodes_per_decision(model, level)
-        entries = []
-        for k in ends:
-            length = float(k or model.max_len)
-            outcome = Outcome(length, length * npd, float(level + 1) + (length + 1.0), k > 0)
-            entries.append((outcome, counts[k] / samples))
-        return entries
+        for level in levels:
+            if level not in model.accuracy:
+                raise MissingAccuracy(f"no accuracy estimate for level {level}")
+        ps = sorted({model.accuracy[level] for level in levels})
+        walk = _first_passage(d, ps, model.max_len, samples, seed)
+        lotteries = []
+        for level in levels:
+            row = walk[ps.index(model.accuracy[level])]
+            # Walks alive at max_len (entry 0) come after those absorbed there.
+            ends = (np.flatnonzero(row[1:]) + 1).tolist() + [0] * bool(row[0])
+            counts = row.tolist()
+            npd = nodes_per_decision(model, level)
+            entries = []
+            for k in ends:
+                length = float(k or model.max_len)
+                outcome = Outcome(length, length * npd, float(level + 1) + (length + 1.0), k > 0)
+                entries.append((outcome, counts[k] / samples))
+            lotteries.append(entries)
+        return lotteries
 
-    if level not in model.levels:
-        raise MissingAccuracy(f"empirical table has no level {level}")
-    depths = model.depths_for(level)
-    lower = [b for b in depths if b < d]
-    upper = [b for b in depths if b > d]
-    if d in depths:
-        bucket = d
-    elif lower and upper:
-        b1, b2 = lower[-1], upper[0]
-        w = (b2 - d) / (b2 - b1)
-        cell1, cell2 = model.cells[(b1, level)], model.cells[(b2, level)]
-        return [(o, w / len(cell1)) for o in cell1] + [(o, (1.0 - w) / len(cell2)) for o in cell2]
-    elif extrapolate:
-        bucket = depths[0] if not lower else depths[-1]
-    else:
-        raise OutOfRange(f"depth {d} outside empirical buckets {depths} for level {level}")
-    cell = model.cells[(bucket, level)]
-    return [(o, 1.0 / len(cell)) for o in cell]
+    lotteries = []
+    for level in levels:
+        if level not in model.levels:
+            raise MissingAccuracy(f"empirical table has no level {level}")
+        depths = model.depths_for(level)
+        lower = [b for b in depths if b < d]
+        upper = [b for b in depths if b > d]
+        if d in depths:
+            mix = [(model.cells[d, level], 1.0)]
+        elif lower and upper:
+            b1, b2 = lower[-1], upper[0]
+            w = (b2 - d) / (b2 - b1)
+            mix = [(model.cells[b1, level], w), (model.cells[b2, level], 1.0 - w)]
+        elif extrapolate:
+            mix = [(model.cells[depths[0] if not lower else depths[-1], level], 1.0)]
+        else:
+            raise OutOfRange(f"depth {d} outside empirical buckets {depths} for level {level}")
+        lotteries.append([(o, w / len(cell)) for cell, w in mix for o in cell])
+    return lotteries
 
 
 def predict(
@@ -348,8 +334,18 @@ def predict(
     seed: int = 0,
     extrapolate: bool = False,
 ) -> Lottery:
-    """Unified prediction interface over both model kinds."""
-    return Lottery.of(_entries(model, d, level, samples, seed, extrapolate))
+    """The outcome lottery ``model`` predicts at depth ``d`` and lookahead ``level``.
+
+    A Markov model walks the distance to goal: per move it drops by 1 with probability
+    p_level, else rises by 1, and 0 absorbs.  Entries are solved outcomes by length, then
+    one unsolved outcome of length ``max_len`` for the walks alive there, each with
+    probability count / ``samples``, deterministic given ``seed`` whatever levels share the walk.
+    """
+    return Lottery.of(_entries(model, d, (level,), samples, seed, extrapolate)[0])
+
+
+# The name the benchmark's tracer wraps (perfbench/tracing.py).
+markov_predict = predict
 
 
 # --- serialization ----------------------------------------------------------

@@ -38,20 +38,17 @@ def select_lookahead(
 ) -> SelectionReport:
     """Pick the level maximizing expected utility at depth ``d``.
 
-    Ties break toward the smaller level (cheaper decisions at equal EU).  The
-    same seed serves every level, so Markov predictions share one coupled walk.
-    ``convert`` maps predicted outcomes into the utility model's units (e.g.
-    node generations to minutes) before scoring; default is identity.  Each
-    level's entries (``predict``'s) are converted once, into one ``Lottery``.
+    Ties break toward the smaller level (cheaper decisions at equal EU).  One
+    ``_entries`` call reads every level's entries, so Markov predictions share
+    one walk.  ``convert`` maps predicted outcomes into the utility model's units
+    (e.g. node generations to minutes) before scoring; default is identity.
+    Each level's entries (``predict``'s) are converted once, into one ``Lottery``.
     """
     if not levels:
         raise ValueError("select_lookahead needs at least one level")
     levels = sorted(levels)
-    lotteries = []
-    for level in levels:
-        entries = _entries(model, d, level, samples, seed, extrapolate)
-        if convert is not None:
-            entries = [(convert(o), p) for o, p in entries]
-        lotteries.append(Lottery(tuple(entries)))
-    best, eus = choose_max_eu(lotteries, u)
+    per_level = _entries(model, d, levels, samples, seed, extrapolate)
+    if convert is not None:
+        per_level = [[(convert(o), p) for o, p in entries] for entries in per_level]
+    best, eus = choose_max_eu([Lottery(tuple(entries)) for entries in per_level], u)
     return SelectionReport(chosen_level=levels[best], eu_by_level=dict(zip(levels, eus)))

@@ -158,10 +158,6 @@ class AttributeUtility:
         """A free but bounded resource: utility 1 below ``bound``, 0 at or above."""
         return cls(attribute, ((float(best), 1.0),), float(bound))
 
-    def evaluate(self, value: float) -> float:
-        """The curve's utility at ``value``: one read of ``utilities_of``."""
-        return float(utilities_of([value], self)[0])
-
     def _at(self, values: np.ndarray) -> np.ndarray:
         """The curve at each of ``values``: 0 at or above the bound, a knot value or one beyond
         the end knots its knot's utility (NaN the last knot's), else the line between knots."""

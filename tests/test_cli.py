@@ -660,6 +660,16 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
             "multilinear weights plus interactions must sum to 1",
         ),
         (MODEL, "kind: markov\naccuracy: {1: 0.9}\nbranching: {1: .nan}\n", "effective branching must exceed 1"),
+        (
+            MODEL,
+            "kind: markov\naccuracy: {1: 0.9}\nbranching: {1: .inf}\n",
+            "branching 1 gives no finite node count per decision",
+        ),
+        (
+            MODEL,
+            "kind: markov\naccuracy: {1: 0.8, 2: 0.9}\nbranching: {1: 1.5, 2: 1.0e+200}\nmax_len: 100\n",
+            "branching 2 gives no finite node count per decision",
+        ),
     ],
     ids=[
         "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
@@ -675,6 +685,7 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
         "interactions-additive", "interactions-unknown-attribute", "interactions-multiplicative",
         "rows-form", "rows-weights", "rows-master-k", "rows-interactions", "rows-tag",
         "weights-nan", "bound-nan", "master-k-nan", "knot-nan", "interactions-nan", "branching-nan",
+        "branching-inf", "branching-overflow",
     ],
 )
 def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):

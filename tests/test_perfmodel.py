@@ -9,6 +9,7 @@ from eusearch.exact import instance_of_depth
 from eusearch.minimin import EmptySample, decision_accuracy, minimin_trace
 from eusearch.perfmodel import (
     _ACCURACY_FLOOR,
+    _entries,
     _first_passage,
     _geometric,
     _isotonic,
@@ -29,7 +30,8 @@ from eusearch.perfmodel import (
 )
 from eusearch.puzzle import ProblemInstance, State, goal_state
 from eusearch.seeds import subseed
-from eusearch.utility import Outcome
+from eusearch.selector import select_lookahead
+from eusearch.utility import Lottery, Outcome, default_utility_model
 from oracles import apply_op, empirical_predict_oracle, legal_ops, markov_predict_oracle
 from replay import tile_pairs
 
@@ -159,8 +161,26 @@ def oracle_counts(params, d, samples, seed):
     return counts
 
 
+@pytest.fixture
+def drawn_rows(monkeypatch):
+    """The size of each row of uniforms that a generator made during the test draws."""
+    rows = []
+    make_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def random(self, n):
+            rows.append(n)
+            return self.rng.random(n)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    return rows
+
+
 class TestSharedWalk:
-    """``markov_predict`` reads one coupled walk per (d, model, samples, seed)."""
+    """``_entries`` reads all the levels it is given from one coupled walk per call."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -173,11 +193,9 @@ class TestSharedWalk:
         samples=st.integers(1, 200),
         depths=st.lists(st.integers(1, 31), min_size=1, max_size=2),
         seed=st.integers(0, 2**32 - 1),
-        order=st.randoms(use_true_random=False),
+        data=st.data(),
     )
-    def test_matches_per_level_oracle(
-        self, accuracies, max_len, samples, depths, seed, order
-    ):
+    def test_matches_per_level_oracle(self, accuracies, max_len, samples, depths, seed, data):
         # Sorted draws give nondecreasing accuracies with ties and p = 1.0.
         levels = range(1, len(accuracies) + 1)
         params = MarkovParams(
@@ -185,55 +203,39 @@ class TestSharedWalk:
             branching={l: 1.5 for l in levels},
             max_len=max_len,
         )
-        queries = [(d, l) for d in depths for l in levels]
-        order.shuffle(queries)  # cache hits and misses interleave
-        for d, level in queries:
-            got = markov_predict(params, d, level, samples=samples, seed=seed)
-            want = markov_predict_oracle(params, d, level, samples, seed)
-            assert got.entries == want.entries
+        # Any subset of the levels, in any order: a level's row depends only on its
+        # accuracy, since the rows share the uniform draws and an emptied row stays 0.
+        chosen = data.draw(st.lists(st.sampled_from(list(levels)), min_size=1, unique=True))
+        for d in depths:
+            want = {level: markov_predict_oracle(params, d, level, samples, seed).entries for level in levels}
+            for level in levels:
+                assert markov_predict(params, d, level, samples=samples, seed=seed).entries == want[level]
+            got = [Lottery.of(entries).entries for entries in _entries(params, d, chosen, samples, seed, False)]
+            assert got == [want[level] for level in chosen]
 
-    def test_walk_stops_when_lowest_p_is_absorbed(self, monkeypatch):
-        params = MarkovParams(
-            accuracy={1: 0.6, 2: 0.8, 3: 1.0},
-            branching={1: 1.5, 2: 1.5, 3: 1.5},
-            max_len=1000,
-        )
-        rows = []
-        make_rng = np.random.default_rng
+    SPREAD = MarkovParams(accuracy={1: 0.6, 2: 0.8, 3: 1.0}, branching={1: 1.5, 2: 1.5, 3: 1.5}, max_len=1000)
 
-        class CountingRng:
-            def __init__(self, seed):
-                self.rng = make_rng(seed)
-
-            def random(self, n):
-                rows.append(n)
-                return self.rng.random(n)
-
-        monkeypatch.setattr(np.random, "default_rng", CountingRng)
-        _first_passage.cache_clear()
-        lot = markov_predict(params, 6, 3, samples=300, seed=4)
-        walk_rows = len(rows)
-        rows.clear()
-        markov_predict_oracle(params, 6, 1, 300, 4)
+    def test_walk_stops_when_lowest_p_is_absorbed(self, drawn_rows):
+        _entries(self.SPREAD, 6, self.SPREAD.levels, 300, 4, False)
+        walk_rows = len(drawn_rows)
+        drawn_rows.clear()
+        markov_predict_oracle(self.SPREAD, 6, 1, 300, 4)
         # The lowest p needs as many rows as its own loop, and it dies out
         # long before max_len, so a walk that ran on to max_len is caught.
-        assert walk_rows == len(rows) < params.max_len
-        assert lot.entries[0][0].path_length == 6
+        assert walk_rows == len(drawn_rows) < self.SPREAD.max_len
 
-    def test_cache_holds_one_walk(self):
-        params = simple_params()
-        for d in (3, 9, 3):
-            for level in params.levels:
-                markov_predict(params, d, level, samples=50, seed=d)
-        assert _first_passage.cache_info().currsize <= 1
+    def test_one_level_walks_only_its_own_accuracy(self, drawn_rows):
+        # p = 1.0 takes every walk from depth 6 straight down, in 6 rows.
+        lot = predict(self.SPREAD, 6, 3, samples=300, seed=4)
+        assert len(drawn_rows) == 6
+        assert [(o.path_length, p) for o, p in lot.entries] == [(6.0, 1.0)]
 
-    def test_cached_walk_is_read_only(self):
-        params = simple_params()
-        markov_predict(params, 5, 1, samples=20, seed=0)
-        ps = tuple(sorted(set(params.accuracy.values())))
-        first = _first_passage(5, ps, params.max_len, 20, 0)
-        with pytest.raises(ValueError):
-            first[0, 0] = 1
+    def test_selection_walks_until_its_lowest_accuracy_is_absorbed(self, drawn_rows):
+        select_lookahead(6, self.SPREAD, default_utility_model(), [3, 2], samples=300, seed=4)
+        walk_rows = len(drawn_rows)
+        drawn_rows.clear()
+        markov_predict_oracle(self.SPREAD, 6, 2, 300, 4)
+        assert walk_rows == len(drawn_rows) > 6
 
     @pytest.mark.parametrize(
         "accuracies",

@@ -112,7 +112,7 @@ class TestExpectedUtility:
         assert eu_gamble > eu_certain
 
     def test_degenerate_equals_curve(self):
-        assert expected_utility(Lottery.of([(30, 1.0)]), RISK_AVERSE) == RISK_AVERSE.evaluate(30)
+        assert expected_utility(Lottery.of([(30, 1.0)]), RISK_AVERSE) == float(utilities_of([30], RISK_AVERSE)[0])
 
     def test_attribute_curve_scores_its_attribute_of_outcomes(self):
         curve = AttributeUtility.linear("path_length", 0.0, 100.0)
@@ -171,19 +171,19 @@ class TestChooseMaxEu:
 class TestAttributeUtility:
     def test_bound_forces_zero(self):
         curve = AttributeUtility.linear("time_units", 0.0, 10.0)
-        assert curve.evaluate(10.0) == 0.0
-        assert curve.evaluate(25.0) == 0.0
+        assert float(utilities_of([10.0], curve)[0]) == 0.0
+        assert float(utilities_of([25.0], curve)[0]) == 0.0
 
     def test_linear_interpolation(self):
         curve = AttributeUtility.linear("path_length", 0.0, 100.0)
-        assert curve.evaluate(0) == 1.0
-        assert curve.evaluate(25) == pytest.approx(0.75)
-        assert curve.evaluate(-5) == 1.0
+        assert float(utilities_of([0], curve)[0]) == 1.0
+        assert float(utilities_of([25], curve)[0]) == pytest.approx(0.75)
+        assert float(utilities_of([-5], curve)[0]) == 1.0
 
     def test_free_curve(self):
         curve = AttributeUtility.free("space_units", 10.0)
-        assert curve.evaluate(9.99) == 1.0
-        assert curve.evaluate(10.0) == 0.0
+        assert float(utilities_of([9.99], curve)[0]) == 1.0
+        assert float(utilities_of([10.0], curve)[0]) == 0.0
 
     def test_must_be_nonincreasing(self):
         with pytest.raises(MalformedModel):
@@ -227,7 +227,7 @@ class TestUtilityModel:
         curve = AttributeUtility.linear("path_length", 0, 100)
         m = UtilityModel((curve,), "additive", (1.0,))
         for v in (0, 10, 37.5, 99):
-            assert joint_utility(Outcome(v, 0, 0), m) == pytest.approx(curve.evaluate(v))
+            assert joint_utility(Outcome(v, 0, 0), m) == pytest.approx(float(utilities_of([v], curve)[0]))
 
     def test_multiplicative_near_zero_k_matches_additive(self):
         curves = (
@@ -515,7 +515,8 @@ class TestArrayScorer:
 
         for curve in model.attributes:
             scalars = [attr for o in outcomes for attr in (o.path_length, o.time_units)] + [math.nan, curve.bound]
-            assert [repr(curve.evaluate(v)) for v in scalars] == [repr(float(curve_oracle(curve, v))) for v in scalars]
+            got = [repr(float(utilities_of([v], curve)[0])) for v in scalars]
+            assert got == [repr(float(curve_oracle(curve, v))) for v in scalars]
             lots = lotteries(data.draw, scalars)
             eus = [expected_utility_oracle(lot, curve) for lot in lots]
             assert list(map(repr, choose_max_eu(lots, curve)[1])) == list(map(repr, eus))
