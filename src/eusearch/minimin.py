@@ -12,14 +12,14 @@ starts in its goal's parity class (``ProblemInstance`` admits no other
 state) and never leaves it, so it carries its state as (blank cell, k) in
 ``exact._state_index`` and reads h and each first move's value from a
 per-goal table of every state's backed-up values; the table also tells the
-walk exactly which subtrees hold a goal above the frontier.  From those
-values each level a run uses gets one byte per state, built once beside
-the table: the whole ranking of its first moves and whether the top one's
-tree is full size, so a decision reads one entry and loop avoidance reads
-the same entry for the next move in the ranking.  A walked
-tree's counts are kept with the table, per (level, state), so each is walked
-once per process: only states with 0 < d* < level are walked, which bounds
-the memo by the d* balls around the goal.  A traced 2x2 or 3x3 run records
+walk exactly which subtrees hold a goal above the frontier.  Each level a
+run uses gets one record beside the table, built by its first run: from those
+values one byte per state, the whole ranking of its first moves and whether
+the top one's tree is full size, so a decision reads one entry and loop
+avoidance reads the same entry for the next move in the ranking; and a memo
+of walked trees' counts, so each (level, state) is walked once per process:
+only states with 0 < d* < level are walked, which bounds the memo by the d*
+balls around the goal.  A traced 2x2 or 3x3 run records
 its decisions by these keys and builds no tiles: ``minimin_trace`` returns
 them as they are, and the fit scores them against the d* table.  A run on a
 wider board carries one board and its h through all its decisions and
@@ -236,21 +236,20 @@ def _value_table(width: int, goal: tuple[int, ...]):
     its map.  Each arrival op then takes ``np.minimum`` over the other 1-3
     children into its own row, and the 1 is added to every row at once: W
     stays below 255, so the add commutes with the minimum.  h is
-    ``_state_index``'s.  Returns (rows, h, size, counted, policies):
+    ``_state_index``'s.  Returns (rows, h, size, levels):
     ``rows[b][last]`` lists ``puzzle.moves_after``'s moves from cell ``b``
     as (op, new blank, words, ranks), with the child's words by its k in
     ``_state_index`` and the move's map of k; ``h[b][k]`` is state (b, k)'s
     h; ``size`` is ``_tree_sizes``'.
-    ``counted[level]`` starts empty and maps ``b << 16 | k`` to the
-    (nodes, stack peak) that ``_goal_counts`` gave state (b, k) at
-    ``level``; it lives and dies with this (width, goal)'s table.  A tree is
-    walked only when 0 < d* < level, so it holds at most the sum over the
-    levels run of the d* ball sizes: 2,834 entries at levels 1-12, 19,600
-    at 1-16 and 452,164 at 1-24 for the default 3x3 goal.
-    ``policies[level]`` starts None and holds ``_policy_table``'s bytes
-    once a run at ``level`` has built them, each state's whole ranking of
-    its root moves in one byte: 9 * 20,160 bytes per 3x3 level.
-    Only ``_table_loop``, its count walk ``_goal_counts`` and its
+    ``levels[level]`` starts None; the first run at ``level`` fills it with
+    the record ``_table_loop`` reads there, (roots, full, policy, counted):
+    each cell's ``rows[b][_ROOT]`` and ``size[level][b][_ROOT]``,
+    ``_policy_table``'s bytes (9 * 20,160 per 3x3 level) and a memo mapping
+    ``b << 16 | k`` to the (nodes, stack peak) ``_goal_counts`` gave state
+    (b, k).  A tree is walked only when 0 < d* < level, so the memos hold at
+    most the sum over the levels run of the d* ball sizes: 2,834 entries at
+    levels 1-12, 19,600 at 1-16 and 452,164 at 1-24 for the default 3x3
+    goal.  Only ``_table_loop``, its count walk ``_goal_counts`` and its
     ``_policy_table`` builds read it.
     """
     _, ranks, h = _state_index(width, goal)
@@ -287,8 +286,7 @@ def _value_table(width: int, goal: tuple[int, ...]):
     rows = tuple(tuple(
         tuple((op, j, views[block[j, op]], maps[b, op]) for op, j in row) for row in after
     ) for b, after in enumerate(moves_after(width)))
-    counted = tuple({} for _ in range(MAX_LOOKAHEAD + 1))
-    return rows, tuple(memoryview(row) for row in h), _tree_sizes(width), counted, [None] * len(counted)
+    return rows, tuple(memoryview(row) for row in h), _tree_sizes(width), [None] * (MAX_LOOKAHEAD + 1)
 
 
 def _policy_table(rows, h, level: int) -> tuple[bytes, ...]:
@@ -335,7 +333,7 @@ def _goal_counts(rows, h, size, blank, k, level) -> tuple[int, int]:
     W < left iff a goal lies above the frontier below the node, and only such
     a goal, generated but never expanded, cuts its tree.  Every other subtree
     is the full one in ``size``.  ``_table_loop`` keeps each result in the
-    table's ``counted``, so a (level, state) is walked once.
+    level's record, so a (level, state) is walked once.
     """
     nodes = 0
     deepest = 0  # depth of the deepest expanded node
@@ -401,8 +399,8 @@ def _table_loop(p, level, limits, trace) -> Outcome:
 
     The moves rank by value, ties in op order, as ``_ranked_decisions``
     ranks them: the level's ``_policy_table`` entry holds that whole
-    ranking, built on the run's first use of the level and kept in the
-    table's ``policies``.  The top move is the entry's low 2 bits.  Loop
+    ranking, kept in the record that the first run at the level builds (see
+    ``_value_table``).  The top move is the entry's low 2 bits.  Loop
     avoidance walks the rest of the entry's ranking and takes the first
     move to a state entered fewer than twice, or keeps the top move if
     every move is blocked; it reads no value words.  No run builds tiles:
@@ -411,16 +409,14 @@ def _table_loop(p, level, limits, trace) -> Outcome:
     least first-move value reaches ``level`` (the entry's flag) holds no
     goal above the frontier, so its tree has the size in the table; any
     other tree is counted by ``_goal_counts`` once, then read from the
-    table's ``counted``.
+    record's memo.
     """
-    rows, h, size, counted, policies = _value_table(p.width, p.goal.tiles)
-    known = counted[level]
-    policy = policies[level]
-    if policy is None:
-        policy = policies[level] = _policy_table(rows, h, level)
+    rows, h, size, levels = _value_table(p.width, p.goal.tiles)
+    if levels[level] is None:
+        roots, full = tuple(after[_ROOT] for after in rows), tuple(tree[_ROOT] for tree in size[level])
+        levels[level] = roots, full, _policy_table(rows, h, level), {}
+    roots, full, policy, known = levels[level]
     blank, k, _ = _state_key(p.initial.tiles)
-    roots = [after[_ROOT] for after in rows]
-    full = [tree[_ROOT] for tree in size[level]]
     key = blank << 16 | k  # k < 8!/2 < 2**16
     visits = {key: 1}
     moves = 0

@@ -12,6 +12,7 @@ judges equivalent.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from operator import attrgetter
@@ -53,7 +54,7 @@ def _is_int(value) -> bool:
 # Annotation text -> (what a field or file value so annotated must hold, the test of its value).
 _KINDS = {
     "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "float": ("a number", lambda v: isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max),
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "list": ("a list", lambda v: isinstance(v, list)),
@@ -90,11 +91,10 @@ class Lottery:
     def __post_init__(self) -> None:
         if not self.entries:
             raise InvalidLottery("lottery has no entries")
-        total = 0.0
         for _, prob in self.entries:
             if not prob > 0.0:
                 raise InvalidLottery(f"nonpositive probability {prob}")
-            total += prob
+        total = left_sum(prob for _, prob in self.entries)
         if not abs(total - 1.0) <= PROB_TOLERANCE:
             raise InvalidLottery(f"probabilities sum to {total}, not 1")
 
@@ -113,12 +113,10 @@ def left_sum(terms: Iterable[float]) -> float:
 
 def expected_value(lot: Lottery) -> float:
     """Probability-weighted mean of a scalar lottery."""
-    total = 0.0
-    for value, prob in lot.entries:
+    for value, _ in lot.entries:
         if not isinstance(value, (int, float)):
             raise TypeError(f"expected_value needs scalar values, got {value!r}")
-        total += prob * value
-    return total
+    return left_sum(prob * value for value, prob in lot.entries)
 
 
 @dataclass(frozen=True)

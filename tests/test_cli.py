@@ -277,12 +277,16 @@ class TestUnitRates:
             ("utility_config: 5", "utility_config must be a string or None, got 5"),
             ("gens_per_minute: true", "gens_per_minute must be a number, got True"),
             ('gens_per_minute: "fast"', "gens_per_minute must be a number, got 'fast'"),
+            pytest.param(
+                f"gens_per_minute: {10**400}", f"gens_per_minute must be a number, got {10**400}", id="gens-past-float"
+            ),
         ],
     )
     def test_config_value_of_a_wrong_type_fails_before_any_run(self, capsys, tmp_path, text, message):
         (tmp_path / "cfg.yaml").write_text(text + "\n")
-        code, out, err = run_cli(capsys, "experiment", "--config", "cfg.yaml", "--quiet")
+        code, out, err = run_cli(capsys, "experiment", "--config", "cfg.yaml", "--quiet", "--out", "runs.csv")
         assert (code, out, err) == (2, "", f"eusearch: ValueError: cfg.yaml {message}\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.yaml"]
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("command", [ACCURACY, FIT, EXPERIMENT], ids=lambda c: c[0])
@@ -670,6 +674,12 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
             "kind: markov\naccuracy: {1: 0.8, 2: 0.9}\nbranching: {1: 1.5, 2: 1.0e+200}\nmax_len: 100\n",
             "branching 2 gives no finite node count per decision",
         ),
+        (
+            MODEL,
+            f"kind: markov\naccuracy: {{1: 0.9}}\nbranching: {{1: {10**400}}}\n",
+            "branching 1 must be a number, got int",
+        ),
+        (UTILITY, f"attributes:\n  path_length: {{bound: {10**400}}}\n", "path_length bound must be a number, got int"),
     ],
     ids=[
         "config-parse", "config-unknown", "limits-unknown", "markov-branching", "empirical-outcomes",
@@ -685,7 +695,7 @@ HEADER_WITHOUT_UTILITY = ",".join(experiment.REPORT_COLUMNS[:-1]) + "\n"
         "interactions-additive", "interactions-unknown-attribute", "interactions-multiplicative",
         "rows-form", "rows-weights", "rows-master-k", "rows-interactions", "rows-tag",
         "weights-nan", "bound-nan", "master-k-nan", "knot-nan", "interactions-nan", "branching-nan",
-        "branching-inf", "branching-overflow",
+        "branching-inf", "branching-overflow", "branching-past-float", "bound-past-float",
     ],
 )
 def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, text, fault):
@@ -693,6 +703,7 @@ def test_file_fault_fails_with_one_line_naming_the_file(capsys, tmp_path, argv, 
     path.write_text(text)
     code, out, err = run_cli(capsys, *argv, str(path))
     assert (code, out, err) == (2, "", f"eusearch: ValueError: {path} {fault}\n")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 class TestAccuracy:

@@ -260,13 +260,14 @@ class TestKernelOracle:
     def test_a_repeated_table_decision_walks_nothing(self):
         # The first decision at a (level, state) walks and keeps its counts;
         # the next one reads them back.
-        counted = _value_table(3, GOAL3.tiles)[3]
+        levels = _value_table(3, GOAL3.tiles)[3]
         walked = 0
         for s in sample_states(12, 12, seed=29):
             for level in range(1, 15):
                 args = (s.tiles, s.blank, GOAL3.tiles, 3, level)
                 cold = cold_table_decision(*args)
-                walked += bool(counted[level])
+                *_, known = levels[level]
+                walked += bool(known)
                 assert walk_entries(s, GOAL3, level, table_decision) == []
                 assert table_decision(*args) == cold == searched_decision(*args)
         assert walked > 0
@@ -377,9 +378,15 @@ def table_decision(tiles, blank, goal, width, level):
     return table_decisions(State(tiles, width), State(goal, width), [level])[0]
 
 
+def count_memos(width, goal):
+    """(level, count memo) of each level record that runs have filled in (width, goal tiles)'s value table;
+    a record ends with its memo."""
+    return [(level, record[-1]) for level, record in enumerate(_value_table(width, goal)[3]) if record]
+
+
 def forget_counts(width, goal):
-    """Empty the count memo of the value table of (width, goal tiles)."""
-    for known in _value_table(width, goal)[3]:
+    """Empty every count memo of the value table of (width, goal tiles)."""
+    for _, known in count_memos(width, goal):
         known.clear()
 
 
@@ -393,9 +400,7 @@ def assert_counted_only_goal_cut_trees(width, goal):
     """Every state in (width, goal)'s count memo has 0 < d* < its level; returns their number."""
     dstar = _distance_table(width, goal.tiles)[0]
     entries = [
-        (level, dstar[key >> 16][key & 0xFFFF])
-        for level, known in enumerate(_value_table(width, goal.tiles)[3])
-        for key in known
+        (level, dstar[key >> 16][key & 0xFFFF]) for level, known in count_memos(width, goal.tiles) for key in known
     ]
     assert all(0 < d < level for level, d in entries)
     return len(entries)
@@ -557,7 +562,8 @@ class TestValueTable:
         # Nor a policy table: each goal builds its own level 8 from its own rows.
         tables = [_value_table(3, goal.tiles) for goal in (GOAL3, other)]
         assert policy_builds == [(tables[0][0], 8), (tables[1][0], 8)]
-        assert tables[0][4] is not tables[1][4] and tables[0][4][8] != tables[1][4][8]
+        (_, _, policy, _), (_, _, other_policy, _) = (table[3][8] for table in tables)
+        assert tables[0][3] is not tables[1][3] and policy != other_policy
         # Nor a count memo: each holds its own goal's goal-cut trees, which a
         # 2x2 table's keys would alias, and keeps counting as the search.
         for goal in (GOAL3, other, GOAL2):
@@ -566,8 +572,8 @@ class TestValueTable:
                     s = walked_state(goal, steps, seed)
                     got, expected = both_kernels(s, goal, 10)
                     assert got == expected
-        memos = [_value_table(goal.width, goal.tiles)[3] for goal in (GOAL3, other, GOAL2)]
-        assert len({id(known) for counted in memos for known in counted}) == 3 * (MAX_LOOKAHEAD + 1)
+        memos = [known for goal in (GOAL3, other, GOAL2) for _, known in count_memos(goal.width, goal.tiles)]
+        assert len({id(known) for known in memos}) == len(memos) == 5  # levels 8 and 10, and the 2x2's 10
         for goal in (GOAL3, other, GOAL2):
             assert assert_counted_only_goal_cut_trees(goal.width, goal) > 0
         rows = [_value_table(goal.width, goal.tiles)[0] for goal in (GOAL3, other, GOAL2)]
@@ -641,6 +647,14 @@ def sampled_keys(h, count, rng):
     return [(b, rng.randrange(len(h[b]))) for b in (rng.randrange(len(h)) for _ in range(count))]
 
 
+def table_loop_node():
+    """The ``ast.FunctionDef`` of ``minimin._table_loop``."""
+    return next(
+        node for node in ast.walk(ast.parse(open(minimin.__file__).read()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_table_loop"
+    )
+
+
 class TestPolicyTable:
     """Each entry of a level's policy table is the value table's ranking of the root moves."""
 
@@ -688,11 +702,7 @@ class TestPolicyTable:
     def test_loop_avoidance_decodes_each_move_once(self):
         # The order ``_table_loop`` walks when the top move is blocked, by its own
         # expression: with the top move, every index of the cell's root moves once.
-        loop = next(
-            node for node in ast.walk(ast.parse(open(minimin.__file__).read()))
-            if isinstance(node, ast.FunctionDef) and node.name == "_table_loop"
-        )
-        (walk,) = [node.iter for node in ast.walk(loop) if isinstance(node, ast.For)]
+        (walk,) = [node.iter for node in ast.walk(table_loop_node()) if isinstance(node, ast.For)]
         rest = compile(ast.Expression(walk), "_table_loop", "eval")
         for width, levels in ((2, range(1, MAX_LOOKAHEAD + 1)), (3, (1, 12, MAX_LOOKAHEAD))):
             rows, h = _value_table(width, goal_state(width).tiles)[:2]
@@ -707,21 +717,52 @@ class TestPolicyTable:
         _value_table.cache_clear()
         p = ProblemInstance(walked_state(GOAL3, 30, 3), GOAL3)
         minimin_run(p, 9)
-        rows, _, _, _, policies = _value_table(3, GOAL3.tiles)
-        assert [level for level, policy in enumerate(policies) if policy] == [9]
+        rows, _, size, levels = _value_table(3, GOAL3.tiles)
+        record = levels[9]
+        assert [level for level, filled in enumerate(levels) if filled] == [9]
         assert policy_builds == [(rows, 9)]
+        # Many runs and traces at that level, the two goals taking turns,
+        # build the other goal's record once and read this one as it is.
+        other = State((0, 1, 2, 3, 4, 5, 6, 7, 8), 3)
+        for steps in (3, 12, 30):
+            for seed in range(4):
+                for goal in (GOAL3, other):
+                    q = ProblemInstance(walked_state(goal, steps, seed), goal)
+                    minimin_run(q, 9)
+                    minimin_trace(q, 9)
+        assert levels[9] is record
+        assert policy_builds == [(rows, 9), (_value_table(3, other.tiles)[0], 9)]
         for level in range(1, MAX_LOOKAHEAD + 1):
             minimin_run(p, level)
             minimin_trace(p, level)
-        assert sorted(level for _, level in policy_builds) == list(range(1, MAX_LOOKAHEAD + 1))
-        assert policies[0] is None
-        for policy in policies[1:]:
+        assert sorted(level for built, level in policy_builds if built is rows) == list(range(1, MAX_LOOKAHEAD + 1))
+        assert levels[0] is None
+        for level, (roots, full, policy, _) in enumerate(levels[1:], 1):
+            assert roots == tuple(row[minimin._ROOT] for row in rows)
+            assert full == tuple(tree[minimin._ROOT] for tree in size[level])
             assert [type(cell) for cell in policy] == [bytes] * 9
             assert sum(map(len, policy)) == 9 * 20160
         _value_table.cache_clear()
         minimin_run(p, 9)
-        assert _value_table(3, GOAL3.tiles)[4] is not policies
-        assert len(policy_builds) == MAX_LOOKAHEAD + 1
+        assert _value_table(3, GOAL3.tiles)[3] is not levels
+        assert len(policy_builds) == MAX_LOOKAHEAD + 2
+
+    def test_a_run_builds_no_list_or_dict_outside_the_fill_branch(self):
+        # Only the run that fills an empty level slot builds tables; every
+        # other run reads the record.  The visit counts are the run's own state.
+        loop = table_loop_node()
+        (fill,) = [node for node in loop.body if isinstance(node, ast.If)]
+        in_fill = {id(node) for node in ast.walk(fill)}
+        built = [
+            ast.unparse(node)
+            for node in ast.walk(loop)
+            if id(node) not in in_fill
+            and (
+                isinstance(node, (ast.List, ast.ListComp, ast.Dict, ast.DictComp, ast.Set, ast.SetComp))
+                or isinstance(node, ast.Call) and ast.unparse(node.func) in ("list", "dict", "sorted", "set")
+            )
+        ]
+        assert built == ["{key: 1}"]
 
 
 def table_digest(width, goal) -> tuple[bytes, bytes]:
