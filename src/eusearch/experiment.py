@@ -141,7 +141,7 @@ def load_utility_model(path: str | None) -> UtilityModel:
     return read_yaml(path, utility_model_from_dict) if path else default_utility_model()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     depth: int
     instance_id: int

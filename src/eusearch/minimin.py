@@ -416,7 +416,7 @@ def _table_loop(p, level, limits, trace) -> Outcome:
         roots, full = tuple(after[_ROOT] for after in rows), tuple(tree[_ROOT] for tree in size[level])
         levels[level] = roots, full, _policy_table(rows, h, level), {}
     roots, full, policy, known = levels[level]
-    blank, k, _ = _state_key(p.initial.tiles)
+    blank, k = p.initial.blank, p.k
     key = blank << 16 | k  # k < 8!/2 < 2**16
     visits = {key: 1}
     moves = 0

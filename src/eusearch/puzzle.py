@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from math import isqrt
@@ -57,7 +57,7 @@ def moves_after(width: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ..
     return tuple(table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """A board configuration: row-major tiles, 0 for the blank."""
 
@@ -89,8 +89,12 @@ def make_state(tiles: Sequence[int]) -> State:
     return State(tuple(int(t) for t in tiles), width)
 
 
+@lru_cache(maxsize=None)
 def goal_state(width: int) -> State:
-    """The default goal: tiles in ascending order with the blank last."""
+    """The default goal: tiles in ascending order with the blank last.
+
+    One State per width, shared by every caller: a State is frozen.
+    """
     return State(tuple(range(1, width * width)) + (0,), width)
 
 
@@ -199,18 +203,24 @@ def is_reachable(a: State, b: State) -> bool:
     return odd == _reachable_parity(b.tiles, blank)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProblemInstance:
-    """An initial state plus its goal; both must be in the same parity class."""
+    """An initial state plus its goal; both must be in the same parity class.
+
+    ``k`` is the initial state's k (``_state_key``), which a 2x2 or 3x3 run
+    starts from, so no run computes it.
+    """
 
     initial: State
     goal: State
+    k: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.initial.width != self.goal.width:
             raise ValueError("initial and goal have different widths")
         if not is_reachable(self.initial, self.goal):
             raise ValueError("initial state is not reachable from the goal")
+        object.__setattr__(self, "k", _state_key(self.initial.tiles)[1])
 
     @property
     def width(self) -> int:

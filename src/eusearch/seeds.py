@@ -8,11 +8,17 @@ key tuple), so any subset of an experiment can be rerun independently.
 
 from __future__ import annotations
 
-import hashlib
+try:  # the interpreter's own SHA-256: ``hashlib`` would load OpenSSL into every process
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def subseed(master: int, *parts: object) -> int:
     """Derive a 63-bit child seed from a master seed and a label path."""
     key = ":".join([str(master)] + [str(p) for p in parts])
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    digest = sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -276,6 +277,11 @@ class TestInstanceOfDepth:
             inst = instance_of_depth(d, width=3, seed=42)
             assert idastar(inst).length == d
 
+    def test_instances_of_a_width_share_one_goal(self):
+        for width, d in ((2, 3), (3, 12), (4, 6)):
+            a, b = (instance_of_depth(d, width=width, seed=seed) for seed in (1, 2))
+            assert a.initial != b.initial and a.goal is b.goal is goal_state(width)
+
     def test_deterministic(self):
         a = instance_of_depth(12, width=3, seed=7)
         b = instance_of_depth(12, width=3, seed=7)
@@ -320,6 +326,21 @@ class TestStateKey:
     @given(st.permutations(range(9)))
     def test_3x3_sample_over_every_blank_cell(self, tiles):
         assert _state_key(tuple(tiles)) == oracle_key(tuple(tiles))
+
+    def test_an_instance_keeps_its_start_k(self):
+        for width in (2, 3, 4):
+            goal = goal_state(width)
+            for seed in range(20):
+                p = ProblemInstance(random_walk(goal, seed, seed), goal)
+                assert p.k == _state_key(p.initial.tiles)[1]
+
+    def test_a_replaced_start_gets_its_own_k(self):
+        p = ProblemInstance(random_walk(GOAL3, 20, 3), GOAL3)
+        start = random_walk(GOAL3, 21, 4)
+        moved = replace(p, initial=start)
+        assert moved.k == _state_key(start.tiles)[1] != p.k
+        with pytest.raises(ValueError, match="not reachable"):
+            replace(p, initial=swapped(start, start.tiles.index(1), start.tiles.index(2)))
 
 
 class TestStateIndex:

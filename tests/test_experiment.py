@@ -90,6 +90,10 @@ class TestRunExperiment:
         assert row.outcome.path_length == 1
         assert row.utility > 0
 
+    def test_rows_keep_fields_in_slots(self):
+        row = run_experiment(replace(SMALL, depths=(4,), instances_per_depth=1)).rows[0]
+        assert "__slots__" in type(row).__dict__ and not hasattr(row, "__dict__")
+
     def test_desk_fits_equal_the_recorded_models(self):
         # The benchmark's select_sweep loads the five seed-0 desk models from
         # perfbench/data; a fit that changed any of them would show here.

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import eusearch.exact as exact
 import eusearch.minimin as minimin
+import eusearch.puzzle as puzzle
 from eusearch.exact import _distance_table, _state_index, exact_distance, idastar, instance_of_depth
 from eusearch.experiment import ExperimentConfig, run_experiment
 from eusearch.minimin import (
@@ -883,6 +884,20 @@ class TestTableLoop:
         spent = sum(minimin_decide(State(tiles, 3), GOAL3, 6)[2] for tiles, _ in trace)
         outcome, trace = assert_table_run_is_the_search(p, 6, ResourceLimits(1000, spent))
         assert (outcome.time_units, len(trace)) == (spent, 5)
+
+    def test_a_run_reads_its_start_key_from_the_instance(self, monkeypatch):
+        p = instance_of_depth(16, 3, seed=5)
+        outcome = minimin_run(p, 4)  # builds the value table and the level's record
+        calls = []
+
+        def spy(tiles):
+            calls.append(tiles)
+            return _state_key(tiles)
+
+        monkeypatch.setattr(puzzle, "_state_key", spy)
+        monkeypatch.setattr(minimin, "_state_key", spy)
+        assert minimin._table_loop(p, 4, ResourceLimits(), None) == outcome
+        assert calls == []
 
     def test_every_2x2_state_at_every_level(self):
         for tiles in bfs_distances(GOAL2):

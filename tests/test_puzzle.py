@@ -46,6 +46,14 @@ def walk_states(width: int, seed: int, count: int, max_steps: int = 40) -> list[
 
 
 class TestState:
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_one_goal_per_width(self, width):
+        assert goal_state(width) is goal_state(width)
+
+    @pytest.mark.parametrize("record", [GOAL3, ProblemInstance(GOAL3, GOAL3)], ids=type)
+    def test_records_keep_fields_in_slots(self, record):
+        assert "__slots__" in type(record).__dict__ and not hasattr(record, "__dict__")
+
     def test_goal_layout(self):
         assert GOAL3.tiles == (1, 2, 3, 4, 5, 6, 7, 8, 0)
         assert GOAL3.blank == 8
