@@ -169,7 +169,7 @@ def _state_index(width: int, goal: tuple[int, ...]):
 
     ``_state_key`` gives a state's blank cell b, its k and the parity of its
     tile order; only orders of parity ``parity[b]``, the one that
-    ``is_reachable`` asks of blank cell b, reach the goal.  Ranks 2k and
+    ``_reachable_parity`` gives blank cell b, reach the goal.  Ranks 2k and
     2k + 1 differ by a swap of the last two tiles, so state (b, k) has the
     order in row k of ``_tile_orders(width * width)[parity[b]]``.  Read-only
     ``ranks[b, op][k]`` is the child's k for every move.  A horizontal move

@@ -13,6 +13,8 @@ import io
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .exact import instance_of_depth
@@ -385,61 +387,52 @@ def _selection_stats(judged: Sequence[tuple[bool, int, float]]) -> dict:
 
 
 def summarize(report: ExperimentReport) -> Summary:
-    """Compute the headline statistics from a complete report, per depth and overall."""
+    """Compute the headline statistics from a complete report, per depth and overall.
+
+    Instances are checked and judged in (depth, instance) order, so a report
+    with several faulty instances names the first in that order, whatever its
+    row order.  Each depth's sums add in that order from 0.0, as ``left_sum`` does.
+    """
     if not report.rows:
         raise IncompleteReport("report has no rows")
     levels = tuple(sorted(report.config.levels))
-    by_instance: dict[tuple[int, int], dict[int, ReportRow]] = {}
+    grouped: dict[tuple[int, int], list[ReportRow]] = {}
     for row in report.rows:
-        cells = by_instance.setdefault((row.depth, row.instance_id), {})
-        if row.level in cells:
-            raise IncompleteReport(f"instance ({row.depth}, {row.instance_id}) repeats level {row.level}")
-        cells[row.level] = row
-
-    # depth -> [(chosen level, {level: utility})] in instance order
-    by_depth: dict[int, list[tuple[int, dict[int, float]]]] = {}
-    for (depth, instance_id), cells in sorted(by_instance.items()):
-        missing = [l for l in levels if l not in cells]
-        if missing:
-            raise IncompleteReport(
-                f"instance ({depth}, {instance_id}) missing levels {missing}"
-            )
-        chosen_set = {row.chosen for row in cells.values()}
-        if len(chosen_set) != 1:
-            raise IncompleteReport(
-                f"instance ({depth}, {instance_id}) has conflicting chosen levels"
-            )
-        chosen = chosen_set.pop()
-        if chosen not in cells:
-            raise IncompleteReport(
-                f"instance ({depth}, {instance_id}) lacks its chosen level {chosen}"
-            )
-        utilities = {l: cells[l].utility for l in levels}
-        by_depth.setdefault(depth, []).append((chosen, utilities))
-
-    judged = {d: [_judge(c, u) for c, u in runs] for d, runs in by_depth.items()}
-    per_depth: list[DepthSummary] = []
-    for depth, runs in by_depth.items():
-        n = len(runs)
-        means = {l: left_sum(u[l] for _, u in runs) / n for l in levels}
-        best_fixed = max(means, key=means.get)
-        per_depth.append(
-            DepthSummary(
-                depth=depth,
-                n_instances=n,
-                chosen_level=runs[0][0],
-                **_selection_stats(judged[depth]),
-                mean_chosen_utility=left_sum(u[c] for c, u in runs) / n,
-                best_fixed_level=best_fixed,
-                best_fixed_mean_utility=means[best_fixed],
-            )
-        )
-    overall = [j for d in by_depth for j in judged[d]]
-    return Summary(
-        n_instances=len(overall),
-        **_selection_stats(overall),
-        per_depth=tuple(per_depth),
-    )
+        grouped.setdefault((row.depth, row.instance_id), []).append(row)
+    per_depth, overall = [], []
+    for depth, keys in groupby(sorted(grouped), key=itemgetter(0)):
+        judged, sums, chosen_sum = [], dict.fromkeys(levels, 0.0), 0.0
+        for key in keys:
+            rows = grouped[key]
+            cells = {row.level: row.utility for row in rows}
+            if len(cells) < len(rows):
+                seen = [row.level for row in rows]
+                repeated = next(l for i, l in enumerate(seen) if l in seen[:i])
+                raise IncompleteReport(f"instance {key} repeats level {repeated}")
+            missing = [l for l in levels if l not in cells]
+            if missing:
+                raise IncompleteReport(f"instance {key} missing levels {missing}")
+            chosen_set = {row.chosen for row in rows}
+            if len(chosen_set) != 1:
+                raise IncompleteReport(f"instance {key} has conflicting chosen levels")
+            (chosen,) = chosen_set
+            if chosen not in levels:
+                raise IncompleteReport(f"instance {key} lacks its chosen level {chosen}")
+            first_chosen = first_chosen if judged else chosen
+            utilities = {l: cells[l] for l in levels}  # rows at levels the config does not name are left out
+            judged.append(_judge(chosen, utilities))
+            for l in levels:
+                sums[l] += utilities[l]
+            chosen_sum += utilities[chosen]
+        n = len(judged)
+        means = {l: total / n for l, total in sums.items()}
+        best = max(means, key=means.get)
+        per_depth.append(DepthSummary(
+            depth=depth, n_instances=n, chosen_level=first_chosen, **_selection_stats(judged),
+            mean_chosen_utility=chosen_sum / n, best_fixed_level=best, best_fixed_mean_utility=means[best],
+        ))
+        overall += judged
+    return Summary(n_instances=len(overall), **_selection_stats(overall), per_depth=tuple(per_depth))
 
 
 def summary_table(summary: Summary) -> str:

@@ -35,8 +35,9 @@ from .utility import OUTCOME_ATTRIBUTES, Lottery, Outcome, _field, check_keys
 # The kinds of performance model, as a config's ``model_kind`` names them.
 MODEL_KINDS = ("markov", "empirical")
 DEFAULT_MAX_LEN = 1000
-# ``_first_passage`` holds 2 bytes per sample and accuracy, 3 when max_len > 255:
-# a down counter of ``np.min_scalar_type(max_len)`` and an alive flag.
+# ``_first_passage`` holds a down counter of ``np.min_scalar_type(max_len)`` and an
+# alive flag per sample and accuracy: 2 bytes when max_len <= 255, 3 up to 65,535
+# and 5 above (9 past 2**32 - 1); nothing bounds max_len.
 MAX_SAMPLES = 1_000_000
 _ACCURACY_FLOOR = 0.501
 

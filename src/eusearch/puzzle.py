@@ -183,24 +183,13 @@ def _reachable_parity(goal: tuple[int, ...], blank: int) -> int:
 
     A horizontal move keeps the order; a vertical one carries one tile past
     width - 1 others.  So each row the blank lies from the goal's flips the
-    parity on boards of even width and keeps it on odd ones.  Cached, so a
-    goal's key is read once per blank cell, not on every ``is_reachable``.
+    parity on boards of even width and keeps it on odd ones.  Moves reach every
+    state with that parity and no other.  Cached, so a goal's key is read once
+    per blank cell, not once per ``ProblemInstance``.
     """
     width = isqrt(len(goal))
     goal_blank, _, goal_parity = _state_key(goal)
     return goal_parity ^ ((width - 1) * (blank // width - goal_blank // width) & 1)
-
-
-def is_reachable(a: State, b: State) -> bool:
-    """Whether ``b`` is reachable from ``a`` by blank moves.
-
-    Moves reach every state whose tile order has the parity that
-    ``_reachable_parity`` gives for its blank row, and no other.
-    """
-    if a.width != b.width:
-        raise ValueError("states have different widths")
-    blank, _, odd = _state_key(a.tiles)
-    return odd == _reachable_parity(b.tiles, blank)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,7 +197,8 @@ class ProblemInstance:
     """An initial state plus its goal; both must be in the same parity class.
 
     ``k`` is the initial state's k (``_state_key``), which a 2x2 or 3x3 run
-    starts from, so no run computes it.
+    starts from, so no run computes it.  The same key's parity decides
+    reachability, against ``_reachable_parity`` for its blank cell.
     """
 
     initial: State
@@ -218,9 +208,10 @@ class ProblemInstance:
     def __post_init__(self) -> None:
         if self.initial.width != self.goal.width:
             raise ValueError("initial and goal have different widths")
-        if not is_reachable(self.initial, self.goal):
+        blank, k, odd = _state_key(self.initial.tiles)
+        if odd != _reachable_parity(self.goal.tiles, blank):
             raise ValueError("initial state is not reachable from the goal")
-        object.__setattr__(self, "k", _state_key(self.initial.tiles)[1])
+        object.__setattr__(self, "k", k)
 
     @property
     def width(self) -> int:

@@ -755,15 +755,14 @@ def test_criterion_7_invariant_suites():
         rhs = alpha * expected_utility(l1, curve) + (1 - alpha) * expected_utility(l2, curve)
         assert abs(lhs - rhs) <= 1e-12
 
-    # operator inverse and parity preservation
-    from eusearch.puzzle import is_reachable
-
+    # operator inverse and parity preservation: ProblemInstance rejects a start
+    # that cannot reach its goal
     for seed in range(30):
         s = random_walk(GOAL3, 20, seed=seed)
         for op in legal_ops(s):
             n = apply_op(s, op)
             assert apply_op(n, inverse(op)) == s
-            assert is_reachable(n, GOAL3)
+            ProblemInstance(n, GOAL3)
 
     # manhattan admissibility vs oracle distances (2x2 exhaustive + 3x3 sample)
     goal2 = goal_state(2)

@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from eusearch.experiment import (
     ExperimentConfig,
     ExperimentReport,
     IncompleteReport,
+    ReportRow,
     config_from_dict,
     fit_model,
     load_experiment_config,
@@ -239,15 +242,51 @@ class TestSummarize:
             summarize(report)
 
     @pytest.mark.parametrize(
-        "chosen, message",
-        [((1, 2), "has conflicting chosen levels"), ((5, 5), "lacks its chosen level 5")],
-        ids=["two-chosen", "chosen-row-missing"],
+        "levels, chosen, message",
+        [
+            ((1, 2, 3), (1, 2), "has conflicting chosen levels"),
+            ((1, 2, 3), (5, 5), "lacks its chosen level 5"),
+            ((1, 2, 3, 4), (4, 4), "lacks its chosen level 4"),
+        ],
+        ids=["two-chosen", "chosen-row-missing", "chosen-level-not-configured"],
     )
-    def test_inconsistent_chosen_level_rejected(self, chosen, message):
-        report = make_report({(4, 0): (chosen[0], {1: 0.9, 2: 0.5, 3: 0.4})})
+    def test_inconsistent_chosen_level_rejected(self, levels, chosen, message):
+        # The last case has rows at level 4, which the config does not name.
+        report = make_report({(4, 0): (chosen[0], {1: 0.9, 2: 0.5, 3: 0.4, 4: 0.3})}, levels)
         report.rows[-1] = replace(report.rows[-1], chosen=chosen[1])
+        report.config = replace(report.config, levels=(1, 2, 3))
         with pytest.raises(IncompleteReport, match=message):
             summarize(report)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_first_faulty_instance_is_named_whatever_the_row_order(self, seed):
+        report = make_report({(d, i): (1, {1: 0.9, 2: 0.5, 3: 0.4}) for d in (4, 6) for i in range(3)})
+        rows = report.rows
+        cell = {(r.depth, r.instance_id, r.level): r for r in rows}
+        rows.append(cell[6, 0, 2])  # a repeat in a later instance
+        rows.remove(cell[4, 1, 3])  # a gap in an earlier one
+        random.Random(seed).shuffle(rows)
+        with pytest.raises(IncompleteReport, match=r"^instance \(4, 1\) missing levels \[3\]$"):
+            summarize(report)
+
+    def test_keeps_no_dict_per_instance(self):
+        # 12 depths x 100 instances x 16 levels.  Grouping the rows in one list
+        # per instance and judging one instance at a time peaked at 0.53 MB;
+        # a row dict and a utility dict kept per instance peaked at 1.98 MB.
+        rng = random.Random(3)
+        depths, levels, outcome = tuple(range(8, 32, 2)), tuple(range(1, 17)), Outcome(1, 1, 1)
+        rows = [
+            ReportRow(d, i, 0, l, 1 + i % 16, outcome, rng.random())
+            for d in depths for i in range(100) for l in levels
+        ]
+        report = ExperimentReport(ExperimentConfig(depths=depths, levels=levels, instances_per_depth=100), rows)
+        tracemalloc.start()
+        try:
+            summarize(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_empty_report_rejected(self):
         report = ExperimentReport(config=SMALL, rows=[])

@@ -805,6 +805,70 @@ class TestTableBytes:
         assert rankings.hexdigest() == RANKING_FINGERPRINT
 
 
+# Transposing the 3x3 board about its main diagonal moves cell (r, c) to (c, r)
+# and swaps Up with Left and Down with Right.
+MIRROR_CELL = (0, 3, 6, 1, 4, 7, 2, 5, 8)
+MIRROR_OP = (Op.LEFT, Op.RIGHT, Op.UP, Op.DOWN)
+
+
+def mirror_keys(parity):
+    """``mirror[b][k]``: the k of state (b, k)'s mirror, at blank cell ``MIRROR_CELL[b]``.
+
+    The mirror puts tile t's relabelling, MIRROR_CELL[t - 1] + 1, at the
+    transposed cell, which maps the default 3x3 goal to itself.  Its orders
+    are ranked in bulk, and each must be row k of its blank cell's class.
+    """
+    orders = exact._tile_orders(9)
+    relabel = np.array(MIRROR_CELL[:8], np.uint8)  # order entry t - 1 -> the relabelled tile's entry
+    mirror = []
+    for b in range(9):
+        order, to = orders[parity[b]], MIRROR_CELL[b]
+        moved = np.empty_like(order)
+        for i in range(8):  # entry i is the tile at cell i + (i >= b); the mirror skips its own blank
+            cell = MIRROR_CELL[i + (i >= b)]
+            moved[:, cell - (cell > to)] = relabel[order[:, i]]
+        k = exact._lehmer_ranks(moved) >> 1
+        assert np.array_equal(orders[parity[to]][k], moved)
+        mirror.append(k)
+    return mirror
+
+
+def first_move_values(rows, h, level):
+    """``values[b][op]``: W of each root move op at every state (b, k), from the value table's words."""
+    mask = np.uint32((1 << (level - 1)) - 1)
+    values = []
+    for row in rows:
+        values.append({})
+        for op, j, words, ranks in row[minimin._ROOT]:
+            child = np.asarray(ranks)
+            values[-1][op] = np.asarray(h[j])[child] + 2 * np.bitwise_count(np.asarray(words)[child] & mask)
+    return values
+
+
+class TestMirror:
+    """The goal is its own mirror and Manhattan distance is the same at a state and its mirror,
+    so d*, h and every root move's lookahead value must be too.  A horizontal move reads its
+    row in place and a vertical one gathers through a rank map, so the mirror checks each
+    kind of move against the other.  A fault that is itself symmetric would pass."""
+
+    def test_tables_agree_at_every_state_and_its_mirror(self):
+        parity, _, h = _state_index(3, GOAL3.tiles)
+        dist = _distance_table(3, GOAL3.tiles)[0]
+        mirror = mirror_keys(parity)
+        assert sum(map(len, mirror)) == 181_440
+        for b, k in enumerate(mirror):
+            to = MIRROR_CELL[b]
+            assert np.array_equal(np.asarray(h[b]), np.asarray(h[to])[k])
+            assert np.array_equal(np.asarray(dist[b]), np.asarray(dist[to])[k])
+        rows = _value_table(3, GOAL3.tiles)[0]
+        for level in range(1, MAX_LOOKAHEAD + 1):
+            values = first_move_values(rows, h, level)
+            for b, k in enumerate(mirror):
+                to = values[MIRROR_CELL[b]]
+                for op, value in values[b].items():
+                    assert np.array_equal(value, to[MIRROR_OP[op]][k]), (level, b, op)
+
+
 def assert_table_run_is_the_search(p, level, limits):
     """A run carried as (blank, k) and the search loop's agree in outcome and trace: its
     trace holds the state keys of the search loop's tiles."""
