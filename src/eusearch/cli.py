@@ -31,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
-    """Levels from text like ``"1-3,5"``; range ends are checked before expanding."""
+    """Levels from text like ``"1-3,5"``; a range's ends are checked, end >= start, before expanding."""
     levels: set[int] = set()
     for part in text.split(","):
         part = part.strip()
@@ -40,7 +40,10 @@ def _parse_levels(text: str) -> tuple[int, ...]:
         except ValueError:
             raise ValueError(f"levels must be integers, got {text!r}") from None
         if ends:
-            levels.update(range(check_level(ends[0]), check_level(ends[-1]) + 1))
+            low, high = check_level(ends[0]), check_level(ends[-1])
+            if high < low:
+                raise ValueError(f"level range {part!r} ends below its start")
+            levels.update(range(low, high + 1))
     if not levels:
         raise ValueError(f"no levels in {text!r}")
     return tuple(sorted(levels))

@@ -2,15 +2,16 @@
 
 ``bfs_optimal`` is the brute-force oracle; ``idastar`` is the working exact
 solver (memory-linear, deterministic Up < Down < Left < Right expansion
-order).  ``exact_distance`` answers true-distance queries with ``idastar``
-for width 4, and for width <= 3 from a table of every state's distance by
-``puzzle._state_key``'s (blank cell, k), in ``_state_index``, the one index
+order).  All three take a ``ProblemInstance``, whose construction is the one
+reachability check.  ``exact_distance`` answers true-distance queries with
+``idastar`` for width 4, and for width <= 3 reads the instance's (blank cell,
+k) in a table of every state's distance by ``_state_index``, the one index
 of the states that reach a goal and of their h, which ``minimin``'s value
 table and traced runs share.
-``instance_of_depth`` rejection-samples random walks until the verified
-optimal depth matches the target exactly.  Walks read ``puzzle.moves_after``;
-``idastar`` walks one board over ``puzzle.delta_moves``, the same moves with
-each slide's h step, as Minimin's search does.
+``instance_of_depth`` rejection-samples random walks, one instance each,
+until the verified optimal depth matches the target exactly.  Walks read
+``puzzle.moves_after``; ``idastar`` walks one board over ``puzzle.delta_moves``,
+the same moves with each slide's h step, as Minimin's search does.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import factorial
 
 import numpy as np
 
-from .puzzle import _ROOT, Op, ProblemInstance, SolutionPath, State, _reachable_parity, _state_key
+from .puzzle import _ROOT, Op, ProblemInstance, SolutionPath, _reachable_parity, _state_key
 from .puzzle import _INVERSE, delta_moves, dist_table, goal_state, manhattan, moves_after, random_walk
 from .seeds import subseed
 
@@ -168,27 +169,25 @@ def _state_index(width: int, goal: tuple[int, ...]):
     """One index of every state that reaches ``goal``, for width <= 3.
 
     ``_state_key`` gives a state's blank cell b, its k and the parity of its
-    tile order; only orders of parity ``parity[b]``, the one that
-    ``_reachable_parity`` gives blank cell b, reach the goal.  Ranks 2k and
-    2k + 1 differ by a swap of the last two tiles, so state (b, k) has the
-    order in row k of ``_tile_orders(width * width)[parity[b]]``.  Read-only
-    ``ranks[b, op][k]`` is the child's k for every move.  A horizontal move
-    keeps the order, so it keeps k: all horizontal moves share one
-    ``_identity_map``.  A vertical move carries a tile past width - 1 others;
-    its map is ranked from the moved orders when the move back has no map
-    yet, else it is that map inverted.  Read-only ``h[b][k]`` is state (b, k)'s
-    Manhattan distance to ``goal``: summed tile by tile for a blank in column
-    0 and stepped one cell right from there.  Returns (parity, ranks, h); the
-    orders are not kept.
+    tile order; only orders of the parity ``_reachable_parity`` gives blank
+    cell b reach the goal.  Ranks 2k and 2k + 1 differ by a swap of the last
+    two tiles, so state (b, k) has the order in row k of that parity's half
+    of ``_tile_orders(width * width)``.  Read-only ``ranks[b, op][k]`` is the
+    child's k for every move.  A horizontal move keeps the order, so it keeps
+    k: all horizontal moves share one ``_identity_map``.  A vertical move
+    carries a tile past width - 1 others; its map is ranked from the moved
+    orders when the move back has no map yet, else it is that map inverted.
+    Read-only ``h[b][k]`` is state (b, k)'s Manhattan distance to ``goal``:
+    summed tile by tile for a blank in column 0 and stepped one cell right
+    from there.  Returns (ranks, h); the orders are not kept.
     """
     cells = width * width
-    parity = tuple(_reachable_parity(goal, b) for b in range(cells))
     orders = _tile_orders(cells)
     dists = np.array(dist_table(width, goal), np.uint8)
     same = _identity_map(len(orders[0]))
     ranks, h = {}, []
     for b, moves in enumerate(moves_after(width)):
-        order = orders[parity[b]]
+        order = orders[_reachable_parity(goal, b)]
         if b % width:  # (b, k) is (b - 1, k) after the tile at cell b moves to b - 1
             h.append(h[-1] + (dists[1:, b - 1] - dists[1:, b]).take(order[:, b - 1]))
         else:  # the tile at position i of the order sits in cell i + (i >= b)
@@ -207,7 +206,7 @@ def _state_index(width: int, goal: tuple[int, ...]):
                 m = (_lehmer_ranks(moved) >> 1).astype(np.uint16)
             m.flags.writeable = False
             ranks[b, op] = m
-    return parity, ranks, tuple(h)
+    return ranks, tuple(h)
 
 
 @lru_cache(maxsize=4)
@@ -216,10 +215,10 @@ def _distance_table(width: int, goal: tuple[int, ...]):
 
     Built by breadth-first search, one level at a time, which reaches every
     state of the goal's parity class; a move whose map is ``_identity_map``
-    carries its frontier row over as it is.  Returns (rows, parity): ``rows[b][k]``
-    is state (b, k)'s distance, as a plain int from a read-only view.
+    carries its frontier row over as it is.  Returns the rows: ``rows[b][k]`` is
+    state (b, k)'s distance, as a plain int from a read-only view.
     """
-    parity, ranks, _ = _state_index(width, goal)
+    ranks, _ = _state_index(width, goal)
     goal_blank, goal_k, _ = _state_key(goal)
     dist = np.full((width * width, factorial(width * width - 1) // 2), _UNREACHED, np.uint8)
     same = _identity_map(dist.shape[1])
@@ -239,26 +238,19 @@ def _distance_table(width: int, goal: tuple[int, ...]):
         frontier = reached & (dist == _UNREACHED)
         dist -= frontier * np.uint8(_UNREACHED - depth)  # the frontier held _UNREACHED
     dist.flags.writeable = False
-    return tuple(memoryview(row) for row in dist), parity
+    return tuple(memoryview(row) for row in dist)
 
 
-def exact_distance(state: State, goal: State) -> int:
-    """True distance from ``state`` to ``goal``.
+def exact_distance(p: ProblemInstance) -> int:
+    """True distance from ``p.initial`` to ``p.goal``.
 
-    Width <= 3 reads a table of every state's distance, built on the first
-    query for that goal; width 4 solves with ``idastar`` under
-    ``DEFAULT_NODE_BUDGET``.  Raises ValueError when the widths differ or ``state``
-    cannot reach ``goal``: at width <= 3, its tile order has the other parity.
+    Width <= 3 reads the instance's (blank cell, k) in a table of every
+    state's distance, built on the first query for that goal; width 4 solves
+    with ``idastar`` under ``DEFAULT_NODE_BUDGET``.
     """
-    if state.width != goal.width:
-        raise ValueError("state and goal have different widths")
-    if state.width > _TABLE_MAX_WIDTH:
-        return idastar(ProblemInstance(state, goal)).length
-    rows, parity = _distance_table(state.width, goal.tiles)
-    blank, k, odd = _state_key(state.tiles)
-    if odd != parity[blank]:
-        raise ValueError("state is not reachable from the goal")
-    return rows[blank][k]
+    if p.width > _TABLE_MAX_WIDTH:
+        return idastar(p).length
+    return _distance_table(p.width, p.goal.tiles)[p.initial.blank][p.k]
 
 
 def instance_of_depth(
@@ -281,10 +273,10 @@ def instance_of_depth(
     if d == 0:
         return ProblemInstance(goal, goal)
     for k in range(attempts):
-        s = random_walk(goal, d, subseed(seed, "walk", k))
+        p = ProblemInstance(random_walk(goal, d, subseed(seed, "walk", k)), goal)
         try:
-            if exact_distance(s, goal) == d:
-                return ProblemInstance(s, goal)
+            if exact_distance(p) == d:
+                return p
         except BudgetExhausted as exc:
             raise GenerationFailed(
                 f"depth-{d} attempt {k} could not be verified (width {width}, seed {seed}): {exc}"

@@ -51,7 +51,7 @@ REPORT_COLUMNS = (
 
 
 class IncompleteReport(Exception):
-    """The report is missing (instance, level) cells required for summary, or repeats one."""
+    """The report lacks an (instance, level) cell that summary needs, repeats one, or has one off the config."""
 
 
 def to_user_units(
@@ -418,12 +418,14 @@ def summarize(report: ExperimentReport) -> Summary:
             (chosen,) = chosen_set
             if chosen not in levels:
                 raise IncompleteReport(f"instance {key} lacks its chosen level {chosen}")
+            if len(cells) > len(levels):
+                extra = min(set(cells) - set(levels))
+                raise IncompleteReport(f"instance {key} has a row at level {extra}, which the config does not name")
             first_chosen = first_chosen if judged else chosen
-            utilities = {l: cells[l] for l in levels}  # rows at levels the config does not name are left out
-            judged.append(_judge(chosen, utilities))
+            judged.append(_judge(chosen, cells))
             for l in levels:
-                sums[l] += utilities[l]
-            chosen_sum += utilities[chosen]
+                sums[l] += cells[l]
+            chosen_sum += cells[chosen]
         n = len(judged)
         means = {l: total / n for l, total in sums.items()}
         best = max(means, key=means.get)

@@ -252,7 +252,7 @@ def _value_table(width: int, goal: tuple[int, ...]):
     goal.  Only ``_table_loop``, its count walk ``_goal_counts`` and its
     ``_policy_table`` builds read it.
     """
-    _, ranks, h = _state_index(width, goal)
+    ranks, h = _state_index(width, goal)
     moves = [after[_ROOT] for after in moves_after(width)]
     same = _identity_map(len(h[0]))
     block = {a: i for i, a in enumerate((j, op) for legal in moves for op, j in legal)}
@@ -594,7 +594,7 @@ def _hit_rate(
     across calls.
     """
     if goal.width <= _TABLE_MAX_WIDTH:
-        rows, _ = _distance_table(goal.width, goal.tiles)
+        rows = _distance_table(goal.width, goal.tiles)
 
         def dstar(key: int) -> int:
             return rows[key >> 16][key & 0xFFFF]

@@ -418,7 +418,7 @@ def test_desk_count_memo_holds_only_goal_cut_trees(default_experiment):
     # A 3x3 run walks a decision's tree only when 0 < d* < level, and keeps
     # its counts per (level, state); the seed-0 desk walks about 2,300 of the
     # 2,834 such pairs at levels 1-12.
-    dstar = _distance_table(3, GOAL3.tiles)[0]
+    dstar = _distance_table(3, GOAL3.tiles)
     entries = [
         (level, dstar[key >> 16][key & 0xFFFF])
         for level, record in enumerate(_value_table(3, GOAL3.tiles)[3])
@@ -627,6 +627,39 @@ def test_each_board_table_has_one_builder():
     (loop,) = [node for node in minimin.body if isinstance(node, ast.FunctionDef) and node.name == "_table_loop"]
     named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(loop)}
     assert not {"bit_count", "words"} & named
+
+
+def scoped_functions(tree: ast.Module):
+    """(qualified name, node) of each top-level function and class method in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def test_reachability_has_one_rule():
+    # The tile-order parity test that decides whether a state reaches its goal
+    # has one owner: building a ``ProblemInstance``.  Every exact query takes an
+    # instance, so none applies a rule of its own.
+    src = Path(__file__).parents[1] / "src" / "eusearch"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+    def says_unreachable(node):
+        return isinstance(node, ast.Raise) and "not reachable" in ast.unparse(node)
+
+    raises = [node for tree in trees.values() for node in ast.walk(tree) if says_unreachable(node)]
+    owners = [
+        (module, name)
+        for module, tree in trees.items()
+        for name, fn in scoped_functions(tree)
+        if any(says_unreachable(node) for node in ast.walk(fn))
+    ]
+    assert len(raises) == 1 and owners == [("puzzle", "ProblemInstance.__post_init__")]
+    queries = {name: fn for name, fn in scoped_functions(trees["exact"])}
+    for name in ("bfs_optimal", "idastar", "exact_distance"):
+        first = queries[name].args.args[0]
+        assert ast.unparse(first.annotation) == "ProblemInstance", name
 
 
 def test_a_models_lottery_has_one_reader():

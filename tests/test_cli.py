@@ -254,6 +254,15 @@ class TestUnitRates:
         assert (code, out, err) == (2, "", f"eusearch: ValueError: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
+    # A backwards range is refused even beside a valid one, not dropped.
+    @pytest.mark.parametrize("levels", ["1-2,6-5", "6-5"])
+    @pytest.mark.parametrize("command", [ACCURACY, FIT, SELECT, EXPERIMENT], ids=lambda c: c[0])
+    def test_backwards_level_range_fails_before_any_run(self, capsys, tmp_path, command, levels):
+        code, out, err = run_cli(capsys, *command, "--levels", levels)
+        message = "level range '6-5' ends below its start"
+        assert (code, out, err) == (2, "", f"eusearch: ValueError: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "text, message",
         [

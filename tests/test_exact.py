@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import eusearch.exact as exact
 import eusearch.minimin as minimin
+import eusearch.puzzle as puzzle
 from eusearch.exact import (
     BudgetExhausted,
     ExactResult,
@@ -27,6 +28,7 @@ from eusearch.puzzle import (
     Op,
     ProblemInstance,
     State,
+    _reachable_parity,
     _state_key,
     goal_state,
     make_state,
@@ -203,14 +205,14 @@ class TestExactDistance:
     def test_every_3x3_state(self, distances3):
         assert len(distances3) == 181_440
         for tiles, d in distances3.items():
-            assert exact_distance(State(tiles, 3), GOAL3) == d
+            assert exact_distance(ProblemInstance(State(tiles, 3), GOAL3)) == d
 
     def test_3x3_histogram_ends_at_31(self, distances3):
-        hist = Counter(exact_distance(State(tiles, 3), GOAL3) for tiles in distances3)
+        hist = Counter(exact_distance(ProblemInstance(State(tiles, 3), GOAL3)) for tiles in distances3)
         assert sum(hist.values()) == 181_440
         assert max(hist) == 31 and hist[31] == 2
         assert sorted(hist) == list(range(32))
-        rows, _ = _distance_table(3, GOAL3.tiles)
+        rows = _distance_table(3, GOAL3.tiles)
         assert all(max(row) < _UNREACHED for row in rows)  # every (blank, k) reached
 
     def test_every_2x2_state(self):
@@ -218,7 +220,7 @@ class TestExactDistance:
         truth = bfs_distances(goal)
         assert len(truth) == 12
         for tiles, d in truth.items():
-            assert exact_distance(State(tiles, 2), goal) == d
+            assert exact_distance(ProblemInstance(State(tiles, 2), goal)) == d
 
     def test_every_state_of_a_blank_first_goal(self):
         # The goal's blank cell and tile order set its index's parity and k.
@@ -226,7 +228,7 @@ class TestExactDistance:
         truth = bfs_distances(goal)
         assert len(truth) == 181_440
         for tiles, d in truth.items():
-            assert exact_distance(State(tiles, 3), goal) == d
+            assert exact_distance(ProblemInstance(State(tiles, 3), goal)) == d
 
     def test_other_goal_matches_idastar(self):
         # Tables are per goal: a blank-first goal gets its own.
@@ -234,13 +236,15 @@ class TestExactDistance:
         rng = random.Random(17)
         for _ in range(30):
             s = random_walk(goal, rng.randrange(25), seed=rng.randrange(1 << 30))
-            assert exact_distance(s, goal) == idastar(ProblemInstance(s, goal)).length
+            p = ProblemInstance(s, goal)
+            assert exact_distance(p) == idastar(p).length
 
     def test_width4_matches_idastar(self):
         rng = random.Random(4)
         for _ in range(15):
             s = random_walk(GOAL4, rng.randrange(1, 25), seed=rng.randrange(1 << 30))
-            assert exact_distance(s, GOAL4) == idastar(ProblemInstance(s, GOAL4)).length
+            p = ProblemInstance(s, GOAL4)
+            assert exact_distance(p) == idastar(p).length
 
     @pytest.mark.parametrize(
         "goal, states",
@@ -248,15 +252,16 @@ class TestExactDistance:
         + [pytest.param(GOAL2, OTHER_2X2, id="2-every")],
     )
     def test_unreachable_state_raises(self, goal, states):
+        # The query takes an instance, so the instance refuses the state before any lookup.
         for s in states:
-            with pytest.raises(ValueError):
-                exact_distance(s, goal)
+            with pytest.raises(ValueError, match="not reachable"):
+                exact_distance(ProblemInstance(s, goal))
 
     def test_width_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            exact_distance(apply_op(GOAL3, Op.UP), GOAL4)
-        with pytest.raises(ValueError):
-            exact_distance(goal_state(2), GOAL3)
+        with pytest.raises(ValueError, match="different widths"):
+            exact_distance(ProblemInstance(apply_op(GOAL3, Op.UP), GOAL4))
+        with pytest.raises(ValueError, match="different widths"):
+            exact_distance(ProblemInstance(goal_state(2), GOAL3))
 
 
 class TestInstanceOfDepth:
@@ -306,6 +311,30 @@ class TestInstanceOfDepth:
         assert str(failed.value) == message
         assert isinstance(failed.value.__cause__, BudgetExhausted)
 
+    @pytest.mark.parametrize("depth", [8, 16, 24])
+    def test_an_attempt_reads_one_state_key(self, monkeypatch, depth):
+        # Each attempt builds one instance, whose key the d* lookup reads, and
+        # the accepted attempt returns that instance: one key read per walk.
+        _distance_table(3, GOAL3.tiles)
+        for b in range(9):
+            _reachable_parity(GOAL3.tiles, b)
+        walks, reads = [], []
+
+        def walk(*args):
+            walks.append(args)
+            return random_walk(*args)
+
+        def key(tiles):
+            reads.append(tiles)
+            return _state_key(tiles)
+
+        monkeypatch.setattr(exact, "random_walk", walk)
+        monkeypatch.setattr(exact, "_state_key", key)
+        monkeypatch.setattr(puzzle, "_state_key", key)
+        p = instance_of_depth(depth, 3, seed=depth)
+        assert len(reads) == len(walks) > 0
+        assert exact_distance(p) == depth
+
 
 def oracle_key(tiles):
     """A state's (blank, k, parity) from the oracles: k is its tile order's rank >> 1."""
@@ -348,7 +377,7 @@ class TestStateIndex:
     def test_every_move_maps_k_to_the_childs(self, width, distances3):
         goal = goal_state(width)
         states = distances3 if width == 3 else bfs_distances(goal)
-        _, ranks, h = _state_index(width, goal.tiles)
+        ranks, h = _state_index(width, goal.tiles)
         assert set(ranks) == {(b, op) for b in range(width * width) for op, _ in cell_moves(width, b)}
         k = {tiles: oracle_key(tiles)[1] for tiles in states}
         for tiles in states:
@@ -366,7 +395,7 @@ class TestStateIndex:
     @pytest.mark.parametrize("width", [2, 3])
     def test_each_vertical_move_back_inverts_the_move(self, width):
         goal = goal_state(width)
-        _, ranks, _ = _state_index.__wrapped__(width, goal.tiles)
+        ranks, _ = _state_index.__wrapped__(width, goal.tiles)
         vertical = [(b, op, j) for b in range(width**2) for op, j in cell_moves(width, b) if abs(j - b) > 1]
         assert len(vertical) == 2 * width * (width - 1)
         for b, op, j in vertical:

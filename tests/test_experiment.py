@@ -247,11 +247,12 @@ class TestSummarize:
             ((1, 2, 3), (1, 2), "has conflicting chosen levels"),
             ((1, 2, 3), (5, 5), "lacks its chosen level 5"),
             ((1, 2, 3, 4), (4, 4), "lacks its chosen level 4"),
+            ((1, 2, 3, 4), (2, 2), "has a row at level 4, which the config does not name"),
         ],
-        ids=["two-chosen", "chosen-row-missing", "chosen-level-not-configured"],
+        ids=["two-chosen", "chosen-row-missing", "chosen-level-not-configured", "row-at-unnamed-level"],
     )
     def test_inconsistent_chosen_level_rejected(self, levels, chosen, message):
-        # The last case has rows at level 4, which the config does not name.
+        # The last two cases have rows at level 4, which the config does not name.
         report = make_report({(4, 0): (chosen[0], {1: 0.9, 2: 0.5, 3: 0.4, 4: 0.3})}, levels)
         report.rows[-1] = replace(report.rows[-1], chosen=chosen[1])
         report.config = replace(report.config, levels=(1, 2, 3))

@@ -3,6 +3,7 @@ import hashlib
 import random
 import sys
 import time
+from functools import cache
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from eusearch.puzzle import (
     Op,
     ProblemInstance,
     State,
+    _reachable_parity,
     _state_key,
     delta_moves,
     goal_state,
@@ -399,7 +401,7 @@ def cold_table_decision(tiles, blank, goal, width, level):
 
 def assert_counted_only_goal_cut_trees(width, goal):
     """Every state in (width, goal)'s count memo has 0 < d* < its level; returns their number."""
-    dstar = _distance_table(width, goal.tiles)[0]
+    dstar = _distance_table(width, goal.tiles)
     entries = [
         (level, dstar[key >> 16][key & 0xFFFF]) for level, known in count_memos(width, goal.tiles) for key in known
     ]
@@ -596,7 +598,7 @@ class TestValueTable:
         # select_sweep do; they must not pay for the build.
         _value_table.cache_clear()
         inst = instance_of_depth(20, 3, seed=1)
-        assert exact_distance(inst.initial, inst.goal) == 20
+        assert exact_distance(inst) == 20
         assert _value_table.cache_info().misses == 0
         assert policy_builds == []
 
@@ -767,17 +769,19 @@ class TestPolicyTable:
 
 
 def table_digest(width, goal) -> tuple[bytes, bytes]:
-    """SHA-256 over freshly built tables of one (width, goal): the state index's maps, the
-    d* rows and parity, the value table's words per ``rows[b][last]`` move and its h rows,
+    """SHA-256 over freshly built tables of one (width, goal): each blank cell's
+    ``_reachable_parity`` and the state index's maps, the parities again and the d* rows,
+    the value table's words per ``rows[b][last]`` move and its h rows,
     and bits 0-2 of the policy entries of levels 1-24 (the top move and the full-tree
     flag); then SHA-256 over those whole entries, the ranking of every move."""
     digest = hashlib.sha256()
-    parity, ranks, _ = _state_index.__wrapped__(width, goal)
-    digest.update(bytes(parity))
+    parity = bytes(_reachable_parity(goal, b) for b in range(width * width))
+    ranks, _ = _state_index.__wrapped__(width, goal)
+    digest.update(parity)
     for b, op in sorted(ranks):
         digest.update(bytes((b, op)) + ranks[b, op].tobytes())
-    dist, dist_parity = _distance_table.__wrapped__(width, goal)
-    digest.update(bytes(dist_parity) + b"".join(map(bytes, dist)))
+    dist = _distance_table.__wrapped__(width, goal)
+    digest.update(parity + b"".join(map(bytes, dist)))
     rows, h = _value_table.__wrapped__(width, goal)[:2]
     for row in rows:
         for moves in row:
@@ -811,7 +815,8 @@ MIRROR_CELL = (0, 3, 6, 1, 4, 7, 2, 5, 8)
 MIRROR_OP = (Op.LEFT, Op.RIGHT, Op.UP, Op.DOWN)
 
 
-def mirror_keys(parity):
+@cache
+def mirror_keys():
     """``mirror[b][k]``: the k of state (b, k)'s mirror, at blank cell ``MIRROR_CELL[b]``.
 
     The mirror puts tile t's relabelling, MIRROR_CELL[t - 1] + 1, at the
@@ -819,6 +824,7 @@ def mirror_keys(parity):
     are ranked in bulk, and each must be row k of its blank cell's class.
     """
     orders = exact._tile_orders(9)
+    parity = [_reachable_parity(GOAL3.tiles, b) for b in range(9)]
     relabel = np.array(MIRROR_CELL[:8], np.uint8)  # order entry t - 1 -> the relabelled tile's entry
     mirror = []
     for b in range(9):
@@ -852,9 +858,9 @@ class TestMirror:
     kind of move against the other.  A fault that is itself symmetric would pass."""
 
     def test_tables_agree_at_every_state_and_its_mirror(self):
-        parity, _, h = _state_index(3, GOAL3.tiles)
-        dist = _distance_table(3, GOAL3.tiles)[0]
-        mirror = mirror_keys(parity)
+        _, h = _state_index(3, GOAL3.tiles)
+        dist = _distance_table(3, GOAL3.tiles)
+        mirror = mirror_keys()
         assert sum(map(len, mirror)) == 181_440
         for b, k in enumerate(mirror):
             to = MIRROR_CELL[b]
@@ -867,6 +873,92 @@ class TestMirror:
                 to = values[MIRROR_CELL[b]]
                 for op, value in values[b].items():
                     assert np.array_equal(value, to[MIRROR_OP[op]][k]), (level, b, op)
+
+    def test_tree_sizes_agree_at_the_mirrored_cell_and_op(self):
+        size = minimin._tree_sizes(3)
+        mirror_op = (*MIRROR_OP, minimin._ROOT)  # a root has no arrival op to mirror
+        assert len(size) == MAX_LOOKAHEAD + 1
+        for left, cells in enumerate(size):
+            for b, by_last in enumerate(cells):
+                for last, nodes in enumerate(by_last):
+                    assert nodes == cells[MIRROR_CELL[b]][mirror_op[last]], (left, b, last)
+
+    @pytest.mark.parametrize("level", [4, 8, 12, 16])
+    def test_goal_counts_agree_at_sampled_states_and_their_mirrors(self, level):
+        # ``_goal_counts`` walks only trees a goal cuts: states with 0 < d* < level.
+        rows, h, size = _value_table(3, GOAL3.tiles)[:3]
+        dist = _distance_table(3, GOAL3.tiles)
+        mirror = mirror_keys()
+        rng = np.random.default_rng(level)
+        checked = 0
+        for b, row in enumerate(dist):
+            d = np.asarray(row)
+            cut = np.flatnonzero((0 < d) & (d < level))
+            for k in rng.choice(cut, min(len(cut), 40), replace=False).tolist():
+                here = minimin._goal_counts(rows, h, size, b, k, level)
+                there = minimin._goal_counts(rows, h, size, MIRROR_CELL[b], int(mirror[b][k]), level)
+                assert here == there, (level, b, k)
+                checked += 1
+        assert checked
+
+    def test_top_moves_differ_from_the_mirror_only_where_op_order_breaks_a_tie(self):
+        # Op order breaks ties between least-W root moves, and the mirror
+        # transposes ops, so a tied state's top move need not mirror its mirror
+        # state's; an untied state's always does.
+        _, h = _state_index(3, GOAL3.tiles)
+        rows = _value_table(3, GOAL3.tiles)[0]
+        mirror = mirror_keys()
+        to_op = np.array(MIRROR_OP)
+        ops = [np.array([op for op, *_ in row[minimin._ROOT]]) for row in rows]
+        for level in range(1, MAX_LOOKAHEAD + 1):
+            values = first_move_values(rows, h, level)
+            policy = _policy_table(rows, h, level)
+            top, first_tied = [], []
+            for b in range(9):
+                top.append(ops[b][np.frombuffer(policy[b], np.uint8) & 3])
+                w = np.stack(list(values[b].values()))  # in op order
+                first_tied.append(ops[b][np.argmax(w == w.min(axis=0), axis=0)])
+            for b, k in enumerate(mirror):
+                to = MIRROR_CELL[b]
+                differs = to_op[top[b]] != top[to][k]
+                tie_broken = to_op[first_tied[b]] != first_tied[to][k]
+                assert np.array_equal(differs, tie_broken), (level, b)
+
+
+class TestPolicyGraph:
+    """At width 3 each level's policy names one top child per state: a functional graph
+    over the 181,440 states, with the goal as its fixed point.  Every state drains to the
+    goal or to a pair of states whose top moves point at each other; no longer cycle
+    exists, so a run's first loop override always breaks a ping-pong.  The goal basin's
+    share of the states is the share that never overrides."""
+
+    @pytest.mark.parametrize(
+        "level, pairs, basin, share",
+        [(1, 29_879, 995, 0.005), (6, 11_919, 8_121, 0.045), (12, 15_815, 33_609, 0.185), (24, 1_300, 177_710, 0.979)],
+    )
+    def test_every_cycle_is_a_pair(self, level, pairs, basin, share):
+        rows, h = _value_table(3, GOAL3.tiles)[:2]
+        policy = _policy_table(rows, h, level)
+        n = len(h[0])
+        keys = np.arange(n)
+        succ = np.empty(9 * n, np.int64)  # state (b, k) is b * n + k
+        for b, row in enumerate(rows):
+            top = np.frombuffer(policy[b], np.uint8) & 3
+            for i, (_, j, _, ranks) in enumerate(row[minimin._ROOT]):
+                at = keys[top == i]
+                succ[b * n + at] = j * n + np.asarray(ranks)[at].astype(np.int64)
+        goal_blank, goal_k, _ = _state_key(GOAL3.tiles)
+        goal = goal_blank * n + goal_k
+        succ[goal] = goal
+        end = succ
+        for _ in range(len(succ).bit_length()):  # 2**18 steps: past every path into a cycle
+            end = end[end]
+        on_cycle = np.unique(end)
+        assert np.array_equal(succ[succ[on_cycle]], on_cycle)
+        assert np.flatnonzero(succ[on_cycle] == on_cycle).tolist() == [np.searchsorted(on_cycle, goal)]
+        in_basin = int((end == goal).sum())
+        assert ((len(on_cycle) - 1) // 2, in_basin) == (pairs, basin)
+        assert round(in_basin / len(succ), 3) == share
 
 
 def assert_table_run_is_the_search(p, level, limits):
